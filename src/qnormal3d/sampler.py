@@ -11,8 +11,8 @@ All randomness flows through one counter-based Philox generator keyed by the
 configured seed, so a given configuration reproduces its output exactly.
 
 Grids live in the angle variable of the substitution x = L sin(theta), which
-absorbs the square-root edge of the density.  Tabulated CDFs are interpolated
-by monotone piecewise cubics, which keeps every quantile function valid.
+absorbs the square-root edge of the density.  Each CDF integrates the density's
+monotone cubic (PCHIP) interpolant exactly; each quantile inverts that integral.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.special import kolmogi
 
 from .densities import ModelParams, f_n, f_r
 from .errors import DegenerateConditioning, InsufficientSamples, NonConvergence
@@ -32,6 +30,8 @@ from .qcore import q_number, support_halfwidth
 _KERNEL_TAIL_TOL = 1e-13
 _KERNEL_MAX_TERMS = 600
 _BISECTIONS = 26
+_KS_TERMS = 100
+_NEWTON_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -84,15 +84,9 @@ def _theta_grid(grid_points: int) -> np.ndarray:
     return np.linspace(-0.5 * math.pi, 0.5 * math.pi, grid_points)
 
 
-def _base_quantile(q: float, grid_points: int) -> PchipInterpolator:
-    """Quantile function of the base density, as an interpolant in theta."""
-    half = support_halfwidth(q)
-    theta = _theta_grid(grid_points)
-    dens = f_n(half * np.sin(theta), q) * half * np.cos(theta)
-    cdf = PchipInterpolator(theta, dens).antiderivative()(theta)
-    cdf /= cdf[-1]
-    keep = np.concatenate(([True], np.diff(cdf) > 0))
-    return PchipInterpolator(cdf[keep], theta[keep])
+def _base_quantile(q: float, grid_points: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Quantile function of the base density in theta: the inverse of cdf_fn."""
+    return _density_tables(lambda xs: f_n(xs, q), q, grid_points)[1]
 
 
 def sample_fn(q: float, cfg: SamplerConfig) -> np.ndarray:
@@ -150,52 +144,68 @@ def _hermite_block(values: np.ndarray, n_rows: int, q: float) -> np.ndarray:
     return out
 
 
-def _pchip_slopes(cdf: np.ndarray, h: float) -> np.ndarray:
-    """Shape-preserving cubic slopes for rows of nondecreasing CDF values.
-
-    Uniform-grid Fritsch-Carlson: harmonic-mean interior slopes, clamped
-    three-point endpoint slopes.  Vectorized over the leading axis.
-    """
-    d = np.diff(cdf, axis=1) / h
-    m = np.zeros_like(cdf)
-    left = d[:, :-1]
-    right = d[:, 1:]
-    both = left * right > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        harm = 2.0 * left * right / (left + right)
-    m[:, 1:-1] = np.where(both, harm, 0.0)
-    m0 = 1.5 * d[:, 0] - 0.5 * m[:, 1]
-    mend = 1.5 * d[:, -1] - 0.5 * m[:, -2]
-    m[:, 0] = np.clip(m0, 0.0, 3.0 * d[:, 0])
-    m[:, -1] = np.clip(mend, 0.0, 3.0 * d[:, -1])
+def _pchip_slopes(y: np.ndarray, h: float) -> np.ndarray:
+    """Fritsch-Carlson (PCHIP) slopes for rows of values on a uniform grid:
+    harmonic-mean interior slopes, 0 where the secants change sign, and
+    Moler's limited three-point end slopes.  Rows need not be monotone."""
+    d = np.diff(y, axis=1) / h
+    m = np.zeros_like(y)
+    left, right = d[:, :-1], d[:, 1:]
+    flat = (np.sign(left) != np.sign(right)) | (left == 0) | (right == 0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        harm = 2.0 / (1.0 / left + 1.0 / right)
+    m[:, 1:-1] = np.where(flat, 0.0, harm)
+    for end, d0, d1 in ((0, d[:, 0], d[:, 1]), (-1, d[:, -1], d[:, -2])):
+        e = 1.5 * d0 - 0.5 * d1
+        e = np.where(np.sign(e) != np.sign(d0), 0.0, e)
+        turn = (np.sign(d0) != np.sign(d1)) & (np.abs(e) > 3.0 * np.abs(d0))
+        m[:, end] = np.where(turn, 3.0 * d0, e)
     return m
 
 
+def _pchip_cdf(dens: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integral of the PCHIP of density rows up to each node, and its slopes.
+    A cell adds the trapezoid rule plus h^2 (m0 - m1) / 12, which telescopes."""
+    m = _pchip_slopes(dens, h)
+    trapezoid = h * (np.cumsum(dens, axis=1) - 0.5 * (dens + dens[:, :1]))
+    return trapezoid + h * h / 12.0 * (m[:, :1] - m), m
+
+
+def _cell_rise(
+    dens: np.ndarray, m: np.ndarray, rows: np.ndarray | int, k: np.ndarray, h: float
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Integral h (y0 t + b t^2/2 + c t^3/3 + d t^4/4) of the cell-k cubic
+    y0 + b t + c t^2 + d t^3 of the PCHIP, as a function of t in [0, 1]."""
+    y0 = dens[rows, k]
+    dy = dens[rows, k + 1] - y0
+    b = h * m[rows, k]
+    b1 = h * m[rows, k + 1]
+    b2, c3, d4 = b / 2, (3.0 * dy - 2.0 * b - b1) / 3, (b + b1 - 2.0 * dy) / 4
+    return lambda t: h * t * (y0 + t * (b2 + t * (c3 + t * d4)))
+
+
 def _invert_rows(
-    cdf: np.ndarray, slopes: np.ndarray, u: np.ndarray, theta: np.ndarray
+    cdf: np.ndarray, dens: np.ndarray, m: np.ndarray, u: np.ndarray, theta: np.ndarray
 ) -> np.ndarray:
-    """Solve cdf_row(t) = u_row per row of a monotone cubic tabulation."""
-    h = theta[1] - theta[0]
-    idx = np.clip(np.sum(cdf < u[:, None], axis=1) - 1, 0, cdf.shape[1] - 2)
+    """Solve cdf_row(theta) = u_row by bisection on the cell integral, for
+    tables from :func:`_pchip_cdf` with one row per u or one row for all."""
+    if cdf.shape[0] == 1:
+        idx = np.searchsorted(cdf[0], u) - 1
+    else:
+        idx = np.sum(cdf < u[:, None], axis=1) - 1
+    idx = np.clip(idx, 0, cdf.shape[1] - 2)
     rows = np.arange(cdf.shape[0])
-    y0 = cdf[rows, idx]
-    y1 = cdf[rows, idx + 1]
-    b = h * slopes[rows, idx]
-    b1 = h * slopes[rows, idx + 1]
-    dy = y1 - y0
-    c = 3.0 * dy - 2.0 * b - b1
-    d = -2.0 * dy + b + b1
-    target = u - y0
+    h = theta[1] - theta[0]
+    rise = _cell_rise(dens, m, rows, idx, h)
+    target = u - cdf[rows, idx]
     lo = np.zeros_like(target)
     hi = np.ones_like(target)
     for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        val = ((d * mid + c) * mid + b) * mid
-        high = val > target
+        high = rise(mid) > target
         hi = np.where(high, mid, hi)
         lo = np.where(high, lo, mid)
-    t = 0.5 * (lo + hi)
-    return theta[idx] + t * h
+    return theta[idx] + 0.5 * (lo + hi) * h
 
 
 def _gibbs_update(
@@ -227,15 +237,13 @@ def _gibbs_update(
     kernels = hblock @ grid_block
     dens = np.clip(kernels[:n] * kernels[n:], 0.0, None) * base
     h = theta[1] - theta[0]
-    cs = np.cumsum(dens, axis=1)
-    cdf = h * (cs - 0.5 * (dens + dens[:, :1]))
+    cdf, m = _pchip_cdf(dens, h)
     total = cdf[:, -1]
     if np.any(total <= 0.0) or not np.all(np.isfinite(total)):
         raise DegenerateConditioning(
             "full-conditional mass vanished on the sampling grid"
         )
-    slopes = _pchip_slopes(cdf, h)
-    new_theta = _invert_rows(cdf, slopes, u * total, theta)
+    new_theta = _invert_rows(cdf, dens, m, u * total, theta)
     return half * np.sin(new_theta)
 
 
@@ -321,28 +329,33 @@ def mc_moment(
 
 def cdf_fn(q: float, grid_points: int = 2048) -> Callable[[np.ndarray], np.ndarray]:
     """Tabulated CDF of the one-dimensional base density."""
-    return _density_cdf(lambda xs: f_n(xs, q), q, grid_points)
+    return _density_tables(lambda xs: f_n(xs, q), q, grid_points)[0]
 
 
 def cdf_r(r: float, q: float, grid_points: int = 2048) -> Callable[[np.ndarray], np.ndarray]:
     """Tabulated CDF of the single-coordinate marginal with ratio r."""
-    return _density_cdf(lambda xs: f_r(xs, r, q), q, grid_points)
+    return _density_tables(lambda xs: f_r(xs, r, q), q, grid_points)[0]
 
 
-def _density_cdf(
+def _density_tables(
     density: Callable[[np.ndarray], np.ndarray], q: float, grid_points: int
-) -> Callable[[np.ndarray], np.ndarray]:
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """CDF in x and quantile function in theta of a density, both read from
+    the running integral of its PCHIP in theta, so one inverts the other."""
     half = support_halfwidth(q)
     theta = _theta_grid(grid_points)
-    dens = density(half * np.sin(theta)) * half * np.cos(theta)
-    anti = PchipInterpolator(theta, dens).antiderivative()
-    total = anti(theta[-1])
+    h = theta[1] - theta[0]
+    dens = (density(half * np.sin(theta)) * half * np.cos(theta))[None, :]
+    table, m = _pchip_cdf(dens, h)
+    total = table[0, -1]
 
     def cdf(xs: np.ndarray) -> np.ndarray:
-        clipped = np.clip(np.asarray(xs, dtype=float) / half, -1.0, 1.0)
-        return np.clip(anti(np.arcsin(clipped)) / total, 0.0, 1.0)
+        th = np.arcsin(np.clip(np.asarray(xs, dtype=float) / half, -1.0, 1.0))
+        k = np.clip(np.searchsorted(theta, th, side="right") - 1, 0, grid_points - 2)
+        rise = _cell_rise(dens, m, 0, k, h)((th - theta[k]) / h)
+        return np.clip((table[0, k] + rise) / total, 0.0, 1.0)
 
-    return cdf
+    return cdf, lambda u: _invert_rows(table, dens, m, u * total, theta)
 
 
 def ks_statistic(
@@ -359,7 +372,24 @@ def ks_statistic(
 
 
 def ks_critical(n: int, alpha: float = 0.01) -> float:
-    """Asymptotic critical KS distance at level alpha for n samples."""
+    """Asymptotic critical KS distance at level alpha for n samples.
+
+    Newton's method on the Kolmogorov tail 2 sum_k (-1)^(k-1) e^(-2 k^2 x^2)
+    = alpha from its one-term root; relative error below 1e-13 for alpha <= 0.999.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return float(kolmogi(alpha)) / math.sqrt(n)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"need 0 < alpha < 1, got {alpha}")
+    k = np.arange(1, _KS_TERMS + 1)
+    x = math.sqrt(0.5 * (math.log(2.0) - math.log(alpha)))
+    for _ in range(_NEWTON_STEPS):
+        terms = (-1.0) ** (k - 1) * np.exp(-2.0 * (k * x) ** 2)
+        slope = -8.0 * x * float(np.sum(k * k * terms))
+        if slope == 0.0:  # the tail underflowed, where the one-term root is exact
+            break
+        step = (2.0 * float(np.sum(terms)) - alpha) / slope
+        x = min(max(x - step, 0.5 * x), 2.0 * x)
+        if abs(step) <= 1e-15 * x:
+            break
+    return x / math.sqrt(n)

@@ -179,6 +179,14 @@ class TestSample:
         assert header == ["x"]
         assert len(rows) == 500
 
+    def test_base_target_near_gaussian_q(self, capsys):
+        code, out, _ = run_cli(
+            ["sample", "--target", "fn", "--n", "500", "--seed", "1", "--q", "0.99"], capsys
+        )
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert len(rows) == 500
+
 
 class TestLimits:
     def test_errors_decrease(self, capsys):

@@ -1,15 +1,22 @@
 """Inverse-CDF and Gibbs samplers: determinism, marginals, error bars."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from qnormal3d.densities import ModelParams
+import qnormal3d
+from qnormal3d.densities import ModelParams, f_n
 from qnormal3d.errors import InsufficientSamples
 from qnormal3d.moments import cov_yz, var_z
 from qnormal3d.qcore import support_halfwidth
 from qnormal3d.sampler import (
     McEstimate,
     SamplerConfig,
+    _base_quantile,
     cdf_fn,
     cdf_r,
     ks_critical,
@@ -69,6 +76,14 @@ class TestBaseSampler:
         draws = sample_fn(q, SamplerConfig(seed=314, n_samples=n))
         stat = ks_statistic(draws, cdf_fn(q))
         assert stat < ks_critical(n, alpha=0.01)
+
+    def test_near_gaussian_q(self):
+        # q = 0.99 leaves exactly flat tails in the tabulated CDF.
+        n = 20_000
+        draws = sample_fn(0.99, SamplerConfig(seed=2024, n_samples=n))
+        var = mc_moment(draws, lambda x: x * x)
+        assert abs(var.value - 1.0) < 3 * var.std_error
+        assert ks_statistic(draws, cdf_fn(0.99)) < ks_critical(n, alpha=0.01)
 
     def test_first_two_moments(self):
         n = 20_000
@@ -152,8 +167,57 @@ class TestCdfHelpers:
         cdf = cdf_r(0.3, 0.4)
         assert cdf(np.array([0.0]))[0] == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("q", [-0.5, 0.0, 0.5, 0.9, 0.99])
+    def test_quantile_inverts_cdf(self, q):
+        half = support_halfwidth(q)
+        xs = np.linspace(-1.0, 1.0, 601) * min(3.0, 0.9 * half)
+        theta = _base_quantile(q, 256)(cdf_fn(q, 256)(xs))
+        back = half * np.sin(theta)
+        np.testing.assert_allclose(back, xs, rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("q", [-0.5, 0.0, 0.5, 0.9, 0.99, 0.999])
+    def test_cdf_is_exact_pchip_integral(self, q):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        half = support_halfwidth(q)
+        theta = np.linspace(-0.5 * np.pi, 0.5 * np.pi, 256)
+        dens = f_n(half * np.sin(theta), q) * half * np.cos(theta)
+        anti = interpolate.PchipInterpolator(theta, dens).antiderivative()
+        xs = np.linspace(-half, half, 4001)
+        want = anti(np.arcsin(np.clip(xs / half, -1.0, 1.0))) / anti(theta[-1])
+        np.testing.assert_allclose(cdf_fn(q, 256)(xs), want, rtol=0.0, atol=1e-13)
+
     def test_ks_statistic_uniform(self):
         gen = np.random.default_rng(3)
         u = gen.uniform(size=5000)
         stat = ks_statistic(u, lambda x: np.clip(x, 0.0, 1.0))
         assert stat < ks_critical(5000, alpha=0.01)
+
+
+class TestKsCritical:
+    @pytest.mark.parametrize(
+        "alpha, value", [(0.01, 1.6276236115189504), (0.05, 1.3580986393225505)]
+    )
+    def test_pinned_values(self, alpha, value):
+        assert ks_critical(1, alpha) == pytest.approx(value, rel=0.0, abs=1e-12)
+        assert ks_critical(400, alpha) == pytest.approx(value / 20, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, float("nan")])
+    def test_rejects_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(ValueError):
+            ks_critical(100, alpha)
+
+
+def test_package_imports_without_scipy():
+    src = str(Path(qnormal3d.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = (
+        "import sys, qnormal3d.cli\n"
+        "from qnormal3d import checks, densities, moments, polynomials, quadrature, sampler\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
