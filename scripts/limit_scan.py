@@ -13,7 +13,7 @@ Usage:
 
 import argparse
 
-from qnormal3d.checks import _asc_limit_errors, _fn_limit_errors
+from qnormal3d.checks import asc_limit_errors, fn_limit_errors
 from qnormal3d.moments import var_z
 
 
@@ -28,11 +28,11 @@ def parse_args():
 
 def main():
     args = parse_args()
-    qs = [1.0 - 10.0**-k for k in range(1, args.steps + 1)]
+    qs = tuple(1.0 - 10.0**-k for k in range(1, args.steps + 1))
     limit_var = (1.0 + args.r) / (1.0 - args.r)
     series = {
-        "base density vs normal": _fn_limit_errors(qs),
-        "conditional family vs Hermite": _asc_limit_errors(qs),
+        "base density vs normal": fn_limit_errors(qs),
+        "conditional family vs Hermite": asc_limit_errors(qs),
         "variance vs (1+r)/(1-r)": [abs(var_z(args.r, q) - limit_var) for q in qs],
     }
     for name, errors in series.items():

@@ -24,8 +24,6 @@ _EXPORTS = {
     "DegenerateConditioning": "errors",
     "InsufficientSamples": "errors",
     # scalar q-series machinery
-    "TruncationConfig": "qcore",
-    "DEFAULT_TRUNCATION": "qcore",
     "q_number": "qcore",
     "q_factorial": "qcore",
     "q_binomial": "qcore",
@@ -62,8 +60,6 @@ _EXPORTS = {
     "f_yz_given_x": "densities",
     "aw_parameters": "densities",
     # quadrature
-    "QuadratureConfig": "quadrature",
-    "DEFAULT_QUADRATURE": "quadrature",
     "IntegralResult": "quadrature",
     "integrate1d": "quadrature",
     "integrate2d": "quadrature",
@@ -73,7 +69,8 @@ _EXPORTS = {
     "MomentKind": "moments",
     "CondMomentForm": "moments",
     "MomentSpec": "moments",
-    "ORACLES": "moments",
+    "closed_form": "moments",
+    "quadrature_oracle": "moments",
     "e_h2n_z": "moments",
     "var_z": "moments",
     "cov_yz": "moments",
@@ -141,10 +138,10 @@ if TYPE_CHECKING:  # pragma: no cover
         QNormalError,
     )
     from .moments import (
-        ORACLES,
         CondMomentForm,
         MomentKind,
         MomentSpec,
+        closed_form,
         cond_exp_hn_x_given_yz,
         cond_exp_hn_y_given_z,
         cond_exp_x_given_yz,
@@ -153,6 +150,7 @@ if TYPE_CHECKING:  # pragma: no cover
         covariance_matrix_limit,
         e_h2n_z,
         mixed_moment_h,
+        quadrature_oracle,
         var_z,
     )
     from .polynomials import (
@@ -169,8 +167,6 @@ if TYPE_CHECKING:  # pragma: no cover
         w_poly,
     )
     from .qcore import (
-        DEFAULT_TRUNCATION,
-        TruncationConfig,
         q_binomial,
         q_factorial,
         q_number,
@@ -180,9 +176,7 @@ if TYPE_CHECKING:  # pragma: no cover
         support_halfwidth,
     )
     from .quadrature import (
-        DEFAULT_QUADRATURE,
         IntegralResult,
-        QuadratureConfig,
         gram_matrix,
         integrate1d,
         integrate2d,

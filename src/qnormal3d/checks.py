@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -55,14 +56,7 @@ from .polynomials import (
     triple_product_integral,
 )
 from .qcore import q_factorial, q_pochhammer, support_halfwidth
-from .quadrature import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
-    gram_matrix,
-    integrate1d,
-    integrate2d,
-    integrate3d,
-)
+from .quadrature import gram_matrix, integrate1d, integrate2d, integrate3d
 
 TOL_NORM_1D = 1e-8
 TOL_NORM_2D = 1e-7
@@ -141,23 +135,20 @@ def _interior(gen: np.random.Generator, q: float, size: int) -> np.ndarray:
     return gen.uniform(-0.95 * half, 0.95 * half, size)
 
 
-def check_marginals(
-    p: ModelParams,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-    seed: int = 7,
-) -> List[VerificationReport]:
-    """Normalization of every density and the marginalization chain."""
+def check_marginals(p: ModelParams, seed: int = 7) -> List[VerificationReport]:
+    """Normalization of every density, the marginalization chain, and the
+    agreement of the f_3d and f_Z evaluation routes."""
     q = p.q
     gen = _rng(seed)
     out = [
-        _report("fN-normalization", integrate1d(lambda x: f_n(x, q), q, quad).value, 1.0, TOL_NORM_1D),
-        _report("fR-normalization", integrate1d(lambda x: f_r(x, p.r, q), q, quad).value, 1.0, TOL_NORM_1D),
+        _report("fN-normalization", integrate1d(lambda x: f_n(x, q), q).value, 1.0, TOL_NORM_1D),
+        _report("fR-normalization", integrate1d(lambda x: f_r(x, p.r, q), q).value, 1.0, TOL_NORM_1D),
     ]
     y0 = 0.37 * support_halfwidth(q)
     out.append(
         _report(
             "fCN-normalization",
-            integrate1d(lambda x: f_cn(x, y0, p.rho12, q), q, quad).value,
+            integrate1d(lambda x: f_cn(x, y0, p.rho12, q), q).value,
             1.0,
             TOL_NORM_1D,
         )
@@ -165,7 +156,7 @@ def check_marginals(
     out.append(
         _report(
             "fYZ-normalization",
-            integrate2d(lambda y, z: f_yz(y, z, p), q, quad).value,
+            integrate2d(lambda y, z: f_yz(y, z, p), q).value,
             1.0,
             TOL_NORM_2D,
         )
@@ -173,7 +164,7 @@ def check_marginals(
     out.append(
         _report(
             "C3D-normalization",
-            integrate3d(lambda x, y, z: f_3d(x, y, z, p), q, quad).value,
+            integrate3d(lambda x, y, z: f_3d(x, y, z, p), q).value,
             1.0,
             TOL_NORM_3D,
         )
@@ -183,7 +174,7 @@ def check_marginals(
         _worst(
             "fYZ-from-f3D",
             (
-                (integrate1d(lambda x: f_3d(x, yv, zv, p), q, quad).value, f_yz(yv, zv, p))
+                (integrate1d(lambda x: f_3d(x, yv, zv, p), q).value, f_yz(yv, zv, p))
                 for yv, zv in pts
             ),
             TOL_MARGINAL_2D,
@@ -194,7 +185,7 @@ def check_marginals(
         _worst(
             "fZ-from-f3D",
             (
-                (integrate2d(lambda x, y: f_3d(x, y, zv, p), q, quad).value, f_r(zv, p.r, q))
+                (integrate2d(lambda x, y: f_3d(x, y, zv, p), q).value, f_r(zv, p.r, q))
                 for zv in zs
             ),
             TOL_MARGINAL_1D,
@@ -210,7 +201,7 @@ def check_marginals(
         )
     )
     out.append(_form_agreement(p, gen))
-    return out
+    return out + check_fz_forms(p, seed)
 
 
 def _equal_r_variant(p: ModelParams) -> ModelParams:
@@ -248,15 +239,13 @@ def check_fz_forms(
     return [_worst("fZ-form-agreement", pairs, TOL_FORMS, relative=True)]
 
 
-def check_orthogonality(
-    p: ModelParams, quad: QuadratureConfig = DEFAULT_QUADRATURE
-) -> List[VerificationReport]:
+def check_orthogonality(p: ModelParams) -> List[VerificationReport]:
     """Gram matrices of the three families against their densities."""
     q = p.q
     out = []
     n_h = 10
     gram = gram_matrix(
-        lambda xs: q_hermite(n_h, xs, q).values, lambda xs: f_n(xs, q), n_h, q, quad
+        lambda xs: q_hermite(n_h, xs, q).values, lambda xs: f_n(xs, q), n_h, q
     )
     diag = np.array([q_factorial(n, q) for n in range(n_h + 1)])
     out.append(_diag_report("gram-qhermite-diagonal", gram, diag))
@@ -270,7 +259,6 @@ def check_orthogonality(
         lambda xs: f_cn(xs, y0, rho, q),
         n_a,
         q,
-        quad,
     )
     diag = np.array(
         [q_pochhammer(rho * rho, q, n) * q_factorial(n, q) for n in range(n_a + 1)]
@@ -284,7 +272,6 @@ def check_orthogonality(
         lambda xs: f_r(xs, r, q),
         n_a,
         q,
-        quad,
     )
     diag = np.array(
         [
@@ -338,11 +325,7 @@ def check_poisson_mehler(
     ]
 
 
-def check_chapman_kolmogorov(
-    p: ModelParams,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-    seed: int = 7,
-) -> List[VerificationReport]:
+def check_chapman_kolmogorov(p: ModelParams, seed: int = 7) -> List[VerificationReport]:
     """Composition of two conditional kernels against the product kernel."""
     q = p.q
     gen = _rng(seed)
@@ -352,16 +335,13 @@ def check_chapman_kolmogorov(
         r1 = gen.uniform(-0.8, 0.8)
         r2 = gen.uniform(-0.8, 0.8)
         lhs = integrate1d(
-            lambda y: f_cn(xv, y, r1, q) * f_cn(y, zv, r2, q), q, quad
+            lambda y: f_cn(xv, y, r1, q) * f_cn(y, zv, r2, q), q
         ).value
         pairs.append((lhs, float(f_cn(xv, zv, r1 * r2, q))))
     return [_worst("ck-semigroup", pairs, TOL_CK)]
 
 
-def check_moments(
-    p: ModelParams,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> List[VerificationReport]:
+def check_moments(p: ModelParams) -> List[VerificationReport]:
     """Closed-form moments against their quadrature oracles."""
     q = p.q
     r = p.r
@@ -369,7 +349,7 @@ def check_moments(
     pairs = []
     for n in (1, 2, 3):
         oracle = integrate1d(
-            lambda z: q_hermite(2 * n, z, q).values[2 * n] * f_r(z, r, q), q, quad
+            lambda z: q_hermite(2 * n, z, q).values[2 * n] * f_r(z, r, q), q
         ).value
         pairs.append((e_h2n_z(n, r, q), oracle))
     out.append(_worst("eh2n-vs-quadrature", pairs, TOL_MOMENT))
@@ -377,11 +357,11 @@ def check_moments(
         _report(
             "varz-vs-quadrature",
             var_z(r, q),
-            integrate1d(lambda z: z * z * f_r(z, r, q), q, quad).value,
+            integrate1d(lambda z: z * z * f_r(z, r, q), q).value,
             TOL_MOMENT,
         )
     )
-    cov_oracle = integrate2d(lambda y, z: y * z * f_yz(y, z, p), q, quad).value
+    cov_oracle = integrate2d(lambda y, z: y * z * f_yz(y, z, p), q).value
     out.append(_report("cov-vs-quadrature", cov_yz(p), cov_oracle, TOL_MOMENT))
     pairs = []
     for m, n in ((2, 2), (1, 3), (2, 4)):
@@ -390,7 +370,6 @@ def check_moments(
             * q_hermite(n, z, q).values[n]
             * f_yz(y, z, p),
             q,
-            quad,
         ).value
         pairs.append((mixed_moment_h(m, n, p), oracle))
     out.append(_worst("mixed-vs-quadrature", pairs, TOL_MOMENT))
@@ -398,18 +377,14 @@ def check_moments(
     for n in range(5):
         deg = 2 * n + 1
         val = integrate1d(
-            lambda z: q_hermite(deg, z, q).values[deg] * f_r(z, r, q), q, quad
+            lambda z: q_hermite(deg, z, q).values[deg] * f_r(z, r, q), q
         ).value
         pairs.append((val, 0.0))
     out.append(_worst("odd-moments-vanish", pairs, TOL_ODD))
     return out
 
 
-def check_conditionals(
-    p: ModelParams,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-    seed: int = 7,
-) -> List[VerificationReport]:
+def check_conditionals(p: ModelParams, seed: int = 7) -> List[VerificationReport]:
     """Conditional moment formulas against each other and quadrature."""
     from .moments import MomentKind, MomentSpec, quadrature_oracle
 
@@ -425,7 +400,7 @@ def check_conditionals(
         v3 = cond_exp_hn_x_given_yz(n, yv, zv, p.rho12, p.rho13, q, CondMomentForm.ASC_IMAGE)
         form_pairs.append((max(v1, v2, v3), min(v1, v2, v3)))
         oracle = quadrature_oracle(
-            MomentSpec(MomentKind.COND_X_GIVEN_YZ, (n,), p, (yv, zv)), quad
+            MomentSpec(MomentKind.COND_X_GIVEN_YZ, (n,), p, (yv, zv))
         )
         quad_pairs.append((v1, oracle))
     out.append(_worst("condx-forms-agree", form_pairs, TOL_COND_FORMS, relative=True))
@@ -435,13 +410,13 @@ def check_conditionals(
     for n in range(1, 5):
         zv = float(_interior(gen, q, 1)[0])
         oracle = quadrature_oracle(
-            MomentSpec(MomentKind.COND_Y_GIVEN_Z, (n,), p, (zv,)), quad
+            MomentSpec(MomentKind.COND_Y_GIVEN_Z, (n,), p, (zv,))
         )
         pairs.append((cond_exp_hn_y_given_z(n, zv, p), oracle))
     out.append(_worst("condy-vs-quadrature", pairs, TOL_COND_QUAD))
 
     yv, zv = _interior(gen, q, 2)
-    oracle = quadrature_oracle(MomentSpec(MomentKind.COND_X_GIVEN_YZ, (1,), p, (yv, zv)), quad)
+    oracle = quadrature_oracle(MomentSpec(MomentKind.COND_X_GIVEN_YZ, (1,), p, (yv, zv)))
     out.append(
         _report(
             "ex-vs-quadrature",
@@ -451,9 +426,9 @@ def check_conditionals(
         )
     )
     zv = float(_interior(gen, q, 1)[0])
-    oracle = quadrature_oracle(MomentSpec(MomentKind.COND_Y_GIVEN_Z, (1,), p, (zv,)), quad)
+    oracle = quadrature_oracle(MomentSpec(MomentKind.COND_Y_GIVEN_Z, (1,), p, (zv,)))
     out.append(_report("cyz-vs-quadrature", cond_exp_y_given_z(zv, p), oracle, TOL_COND_QUAD))
-    oracle = quadrature_oracle(MomentSpec(MomentKind.COND_Y_GIVEN_Z, (2,), p, (zv,)), quad)
+    oracle = quadrature_oracle(MomentSpec(MomentKind.COND_Y_GIVEN_Z, (2,), p, (zv,)))
     out.append(
         _report(
             "cy2z-vs-quadrature",
@@ -462,7 +437,7 @@ def check_conditionals(
             TOL_COND_QUAD,
         )
     )
-    oracle = quadrature_oracle(MomentSpec(MomentKind.COND_XY_GIVEN_Z, (1, 1), p, (zv,)), quad)
+    oracle = quadrature_oracle(MomentSpec(MomentKind.COND_XY_GIVEN_Z, (1, 1), p, (zv,)))
     out.append(_report("cconv-vs-quadrature", cond_exp_xy_given_z(zv, p), oracle, TOL_COND_QUAD))
 
     pairs = []
@@ -542,8 +517,8 @@ def check_limits(
         )
     )
 
-    out.append(_limit_row("fn-gaussian-limit", _fn_limit_errors()))
-    out.append(_limit_row("asc-hermite-limit", _asc_limit_errors()))
+    out.append(_limit_row("fn-gaussian-limit", fn_limit_errors(LIMIT_Q_SEQUENCE)))
+    out.append(_limit_row("asc-hermite-limit", asc_limit_errors(LIMIT_Q_SEQUENCE)))
     out.append(
         _limit_row(
             "var-limit",
@@ -556,7 +531,12 @@ def check_limits(
 LIMIT_Q_SEQUENCE = (0.9, 0.99, 0.999)
 
 
-def _fn_limit_errors(qs: Sequence[float] = LIMIT_Q_SEQUENCE) -> List[float]:
+@lru_cache
+def fn_limit_errors(qs: Tuple[float, ...]) -> Tuple[float, ...]:
+    """Sup-norm distance of f_N(.|q) from the standard normal density on
+    |x| < 5, for each q of the sequence.  Cached: it does not depend on the
+    correlations, and f_N near q = 1 multiplies tens of thousands of factors.
+    """
     errs = []
     for qq in qs:
         half = support_halfwidth(qq)
@@ -564,10 +544,14 @@ def _fn_limit_errors(qs: Sequence[float] = LIMIT_Q_SEQUENCE) -> List[float]:
         xs = xs[np.abs(xs) < 5.0]
         gauss = np.exp(-0.5 * xs * xs) / math.sqrt(2.0 * math.pi)
         errs.append(float(np.max(np.abs(f_n(xs, qq) - gauss))))
-    return errs
+    return tuple(errs)
 
 
-def _asc_limit_errors(qs: Sequence[float] = LIMIT_Q_SEQUENCE) -> List[float]:
+@lru_cache
+def asc_limit_errors(qs: Tuple[float, ...]) -> Tuple[float, ...]:
+    """Distance of the Al-Salam-Chihara polynomial P_3(0.5 | -0.3, 0.6, q)
+    from its scaled-Hermite limit, for each q of the sequence.  Cached like
+    fn_limit_errors."""
     errs = []
     xv, yv, rho, n = 0.5, -0.3, 0.6, 3
     sd = math.sqrt(1.0 - rho * rho)
@@ -575,7 +559,7 @@ def _asc_limit_errors(qs: Sequence[float] = LIMIT_Q_SEQUENCE) -> List[float]:
     for qq in qs:
         val = asc_poly(n, xv, yv, rho, qq).values[n]
         errs.append(abs(float(val) - float(target)))
-    return errs
+    return tuple(errs)
 
 
 def _limit_row(name: str, errs: Sequence[float]) -> VerificationReport:
@@ -597,57 +581,25 @@ def _limit_row(name: str, errs: Sequence[float]) -> VerificationReport:
     )
 
 
-def _suite_marginals(p, quad, seed):
-    return check_marginals(p, quad, seed) + check_fz_forms(p, seed)
-
-
-def _suite_orthogonality(p, quad, seed):
-    return check_orthogonality(p, quad)
-
-
-def _suite_pm(p, quad, seed):
-    return check_poisson_mehler(p, seed)
-
-
-def _suite_ck(p, quad, seed):
-    return check_chapman_kolmogorov(p, quad, seed)
-
-
-def _suite_moments(p, quad, seed):
-    return check_moments(p, quad)
-
-
-def _suite_conditionals(p, quad, seed):
-    return check_conditionals(p, quad, seed)
-
-
-def _suite_limits(p, quad, seed):
-    return check_limits(p, seed)
-
-
-SUITES: Dict[str, Callable[[ModelParams, QuadratureConfig, int], List[VerificationReport]]] = {
-    "orthogonality": _suite_orthogonality,
-    "marginals": _suite_marginals,
-    "chapman-kolmogorov": _suite_ck,
-    "poisson-mehler": _suite_pm,
-    "moments": _suite_moments,
-    "conditionals": _suite_conditionals,
-    "limits": _suite_limits,
+# Every suite takes (p, seed); the two checks without random probes drop it.
+SUITES: Dict[str, Callable[[ModelParams, int], List[VerificationReport]]] = {
+    "orthogonality": lambda p, seed: check_orthogonality(p),
+    "marginals": check_marginals,
+    "chapman-kolmogorov": check_chapman_kolmogorov,
+    "poisson-mehler": check_poisson_mehler,
+    "moments": lambda p, seed: check_moments(p),
+    "conditionals": check_conditionals,
+    "limits": check_limits,
 }
 
 
-def run_suite(
-    name: str,
-    p: ModelParams,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-    seed: int = 7,
-) -> List[VerificationReport]:
+def run_suite(name: str, p: ModelParams, seed: int = 7) -> List[VerificationReport]:
     """Run one named suite (or ``all``) at a single parameter point."""
     if name == "all":
         out: List[VerificationReport] = []
         for suite in SUITES.values():
-            out.extend(suite(p, quad, seed))
+            out.extend(suite(p, seed))
         return out
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name](p, quad, seed)
+    return SUITES[name](p, seed)

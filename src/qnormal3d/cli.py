@@ -94,8 +94,8 @@ def _parse_grid(text: str) -> List[Tuple[float, float, int]]:
     return axes
 
 
-def _parse_q_seq(text: str) -> List[float]:
-    vals = [float(t) for t in text.split(",")]
+def _parse_q_seq(text: str) -> Tuple[float, ...]:
+    vals = tuple(float(t) for t in text.split(","))
     if not vals:
         raise ValueError("empty q sequence")
     return vals
@@ -140,19 +140,16 @@ def _emit(args: argparse.Namespace, table: Table) -> None:
 
 
 def _shared_metadata() -> Dict[str, Any]:
-    from .qcore import DEFAULT_TRUNCATION
-    from .quadrature import DEFAULT_QUADRATURE
+    from . import qcore, quadrature
 
-    t = DEFAULT_TRUNCATION
-    s = DEFAULT_QUADRATURE
     return {
-        "trunc_max_terms": t.max_terms,
-        "trunc_tail_tol": t.tail_tol,
-        "trunc_product_tol": t.product_tol,
-        "quad_order": s.order,
-        "quad_tol_1d": s.tol_1d,
-        "quad_tol_2d": s.tol_2d,
-        "quad_tol_3d": s.tol_3d,
+        "trunc_max_terms": qcore.MAX_TERMS,
+        "trunc_tail_tol": qcore.TAIL_TOL,
+        "trunc_product_tol": qcore.PRODUCT_TOL,
+        "quad_order": quadrature.QUAD_ORDER,
+        "quad_tol_1d": quadrature.QUAD_TOL_1D,
+        "quad_tol_2d": quadrature.QUAD_TOL_2D,
+        "quad_tol_3d": quadrature.QUAD_TOL_3D,
     }
 
 
@@ -353,9 +350,8 @@ def cmd_moments(args: argparse.Namespace) -> Tuple[Table, int]:
             detail = f"z={_fmt(args.z)}"
         else:
             raise ValueError(f"unknown moment kind {kind!r}")
-        closed_fn, oracle_fn = mm.ORACLES[spec.kind]
-        closed = closed_fn(spec)
-        oracle = oracle_fn(spec)
+        closed = mm.closed_form(spec)
+        oracle = mm.quadrature_oracle(spec)
     abs_err = abs(closed - oracle)
     rel_err = abs_err / max(1.0, abs(oracle))
     rows = [(kind, detail, closed, oracle, abs_err, rel_err)]
@@ -483,7 +479,7 @@ def cmd_sample(args: argparse.Namespace) -> Tuple[Table, int]:
 
 
 def cmd_limits(args: argparse.Namespace) -> Tuple[Table, int]:
-    from .checks import _asc_limit_errors, _fn_limit_errors
+    from .checks import asc_limit_errors, fn_limit_errors
     from .moments import var_z
 
     qs = _parse_q_seq(args.q_seq)
@@ -492,8 +488,8 @@ def cmd_limits(args: argparse.Namespace) -> Tuple[Table, int]:
     columns = ["check", "q", "error", "ratio"]
     rows: List[Row] = []
     series = {
-        "fn-gaussian-limit": _fn_limit_errors(qs),
-        "asc-hermite-limit": _asc_limit_errors(qs),
+        "fn-gaussian-limit": fn_limit_errors(qs),
+        "asc-hermite-limit": asc_limit_errors(qs),
         "var-limit": [abs(var_z(args.r, qq) - (1.0 + args.r) / (1.0 - args.r)) for qq in qs],
     }
     for name, errs in series.items():

@@ -23,8 +23,12 @@ plain factors are multiplied in blocks of 32 and the log is taken once per
 block, which keeps the log overhead negligible.
 
 Point arguments accept scalars or broadcastable numpy arrays.  Unconditional
-densities extend by zero outside the support; conditional densities and the
-complex parameter map raise DomainError instead.
+densities, and f_cn in x, extend by zero outside the support; f_x_given_yz,
+f_yz_given_x, pm_kernel and the complex parameter map raise DomainError
+instead.  A NaN evaluation point gives NaN in every form, while the other
+points of the same array still evaluate.  A NaN conditioning point (y of
+f_cn, y and z of f_x_given_yz, x of f_yz_given_x) or kernel argument raises
+DomainError with a message that names NaN.
 """
 
 from __future__ import annotations
@@ -37,8 +41,9 @@ import numpy as np
 
 from .errors import DegenerateConditioning, DomainError, NonConvergence
 from .qcore import (
-    DEFAULT_TRUNCATION,
-    TruncationConfig,
+    MAX_TERMS,
+    TAIL_TOL,
+    _factors_needed,
     log_q_pochhammer_inf,
     support_halfwidth,
 )
@@ -132,25 +137,6 @@ def _ret(value: np.ndarray, scalar: bool):
     return float(value) if scalar else value
 
 
-def _factor_count(a0: float, q: float, cfg: TruncationConfig, margin: float) -> int:
-    """Factors to keep so the first omitted kernel factor deviates from 1
-    by less than product_tol; deviation is bounded by margin * |a0 q^K|."""
-    a = abs(a0) * margin
-    if a < cfg.product_tol:
-        return 0
-    aq = abs(q)
-    if aq == 0.0:
-        return 1
-    n = max(1, math.ceil(math.log(cfg.product_tol / a) / math.log(aq)))
-    while a * aq**n >= cfg.product_tol:
-        n += 1
-    if n > cfg.max_terms:
-        raise NonConvergence(
-            f"kernel product needs {n} factors, cap is {cfg.max_terms}"
-        )
-    return n
-
-
 def l_q(x, a: float, q: float):
     """Quadratic kernel l(x|a) = (1+a)^2 - (1-q) a x^2."""
     (xb,), scalar = _points(x)
@@ -187,9 +173,9 @@ def _log_blocks(values_iter, shape) -> np.ndarray:
     return total
 
 
-def _log_lq_product(x: np.ndarray, a0: float, q: float, cfg: TruncationConfig) -> np.ndarray:
+def _log_lq_product(x: np.ndarray, a0: float, q: float) -> np.ndarray:
     """sum_{i>=0} log l(x | a0 q^i) for x inside the support."""
-    n = _factor_count(a0, q, cfg, margin=6.0)
+    n = _factors_needed(6.0 * a0, q)
     one_minus_q = 1.0 - q
     xsq = x**2
 
@@ -202,11 +188,9 @@ def _log_lq_product(x: np.ndarray, a0: float, q: float, cfg: TruncationConfig) -
     return _log_blocks(factors(), xsq.shape)
 
 
-def _log_omega_product(
-    x: np.ndarray, y: np.ndarray, rho: float, q: float, cfg: TruncationConfig
-) -> np.ndarray:
+def _log_omega_product(x: np.ndarray, y: np.ndarray, rho: float, q: float) -> np.ndarray:
     """sum_{i>=0} log w(x, y | rho q^i) for x, y inside the support."""
-    n = _factor_count(rho, q, cfg, margin=16.0)
+    n = _factors_needed(16.0 * rho, q)
     one_minus_q = 1.0 - q
     xy = x * y
     ssq = x**2 + y**2
@@ -223,28 +207,26 @@ def _log_omega_product(
     return _log_blocks(factors(), shape)
 
 
-def _log_f_n(x: np.ndarray, q: float, cfg: TruncationConfig) -> np.ndarray:
+def _log_f_n(x: np.ndarray, q: float) -> np.ndarray:
     """log f_N on points already inside the support (-inf at the edge)."""
     edge = 4.0 - (1.0 - q) * x**2
     with np.errstate(divide="ignore"):
         log_edge = np.log(np.maximum(edge, 0.0))
     return (
-        log_q_pochhammer_inf(q, q, cfg)
+        log_q_pochhammer_inf(q, q)
         + 0.5 * math.log(1.0 - q)
         + 0.5 * log_edge
         - _LOG_2PI
-        + _log_lq_product(x, q, q, cfg)
+        + _log_lq_product(x, q, q)
     )
 
 
-def _log_f_cn(
-    x: np.ndarray, y: np.ndarray, rho: float, q: float, cfg: TruncationConfig
-) -> np.ndarray:
+def _log_f_cn(x: np.ndarray, y: np.ndarray, rho: float, q: float) -> np.ndarray:
     """log f_CN(x|y) on in-support points."""
     return (
-        _log_f_n(x, q, cfg)
-        + log_q_pochhammer_inf(rho**2, q, cfg)
-        - _log_omega_product(x, y, rho, q, cfg)
+        _log_f_n(x, q)
+        + log_q_pochhammer_inf(rho**2, q)
+        - _log_omega_product(x, y, rho, q)
     )
 
 
@@ -253,54 +235,72 @@ def _inside(arr: np.ndarray, half: float) -> np.ndarray:
 
 
 def _clip(arr: np.ndarray, half: float) -> np.ndarray:
-    return np.clip(arr, -half, half)
+    """Clamp into the support.  NaN becomes 0, so that a series still
+    converges on the other points; _extend puts the NaN back."""
+    return np.clip(np.nan_to_num(arr), -half, half)
 
 
-def f_n(x, q: float, cfg: TruncationConfig = DEFAULT_TRUNCATION):
+def _extend(val: np.ndarray, half: float, *coords: np.ndarray) -> np.ndarray:
+    """Extend a density by zero outside the support, with NaN wherever a
+    coordinate is NaN."""
+    inside = _inside(coords[0], half)
+    for c in coords[1:]:
+        inside = inside & _inside(c, half)
+    out = np.where(inside, val, 0.0)
+    for c in coords:
+        nan = np.isnan(c)
+        if nan.any():
+            out = np.where(nan, np.nan, out)
+    return out
+
+
+def _require_support(arr: np.ndarray, half: float, what: str) -> None:
+    """Raise DomainError unless every point of arr lies in the support."""
+    if np.any(np.isnan(arr)):
+        raise DomainError(f"{what} is NaN")
+    if not np.all(_inside(arr, half)):
+        raise DomainError(f"{what} outside the support interval")
+
+
+def f_n(x, q: float):
     """Univariate q-Normal density; zero outside the support interval."""
     _check_q(q)
     (xb,), scalar = _points(x)
     half = support_halfwidth(q)
-    inside = _inside(xb, half)
-    val = np.exp(_log_f_n(_clip(xb, half), q, cfg))
-    return _ret(np.where(inside, val, 0.0), scalar)
+    val = np.exp(_log_f_n(_clip(xb, half), q))
+    return _ret(_extend(val, half, xb), scalar)
 
 
-def f_cn(x, y, rho: float, q: float, cfg: TruncationConfig = DEFAULT_TRUNCATION):
+def f_cn(x, y, rho: float, q: float):
     """Conditional q-Normal density in x given a coordinate at y with
     correlation rho.  The conditioning point must lie in the support."""
     _check_q(q)
     _check_rho(rho)
     (xb, yb), scalar = _points(x, y)
     half = support_halfwidth(q)
-    if not np.all(_inside(yb, half)):
-        raise DomainError("conditioning point y outside the support interval")
-    inside = _inside(xb, half)
-    val = np.exp(_log_f_cn(_clip(xb, half), yb, rho, q, cfg))
-    return _ret(np.where(inside, val, 0.0), scalar)
+    _require_support(yb, half, "conditioning point y")
+    val = np.exp(_log_f_cn(_clip(xb, half), yb, rho, q))
+    return _ret(_extend(val, half, xb), scalar)
 
 
-def f_r(x, beta: float, q: float, cfg: TruncationConfig = DEFAULT_TRUNCATION):
+def f_r(x, beta: float, q: float):
     """Rogers-orthogonality density; zero outside the support."""
     _check_q(q)
     _check_rho(beta, "beta")
     (xb,), scalar = _points(x)
     half = support_halfwidth(q)
-    inside = _inside(xb, half)
     xc = _clip(xb, half)
     log_val = (
-        _log_f_n(xc, q, cfg)
-        + log_q_pochhammer_inf(beta**2, q, cfg)
-        - log_q_pochhammer_inf(beta, q, cfg)
-        - log_q_pochhammer_inf(beta * q, q, cfg)
-        - _log_lq_product(xc, beta, q, cfg)
+        _log_f_n(xc, q)
+        + log_q_pochhammer_inf(beta**2, q)
+        - log_q_pochhammer_inf(beta, q)
+        - log_q_pochhammer_inf(beta * q, q)
+        - _log_lq_product(xc, beta, q)
     )
-    return _ret(np.where(inside, np.exp(log_val), 0.0), scalar)
+    return _ret(_extend(np.exp(log_val), half, xb), scalar)
 
 
-def _pm_series(
-    x: np.ndarray, y: np.ndarray, rho: float, q: float, cfg: TruncationConfig
-) -> np.ndarray:
+def _pm_series(x: np.ndarray, y: np.ndarray, rho: float, q: float) -> np.ndarray:
     """Bilinear q-Hermite kernel sum_j rho^j H_j(x) H_j(y) / [j]_q!."""
     shape = np.broadcast_shapes(x.shape, y.shape)
     total = np.ones(shape)
@@ -314,13 +314,13 @@ def _pm_series(
     qnum = 0.0
     qpow = 1.0
     small = 0
-    for j in range(1, cfg.max_terms + 1):
+    for j in range(1, MAX_TERMS + 1):
         qnum += qpow  # [j]_q
         qpow *= q
         coef *= rho / qnum
         term = coef * hx * hy
         total += term
-        if np.max(np.abs(term)) < cfg.tail_tol:
+        if np.max(np.abs(term)) < TAIL_TOL:
             small += 1
             if small >= 2:
                 return total
@@ -329,7 +329,7 @@ def _pm_series(
         hx, hx_prev = x * hx - qnum * hx_prev, hx
         hy, hy_prev = y * hy - qnum * hy_prev, hy
     raise NonConvergence(
-        f"bilinear kernel series not below tail_tol within {cfg.max_terms} terms"
+        f"bilinear kernel series not below TAIL_TOL within {MAX_TERMS} terms"
     )
 
 
@@ -338,7 +338,6 @@ def pm_kernel(
     y,
     rho: float,
     q: float,
-    cfg: TruncationConfig = DEFAULT_TRUNCATION,
     form: DensityForm = DensityForm.PRODUCT,
 ):
     """Bilinear kernel f_CN(x|y) / f_N(x), by series or closed product."""
@@ -346,14 +345,14 @@ def pm_kernel(
     _check_rho(rho)
     (xb, yb), scalar = _points(x, y)
     half = support_halfwidth(q)
-    if not (np.all(_inside(xb, half)) and np.all(_inside(yb, half))):
-        raise DomainError("kernel arguments outside the support interval")
+    _require_support(xb, half, "kernel argument x")
+    _require_support(yb, half, "kernel argument y")
     if form == DensityForm.SERIES:
-        val = _pm_series(xb, yb, rho, q, cfg)
+        val = _pm_series(xb, yb, rho, q)
     elif form in (DensityForm.PRODUCT, DensityForm.CLOSED):
         val = np.exp(
-            log_q_pochhammer_inf(rho**2, q, cfg)
-            - _log_omega_product(xb, yb, rho, q, cfg)
+            log_q_pochhammer_inf(rho**2, q)
+            - _log_omega_product(xb, yb, rho, q)
         )
     else:
         raise ValueError(f"unknown form {form}")
@@ -365,7 +364,6 @@ def f_3d(
     y,
     z,
     params: ModelParams,
-    cfg: TruncationConfig = DEFAULT_TRUNCATION,
     form: DensityForm = DensityForm.PRODUCT,
 ):
     """Trivariate density; zero outside the support cube.
@@ -379,71 +377,68 @@ def f_3d(
     _check_q(p.q)
     (xb, yb, zb), scalar = _points(x, y, z)
     half = support_halfwidth(p.q)
-    inside = _inside(xb, half) & _inside(yb, half) & _inside(zb, half)
     xc, yc, zc = (_clip(a, half) for a in (xb, yb, zb))
     log_c = math.log1p(-p.r)
     if form == DensityForm.PRODUCT:
         log_val = (
             log_c
-            + _log_f_cn(xc, yc, p.rho12, p.q, cfg)
-            + _log_f_cn(yc, zc, p.rho23, p.q, cfg)
-            + _log_f_cn(zc, xc, p.rho13, p.q, cfg)
+            + _log_f_cn(xc, yc, p.rho12, p.q)
+            + _log_f_cn(yc, zc, p.rho23, p.q)
+            + _log_f_cn(zc, xc, p.rho13, p.q)
         )
         val = np.exp(log_val)
     elif form == DensityForm.CLOSED:
         log_val = (
             log_c
-            + _log_f_n(xc, p.q, cfg)
-            + _log_f_n(yc, p.q, cfg)
-            + _log_f_n(zc, p.q, cfg)
-            + log_q_pochhammer_inf(p.rho12**2, p.q, cfg)
-            + log_q_pochhammer_inf(p.rho13**2, p.q, cfg)
-            + log_q_pochhammer_inf(p.rho23**2, p.q, cfg)
-            - _log_omega_product(xc, yc, p.rho12, p.q, cfg)
-            - _log_omega_product(xc, zc, p.rho13, p.q, cfg)
-            - _log_omega_product(yc, zc, p.rho23, p.q, cfg)
+            + _log_f_n(xc, p.q)
+            + _log_f_n(yc, p.q)
+            + _log_f_n(zc, p.q)
+            + log_q_pochhammer_inf(p.rho12**2, p.q)
+            + log_q_pochhammer_inf(p.rho13**2, p.q)
+            + log_q_pochhammer_inf(p.rho23**2, p.q)
+            - _log_omega_product(xc, yc, p.rho12, p.q)
+            - _log_omega_product(xc, zc, p.rho13, p.q)
+            - _log_omega_product(yc, zc, p.rho23, p.q)
         )
         val = np.exp(log_val)
     elif form == DensityForm.SERIES:
         base = np.exp(
             log_c
-            + _log_f_n(xc, p.q, cfg)
-            + _log_f_n(yc, p.q, cfg)
-            + _log_f_n(zc, p.q, cfg)
+            + _log_f_n(xc, p.q)
+            + _log_f_n(yc, p.q)
+            + _log_f_n(zc, p.q)
         )
         val = (
             base
-            * _pm_series(xc, yc, p.rho12, p.q, cfg)
-            * _pm_series(yc, zc, p.rho23, p.q, cfg)
-            * _pm_series(xc, zc, p.rho13, p.q, cfg)
+            * _pm_series(xc, yc, p.rho12, p.q)
+            * _pm_series(yc, zc, p.rho23, p.q)
+            * _pm_series(xc, zc, p.rho13, p.q)
         )
     else:
         raise ValueError(f"unknown form {form}")
-    return _ret(np.where(inside, val, 0.0), scalar)
+    return _ret(_extend(val, half, xb, yb, zb), scalar)
 
 
-def f_yz(y, z, params: ModelParams, cfg: TruncationConfig = DEFAULT_TRUNCATION):
+def f_yz(y, z, params: ModelParams):
     """Bivariate (Y, Z) marginal: couples rho23 directly and the product
     rho12 rho13 through the integrated-out coordinate."""
     p = params
     _check_q(p.q)
     (yb, zb), scalar = _points(y, z)
     half = support_halfwidth(p.q)
-    inside = _inside(yb, half) & _inside(zb, half)
     yc, zc = _clip(yb, half), _clip(zb, half)
     log_val = (
         math.log1p(-p.r)
-        + _log_f_cn(yc, zc, p.rho23, p.q, cfg)
-        + _log_f_cn(zc, yc, p.rho12 * p.rho13, p.q, cfg)
+        + _log_f_cn(yc, zc, p.rho23, p.q)
+        + _log_f_cn(zc, yc, p.rho12 * p.rho13, p.q)
     )
-    return _ret(np.where(inside, np.exp(log_val), 0.0), scalar)
+    return _ret(_extend(np.exp(log_val), half, yb, zb), scalar)
 
 
 def f_z(
     z,
     r: float,
     q: float,
-    cfg: TruncationConfig = DEFAULT_TRUNCATION,
     form: MarginalForm = MarginalForm.ROGERS,
 ):
     """Univariate marginal of the trivariate model; depends on the three
@@ -457,21 +452,20 @@ def f_z(
     _check_rho(r, "r")
     (zb,), scalar = _points(z)
     half = support_halfwidth(q)
-    inside = _inside(zb, half)
     zc = _clip(zb, half)
     if form == MarginalForm.HERMITE_SERIES:
-        val = (1.0 - r) * np.exp(_log_f_n(zc, q, cfg)) * _pm_series(zc, zc, r, q, cfg)
+        val = (1.0 - r) * np.exp(_log_f_n(zc, q)) * _pm_series(zc, zc, r, q)
     elif form == MarginalForm.ROGERS:
         log_val = (
             math.log1p(-r)
-            + _log_f_n(zc, q, cfg)
-            + log_q_pochhammer_inf(r**2, q, cfg)
-            - 2.0 * log_q_pochhammer_inf(r, q, cfg)
-            - _log_lq_product(zc, r, q, cfg)
+            + _log_f_n(zc, q)
+            + log_q_pochhammer_inf(r**2, q)
+            - 2.0 * log_q_pochhammer_inf(r, q)
+            - _log_lq_product(zc, r, q)
         )
         val = np.exp(log_val)
     elif form == MarginalForm.EVEN_SERIES:
-        val = (1.0 - r) * np.exp(_log_f_n(zc, q, cfg)) * _even_series(zc, r, q, cfg)
+        val = (1.0 - r) * np.exp(_log_f_n(zc, q)) * _even_series(zc, r, q)
     elif form == MarginalForm.EDGE_PRODUCT:
         edge = 4.0 - (1.0 - q) * zc**2
         with np.errstate(divide="ignore"):
@@ -480,21 +474,21 @@ def f_z(
             math.log1p(r)
             + 0.5 * math.log(1.0 - q)
             + 0.5 * log_edge
-            + log_q_pochhammer_inf(q, q, cfg)
-            + log_q_pochhammer_inf(r**2 * q, q, cfg)
+            + log_q_pochhammer_inf(q, q)
+            + log_q_pochhammer_inf(r**2 * q, q)
             - _LOG_2PI
             - np.log((1.0 + r) ** 2 - (1.0 - q) * r * zc**2)
-            - 2.0 * log_q_pochhammer_inf(r * q, q, cfg)
-            + _log_lq_product(zc, q, q, cfg)
-            - _log_lq_product(zc, r * q, q, cfg)
+            - 2.0 * log_q_pochhammer_inf(r * q, q)
+            + _log_lq_product(zc, q, q)
+            - _log_lq_product(zc, r * q, q)
         )
         val = np.exp(log_val)
     else:
         raise ValueError(f"unknown form {form}")
-    return _ret(np.where(inside, val, 0.0), scalar)
+    return _ret(_extend(val, half, zb), scalar)
 
 
-def _even_series(z: np.ndarray, r: float, q: float, cfg: TruncationConfig) -> np.ndarray:
+def _even_series(z: np.ndarray, r: float, q: float) -> np.ndarray:
     """sum_k r^k H_{2k}(z|q) / ([k]_q! (r;q)_{k+1}) via an incrementally
     extended q-Hermite recurrence."""
     h_prev = np.zeros(z.shape)  # H_{deg-1} seeded at degree -1
@@ -509,7 +503,7 @@ def _even_series(z: np.ndarray, r: float, q: float, cfg: TruncationConfig) -> np
     k_qpow = 1.0  # q^(k-1) ahead of the update
     rq = r * q  # r q^k inside (r;q)_{k+1} / (r;q)_k
     small = 0
-    for _ in range(1, cfg.max_terms + 1):
+    for _ in range(1, MAX_TERMS + 1):
         for _ in range(2):
             h_cur, h_prev = z * h_cur - deg_qnum * h_prev, h_cur
             deg_qnum += deg_qpow
@@ -520,64 +514,54 @@ def _even_series(z: np.ndarray, r: float, q: float, cfg: TruncationConfig) -> np
         rq *= q
         term = coef * h_cur
         total += term
-        if np.max(np.abs(term)) < cfg.tail_tol:
+        if np.max(np.abs(term)) < TAIL_TOL:
             small += 1
             if small >= 2:
                 return total
         else:
             small = 0
     raise NonConvergence(
-        f"even-degree series not below tail_tol within {cfg.max_terms} terms"
+        f"even-degree series not below TAIL_TOL within {MAX_TERMS} terms"
     )
 
 
-def f_x_given_yz(
-    x, y, z, params: ModelParams, cfg: TruncationConfig = DEFAULT_TRUNCATION
-):
+def f_x_given_yz(x, y, z, params: ModelParams):
     """Conditional density of the first coordinate given the other two,
     as a ratio of pairwise conditionals."""
     p = params
     _check_q(p.q)
     (xb, yb, zb), scalar = _points(x, y, z)
     half = support_halfwidth(p.q)
-    if not (
-        np.all(_inside(xb, half))
-        and np.all(_inside(yb, half))
-        and np.all(_inside(zb, half))
-    ):
-        raise DomainError("conditional density requires all points in the support")
-    log_den = _log_f_cn(zb, yb, p.rho12 * p.rho13, p.q, cfg)
+    _require_support(yb, half, "conditioning point y")
+    _require_support(zb, half, "conditioning point z")
+    _require_support(xb[~np.isnan(xb)], half, "point x")
+    log_den = _log_f_cn(zb, yb, p.rho12 * p.rho13, p.q)
     if np.any(log_den < _LOG_FLOOR):
         raise DegenerateConditioning("conditional denominator below the floor")
     log_val = (
-        _log_f_cn(xb, yb, p.rho12, p.q, cfg)
-        + _log_f_cn(zb, xb, p.rho13, p.q, cfg)
+        _log_f_cn(xb, yb, p.rho12, p.q)
+        + _log_f_cn(zb, xb, p.rho13, p.q)
         - log_den
     )
     return _ret(np.exp(log_val), scalar)
 
 
-def f_yz_given_x(
-    y, z, x, params: ModelParams, cfg: TruncationConfig = DEFAULT_TRUNCATION
-):
+def f_yz_given_x(y, z, x, params: ModelParams):
     """Conditional density of the last two coordinates given the first."""
     p = params
     _check_q(p.q)
     (yb, zb, xb), scalar = _points(y, z, x)
     half = support_halfwidth(p.q)
-    if not (
-        np.all(_inside(xb, half))
-        and np.all(_inside(yb, half))
-        and np.all(_inside(zb, half))
-    ):
-        raise DomainError("conditional density requires all points in the support")
-    log_den = _log_f_cn(xb, xb, p.r, p.q, cfg)
+    _require_support(xb, half, "conditioning point x")
+    _require_support(yb[~np.isnan(yb)], half, "point y")
+    _require_support(zb[~np.isnan(zb)], half, "point z")
+    log_den = _log_f_cn(xb, xb, p.r, p.q)
     if np.any(log_den < _LOG_FLOOR):
         raise DegenerateConditioning("conditional denominator below the floor")
     log_val = (
-        _log_f_cn(xb, yb, p.rho12, p.q, cfg)
-        + _log_f_cn(yb, zb, p.rho23, p.q, cfg)
-        + _log_f_cn(zb, xb, p.rho13, p.q, cfg)
+        _log_f_cn(xb, yb, p.rho12, p.q)
+        + _log_f_cn(yb, zb, p.rho23, p.q)
+        + _log_f_cn(zb, xb, p.rho13, p.q)
         - log_den
     )
     return _ret(np.exp(log_val), scalar)

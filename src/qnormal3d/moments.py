@@ -1,9 +1,9 @@
 """Closed-form moments of the three-dimensional q-Normal law.
 
-Every closed form exposed here is paired with a quadrature oracle through
-the :data:`ORACLES` registry, so each formula can be checked against direct
-numerical integration of the densities it summarizes.  The registry is part
-of the public test surface: tests iterate it rather than hand-wiring pairs.
+Every moment request (:class:`MomentSpec`) can be evaluated two ways:
+:func:`closed_form` by its formula and :func:`quadrature_oracle` by direct
+numerical integration of the densities it summarizes, so each formula can
+be checked against the other route.
 
 Unconditional moments cover the single-coordinate q-Hermite expectations
 and the mixed two-coordinate expectation (a truncated double series).
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -24,15 +24,14 @@ from .densities import ModelParams, f_3d, f_x_given_yz, f_yz, f_z
 from .errors import DomainError, NonConvergence
 from .polynomials import asc_poly, q_hermite, w_poly
 from .qcore import (
-    DEFAULT_TRUNCATION,
-    TruncationConfig,
+    TAIL_TOL,
     q_binomial,
     q_factorial,
     q_number,
     q_pochhammer,
     support_halfwidth,
 )
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate1d, integrate2d
+from .quadrature import integrate1d, integrate2d
 
 
 class MomentKind(enum.Enum):
@@ -121,20 +120,14 @@ def cov_yz(p: ModelParams) -> float:
     return (p.rho23 + p.rho12 * p.rho13) / (1.0 - p.r * p.q)
 
 
-def mixed_moment_h(
-    m: int,
-    n: int,
-    p: ModelParams,
-    s_max: int | None = None,
-    cfg: TruncationConfig = DEFAULT_TRUNCATION,
-) -> float:
+def mixed_moment_h(m: int, n: int, p: ModelParams, s_max: int | None = None) -> float:
     """E H_m(Y) H_n(Z) as a truncated double series.
 
     The series runs over bands s >= max(m, n) of total linearization degree,
     each band a short sum over k with q-binomial weights; band size decays
     geometrically in max(|rho23|, |rho12 rho13|).  The prefactor (1 - r)
     multiplies the whole series.  Raises NonConvergence when the final band
-    still contributes more than ``cfg.tail_tol`` relative to the total.
+    still contributes more than TAIL_TOL relative to the total.
     """
     if m < 0 or n < 0:
         raise ValueError(f"degrees must be nonnegative, got ({m}, {n})")
@@ -166,10 +159,10 @@ def mixed_moment_h(
         total += band
         last_band = abs(band)
     scale = max(1.0, abs(total))
-    if last_band > cfg.tail_tol * scale:
+    if last_band > TAIL_TOL * scale:
         raise NonConvergence(
             f"mixed moment series tail {last_band:.3e} above tolerance "
-            f"{cfg.tail_tol:.1e} at s_max={s_max}; increase s_max"
+            f"{TAIL_TOL:.1e} at s_max={s_max}; increase s_max"
         )
     return (1.0 - p.r) * total
 
@@ -406,9 +399,7 @@ def closed_form(spec: MomentSpec) -> float:
     raise ValueError(f"unknown moment kind {spec.kind!r}")
 
 
-def quadrature_oracle(
-    spec: MomentSpec, quad: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def quadrature_oracle(spec: MomentSpec) -> float:
     """Evaluate the same moment request by direct numerical integration."""
     p = spec.params
     q = p.q
@@ -419,7 +410,7 @@ def quadrature_oracle(
             def g_z(zz: np.ndarray) -> np.ndarray:
                 return q_hermite(n, zz, q).values[n] * f_z(zz, p.r, q)
 
-            return integrate1d(g_z, q, quad).value
+            return integrate1d(g_z, q).value
         if len(spec.degrees) == 2:
             m, n = spec.degrees
 
@@ -430,7 +421,7 @@ def quadrature_oracle(
                     * f_yz(yy, zz, p)
                 )
 
-            return integrate2d(g_yz, q, quad).value
+            return integrate2d(g_yz, q).value
         raise ValueError("unconditional moments take one or two degrees")
     if spec.kind is MomentKind.COND_X_GIVEN_YZ:
         (n,) = spec.degrees
@@ -439,7 +430,7 @@ def quadrature_oracle(
         def g_x(xx: np.ndarray) -> np.ndarray:
             return q_hermite(n, xx, q).values[n] * f_x_given_yz(xx, y, z, p)
 
-        return integrate1d(g_x, q, quad).value
+        return integrate1d(g_x, q).value
     if spec.kind is MomentKind.COND_Y_GIVEN_Z:
         (n,) = spec.degrees
         (z,) = spec.points
@@ -447,18 +438,13 @@ def quadrature_oracle(
         def g_y(yy: np.ndarray) -> np.ndarray:
             return q_hermite(n, yy, q).values[n] * f_yz(yy, z, p)
 
-        return integrate1d(g_y, q, quad).value / f_z(z, p.r, q)
+        return integrate1d(g_y, q).value / f_z(z, p.r, q)
     if spec.kind is MomentKind.COND_XY_GIVEN_Z:
         (z,) = spec.points
 
         def g_xy(xx: np.ndarray, yy: np.ndarray) -> np.ndarray:
             return xx * yy * f_3d(xx, yy, z, p)
 
-        return integrate2d(g_xy, q, quad).value / f_z(z, p.r, q)
+        return integrate2d(g_xy, q).value / f_z(z, p.r, q)
     raise ValueError(f"unknown moment kind {spec.kind!r}")
 
-
-ORACLES: Dict[MomentKind, Tuple[Callable[[MomentSpec], float], Callable[..., float]]] = {
-    kind: (closed_form, quadrature_oracle) for kind in MomentKind
-}
-"""Registry pairing every moment kind with its closed form and its oracle."""

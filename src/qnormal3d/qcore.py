@@ -9,20 +9,21 @@ Conventions used throughout the package:
     (a; q)_inf = prod_{k>=1}  (1 - a q^(k-1))     for |q| < 1
 
 All functions are pure and accept plain Python scalars.  Infinite products
-are truncated once the first omitted factor is within ``product_tol`` of 1,
-with a hard cap of ``max_terms`` factors.
+are truncated once the first omitted factor is within PRODUCT_TOL of 1,
+with a hard cap of MAX_TERMS factors; the series elsewhere in the package
+stop once two successive terms fall below TAIL_TOL, under the same cap.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NonConvergence
 
 __all__ = [
-    "TruncationConfig",
-    "DEFAULT_TRUNCATION",
+    "MAX_TERMS",
+    "TAIL_TOL",
+    "PRODUCT_TOL",
     "q_number",
     "q_factorial",
     "q_binomial",
@@ -33,28 +34,12 @@ __all__ = [
     "support_halfwidth",
 ]
 
-
-@dataclass(frozen=True)
-class TruncationConfig:
-    """Caps and tolerances for truncated series and infinite products.
-
-    max_terms    hard cap on the number of retained terms/factors
-    tail_tol     absolute size below which series terms are considered spent
-    product_tol  how close to 1 the first omitted product factor must be
-    """
-
-    max_terms: int = 200_000
-    tail_tol: float = 1e-12
-    product_tol: float = 1e-14
-
-    def __post_init__(self) -> None:
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be a positive integer")
-        if not (self.tail_tol > 0.0) or not (self.product_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-
-
-DEFAULT_TRUNCATION = TruncationConfig()
+# Hard cap on retained series terms and product factors; absolute size below
+# which a series term counts as spent; how close to 1 the first omitted
+# product factor must be.
+MAX_TERMS = 200_000
+TAIL_TOL = 1e-12
+PRODUCT_TOL = 1e-14
 
 
 def q_number(n: int, q: float) -> float:
@@ -98,42 +83,42 @@ def q_pochhammer(a: float, q: float, j: int) -> float:
     return out
 
 
-def _factors_needed(a: float, q: float, cfg: TruncationConfig) -> int:
-    """Smallest K with |a| |q|^K < product_tol, i.e. the count of factors
+def _factors_needed(a: float, q: float) -> int:
+    """Smallest K with |a| |q|^K < PRODUCT_TOL, i.e. the count of factors
     to keep so the first omitted factor 1 - a q^K is within tolerance of 1.
     """
     a = abs(a)
     q = abs(q)
-    if a < cfg.product_tol:
+    if a < PRODUCT_TOL:
         return 0
     if q == 0.0:
         return 1
     if q >= 1.0:
         raise NonConvergence(f"infinite product requires |q| < 1, got |q|={q}")
-    k = math.log(cfg.product_tol / a) / math.log(q)
+    k = math.log(PRODUCT_TOL / a) / math.log(q)
     n = max(1, math.ceil(k))
     # Guard against log round-off putting us one factor short.
-    while a * q**n >= cfg.product_tol:
+    while a * q**n >= PRODUCT_TOL:
         n += 1
-    if n > cfg.max_terms:
+    if n > MAX_TERMS:
         raise NonConvergence(
-            f"q-Pochhammer product needs {n} factors, cap is {cfg.max_terms}"
+            f"q-Pochhammer product needs {n} factors, cap is {MAX_TERMS}"
         )
     return n
 
 
-def q_pochhammer_inf(a: float, q: float, cfg: TruncationConfig = DEFAULT_TRUNCATION) -> float:
+def q_pochhammer_inf(a: float, q: float) -> float:
     """Truncated infinite q-Pochhammer symbol (a; q)_inf for |q| < 1.
 
-    Deterministic for a fixed cfg: the factor count is computed in advance
-    from the geometric decay of a q^k.  Raises NonConvergence when max_terms
-    factors are not enough.
+    Deterministic: the factor count is computed in advance from the
+    geometric decay of a q^k.  Raises NonConvergence when MAX_TERMS factors
+    are not enough.
     """
-    n = _factors_needed(a, q, cfg)
+    n = _factors_needed(a, q)
     return q_pochhammer(a, q, n)
 
 
-def log_q_pochhammer_inf(a: float, q: float, cfg: TruncationConfig = DEFAULT_TRUNCATION) -> float:
+def log_q_pochhammer_inf(a: float, q: float) -> float:
     """log (a; q)_inf, valid for |a| < 1, |q| < 1 where every factor is positive.
 
     The log form stays finite where the plain product would over- or
@@ -141,7 +126,7 @@ def log_q_pochhammer_inf(a: float, q: float, cfg: TruncationConfig = DEFAULT_TRU
     """
     if abs(a) >= 1.0:
         raise ValueError("log_q_pochhammer_inf requires |a| < 1")
-    n = _factors_needed(a, q, cfg)
+    n = _factors_needed(a, q)
     total = 0.0
     term = a
     for _ in range(n):

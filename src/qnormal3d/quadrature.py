@@ -4,9 +4,10 @@ substitution that removes the square-root edge factor.
 With half-width L = 2/sqrt(1-q), substituting x = L sin(t) turns the
 generic integrand f(x) dx into f(L sin t) L cos t dt on [-pi/2, pi/2]; the
 sqrt(4 - (1-q) x^2) edge behaviour of the densities becomes a smooth cos^2
-and fixed-order panels converge spectrally.  Error control doubles the
-panel count per axis and compares the two levels; the difference is the
-reported error estimate.
+and fixed-order panels converge spectrally.  Error control starts from one
+panel of QUAD_ORDER nodes, doubles the panel count per axis and compares
+the two levels; the difference is the reported error estimate.  The
+tolerances and panel caps per dimension are the module constants below.
 
 Integrands must accept numpy arrays.  Multi-dimensional integrators pass
 open (broadcastable) coordinate axes, so an integrand built from the
@@ -16,7 +17,6 @@ materializing redundant copies.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,77 +28,29 @@ from .errors import NonConvergence
 from .qcore import support_halfwidth
 
 __all__ = [
-    "Substitution",
-    "QuadratureConfig",
-    "DEFAULT_QUADRATURE",
-    "QuadratureGrid",
+    "QUAD_ORDER",
+    "QUAD_TOL_1D",
+    "QUAD_TOL_2D",
+    "QUAD_TOL_3D",
+    "MAX_PANELS_1D",
+    "MAX_PANELS_2D",
+    "MAX_PANELS_3D",
     "IntegralResult",
-    "build_grid",
     "integrate1d",
     "integrate2d",
     "integrate3d",
     "gram_matrix",
 ]
 
-
-class Substitution(enum.Enum):
-    NONE = "none"
-    TRIG_EDGE = "trig-edge"
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Panel layout and convergence thresholds per dimension."""
-
-    order: int = 32
-    panels: int = 1
-    tol_1d: float = 1e-10
-    tol_2d: float = 1e-8
-    tol_3d: float = 1e-6
-    max_panels_1d: int = 256
-    max_panels_2d: int = 64
-    max_panels_3d: int = 8
-    substitution: Substitution = Substitution.TRIG_EDGE
-
-    def __post_init__(self) -> None:
-        if self.order < 2:
-            raise ValueError("order must be at least 2")
-        if self.panels < 1:
-            raise ValueError("panels must be at least 1")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureGrid:
-    """Tensor-product grid over the support; per-axis nodes and weights.
-
-    Weights absorb the substitution Jacobian, so summing f(nodes) * weights
-    integrates f over the support in the original coordinates.
-    """
-
-    dimension: int
-    axes: tuple[np.ndarray, ...]
-    axis_weights: tuple[np.ndarray, ...]
-    substitution: Substitution
-    refinement: int
-
-    @property
-    def nodes(self) -> np.ndarray:
-        if self.dimension == 1:
-            return self.axes[0]
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=-1)
-
-    @property
-    def weights(self) -> np.ndarray:
-        if self.dimension == 1:
-            return self.axis_weights[0]
-        out = self.axis_weights[0]
-        for w in self.axis_weights[1:]:
-            out = np.multiply.outer(out, w)
-        return out.reshape(-1)
+# Gauss-Legendre nodes per panel, the convergence tolerance on the change
+# between two levels, and the largest panel count per axis tried.
+QUAD_ORDER = 32
+QUAD_TOL_1D = 1e-10
+QUAD_TOL_2D = 1e-8
+QUAD_TOL_3D = 1e-6
+MAX_PANELS_1D = 256
+MAX_PANELS_2D = 64
+MAX_PANELS_3D = 8
 
 
 @dataclass(frozen=True)
@@ -113,68 +65,42 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
-def _axis(q: float, panels: int, order: int, substitution: Substitution):
+def _axis(q: float, panels: int):
     """One axis of nodes and Jacobian-absorbed weights over the support."""
     half = support_halfwidth(q)
     if not math.isfinite(half):
         raise ValueError("quadrature requires |q| < 1 (finite support)")
-    ref_nodes, ref_weights = _leggauss(order)
-    if substitution == Substitution.TRIG_EDGE:
-        lo, hi = -0.5 * math.pi, 0.5 * math.pi
-    else:
-        lo, hi = -half, half
+    ref_nodes, ref_weights = _leggauss(QUAD_ORDER)
+    lo, hi = -0.5 * math.pi, 0.5 * math.pi
     edges = np.linspace(lo, hi, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     scale = 0.5 * (edges[1] - edges[0])
     pts = (mid[:, None] + scale * ref_nodes[None, :]).reshape(-1)
-    wts = np.broadcast_to(scale * ref_weights, (panels, order)).reshape(-1)
-    if substitution == Substitution.TRIG_EDGE:
-        nodes = half * np.sin(pts)
-        weights = wts * half * np.cos(pts)
-    else:
-        nodes = pts
-        weights = wts.copy()
+    wts = np.broadcast_to(scale * ref_weights, (panels, QUAD_ORDER)).reshape(-1)
+    nodes = half * np.sin(pts)
+    weights = wts * half * np.cos(pts)
     return nodes, weights
 
 
-def build_grid(
-    q: float,
-    dimension: int = 1,
-    panels: int = 1,
-    order: int = 32,
-    substitution: Substitution = Substitution.TRIG_EDGE,
-) -> QuadratureGrid:
-    if dimension not in (1, 2, 3):
-        raise ValueError("dimension must be 1, 2 or 3")
-    nodes, weights = _axis(q, panels, order, substitution)
-    return QuadratureGrid(
-        dimension=dimension,
-        axes=(nodes,) * dimension,
-        axis_weights=(weights,) * dimension,
-        substitution=substitution,
-        refinement=panels,
-    )
-
-
-def _value_1d(f: Callable, q: float, panels: int, cfg: QuadratureConfig) -> float:
-    x, w = _axis(q, panels, cfg.order, cfg.substitution)
+def _value_1d(f: Callable, q: float, panels: int) -> float:
+    x, w = _axis(q, panels)
     return float(np.sum(np.asarray(f(x)) * w))
 
 
-def _value_2d(f: Callable, q: float, panels: int, cfg: QuadratureConfig) -> float:
-    x, w = _axis(q, panels, cfg.order, cfg.substitution)
+def _value_2d(f: Callable, q: float, panels: int) -> float:
+    x, w = _axis(q, panels)
     vals = np.asarray(f(x[:, None], x[None, :]))
     return float(np.einsum("ij,i,j->", vals, w, w))
 
 
-def _value_3d(f: Callable, q: float, panels: int, cfg: QuadratureConfig) -> float:
-    x, w = _axis(q, panels, cfg.order, cfg.substitution)
+def _value_3d(f: Callable, q: float, panels: int) -> float:
+    x, w = _axis(q, panels)
     vals = np.asarray(f(x[:, None, None], x[None, :, None], x[None, None, :]))
     return float(np.einsum("ijk,i,j,k->", vals, w, w, w))
 
 
-def _refine(value_at, tol: float, max_panels: int, start: int) -> IntegralResult:
-    panels = start
+def _refine(value_at, tol: float, max_panels: int) -> IntegralResult:
+    panels = 1
     prev = value_at(panels)
     while panels * 2 <= max_panels:
         panels *= 2
@@ -188,31 +114,19 @@ def _refine(value_at, tol: float, max_panels: int, start: int) -> IntegralResult
     )
 
 
-def integrate1d(
-    f: Callable, q: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> IntegralResult:
+def integrate1d(f: Callable, q: float) -> IntegralResult:
     """Integrate f over the support interval with panel-doubling control."""
-    return _refine(
-        lambda p: _value_1d(f, q, p, cfg), cfg.tol_1d, cfg.max_panels_1d, cfg.panels
-    )
+    return _refine(lambda p: _value_1d(f, q, p), QUAD_TOL_1D, MAX_PANELS_1D)
 
 
-def integrate2d(
-    f: Callable, q: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> IntegralResult:
+def integrate2d(f: Callable, q: float) -> IntegralResult:
     """Integrate f(x, y) over the support square."""
-    return _refine(
-        lambda p: _value_2d(f, q, p, cfg), cfg.tol_2d, cfg.max_panels_2d, cfg.panels
-    )
+    return _refine(lambda p: _value_2d(f, q, p), QUAD_TOL_2D, MAX_PANELS_2D)
 
 
-def integrate3d(
-    f: Callable, q: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> IntegralResult:
+def integrate3d(f: Callable, q: float) -> IntegralResult:
     """Integrate f(x, y, z) over the support cube."""
-    return _refine(
-        lambda p: _value_3d(f, q, p, cfg), cfg.tol_3d, cfg.max_panels_3d, cfg.panels
-    )
+    return _refine(lambda p: _value_3d(f, q, p), QUAD_TOL_3D, MAX_PANELS_3D)
 
 
 def gram_matrix(
@@ -220,18 +134,17 @@ def gram_matrix(
     weight: Callable[[np.ndarray], np.ndarray],
     n_max: int,
     q: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> np.ndarray:
     """Matrix of pairwise integrals of a polynomial family against a weight.
 
     poly_values(x) must return the stacked values with shape (n_max+1, len(x));
     weight(x) returns the density at the nodes.  The panel count doubles until
-    the largest entry movement is below tol_1d relative to the matrix scale.
-    The result is symmetrized, so G == G.T exactly.
+    the largest entry movement is below QUAD_TOL_1D relative to the matrix
+    scale.  The result is symmetrized, so G == G.T exactly.
     """
 
     def level(panels: int) -> np.ndarray:
-        x, w = _axis(q, panels, cfg.order, cfg.substitution)
+        x, w = _axis(q, panels)
         v = np.asarray(poly_values(x))
         if v.shape != (n_max + 1, len(x)):
             raise ValueError("poly_values must return shape (n_max+1, npoints)")
@@ -239,15 +152,15 @@ def gram_matrix(
         g = (v * c) @ v.T
         return 0.5 * (g + g.T)
 
-    panels = cfg.panels
+    panels = 1
     prev = level(panels)
-    while panels * 2 <= cfg.max_panels_1d:
+    while panels * 2 <= MAX_PANELS_1D:
         panels *= 2
         cur = level(panels)
         scale = max(1.0, float(np.max(np.abs(cur))))
-        if float(np.max(np.abs(cur - prev))) <= cfg.tol_1d * scale:
+        if float(np.max(np.abs(cur - prev))) <= QUAD_TOL_1D * scale:
             return cur
         prev = cur
     raise NonConvergence(
-        f"Gram matrix did not settle within {cfg.max_panels_1d} panels per axis"
+        f"Gram matrix did not settle within {MAX_PANELS_1D} panels per axis"
     )

@@ -1,16 +1,9 @@
 import pytest
 
 from qnormal3d.densities import ModelParams
-from qnormal3d.quadrature import QuadratureConfig
 
 
 @pytest.fixture
 def params():
     """A generic interior parameter point used across suites."""
     return ModelParams(0.3, 0.4, 0.5, 0.5)
-
-
-@pytest.fixture
-def fast_quadrature():
-    """Lower-order configuration for tests that only need loose agreement."""
-    return QuadratureConfig(order=24, tol_1d=1e-9, tol_2d=1e-7, tol_3d=1e-5)

@@ -7,6 +7,8 @@ import pytest
 from qnormal3d.checks import (
     SUITES,
     VerificationReport,
+    asc_limit_errors,
+    fn_limit_errors,
     kesten_mckay_density,
     run_suite,
 )
@@ -73,3 +75,10 @@ class TestKestenMcKay:
 
     def test_vanishes_off_support(self):
         assert kesten_mckay_density(2.0, 0.3) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestLimitScans:
+    def test_computed_once_per_sequence(self):
+        qs = (0.5, 0.9)
+        assert fn_limit_errors(qs) is fn_limit_errors(qs)
+        assert asc_limit_errors(qs) is asc_limit_errors(qs)

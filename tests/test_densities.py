@@ -233,3 +233,47 @@ class TestConditionals:
     def test_aw_parameters_domain(self):
         with pytest.raises(DomainError):
             aw_parameters(99.0, 0.0, 0.5, 0.4, 0.5)
+
+
+NAN_PARAMS = ModelParams(0.3, 0.4, 0.5, 0.5)
+# Each density as a function of one evaluation coordinate, the others fixed.
+NAN_CASES = {
+    "f_n": lambda x: f_n(x, 0.5),
+    "f_r": lambda x: f_r(x, 0.3, 0.5),
+    **{
+        f"f_z.{form.value}": lambda x, form=form: f_z(x, 0.06, 0.5, form=form)
+        for form in MarginalForm
+    },
+    "f_yz": lambda x: f_yz(x, 0.2, NAN_PARAMS),
+    **{
+        f"f_3d.{form.value}": lambda x, form=form: f_3d(x, 0.1, 0.2, NAN_PARAMS, form=form)
+        for form in DensityForm
+    },
+    "f_cn": lambda x: f_cn(x, 0.1, 0.3, 0.5),
+    "f_x_given_yz": lambda x: f_x_given_yz(x, 0.1, 0.2, NAN_PARAMS),
+    "f_yz_given_x": lambda x: f_yz_given_x(x, 0.2, 0.1, NAN_PARAMS),
+}
+
+
+class TestNaN:
+    @pytest.mark.parametrize("name", sorted(NAN_CASES))
+    def test_nan_evaluation_point_gives_nan(self, name):
+        density = NAN_CASES[name]
+        assert math.isnan(density(math.nan))
+        vals = density(np.array([math.nan, 0.7]))
+        assert math.isnan(vals[0])
+        assert vals[1] == density(0.7)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: f_cn(0.1, math.nan, 0.3, 0.5),
+            lambda: f_x_given_yz(0.1, math.nan, 0.2, NAN_PARAMS),
+            lambda: f_x_given_yz(0.1, 0.2, math.nan, NAN_PARAMS),
+            lambda: f_yz_given_x(0.1, 0.2, math.nan, NAN_PARAMS),
+            lambda: pm_kernel(math.nan, 0.2, 0.3, 0.5),
+        ],
+    )
+    def test_nan_conditioning_point_raises(self, call):
+        with pytest.raises(DomainError, match="NaN"):
+            call()

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from qnormal3d.densities import ModelParams
 from qnormal3d.errors import DomainError, NonConvergence
 from qnormal3d.moments import (
-    ORACLES,
     CondMomentForm,
     MomentKind,
     MomentSpec,
+    closed_form,
     cond_exp_hn_x_given_yz,
     cond_exp_hn_y_given_z,
     cond_exp_x_given_yz,
@@ -20,9 +20,9 @@ from qnormal3d.moments import (
     covariance_matrix_limit,
     e_h2n_z,
     mixed_moment_h,
+    quadrature_oracle,
     var_z,
 )
-from qnormal3d.qcore import TruncationConfig
 
 rhos = st.floats(min_value=-0.7, max_value=0.7)
 qs = st.floats(min_value=-0.8, max_value=0.8)
@@ -78,11 +78,10 @@ class TestOracleRegistry:
                 MomentKind.COND_XY_GIVEN_Z, (1, 1), params, (0.4,)
             ),
         }
-        assert set(ORACLES) == set(MomentKind)
-        for kind, spec in specs.items():
-            closed_fn, oracle_fn = ORACLES[kind]
-            closed = closed_fn(spec)
-            oracle = oracle_fn(spec)
+        assert set(specs) == set(MomentKind)
+        for spec in specs.values():
+            closed = closed_form(spec)
+            oracle = quadrature_oracle(spec)
             assert closed == pytest.approx(oracle, rel=1e-6, abs=1e-8)
 
     def test_spec_validates_points(self, params):
@@ -127,11 +126,10 @@ class TestConditionalForms:
     def test_third_correlation_does_not_enter(self, params):
         # the forward conditional mean depends on rho12, rho13 only, so the
         # quadrature oracle must agree across different rho23
-        _, oracle_fn = ORACLES[MomentKind.COND_X_GIVEN_YZ]
         other = ModelParams(params.rho12, params.rho13, -0.2, params.q)
         y, z = 0.7, 0.2
-        a = oracle_fn(MomentSpec(MomentKind.COND_X_GIVEN_YZ, (1,), params, (y, z)))
-        b = oracle_fn(MomentSpec(MomentKind.COND_X_GIVEN_YZ, (1,), other, (y, z)))
+        a = quadrature_oracle(MomentSpec(MomentKind.COND_X_GIVEN_YZ, (1,), params, (y, z)))
+        b = quadrature_oracle(MomentSpec(MomentKind.COND_X_GIVEN_YZ, (1,), other, (y, z)))
         assert a == pytest.approx(b, abs=1e-10)
 
     def test_decoupled_z_drops_out(self):
@@ -143,12 +141,11 @@ class TestConditionalForms:
 
 class TestSingleConditionedMoments:
     def test_matches_oracle_low_degrees(self, params):
-        closed_fn, oracle_fn = ORACLES[MomentKind.COND_Y_GIVEN_Z]
         for n in range(1, 5):
             for z in (0.0, 0.8, -1.1):
                 spec = MomentSpec(MomentKind.COND_Y_GIVEN_Z, (n,), params, (z,))
-                assert closed_fn(spec) == pytest.approx(
-                    oracle_fn(spec), rel=1e-7, abs=1e-7
+                assert closed_form(spec) == pytest.approx(
+                    quadrature_oracle(spec), rel=1e-7, abs=1e-7
                 )
 
     def test_tower_property(self, params):
@@ -166,10 +163,9 @@ class TestSingleConditionedMoments:
         assert val == pytest.approx(0.0, abs=1e-9)
 
     def test_product_moment_consistency(self, params):
-        closed_fn, oracle_fn = ORACLES[MomentKind.COND_XY_GIVEN_Z]
         spec = MomentSpec(MomentKind.COND_XY_GIVEN_Z, (1, 1), params, (0.7,))
-        assert closed_fn(spec) == pytest.approx(oracle_fn(spec), rel=1e-7, abs=1e-7)
-        assert cond_exp_xy_given_z(0.7, params) == pytest.approx(closed_fn(spec), rel=1e-13)
+        assert closed_form(spec) == pytest.approx(quadrature_oracle(spec), rel=1e-7, abs=1e-7)
+        assert cond_exp_xy_given_z(0.7, params) == pytest.approx(closed_form(spec), rel=1e-13)
 
 
 class TestLimitCovariance:

@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnormal3d.qcore import (
-    DEFAULT_TRUNCATION,
-    TruncationConfig,
     log_q_pochhammer_inf,
     q_binomial,
     q_factorial,
@@ -137,11 +135,6 @@ class TestPochhammer:
         with pytest.raises(ValueError):
             log_q_pochhammer_inf(1.5, 0.5)
 
-    def test_tighter_truncation_changes_little(self):
-        loose = TruncationConfig(max_terms=DEFAULT_TRUNCATION.max_terms, tail_tol=1e-6, product_tol=1e-6)
-        a, q = 0.5, 0.95
-        assert q_pochhammer_inf(a, q, loose) == pytest.approx(q_pochhammer_inf(a, q), rel=1e-2)
-
 
 class TestSupport:
     def test_halfwidth_values(self):
@@ -161,10 +154,3 @@ class TestSupport:
         with pytest.raises(ValueError):
             support_halfwidth(1.5)
 
-
-class TestTruncationConfig:
-    def test_rejects_bad_fields(self):
-        with pytest.raises(ValueError):
-            TruncationConfig(max_terms=0)
-        with pytest.raises(ValueError):
-            TruncationConfig(tail_tol=-1.0)
