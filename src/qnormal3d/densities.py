@@ -162,14 +162,14 @@ def _log_blocks(values_iter, shape) -> np.ndarray:
     block = np.ones(shape)
     count = 0
     for factor in values_iter:
-        block = block * factor
+        block *= factor
         count += 1
         if count == _BLOCK:
-            total += np.log(block)
-            block = np.ones(shape)
+            total += np.log(block, out=block)
+            block.fill(1.0)
             count = 0
     if count:
-        total += np.log(block)
+        total += np.log(block, out=block)
     return total
 
 
@@ -242,10 +242,18 @@ def _clip(arr: np.ndarray, half: float) -> np.ndarray:
 
 def _extend(val: np.ndarray, half: float, *coords: np.ndarray) -> np.ndarray:
     """Extend a density by zero outside the support, with NaN wherever a
-    coordinate is NaN."""
-    inside = _inside(coords[0], half)
-    for c in coords[1:]:
-        inside = inside & _inside(c, half)
+    coordinate is NaN.
+
+    Each coordinate is tested on its own (open-axis) shape, and val itself
+    is returned when every point is inside, so quadrature nodes never pay
+    for a masked copy of a tensor-grid result.
+    """
+    masks = [_inside(c, half) for c in coords]
+    if all(m.all() for m in masks):
+        return val
+    inside = masks[0]
+    for m in masks[1:]:
+        inside = inside & m
     out = np.where(inside, val, 0.0)
     for c in coords:
         nan = np.isnan(c)
@@ -279,7 +287,8 @@ def f_cn(x, y, rho: float, q: float):
     (xb, yb), scalar = _points(x, y)
     half = support_halfwidth(q)
     _require_support(yb, half, "conditioning point y")
-    val = np.exp(_log_f_cn(_clip(xb, half), yb, rho, q))
+    val = np.asarray(_log_f_cn(_clip(xb, half), yb, rho, q))
+    np.exp(val, out=val)
     return _ret(_extend(val, half, xb), scalar)
 
 
@@ -301,15 +310,21 @@ def f_r(x, beta: float, q: float):
 
 
 def _pm_series(x: np.ndarray, y: np.ndarray, rho: float, q: float) -> np.ndarray:
-    """Bilinear q-Hermite kernel sum_j rho^j H_j(x) H_j(y) / [j]_q!."""
-    shape = np.broadcast_shapes(x.shape, y.shape)
-    total = np.ones(shape)
+    """Bilinear q-Hermite kernel sum_j rho^j H_j(x) H_j(y) / [j]_q!.
+
+    The recurrences run on x and y in their own shapes; only the running
+    sum is broadcast.  A term vanishes at a root of H_j(x) or H_j(y), so the
+    stop tests the envelope
+    |coef| max(|H_j(x)|, |H_{j-1}(x)|) max(|H_j(y)|, |H_{j-1}(y)|) instead:
+    consecutive orthogonal polynomials share no root.
+    """
+    total = np.ones(np.broadcast_shapes(x.shape, y.shape))
     if rho == 0.0:
         return total
-    hx_prev = np.ones(shape)
-    hy_prev = np.ones(shape)
-    hx = np.broadcast_to(x, shape).copy()
-    hy = np.broadcast_to(y, shape).copy()
+    hx_prev = np.ones(x.shape)
+    hy_prev = np.ones(y.shape)
+    hx = x
+    hy = y
     coef = 1.0
     qnum = 0.0
     qpow = 1.0
@@ -318,9 +333,10 @@ def _pm_series(x: np.ndarray, y: np.ndarray, rho: float, q: float) -> np.ndarray
         qnum += qpow  # [j]_q
         qpow *= q
         coef *= rho / qnum
-        term = coef * hx * hy
-        total += term
-        if np.max(np.abs(term)) < TAIL_TOL:
+        total += coef * hx * hy
+        env_x = np.maximum(np.abs(hx), np.abs(hx_prev))
+        env_y = np.maximum(np.abs(hy), np.abs(hy_prev))
+        if np.max(abs(coef) * env_x * env_y) < TAIL_TOL:
             small += 1
             if small >= 2:
                 return total
@@ -379,41 +395,35 @@ def f_3d(
     half = support_halfwidth(p.q)
     xc, yc, zc = (_clip(a, half) for a in (xb, yb, zb))
     log_c = math.log1p(-p.r)
+    # Each term depends on at most two coordinates, so only the first sum
+    # that involves all three is result-sized.  The other terms go into it
+    # in place, in the formula's order, which keeps every rounding the same.
     if form == DensityForm.PRODUCT:
-        log_val = (
+        val = np.asarray(
             log_c
             + _log_f_cn(xc, yc, p.rho12, p.q)
             + _log_f_cn(yc, zc, p.rho23, p.q)
-            + _log_f_cn(zc, xc, p.rho13, p.q)
         )
-        val = np.exp(log_val)
+        val += _log_f_cn(zc, xc, p.rho13, p.q)
+        np.exp(val, out=val)
     elif form == DensityForm.CLOSED:
-        log_val = (
-            log_c
-            + _log_f_n(xc, p.q)
-            + _log_f_n(yc, p.q)
-            + _log_f_n(zc, p.q)
-            + log_q_pochhammer_inf(p.rho12**2, p.q)
-            + log_q_pochhammer_inf(p.rho13**2, p.q)
-            + log_q_pochhammer_inf(p.rho23**2, p.q)
-            - _log_omega_product(xc, yc, p.rho12, p.q)
-            - _log_omega_product(xc, zc, p.rho13, p.q)
-            - _log_omega_product(yc, zc, p.rho23, p.q)
+        val = np.asarray(
+            log_c + _log_f_n(xc, p.q) + _log_f_n(yc, p.q) + _log_f_n(zc, p.q)
         )
-        val = np.exp(log_val)
+        for rho in (p.rho12, p.rho13, p.rho23):
+            val += log_q_pochhammer_inf(rho**2, p.q)
+        val -= _log_omega_product(xc, yc, p.rho12, p.q)
+        val -= _log_omega_product(xc, zc, p.rho13, p.q)
+        val -= _log_omega_product(yc, zc, p.rho23, p.q)
+        np.exp(val, out=val)
     elif form == DensityForm.SERIES:
-        base = np.exp(
-            log_c
-            + _log_f_n(xc, p.q)
-            + _log_f_n(yc, p.q)
-            + _log_f_n(zc, p.q)
+        val = np.asarray(
+            log_c + _log_f_n(xc, p.q) + _log_f_n(yc, p.q) + _log_f_n(zc, p.q)
         )
-        val = (
-            base
-            * _pm_series(xc, yc, p.rho12, p.q)
-            * _pm_series(yc, zc, p.rho23, p.q)
-            * _pm_series(xc, zc, p.rho13, p.q)
-        )
+        np.exp(val, out=val)
+        val *= _pm_series(xc, yc, p.rho12, p.q)
+        val *= _pm_series(yc, zc, p.rho23, p.q)
+        val *= _pm_series(xc, zc, p.rho13, p.q)
     else:
         raise ValueError(f"unknown form {form}")
     return _ret(_extend(val, half, xb, yb, zb), scalar)
@@ -427,12 +437,10 @@ def f_yz(y, z, params: ModelParams):
     (yb, zb), scalar = _points(y, z)
     half = support_halfwidth(p.q)
     yc, zc = _clip(yb, half), _clip(zb, half)
-    log_val = (
-        math.log1p(-p.r)
-        + _log_f_cn(yc, zc, p.rho23, p.q)
-        + _log_f_cn(zc, yc, p.rho12 * p.rho13, p.q)
-    )
-    return _ret(_extend(np.exp(log_val), half, yb, zb), scalar)
+    val = np.asarray(math.log1p(-p.r) + _log_f_cn(yc, zc, p.rho23, p.q))
+    val += _log_f_cn(zc, yc, p.rho12 * p.rho13, p.q)
+    np.exp(val, out=val)
+    return _ret(_extend(val, half, yb, zb), scalar)
 
 
 def f_z(
@@ -512,9 +520,10 @@ def _even_series(z: np.ndarray, r: float, q: float) -> np.ndarray:
         k_qpow *= q
         coef *= r / (k_qnum * (1.0 - rq))
         rq *= q
-        term = coef * h_cur
-        total += term
-        if np.max(np.abs(term)) < TAIL_TOL:
+        total += coef * h_cur
+        # H_{2k} and H_{2k-1} share no root, so this envelope cannot vanish
+        # before the tail does.
+        if np.max(abs(coef) * np.maximum(np.abs(h_cur), np.abs(h_prev))) < TAIL_TOL:
             small += 1
             if small >= 2:
                 return total
@@ -538,12 +547,12 @@ def f_x_given_yz(x, y, z, params: ModelParams):
     log_den = _log_f_cn(zb, yb, p.rho12 * p.rho13, p.q)
     if np.any(log_den < _LOG_FLOOR):
         raise DegenerateConditioning("conditional denominator below the floor")
-    log_val = (
-        _log_f_cn(xb, yb, p.rho12, p.q)
-        + _log_f_cn(zb, xb, p.rho13, p.q)
-        - log_den
+    val = np.asarray(
+        _log_f_cn(xb, yb, p.rho12, p.q) + _log_f_cn(zb, xb, p.rho13, p.q)
     )
-    return _ret(np.exp(log_val), scalar)
+    val -= log_den
+    np.exp(val, out=val)
+    return _ret(val, scalar)
 
 
 def f_yz_given_x(y, z, x, params: ModelParams):
@@ -558,13 +567,13 @@ def f_yz_given_x(y, z, x, params: ModelParams):
     log_den = _log_f_cn(xb, xb, p.r, p.q)
     if np.any(log_den < _LOG_FLOOR):
         raise DegenerateConditioning("conditional denominator below the floor")
-    log_val = (
-        _log_f_cn(xb, yb, p.rho12, p.q)
-        + _log_f_cn(yb, zb, p.rho23, p.q)
-        + _log_f_cn(zb, xb, p.rho13, p.q)
-        - log_den
+    val = np.asarray(
+        _log_f_cn(xb, yb, p.rho12, p.q) + _log_f_cn(yb, zb, p.rho23, p.q)
     )
-    return _ret(np.exp(log_val), scalar)
+    val += _log_f_cn(zb, xb, p.rho13, p.q)
+    val -= log_den
+    np.exp(val, out=val)
+    return _ret(val, scalar)
 
 
 def aw_parameters(

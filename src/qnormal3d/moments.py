@@ -15,6 +15,7 @@ product moment E(XY | Z).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -27,7 +28,6 @@ from .qcore import (
     TAIL_TOL,
     q_binomial,
     q_factorial,
-    q_number,
     q_pochhammer,
     support_halfwidth,
 )
@@ -126,8 +126,10 @@ def mixed_moment_h(m: int, n: int, p: ModelParams, s_max: int | None = None) -> 
     The series runs over bands s >= max(m, n) of total linearization degree,
     each band a short sum over k with q-binomial weights; band size decays
     geometrically in max(|rho23|, |rho12 rho13|).  The prefactor (1 - r)
-    multiplies the whole series.  Raises NonConvergence when the final band
-    still contributes more than TAIL_TOL relative to the total.
+    multiplies the whole series.  By default s_max follows that decay rate,
+    with a margin of 60 degrees for the polynomial growth of the bands.
+    Raises NonConvergence when the final band still contributes more than
+    TAIL_TOL relative to the total.
     """
     if m < 0 or n < 0:
         raise ValueError(f"degrees must be nonnegative, got ({m}, {n})")
@@ -135,27 +137,35 @@ def mixed_moment_h(m: int, n: int, p: ModelParams, s_max: int | None = None) -> 
         raise ValueError(f"need |q| < 1, got q={p.q}")
     if (m - n) % 2:
         return 0.0
-    if s_max is None:
-        s_max = m + n + 60
     q = p.q
     a = p.rho23
     b = p.rho12 * p.rho13
-    fact = [1.0]
-    for i in range(1, s_max + 2):
-        fact.append(fact[-1] * q_number(i, q))
+    if s_max is None:
+        decay = max(abs(a), abs(b))
+        tail = math.ceil(math.log(TAIL_TOL) / math.log(decay)) if decay > 0.0 else 0
+        s_max = m + n + tail + 60
+    # log [i]_q! for i <= s_max + 1: the factorials themselves overflow
+    # past i ~ 300 at q = 0.9, while the ratios a band needs stay moderate.
+    log_fact = [0.0]
+    qnum = 0.0
+    qpow = 1.0
+    for _ in range(1, s_max + 2):
+        qnum += qpow  # [i]_q
+        qpow *= q
+        log_fact.append(log_fact[-1] + math.log(qnum))
     total = 0.0
     last_band = 0.0
     mu = min(m, n)
     for s in range(max(m, n), s_max + 1, 2):
-        pref = 1.0 / (fact[(s - m) // 2] * fact[(s - n) // 2])
+        log_den = log_fact[(s - m) // 2] + log_fact[(s - n) // 2]
         band = 0.0
         for k in range((s - mu) // 2, (s + mu) // 2 + 1):
             cm = q_binomial(m, k - (s - m) // 2, q)
             cn = q_binomial(n, k - (s - n) // 2, q)
             if cm == 0.0 or cn == 0.0:
                 continue
-            band += a**k * b ** (s - k) * cm * cn * fact[k] * fact[s - k]
-        band *= pref
+            ratio = math.exp(log_fact[k] + log_fact[s - k] - log_den)
+            band += a**k * b ** (s - k) * cm * cn * ratio
         total += band
         last_band = abs(band)
     scale = max(1.0, abs(total))

@@ -11,7 +11,8 @@ Conventions used throughout the package:
 All functions are pure and accept plain Python scalars.  Infinite products
 are truncated once the first omitted factor is within PRODUCT_TOL of 1,
 with a hard cap of MAX_TERMS factors; the series elsewhere in the package
-stop once two successive terms fall below TAIL_TOL, under the same cap.
+stop once two successive term envelopes fall below TAIL_TOL, under the same
+cap.
 """
 
 from __future__ import annotations

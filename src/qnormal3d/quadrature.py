@@ -13,6 +13,13 @@ Integrands must accept numpy arrays.  Multi-dimensional integrators pass
 open (broadcastable) coordinate axes, so an integrand built from the
 density functions in this package evaluates on the tensor grid without
 materializing redundant copies.
+
+Memory contract: one level of n nodes per axis of a 3-D integral holds one
+n^3 float64 array (16.8 MB at 128^3; 134 MB at 256^3, the finest level
+integrate3d tries).  The densities build that array as their only
+grid-sized object: each of their factors depends on two coordinates, so it
+is n^2-sized.  On a 2-D grid those factors are themselves grid-sized, and
+a kernel product holds several of them while it runs.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Density evaluation: kernels, forms, normalization, conditioning, domains."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qnormal3d.densities import (
@@ -26,7 +27,7 @@ from qnormal3d.densities import (
 )
 from qnormal3d.errors import DomainError
 from qnormal3d.qcore import support_halfwidth
-from qnormal3d.quadrature import integrate1d, integrate2d
+from qnormal3d.quadrature import _axis, integrate1d, integrate2d
 
 qs = st.floats(min_value=-0.9, max_value=0.9)
 rhos = st.floats(min_value=-0.85, max_value=0.85)
@@ -134,11 +135,20 @@ class TestPoissonMehlerKernel:
         q=qs,
     )
     @settings(max_examples=60, deadline=None)
+    @example(x=0.0, y=0.5, rho=0.5, q=0.0)
     def test_forms_agree(self, x, y, rho, q):
         half = support_halfwidth(q)
         prod = pm_kernel(x * half, y * half, rho, q, form=DensityForm.PRODUCT)
         series = pm_kernel(x * half, y * half, rho, q, form=DensityForm.SERIES)
         assert series == pytest.approx(prod, rel=1e-9, abs=1e-12)
+
+    def test_series_runs_past_polynomial_roots(self):
+        # H_1(0) = 0 and H_2(1) = 0 at q = 0, so the first two terms are
+        # exactly zero; the series must still sum its tail.
+        prod = pm_kernel(0.0, 1.0, 0.5, 0.0, form=DensityForm.PRODUCT)
+        series = pm_kernel(0.0, 1.0, 0.5, 0.0, form=DensityForm.SERIES)
+        assert prod == pytest.approx(12.0 / 13.0, rel=1e-14)
+        assert series == pytest.approx(prod, rel=0, abs=1e-12)
 
     def test_unit_at_zero_coupling(self):
         assert pm_kernel(0.3, -1.2, 0.0, 0.5) == pytest.approx(1.0, abs=1e-14)
@@ -233,6 +243,86 @@ class TestConditionals:
     def test_aw_parameters_domain(self):
         with pytest.raises(DomainError):
             aw_parameters(99.0, 0.0, 0.5, 0.4, 0.5)
+
+
+GRID_PARAMS = ModelParams(0.3, 0.6, -0.6, 0.9)
+
+
+def open_grid(*axes):
+    """The axes as mutually orthogonal open (broadcastable) arrays."""
+    dim = len(axes)
+    return [
+        np.asarray(a, dtype=float).reshape([-1 if i == k else 1 for i in range(dim)])
+        for k, a in enumerate(axes)
+    ]
+
+
+def traced_peak(call):
+    """Result of call() and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        val = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return val, peak
+
+
+# Densities of a tensor grid: the grid dimension and the density as a
+# function of its coordinates.
+GRID_CASES = {
+    **{
+        f"f_3d.{form.value}": (
+            3,
+            lambda x, y, z, form=form: f_3d(x, y, z, GRID_PARAMS, form=form),
+        )
+        for form in DensityForm
+    },
+    "f_yz": (2, lambda y, z: f_yz(y, z, GRID_PARAMS)),
+    "f_cn": (2, lambda x, y: f_cn(x, y, 0.6, GRID_PARAMS.q)),
+    "f_x_given_yz": (3, lambda x, y, z: f_x_given_yz(x, y, z, GRID_PARAMS)),
+    "f_yz_given_x": (3, lambda y, z, x: f_yz_given_x(y, z, x, GRID_PARAMS)),
+}
+
+
+class TestTensorGrid:
+    @pytest.mark.parametrize("form", list(DensityForm))
+    def test_f_3d_holds_one_result_array(self, form):
+        # One 128^3 level of integrate3d: the node axis is the same on all
+        # three coordinates, and only the product is n^3-sized.
+        nodes, _ = _axis(GRID_PARAMS.q, 4)
+        grid = open_grid(nodes, nodes, nodes)
+        val, peak = traced_peak(lambda: f_3d(*grid, GRID_PARAMS, form=form))
+        assert val.shape == (128, 128, 128)
+        assert peak <= 1.25 * val.nbytes
+
+    @pytest.mark.parametrize("name", sorted(GRID_CASES))
+    def test_open_grid_matches_flat_points(self, name):
+        dim, density = GRID_CASES[name]
+        half = support_halfwidth(GRID_PARAMS.q)
+        gen = np.random.default_rng(5)
+        axes = [np.sort(gen.uniform(-0.9 * half, 0.9 * half, 5 + k)) for k in range(dim)]
+        grid = density(*open_grid(*axes))
+        flat = density(*(m.ravel() for m in np.meshgrid(*axes, indexing="ij")))
+        assert grid.shape == tuple(len(a) for a in axes)
+        np.testing.assert_array_equal(grid.ravel(), flat)
+
+    @pytest.mark.parametrize("name", ["f_3d.product", "f_3d.closed", "f_3d.series", "f_yz"])
+    def test_outside_support_is_exactly_zero(self, name):
+        dim, density = GRID_CASES[name]
+        half = support_halfwidth(GRID_PARAMS.q)
+        inner = np.array([-0.8, -0.1, 0.4, 0.9]) * half
+        outer = np.concatenate([inner, [1.5 * half, -3.0 * half, math.nan]])
+        axes = [outer] + [inner] * (dim - 1)
+        val = density(*open_grid(*axes))
+        ref = density(*open_grid(*[inner] * dim))
+        if not name.endswith("series"):
+            # A series stops on its largest term over the whole grid, so
+            # extra points may add terms; the other forms are pointwise.
+            np.testing.assert_array_equal(val[:4], ref)
+        assert np.all(val[4:6] == 0.0)
+        assert np.all(np.isnan(val[6]))
 
 
 NAN_PARAMS = ModelParams(0.3, 0.4, 0.5, 0.5)

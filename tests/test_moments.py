@@ -61,6 +61,13 @@ class TestMixedMoments:
     def test_zero_zero_normalizes(self, params):
         assert mixed_moment_h(0, 0, params) == pytest.approx(1.0, rel=1e-12)
 
+    def test_strong_correlation_converges(self):
+        # The bands decay like 0.95^s here, and [i]_q! overflows past
+        # i ~ 300 at q = 0.9, well inside the truncation this needs.
+        p = ModelParams(0.95, 0.95, 0.95, 0.9)
+        assert mixed_moment_h(0, 0, p) == pytest.approx(1.0, rel=1e-12)
+        assert mixed_moment_h(1, 1, p) == pytest.approx(cov_yz(p), rel=1e-12)
+
 
 class TestOracleRegistry:
     def test_every_kind_has_closed_and_oracle(self, params):
