@@ -22,6 +22,13 @@ densities themselves stay perfectly representable.  Inside the product loops
 plain factors are multiplied in blocks of 32 and the log is taken once per
 block, which keeps the log overhead negligible.
 
+The rho-kernel sum_i log w(x, y | rho q^i) has, besides its F factors, a
+Chebyshev series in x/L and y/L (L the support half-width) whose N terms
+depend on |rho| alone, while F grows like 1/(1-q).  The densities take the
+series when N <= F and the factors otherwise (|rho| -> 1 at moderate q);
+pm_kernel's product form always takes the factors, as the reference the
+series form is checked against.
+
 Point arguments accept scalars or broadcastable numpy arrays.  Unconditional
 densities, and f_cn in x, extend by zero outside the support; f_x_given_yz,
 f_yz_given_x, pm_kernel and the complex parameter map raise DomainError
@@ -42,6 +49,7 @@ import numpy as np
 from .errors import DegenerateConditioning, DomainError, NonConvergence
 from .qcore import (
     MAX_TERMS,
+    PRODUCT_TOL,
     TAIL_TOL,
     _factors_needed,
     log_q_pochhammer_inf,
@@ -188,8 +196,30 @@ def _log_lq_product(x: np.ndarray, a0: float, q: float) -> np.ndarray:
     return _log_blocks(factors(), xsq.shape)
 
 
-def _log_omega_product(x: np.ndarray, y: np.ndarray, rho: float, q: float) -> np.ndarray:
-    """sum_{i>=0} log w(x, y | rho q^i) for x, y inside the support."""
+def _kernel_terms(rho: float, q: float, cap: int) -> int | None:
+    """Smallest N <= cap at which the tail bound of the Chebyshev kernel
+    series, 4|rho|^(N+1) / ((N+1)(1-|q|^(N+1))(1-|rho|)), is below
+    PRODUCT_TOL; None when the bound at N = cap is not below it yet."""
+    a, b = abs(rho), abs(q)
+
+    def spent(n: int) -> bool:
+        return 4.0 * a ** (n + 1) < PRODUCT_TOL * (n + 1) * (1.0 - b ** (n + 1)) * (1.0 - a)
+
+    if not spent(cap):
+        return None
+    lo, hi = 0, cap  # the bound decreases in n, so bisect for the first spent n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if spent(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _log_omega_factors(x: np.ndarray, y: np.ndarray, rho: float, q: float) -> np.ndarray:
+    """sum_{i>=0} log w(x, y | rho q^i) for x, y inside the support, one
+    factor at a time."""
     n = _factors_needed(16.0 * rho, q)
     one_minus_q = 1.0 - q
     xy = x * y
@@ -205,6 +235,45 @@ def _log_omega_product(x: np.ndarray, y: np.ndarray, rho: float, q: float) -> np
             a *= q
 
     return _log_blocks(factors(), shape)
+
+
+def _log_omega_series(
+    x: np.ndarray, y: np.ndarray, rho: float, q: float, terms: int
+) -> np.ndarray:
+    """sum_{i>=0} log w(x, y | rho q^i) for x, y inside the support, as
+    -4 sum_{n=1..terms} rho^n T_n(x/L) T_n(y/L) / (n (1-q^n)).
+
+    With x = L cos(t), y = L cos(s) and L the support half-width,
+    w(x, y|r) = |1 - r e^{i(t+s)}|^2 |1 - r e^{i(t-s)}|^2, whose log is
+    -4 sum_n r^n cos(nt) cos(ns) / n; summing over r = rho q^i gives the
+    series.  The recurrences run on x and y in their own shapes and only
+    the running sum is broadcast: a matrix product would round differently
+    on an open grid than on the same points given flat.
+    """
+    half = support_halfwidth(q)
+    u = np.clip(x / half, -1.0, 1.0)
+    v = np.clip(y / half, -1.0, 1.0)
+    total = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+    tu_prev, tu = np.ones(u.shape), u
+    tv_prev, tv = np.ones(v.shape), v
+    rho_n = 1.0
+    q_n = 1.0
+    for n in range(1, terms + 1):
+        rho_n *= rho
+        q_n *= q
+        total += (-4.0 * rho_n / (n * (1.0 - q_n)) * tu) * tv
+        tu, tu_prev = 2.0 * u * tu - tu_prev, tu
+        tv, tv_prev = 2.0 * v * tv - tv_prev, tv
+    return total
+
+
+def _log_omega_product(x: np.ndarray, y: np.ndarray, rho: float, q: float) -> np.ndarray:
+    """sum_{i>=0} log w(x, y | rho q^i) for x, y inside the support, by the
+    Chebyshev series unless it needs more terms than the product factors."""
+    terms = _kernel_terms(rho, q, _factors_needed(16.0 * rho, q))
+    if terms is None:
+        return _log_omega_factors(x, y, rho, q)
+    return _log_omega_series(x, y, rho, q, terms)
 
 
 def _log_f_n(x: np.ndarray, q: float) -> np.ndarray:
@@ -336,7 +405,10 @@ def _pm_series(x: np.ndarray, y: np.ndarray, rho: float, q: float) -> np.ndarray
         total += coef * hx * hy
         env_x = np.maximum(np.abs(hx), np.abs(hx_prev))
         env_y = np.maximum(np.abs(hy), np.abs(hy_prev))
-        if np.max(abs(coef) * env_x * env_y) < TAIL_TOL:
+        envelope = np.max(abs(coef) * env_x * env_y)
+        if not np.isfinite(envelope):
+            raise NonConvergence(f"bilinear kernel series overflowed at term {j}")
+        if envelope < TAIL_TOL:
             small += 1
             if small >= 2:
                 return total
@@ -368,7 +440,7 @@ def pm_kernel(
     elif form in (DensityForm.PRODUCT, DensityForm.CLOSED):
         val = np.exp(
             log_q_pochhammer_inf(rho**2, q)
-            - _log_omega_product(xb, yb, rho, q)
+            - _log_omega_factors(xb, yb, rho, q)
         )
     else:
         raise ValueError(f"unknown form {form}")
@@ -511,7 +583,7 @@ def _even_series(z: np.ndarray, r: float, q: float) -> np.ndarray:
     k_qpow = 1.0  # q^(k-1) ahead of the update
     rq = r * q  # r q^k inside (r;q)_{k+1} / (r;q)_k
     small = 0
-    for _ in range(1, MAX_TERMS + 1):
+    for k in range(1, MAX_TERMS + 1):
         for _ in range(2):
             h_cur, h_prev = z * h_cur - deg_qnum * h_prev, h_cur
             deg_qnum += deg_qpow
@@ -523,7 +595,10 @@ def _even_series(z: np.ndarray, r: float, q: float) -> np.ndarray:
         total += coef * h_cur
         # H_{2k} and H_{2k-1} share no root, so this envelope cannot vanish
         # before the tail does.
-        if np.max(abs(coef) * np.maximum(np.abs(h_cur), np.abs(h_prev))) < TAIL_TOL:
+        envelope = np.max(abs(coef) * np.maximum(np.abs(h_cur), np.abs(h_prev)))
+        if not np.isfinite(envelope):
+            raise NonConvergence(f"even-degree series overflowed at term {k}")
+        if envelope < TAIL_TOL:
             small += 1
             if small >= 2:
                 return total

@@ -14,12 +14,13 @@ open (broadcastable) coordinate axes, so an integrand built from the
 density functions in this package evaluates on the tensor grid without
 materializing redundant copies.
 
-Memory contract: one level of n nodes per axis of a 3-D integral holds one
-n^3 float64 array (16.8 MB at 128^3; 134 MB at 256^3, the finest level
-integrate3d tries).  The densities build that array as their only
-grid-sized object: each of their factors depends on two coordinates, so it
-is n^2-sized.  On a 2-D grid those factors are themselves grid-sized, and
-a kernel product holds several of them while it runs.
+Memory contract: one level of n nodes per axis of a 3-D integral is
+evaluated one x-panel at a time, so it holds one QUAD_ORDER x n x n float64
+slab (4.2 MB at 128^3; 16.8 MB at 256^3, the finest level integrate3d
+tries).  The densities build that slab as their only slab-sized object:
+each of their factors depends on two coordinates, so it is at most
+n^2-sized.  On a 2-D grid those factors are themselves grid-sized; a
+kernel holds its running sum and one term while it runs.
 """
 
 from __future__ import annotations
@@ -101,9 +102,17 @@ def _value_2d(f: Callable, q: float, panels: int) -> float:
 
 
 def _value_3d(f: Callable, q: float, panels: int) -> float:
+    """One level, summed one x-panel at a time so that only one
+    QUAD_ORDER x n x n slab of values exists at once."""
     x, w = _axis(q, panels)
-    vals = np.asarray(f(x[:, None, None], x[None, :, None], x[None, None, :]))
-    return float(np.einsum("ijk,i,j,k->", vals, w, w, w))
+    y, z = x[None, :, None], x[None, None, :]
+    total = 0.0
+    for s in range(0, len(x), QUAD_ORDER):
+        panel = slice(s, s + QUAD_ORDER)
+        vals = np.asarray(f(x[panel, None, None], y, z))
+        total += float(np.einsum("ijk,i,j,k->", vals, w[panel], w, w))
+        del vals  # before the next slab is built
+    return total
 
 
 def _refine(value_at, tol: float, max_panels: int) -> IntegralResult:

@@ -12,6 +12,10 @@ from qnormal3d.densities import (
     DensityForm,
     MarginalForm,
     ModelParams,
+    _kernel_terms,
+    _log_omega_factors,
+    _log_omega_product,
+    _log_omega_series,
     aw_parameters,
     f_3d,
     f_cn,
@@ -25,9 +29,9 @@ from qnormal3d.densities import (
     omega,
     pm_kernel,
 )
-from qnormal3d.errors import DomainError
-from qnormal3d.qcore import support_halfwidth
-from qnormal3d.quadrature import _axis, integrate1d, integrate2d
+from qnormal3d.errors import DomainError, NonConvergence
+from qnormal3d.qcore import MAX_TERMS, _factors_needed, support_halfwidth
+from qnormal3d.quadrature import QUAD_ORDER, _axis, _value_3d, integrate1d, integrate2d
 
 qs = st.floats(min_value=-0.9, max_value=0.9)
 rhos = st.floats(min_value=-0.85, max_value=0.85)
@@ -159,6 +163,68 @@ class TestPoissonMehlerKernel:
         assert f_cn(x, y, rho, q) == pytest.approx(
             f_n(x, q) * pm_kernel(x, y, rho, q), rel=1e-12
         )
+
+
+KERNEL_QS = (-0.5, 0.0, 0.5, 0.9, 0.99)
+KERNEL_RHOS = (0.3, -0.3, 0.6, -0.6, 0.9, 0.95)
+
+
+class TestKernelSeries:
+    """The Chebyshev series of sum_i log w(x, y | rho q^i) against the
+    factor loop that pm_kernel's product form keeps."""
+
+    @pytest.mark.parametrize("q", KERNEL_QS)
+    @pytest.mark.parametrize("rho", KERNEL_RHOS)
+    def test_series_matches_factor_loop(self, rho, q):
+        # The series is evaluated here even where the factor loop is the
+        # shorter route and _log_omega_product would not take it.
+        terms = _kernel_terms(rho, q, MAX_TERMS)
+        nodes, _ = _axis(q, 2)
+        half = support_halfwidth(q)
+        gen = np.random.default_rng(17)
+        flat = gen.uniform(-half, half, size=(2, 200))
+        flat[:, :4] = [[half, -half, half, 0.0], [half, half, -half, half]]
+        for x, y in ((nodes[:, None], nodes[None, :]), (flat[0], flat[1])):
+            np.testing.assert_allclose(
+                _log_omega_series(x, y, rho, q, terms),
+                _log_omega_factors(x, y, rho, q),
+                rtol=0,
+                atol=1e-9,
+            )
+
+    @pytest.mark.parametrize("q", KERNEL_QS)
+    def test_zero_coupling_is_exactly_zero(self, q):
+        nodes, _ = _axis(q, 1)
+        assert np.all(_log_omega_product(nodes[:, None], nodes[None, :], 0.0, q) == 0.0)
+
+    def test_route_keeps_factors_where_shorter(self):
+        # rho -> 1 at q = 0.5: the series would need more than MAX_TERMS
+        # terms, the product about 50 factors.
+        rho, q = 0.9999, 0.5
+        assert _kernel_terms(rho, q, _factors_needed(16.0 * rho, q)) is None
+        assert _kernel_terms(rho, q, MAX_TERMS) is None
+        xs = np.linspace(-0.99, 0.99, 41) * support_halfwidth(q)
+        vals = f_cn(xs, 0.5, rho, q)
+        assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)
+        np.testing.assert_allclose(vals, f_n(xs, q) * pm_kernel(xs, 0.5, rho, q), rtol=1e-12)
+
+
+class TestSeriesOverflow:
+    """A q-Hermite series whose terms overflow stops at once with an error
+    that says so, instead of running MAX_TERMS iterations on NaN."""
+
+    def test_even_series(self):
+        half = support_halfwidth(0.99)
+        zs = np.linspace(-0.9 * half, 0.9 * half, 32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonConvergence, match="overflowed"):
+                f_z(zs, 0.3, 0.99, form=MarginalForm.EVEN_SERIES)
+
+    def test_bilinear_series(self):
+        half = support_halfwidth(0.999)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonConvergence, match="overflowed"):
+                pm_kernel(half, half, 0.9, 0.999, form=DensityForm.SERIES)
 
 
 class TestModelParams:
@@ -296,6 +362,28 @@ class TestTensorGrid:
         val, peak = traced_peak(lambda: f_3d(*grid, GRID_PARAMS, form=form))
         assert val.shape == (128, 128, 128)
         assert peak <= 1.25 * val.nbytes
+
+    @pytest.mark.parametrize("form", list(DensityForm))
+    def test_3d_level_holds_one_slab(self, form):
+        # The 128^3 level is summed one x-panel at a time, so the largest
+        # array is one QUAD_ORDER x 128 x 128 slab.
+        _axis(GRID_PARAMS.q, 4)  # the cached node axis is not part of the level
+        slab = QUAD_ORDER * 128 * 128 * 8
+        _, peak = traced_peak(
+            lambda: _value_3d(
+                lambda x, y, z: f_3d(x, y, z, GRID_PARAMS, form=form), GRID_PARAMS.q, 4
+            )
+        )
+        assert peak <= 1.25 * slab
+
+    def test_f_yz_2d_grid(self):
+        # On a 2-D grid each kernel is itself grid-sized; the series holds
+        # its running sum and one term at a time.
+        nodes, _ = _axis(GRID_PARAMS.q, 4)
+        grid = open_grid(nodes, nodes)
+        val, peak = traced_peak(lambda: f_yz(*grid, GRID_PARAMS))
+        assert val.shape == (128, 128)
+        assert peak <= 4.5 * val.nbytes
 
     @pytest.mark.parametrize("name", sorted(GRID_CASES))
     def test_open_grid_matches_flat_points(self, name):

@@ -9,6 +9,8 @@ from qnormal3d.polynomials import q_hermite
 from qnormal3d.quadrature import (
     QUAD_TOL_1D,
     IntegralResult,
+    _axis,
+    _value_3d,
     gram_matrix,
     integrate1d,
     integrate2d,
@@ -57,6 +59,16 @@ class TestIntegrate3d:
     def test_joint_density_normalizes(self, params):
         res = integrate3d(lambda x, y, z: f_3d(x, y, z, params), params.q)
         assert res.value == pytest.approx(1.0, abs=1e-6)
+
+    def test_slabs_sum_to_the_whole_grid(self, params):
+        # A level is summed one x-panel at a time; only the order of the
+        # additions differs from one sum over the whole grid.
+        f = lambda x, y, z: f_3d(x, y, z, params)
+        x, w = _axis(params.q, 4)
+        whole = np.einsum(
+            "ijk,i,j,k->", f(x[:, None, None], x[None, :, None], x[None, None, :]), w, w, w
+        )
+        assert _value_3d(f, params.q, 4) == pytest.approx(whole, rel=1e-14)
 
 
 class TestGramMatrix:
