@@ -1,13 +1,23 @@
-"""Gauss-Legendre quadrature over the support interval, with an angular
-substitution that removes the square-root edge factor.
+"""The midpoint rule in the angle over the support interval.
 
-With half-width L = 2/sqrt(1-q), substituting x = L sin(t) turns the
-generic integrand f(x) dx into f(L sin t) L cos t dt on [-pi/2, pi/2]; the
-sqrt(4 - (1-q) x^2) edge behaviour of the densities becomes a smooth cos^2
-and fixed-order panels converge spectrally.  Error control starts from one
-panel of QUAD_ORDER nodes, doubles the panel count per axis and compares
-the two levels; the difference is the reported error estimate.  The
-tolerances and panel caps per dimension are the module constants below.
+With half-width L = 2/sqrt(1-q), substituting x = L sin(theta) turns
+f(x) dx into f(L sin theta) L cos theta dtheta on [-pi/2, pi/2].  A level
+of n nodes puts them at the midpoints theta_k = -pi/2 + (k + 1/2) pi/n with
+weights (pi/n) L cos(theta_k).
+
+Integrand class: every density of this package carries the edge factor
+sqrt(4 - (1-q) x^2) = 2 cos(theta) in each coordinate, so in theta its
+integrands (densities times polynomials, kernels or other densities) are
+smooth, even and periodic, and on such functions the midpoint rule
+converges exponentially (Trefethen and Weideman, SIAM Review 56, 2014).
+An integrand without that edge factor, a constant say, has a kink at the
+ends of the period, converges only like n^-2 and in general raises
+NonConvergence; one with a jump inside the support does too.
+
+Error control starts from one panel of QUAD_ORDER nodes, doubles the panel
+count per axis and compares the two levels; the difference is the reported
+error estimate.  The tolerances and panel caps per dimension are the
+module constants below.
 
 Integrands must accept numpy arrays.  Multi-dimensional integrators pass
 open (broadcastable) coordinate axes, so an integrand built from the
@@ -16,7 +26,8 @@ materializing redundant copies.
 
 Memory contract: one level of n nodes per axis of a 3-D integral is
 evaluated one x-panel at a time, so it holds one QUAD_ORDER x n x n float64
-slab (4.2 MB at 128^3; 16.8 MB at 256^3, the finest level integrate3d
+slab (1.0 MB at 64^3, where the densities of the package settle for
+q <= 0.9; 4.2 MB at 128^3; 16.8 MB at 256^3, the finest level integrate3d
 tries).  The densities build that slab as their only slab-sized object:
 each of their factors depends on two coordinates, so it is at most
 n^2-sized.  On a 2-D grid those factors are themselves grid-sized; a
@@ -27,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -50,7 +60,7 @@ __all__ = [
     "gram_matrix",
 ]
 
-# Gauss-Legendre nodes per panel, the convergence tolerance on the change
+# Midpoint nodes per panel, the convergence tolerance on the change
 # between two levels, and the largest panel count per axis tried.
 QUAD_ORDER = 32
 QUAD_TOL_1D = 1e-10
@@ -68,26 +78,18 @@ class IntegralResult:
     panels_used: int
 
 
-@lru_cache(maxsize=None)
-def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
-
-
 def _axis(q: float, panels: int):
-    """One axis of nodes and Jacobian-absorbed weights over the support."""
+    """One axis of QUAD_ORDER * panels midpoint nodes in theta and their
+    Jacobian-absorbed weights over the support."""
     half = support_halfwidth(q)
     if not math.isfinite(half):
         raise ValueError("quadrature requires |q| < 1 (finite support)")
-    ref_nodes, ref_weights = _leggauss(QUAD_ORDER)
-    lo, hi = -0.5 * math.pi, 0.5 * math.pi
-    edges = np.linspace(lo, hi, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    scale = 0.5 * (edges[1] - edges[0])
-    pts = (mid[:, None] + scale * ref_nodes[None, :]).reshape(-1)
-    wts = np.broadcast_to(scale * ref_weights, (panels, QUAD_ORDER)).reshape(-1)
-    nodes = half * np.sin(pts)
-    weights = wts * half * np.cos(pts)
-    return nodes, weights
+    n = QUAD_ORDER * panels
+    step = math.pi / n
+    # (k - (n-1)/2) is an exact half-integer, so the nodes are exactly
+    # symmetric about 0.
+    theta = (np.arange(n) - 0.5 * (n - 1)) * step
+    return half * np.sin(theta), (step * half) * np.cos(theta)
 
 
 def _value_1d(f: Callable, q: float, panels: int) -> float:
@@ -131,17 +133,24 @@ def _refine(value_at, tol: float, max_panels: int) -> IntegralResult:
 
 
 def integrate1d(f: Callable, q: float) -> IntegralResult:
-    """Integrate f over the support interval with panel-doubling control."""
+    """Integrate f over the support interval with panel-doubling control.
+
+    f should carry the edge factor of the module's integrand class in x;
+    without it the levels converge only like n^-2, which at QUAD_TOL_1D in
+    general ends in NonConvergence.
+    """
     return _refine(lambda p: _value_1d(f, q, p), QUAD_TOL_1D, MAX_PANELS_1D)
 
 
 def integrate2d(f: Callable, q: float) -> IntegralResult:
-    """Integrate f(x, y) over the support square."""
+    """Integrate f(x, y) over the support square; f should carry the edge
+    factor in each coordinate."""
     return _refine(lambda p: _value_2d(f, q, p), QUAD_TOL_2D, MAX_PANELS_2D)
 
 
 def integrate3d(f: Callable, q: float) -> IntegralResult:
-    """Integrate f(x, y, z) over the support cube."""
+    """Integrate f(x, y, z) over the support cube; f should carry the edge
+    factor in each coordinate."""
     return _refine(lambda p: _value_3d(f, q, p), QUAD_TOL_3D, MAX_PANELS_3D)
 
 

@@ -13,6 +13,9 @@ from qnormal3d.densities import (
     MarginalForm,
     ModelParams,
     _kernel_terms,
+    _log_f_n,
+    _log_l_series,
+    _log_lq_product,
     _log_omega_factors,
     _log_omega_product,
     _log_omega_series,
@@ -30,7 +33,12 @@ from qnormal3d.densities import (
     pm_kernel,
 )
 from qnormal3d.errors import DomainError, NonConvergence
-from qnormal3d.qcore import MAX_TERMS, _factors_needed, support_halfwidth
+from qnormal3d.qcore import (
+    MAX_TERMS,
+    _factors_needed,
+    log_q_pochhammer_inf,
+    support_halfwidth,
+)
 from qnormal3d.quadrature import QUAD_ORDER, _axis, _value_3d, integrate1d, integrate2d
 
 qs = st.floats(min_value=-0.9, max_value=0.9)
@@ -93,6 +101,81 @@ class TestBaseDensity:
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
             f_n(0.0, 1.5)
+
+    @pytest.mark.parametrize("q", (-0.5, 0.0, 0.2, 0.5, 0.9, 0.99, 0.999, -0.95, -0.99))
+    def test_exactly_zero_at_edge(self, q):
+        half = support_halfwidth(q)
+        assert f_n(half, q) == 0.0
+        assert f_n(-half, q) == 0.0
+        assert np.all(f_n(np.array([-half, half]), q) == 0.0)
+
+    @pytest.mark.parametrize("q", (-0.95, -0.99))
+    def test_product_route_near_minus_one(self, q):
+        # Below q = -0.9 f_N keeps the product; the mass gathers near +-1.
+        half = support_halfwidth(q)
+        assert np.all(np.isfinite(f_n(np.linspace(-half, half, 201), q)))
+        res = integrate1d(lambda x: f_n(x, q), q)
+        assert res.value == pytest.approx(1.0, abs=1e-9)
+
+
+def log_f_n_by_product(x, q):
+    """log f_N by the product formula of the densities module docstring."""
+    return (
+        log_q_pochhammer_inf(q, q)
+        + 0.5 * math.log(1.0 - q)
+        + 0.5 * np.log(4.0 - (1.0 - q) * x**2)
+        - math.log(2.0 * math.pi)
+        + _log_lq_product(x, q, q)
+    )
+
+
+class TestThetaRoutes:
+    """f_N by the theta series (direct for q <= 0.2, the imaginary
+    transformation above) against the product formula."""
+
+    @pytest.mark.parametrize(
+        "q, atol",
+        [(q, 5e-12) for q in (-0.9, -0.7, -0.5, -0.2, 0.0, 0.1, 0.2, 0.21, 0.3, 0.5, 0.7, 0.9)]
+        + [(0.99, 1e-10), (0.999, 1e-10)],
+    )
+    def test_matches_product(self, q, atol):
+        # The product's own error grows like 1/(1-q): about 8e-11 at
+        # q = 0.999 and x = 0.999 L, where log f_N is near -4656.
+        half = support_halfwidth(q)
+        xs = np.concatenate([np.linspace(-0.99, 0.99, 45), [-0.999, 0.999]]) * half
+        np.testing.assert_allclose(_log_f_n(xs, q), log_f_n_by_product(xs, q), rtol=0, atol=atol)
+
+
+L_SERIES_A0S = (0.3, -0.3, 0.6, -0.6, 0.9, 0.95)
+
+
+class TestLSeries:
+    """The Chebyshev series of sum_i log l(x | a0 q^i) against the factor
+    loop that the edge-product form of f_Z keeps."""
+
+    @pytest.mark.parametrize("q", (-0.5, 0.0, 0.5, 0.9, 0.99))
+    @pytest.mark.parametrize("a0", L_SERIES_A0S)
+    def test_series_matches_factor_loop(self, a0, q):
+        terms = _kernel_terms(a0, q, MAX_TERMS, scale=2.0)
+        nodes, _ = _axis(q, 2)
+        half = support_halfwidth(q)
+        flat = np.random.default_rng(19).uniform(-half, half, size=200)
+        flat[:3] = [half, -half, 0.0]
+        for x in (nodes, flat):
+            np.testing.assert_allclose(
+                _log_l_series(x, a0, q, terms), _log_lq_product(x, a0, q), rtol=0, atol=1e-9
+            )
+
+    def test_rogers_marginal_takes_the_series(self):
+        # r = 0.3 at q = 0.9: 25 series terms against 312 factors.
+        r, q = 0.3, 0.9
+        assert _kernel_terms(r, q, _factors_needed(6.0 * r, q), scale=2.0) < 40
+        zs = np.linspace(-0.95, 0.95, 21) * support_halfwidth(q)
+        np.testing.assert_allclose(
+            f_z(zs, r, q, form=MarginalForm.ROGERS),
+            f_z(zs, r, q, form=MarginalForm.EDGE_PRODUCT),
+            rtol=1e-12,
+        )
 
 
 class TestMarginalDensity:
@@ -197,6 +280,21 @@ class TestKernelSeries:
         nodes, _ = _axis(q, 1)
         assert np.all(_log_omega_product(nodes[:, None], nodes[None, :], 0.0, q) == 0.0)
 
+    @pytest.mark.parametrize("q", (0.5, 0.99))
+    @pytest.mark.parametrize("rho", (0.95, -0.95, 0.99, -0.99))
+    def test_factor_loop_at_the_corners(self, rho, q):
+        # At x, y = +-L the quadratic form of w cancels as |rho| -> 1; the
+        # factors in the angles must not.
+        half = support_halfwidth(q)
+        x = np.array([half, half, -half, -half])
+        y = np.array([half, -half, half, -half])
+        np.testing.assert_allclose(
+            _log_omega_factors(x, y, rho, q),
+            _log_omega_series(x, y, rho, q, _kernel_terms(rho, q, MAX_TERMS)),
+            rtol=0,
+            atol=1e-10,
+        )
+
     def test_route_keeps_factors_where_shorter(self):
         # rho -> 1 at q = 0.5: the series would need more than MAX_TERMS
         # terms, the product about 50 factors.
@@ -270,6 +368,12 @@ class TestZMarginal:
         ref = f_z(zs, r, q, form=MarginalForm.ROGERS)
         for form in MarginalForm:
             np.testing.assert_allclose(f_z(zs, r, q, form=form), ref, rtol=1e-9)
+
+    @pytest.mark.parametrize("form", list(MarginalForm))
+    def test_exactly_zero_at_edge(self, form):
+        for q in (0.3, 0.9):
+            half = support_halfwidth(q)
+            assert np.all(f_z(np.array([-half, half]), 0.2, q, form=form) == 0.0)
 
     def test_matches_weighted_marginal(self):
         r, q = 0.15, 0.3
