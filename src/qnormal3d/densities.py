@@ -23,20 +23,18 @@ plain factors are multiplied in blocks of 32 and the log is taken once per
 block, which keeps the log overhead negligible.
 
 With x = L cos(t) (L the support half-width), f_N is a Jacobi theta
-function, f_N = sqrt(1-q) theta_1(t, sqrt(q)) / (2 pi q^(1/8)), and needs
-no product: the direct theta series for -0.9 <= q <= 0.2, the imaginary
-transformation for q > 0.2.  Below q = -0.9 the direct series cancels and
-f_N keeps the product above.
+function, f_N = sqrt(1-q) theta_1(t, sqrt(q)) / (2 pi q^(1/8)).  For
+q > 0.2 it is evaluated by Jacobi's imaginary transformation, which needs
+no product while the product above needs ~1/(1-q) factors; at and below
+0.2 the product is kept.  Both write the edge factor as log sin(t), so f_N
+is exactly 0 at the edge.
 
 The rho-kernel sum_i log w(x, y | rho q^i) has, besides its F factors, a
 Chebyshev series in x/L and y/L whose N terms depend on |rho| alone, while
 F grows like 1/(1-q).  The densities take the series when N <= F and the
 factors otherwise (|rho| -> 1 at moderate q); pm_kernel's product form
 always takes the factors, as the reference the series form is checked
-against.  The l-product sum_i log l(x | a0 q^i) of f_r and the Rogers form
-of f_Z follows the same rule with its own series in T_2n(x/L); the
-edge-product form of f_Z keeps the factors, so that the two forms stay
-independent routes.
+against.
 
 Point arguments accept scalars or broadcastable numpy arrays.  Unconditional
 densities, and f_cn in x, extend by zero outside the support; f_x_given_yz,
@@ -90,10 +88,9 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
 _HALF_EPS = 0.5 * np.finfo(float).eps
 _BLOCK = 32
-# f_N takes the direct theta series on [_THETA_MIN_Q, _THETA_DIRECT_MAX_Q],
-# the imaginary transformation above it and the product below it.
-_THETA_MIN_Q = -0.9
-_THETA_DIRECT_MAX_Q = 0.2
+# f_N takes Jacobi's imaginary transformation above this q, the product
+# formula at and below it.
+_THETA_MIN_Q = 0.2
 
 # Agreement tolerances for alternative evaluation routes of one density,
 # and the floor below which a conditional denominator counts as degenerate.
@@ -211,15 +208,14 @@ def _log_lq_product(x: np.ndarray, a0: float, q: float) -> np.ndarray:
     return _log_blocks(factors(), xsq.shape)
 
 
-def _kernel_terms(rho: float, q: float, cap: int, scale: float = 4.0) -> int | None:
-    """Smallest N <= cap at which the tail bound of a Chebyshev log series
-    with coefficients scale rho^n / (n (1-q^n)),
-    scale |rho|^(N+1) / ((N+1)(1-|q|^(N+1))(1-|rho|)), is below
+def _kernel_terms(rho: float, q: float, cap: int) -> int | None:
+    """Smallest N <= cap at which the tail bound of the Chebyshev kernel
+    series, 4|rho|^(N+1) / ((N+1)(1-|q|^(N+1))(1-|rho|)), is below
     PRODUCT_TOL; None when the bound at N = cap is not below it yet."""
     a, b = abs(rho), abs(q)
 
     def spent(n: int) -> bool:
-        return scale * a ** (n + 1) < PRODUCT_TOL * (n + 1) * (1.0 - b ** (n + 1)) * (1.0 - a)
+        return 4.0 * a ** (n + 1) < PRODUCT_TOL * (n + 1) * (1.0 - b ** (n + 1)) * (1.0 - a)
 
     if not spent(cap):
         return None
@@ -252,44 +248,32 @@ def _log_omega_factors(x: np.ndarray, y: np.ndarray, rho: float, q: float) -> np
     n = _factors_needed(16.0 * rho, q)
     t, s = np.arccos(_cosine(x, q)), np.arccos(_cosine(y, q))
     half_sum, half_diff = 0.5 * (t + s), 0.5 * (t - s)
-    same = (np.sin(half_sum) ** 2, np.sin(half_diff) ** 2)
-    flipped = (np.cos(half_diff) ** 2, np.cos(half_sum) ** 2) if min(rho, q) < 0.0 else None
+    # The signs of rho q^i repeat with period two, so the first two factors
+    # tell which of the two forms the loop reads; build only those.
+    first = (rho, rho * q)[:n]
+    same = flipped = None
+    if any(a >= 0.0 for a in first):
+        same = (np.sin(half_sum) ** 2, np.sin(half_diff) ** 2)
+    if any(a < 0.0 for a in first):
+        flipped = (np.cos(half_diff) ** 2, np.cos(half_sum) ** 2)
     del half_sum, half_diff
     shape = np.broadcast_shapes(x.shape, y.shape)
 
     def factors():
+        # Each factor is yielded as its two halves in one reused buffer:
+        # _log_blocks multiplies a half in before it asks for the next.
+        half = np.empty(shape)
         a = rho
         for _ in range(n):
-            plus, minus = same if a >= 0.0 else flipped
             b = abs(a)
             c, d = (1.0 - b) ** 2, 4.0 * b
-            yield (c + d * plus) * (c + d * minus)
+            for form in same if a >= 0.0 else flipped:
+                np.multiply(form, d, out=half)
+                half += c
+                yield half
             a *= q
 
     return _log_blocks(factors(), shape)
-
-
-def _chebyshev_log_sum(
-    u: np.ndarray, v: np.ndarray, a: float, q: float, terms: int, scale: float
-) -> np.ndarray:
-    """-scale sum_{n=1..terms} a^n T_n(u) T_n(v) / (n (1-q^n)).
-
-    The recurrences run on u and v in their own shapes and only the running
-    sum is broadcast: a matrix product would round differently on an open
-    grid than on the same points given flat.
-    """
-    total = np.zeros(np.broadcast_shapes(u.shape, v.shape))
-    tu_prev, tu = np.ones(u.shape), u
-    tv_prev, tv = np.ones(v.shape), v
-    a_n = 1.0
-    q_n = 1.0
-    for n in range(1, terms + 1):
-        a_n *= a
-        q_n *= q
-        total += (-scale * a_n / (n * (1.0 - q_n)) * tu) * tv
-        tu, tu_prev = 2.0 * u * tu - tu_prev, tu
-        tv, tv_prev = 2.0 * v * tv - tv_prev, tv
-    return total
 
 
 def _log_omega_series(
@@ -301,9 +285,24 @@ def _log_omega_series(
     With x = L cos(t), y = L cos(s) and L the support half-width,
     w(x, y|r) = |1 - r e^{i(t+s)}|^2 |1 - r e^{i(t-s)}|^2, whose log is
     -4 sum_n r^n cos(nt) cos(ns) / n; summing over r = rho q^i gives the
-    series.
+    series.  The recurrences run on x and y in their own shapes and only
+    the running sum is broadcast: a matrix product would round differently
+    on an open grid than on the same points given flat.
     """
-    return _chebyshev_log_sum(_cosine(x, q), _cosine(y, q), rho, q, terms, 4.0)
+    u = _cosine(x, q)
+    v = _cosine(y, q)
+    total = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+    tu_prev, tu = np.ones(u.shape), u
+    tv_prev, tv = np.ones(v.shape), v
+    rho_n = 1.0
+    q_n = 1.0
+    for n in range(1, terms + 1):
+        rho_n *= rho
+        q_n *= q
+        total += (-4.0 * rho_n / (n * (1.0 - q_n)) * tu) * tv
+        tu, tu_prev = 2.0 * u * tu - tu_prev, tu
+        tv, tv_prev = 2.0 * v * tv - tv_prev, tv
+    return total
 
 
 def _log_omega_product(x: np.ndarray, y: np.ndarray, rho: float, q: float) -> np.ndarray:
@@ -315,56 +314,10 @@ def _log_omega_product(x: np.ndarray, y: np.ndarray, rho: float, q: float) -> np
     return _log_omega_series(x, y, rho, q, terms)
 
 
-def _log_l_series(x: np.ndarray, a0: float, q: float, terms: int) -> np.ndarray:
-    """sum_{i>=0} log l(x | a0 q^i) for x inside the support, as
-    -2 sum_{n=1..terms} a0^n T_2n(x/L) / (n (1-q^n)).
-
-    With x = L cos(t), l(x|a) = |1 - a e^{2it}|^2, whose log is
-    -2 sum_n a^n cos(2nt) / n, and T_2n(x/L) = T_n(cos 2t).
-    """
-    u = _cosine(x, q)
-    return _chebyshev_log_sum(2.0 * u * u - 1.0, np.ones(()), a0, q, terms, 2.0)
-
-
-def _log_l_product(x: np.ndarray, a0: float, q: float) -> np.ndarray:
-    """sum_{i>=0} log l(x | a0 q^i) for x inside the support, by the
-    Chebyshev series unless it needs more terms than the product factors."""
-    terms = _kernel_terms(a0, q, _factors_needed(6.0 * a0, q), scale=2.0)
-    if terms is None:
-        return _log_lq_product(x, a0, q)
-    return _log_l_series(x, a0, q, terms)
-
-
 def _log_sin(u: np.ndarray) -> np.ndarray:
     """log sin(t) for u = cos(t) in [-1, 1]; -inf at u = +-1."""
     with np.errstate(divide="ignore"):
         return 0.5 * np.log((1.0 - u) * (1.0 + u))
-
-
-def _log_theta_direct(u: np.ndarray, q: float) -> np.ndarray:
-    """log f_N by the theta series in sin((2n+1)t), for |q| not near 1.
-
-    f_N = sqrt(1-q)/pi sin(t) sum_n (-1)^n q^(n(n+1)/2) U_2n(u), u = cos(t);
-    U_2n(u) = W_n(2u^2 - 1), the Chebyshev polynomial of the fourth kind,
-    runs as one three-term recurrence.  Factoring out sin(t) keeps relative
-    accuracy at the edge.  |U_2n| <= 2n + 1, so the sum stops once that
-    bound on the next term is below half an ulp of the smallest partial sum.
-    """
-    w = 2.0 * u * u - 1.0
-    w_prev, w_cur = np.ones(u.shape), 2.0 * w + 1.0
-    total = np.ones(u.shape)
-    coef = 1.0
-    q_n = 1.0
-    n = 1
-    while True:
-        q_n *= q
-        coef *= -q_n  # (-1)^n q^(n(n+1)/2)
-        if abs(coef) * (2 * n + 1) <= _HALF_EPS * np.abs(total).min(initial=np.inf):
-            break
-        total += coef * w_cur
-        w_cur, w_prev = 2.0 * w * w_cur - w_prev, w_cur
-        n += 1
-    return 0.5 * math.log(1.0 - q) - _LOG_PI + _log_sin(u) + np.log(total)
 
 
 def _log_theta_imaginary(u: np.ndarray, q: float) -> np.ndarray:
@@ -407,24 +360,22 @@ def _log_f_n(x: np.ndarray, q: float) -> np.ndarray:
     """log f_N on points already inside the support (-inf at the edge).
 
     By the Jacobi triple product f_N = sqrt(1-q) theta_1(t, sqrt(q)) /
-    (2 pi q^(1/8)) with x = L cos(t), so no infinite product is needed:
-    the direct theta series for -0.9 <= q <= 0.2, the imaginary
-    transformation for q > 0.2.  Below -0.9 the direct series cancels, and
-    the product formula of the module docstring is kept.
+    (2 pi q^(1/8)) with x = L cos(t), so for q > 0.2 the imaginary
+    transformation needs no infinite product.  At and below 0.2 the product
+    formula of the module docstring needs few factors (about 320 at
+    q = -0.9) and is kept.
     """
     u = _cosine(x, q)
-    if q < _THETA_MIN_Q:
-        # sqrt(4 - (1-q) x^2) / (2 pi) = sin(t) / pi
-        return (
-            log_q_pochhammer_inf(q, q)
-            + 0.5 * math.log(1.0 - q)
-            + _log_sin(u)
-            - _LOG_PI
-            + _log_lq_product(x, q, q)
-        )
-    if q <= _THETA_DIRECT_MAX_Q:
-        return _log_theta_direct(u, q)
-    return _log_theta_imaginary(u, q)
+    if q > _THETA_MIN_Q:
+        return _log_theta_imaginary(u, q)
+    # sqrt(4 - (1-q) x^2) / (2 pi) = sin(t) / pi
+    return (
+        log_q_pochhammer_inf(q, q)
+        + 0.5 * math.log(1.0 - q)
+        + _log_sin(u)
+        - _LOG_PI
+        + _log_lq_product(x, q, q)
+    )
 
 
 def _log_f_cn(x: np.ndarray, y: np.ndarray, rho: float, q: float) -> np.ndarray:
@@ -510,7 +461,7 @@ def f_r(x, beta: float, q: float):
         + log_q_pochhammer_inf(beta**2, q)
         - log_q_pochhammer_inf(beta, q)
         - log_q_pochhammer_inf(beta * q, q)
-        - _log_l_product(xc, beta, q)
+        - _log_lq_product(xc, beta, q)
     )
     return _ret(_extend(np.exp(log_val), half, xb), scalar)
 
@@ -678,7 +629,7 @@ def f_z(
             + _log_f_n(zc, q)
             + log_q_pochhammer_inf(r**2, q)
             - 2.0 * log_q_pochhammer_inf(r, q)
-            - _log_l_product(zc, r, q)
+            - _log_lq_product(zc, r, q)
         )
         val = np.exp(log_val)
     elif form == MarginalForm.EVEN_SERIES:

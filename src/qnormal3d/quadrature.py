@@ -5,14 +5,18 @@ f(x) dx into f(L sin theta) L cos theta dtheta on [-pi/2, pi/2].  A level
 of n nodes puts them at the midpoints theta_k = -pi/2 + (k + 1/2) pi/n with
 weights (pi/n) L cos(theta_k).
 
-Integrand class: every density of this package carries the edge factor
-sqrt(4 - (1-q) x^2) = 2 cos(theta) in each coordinate, so in theta its
-integrands (densities times polynomials, kernels or other densities) are
-smooth, even and periodic, and on such functions the midpoint rule
-converges exponentially (Trefethen and Weideman, SIAM Review 56, 2014).
-An integrand without that edge factor, a constant say, has a kink at the
-ends of the period, converges only like n^-2 and in general raises
-NonConvergence; one with a jump inside the support does too.
+Integrand class: one edge factor sqrt(4 - (1-q) x^2) = 2 cos(theta) in
+each coordinate, as every density of this package carries, times smooth
+functions (polynomials, kernels, conditional densities of another
+coordinate).  With theta = pi/2 - e the integrand is then sin^2(e) times
+a smooth even function of e at both ends, so it is smooth, even and
+periodic in theta, and on such functions the midpoint rule converges
+exponentially (Trefethen and Weideman, SIAM Review 56, 2014).  With an
+even number of edge factors in one coordinate it is odd in e there and
+the levels converge algebraically: like n^-4 for a product of two
+densities (f_N(x)^2, or an overlap of two densities in x), which
+therefore takes more levels, and like n^-2 for a constant, which in
+general ends in NonConvergence, as a jump inside the support does.
 
 Error control starts from one panel of QUAD_ORDER nodes, doubles the panel
 count per axis and compares the two levels; the difference is the reported
@@ -135,21 +139,21 @@ def _refine(value_at, tol: float, max_panels: int) -> IntegralResult:
 def integrate1d(f: Callable, q: float) -> IntegralResult:
     """Integrate f over the support interval with panel-doubling control.
 
-    f should carry the edge factor of the module's integrand class in x;
-    without it the levels converge only like n^-2, which at QUAD_TOL_1D in
-    general ends in NonConvergence.
+    f should carry one edge factor in x, the module's integrand class; with
+    none the levels converge only like n^-2, which at QUAD_TOL_1D in
+    general ends in NonConvergence, and with two like n^-4.
     """
     return _refine(lambda p: _value_1d(f, q, p), QUAD_TOL_1D, MAX_PANELS_1D)
 
 
 def integrate2d(f: Callable, q: float) -> IntegralResult:
-    """Integrate f(x, y) over the support square; f should carry the edge
+    """Integrate f(x, y) over the support square; f should carry one edge
     factor in each coordinate."""
     return _refine(lambda p: _value_2d(f, q, p), QUAD_TOL_2D, MAX_PANELS_2D)
 
 
 def integrate3d(f: Callable, q: float) -> IntegralResult:
-    """Integrate f(x, y, z) over the support cube; f should carry the edge
+    """Integrate f(x, y, z) over the support cube; f should carry one edge
     factor in each coordinate."""
     return _refine(lambda p: _value_3d(f, q, p), QUAD_TOL_3D, MAX_PANELS_3D)
 

@@ -14,7 +14,6 @@ from qnormal3d.densities import (
     ModelParams,
     _kernel_terms,
     _log_f_n,
-    _log_l_series,
     _log_lq_product,
     _log_omega_factors,
     _log_omega_product,
@@ -130,8 +129,9 @@ def log_f_n_by_product(x, q):
 
 
 class TestThetaRoutes:
-    """f_N by the theta series (direct for q <= 0.2, the imaginary
-    transformation above) against the product formula."""
+    """_log_f_n (Jacobi's imaginary transformation for q > 0.2, the product
+    with its edge factor as log sin t at and below) against the product
+    formula."""
 
     @pytest.mark.parametrize(
         "q, atol",
@@ -144,38 +144,6 @@ class TestThetaRoutes:
         half = support_halfwidth(q)
         xs = np.concatenate([np.linspace(-0.99, 0.99, 45), [-0.999, 0.999]]) * half
         np.testing.assert_allclose(_log_f_n(xs, q), log_f_n_by_product(xs, q), rtol=0, atol=atol)
-
-
-L_SERIES_A0S = (0.3, -0.3, 0.6, -0.6, 0.9, 0.95)
-
-
-class TestLSeries:
-    """The Chebyshev series of sum_i log l(x | a0 q^i) against the factor
-    loop that the edge-product form of f_Z keeps."""
-
-    @pytest.mark.parametrize("q", (-0.5, 0.0, 0.5, 0.9, 0.99))
-    @pytest.mark.parametrize("a0", L_SERIES_A0S)
-    def test_series_matches_factor_loop(self, a0, q):
-        terms = _kernel_terms(a0, q, MAX_TERMS, scale=2.0)
-        nodes, _ = _axis(q, 2)
-        half = support_halfwidth(q)
-        flat = np.random.default_rng(19).uniform(-half, half, size=200)
-        flat[:3] = [half, -half, 0.0]
-        for x in (nodes, flat):
-            np.testing.assert_allclose(
-                _log_l_series(x, a0, q, terms), _log_lq_product(x, a0, q), rtol=0, atol=1e-9
-            )
-
-    def test_rogers_marginal_takes_the_series(self):
-        # r = 0.3 at q = 0.9: 25 series terms against 312 factors.
-        r, q = 0.3, 0.9
-        assert _kernel_terms(r, q, _factors_needed(6.0 * r, q), scale=2.0) < 40
-        zs = np.linspace(-0.95, 0.95, 21) * support_halfwidth(q)
-        np.testing.assert_allclose(
-            f_z(zs, r, q, form=MarginalForm.ROGERS),
-            f_z(zs, r, q, form=MarginalForm.EDGE_PRODUCT),
-            rtol=1e-12,
-        )
 
 
 class TestMarginalDensity:
@@ -488,6 +456,25 @@ class TestTensorGrid:
         val, peak = traced_peak(lambda: f_yz(*grid, GRID_PARAMS))
         assert val.shape == (128, 128)
         assert peak <= 4.5 * val.nbytes
+
+    @pytest.mark.parametrize(
+        "params, bound",
+        [
+            # rho23 -> 1 at moderate q takes the factor loop, which holds its
+            # running sum, one block, one half-factor and the angle forms its
+            # signs read: two for q > 0, four when the signs alternate.
+            (ModelParams(0.3, 0.3, 0.9999, 0.5), 5.5),
+            (ModelParams(0.3, 0.3, -0.9999, 0.5), 5.5),
+            (ModelParams(0.3, 0.3, 0.9999, -0.5), 7.5),
+        ],
+    )
+    def test_f_yz_2d_grid_factor_route(self, params, bound):
+        rho, q = params.rho23, params.q
+        assert _kernel_terms(rho, q, _factors_needed(16.0 * rho, q)) is None
+        nodes, _ = _axis(params.q, 4)
+        val, peak = traced_peak(lambda: f_yz(*open_grid(nodes, nodes), params))
+        assert np.all(np.isfinite(val))
+        assert peak <= bound * val.nbytes
 
     @pytest.mark.parametrize("name", sorted(GRID_CASES))
     def test_open_grid_matches_flat_points(self, name):

@@ -49,6 +49,15 @@ class TestIntegrate1d:
         with pytest.raises(NonConvergence):
             integrate1d(lambda x: np.ones_like(x), 0.0)
 
+    def test_two_edge_factors_converge_algebraically(self):
+        # f_N(x)^2 has two edge factors in x, so in the angle it is odd at
+        # the ends of the period and the levels converge like n^-4: it still
+        # reaches QUAD_TOL_1D, on more panels than f_N itself needs.
+        res = integrate1d(lambda x: f_n(x, 0.0) ** 2, 0.0)
+        assert res.value == pytest.approx(8.0 / (3.0 * math.pi**2), rel=1e-10)
+        assert res.panels_used >= 8
+        assert integrate1d(lambda x: f_n(x, 0.0), 0.0).panels_used <= 2
+
     def test_nonconvergence_with_tiny_budget(self):
         # A jump inside the support defeats the spectral convergence, so the
         # panel doubling runs out of panels before two levels agree.
