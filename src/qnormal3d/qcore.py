@@ -10,7 +10,9 @@ Conventions used throughout the package:
 
 All functions are pure and accept plain Python scalars.  Infinite products
 are truncated once the first omitted factor is within PRODUCT_TOL of 1,
-with a hard cap of MAX_TERMS factors; the series elsewhere in the package
+with a hard cap of MAX_TERMS factors; log_q_pochhammer_inf adds the omitted
+tail in closed form and sums its logs exactly, so it is correct to rounding
+at every |q| < 1 within the cap.  The series elsewhere in the package
 stop once two successive term envelopes fall below TAIL_TOL, under the same
 cap.
 """
@@ -18,6 +20,8 @@ cap.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import NonConvergence
 
@@ -123,17 +127,19 @@ def log_q_pochhammer_inf(a: float, q: float) -> float:
     """log (a; q)_inf, valid for |a| < 1, |q| < 1 where every factor is positive.
 
     The log form stays finite where the plain product would over- or
-    underflow (q close to 1).
+    underflow (q close to 1).  The kept logs log1p(-a q^k) are summed with
+    math.fsum and the omitted ones in closed form, so no error grows with
+    the factor count, which is about 1/(1-q).
     """
     if abs(a) >= 1.0:
         raise ValueError("log_q_pochhammer_inf requires |a| < 1")
     n = _factors_needed(a, q)
-    total = 0.0
-    term = a
-    for _ in range(n):
-        total += math.log1p(-term)
-        term *= q
-    return total
+    # Each factor from its own power a q^k, not from a running product that
+    # drifts; the omitted factors add sum_{k>=n} log(1 - a q^k) = -a q^n /
+    # (1 - q) to within (a q^n)^2 / (1 - q^2), below PRODUCT_TOL^2 / (1 - q^2).
+    terms = np.log1p(-a * q ** np.arange(n)).tolist()
+    terms.append(-a * q**n / (1.0 - q))
+    return math.fsum(terms)
 
 
 def support_halfwidth(q: float) -> float:

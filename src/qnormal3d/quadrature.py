@@ -1,17 +1,33 @@
-"""The midpoint rule in the angle over the support interval.
+"""The midpoint rule in a mapped angle over the support interval.
 
 With half-width L = 2/sqrt(1-q), substituting x = L sin(theta) turns
-f(x) dx into f(L sin theta) L cos theta dtheta on [-pi/2, pi/2].  A level
-of n nodes puts them at the midpoints theta_k = -pi/2 + (k + 1/2) pi/n with
-weights (pi/n) L cos(theta_k).
+f(x) dx into f(L sin theta) L cos theta dtheta on [-pi/2, pi/2].  The angle
+is then mapped once more, theta = arctan(eps tan phi) with
+eps = min(1, MAP_SCALE / L), and a level of n nodes puts them at the
+midpoints phi_k = -pi/2 + (k + 1/2) pi/n with weights
+(pi/n) L cos(theta_k) dtheta/dphi(phi_k).
+
+Why the map: as q -> 1 the densities tend to the standard Gaussian while L
+grows like 2/sqrt(1-q), so in theta their bulk narrows to a width of about
+1/L and a grid uniform in theta spends most of its nodes on the tails.
+Near phi = 0 the map is x ~ MAP_SCALE tan(phi), the usual spectral map for
+Gaussian-decaying functions on the line (Boyd, Chebyshev and Fourier
+Spectral Methods, ch. 17), so the bulk |x| < MAP_SCALE keeps the same nodes
+at every q and the level needed stops growing as q -> 1.  eps is 1 for
+every q <= 15/16, where the map is the identity and the rule is the plain
+midpoint rule in theta, bit for bit.  The map is an analytic map of the
+circle onto itself, so an integrand smooth and periodic in theta stays so
+in phi; the grid thins by up to 1/eps at the edge of the support, so an
+integrand concentrated there may take more levels, under the same error
+control.
 
 Integrand class: one edge factor sqrt(4 - (1-q) x^2) = 2 cos(theta) in
 each coordinate, as every density of this package carries, times smooth
 functions (polynomials, kernels, conditional densities of another
 coordinate).  With theta = pi/2 - e the integrand is then sin^2(e) times
 a smooth even function of e at both ends, so it is smooth, even and
-periodic in theta, and on such functions the midpoint rule converges
-exponentially (Trefethen and Weideman, SIAM Review 56, 2014).  With an
+periodic in theta (and in phi), and on such functions the midpoint rule
+converges exponentially (Trefethen and Weideman, SIAM Review 56, 2014).  With an
 even number of edge factors in one coordinate it is odd in e there and
 the levels converge algebraically: like n^-4 for a product of two
 densities (f_N(x)^2, or an overlap of two densities in x), which
@@ -31,11 +47,12 @@ materializing redundant copies.
 Memory contract: one level of n nodes per axis of a 3-D integral is
 evaluated one x-panel at a time, so it holds one QUAD_ORDER x n x n float64
 slab (1.0 MB at 64^3, where the densities of the package settle for
-q <= 0.9; 4.2 MB at 128^3; 16.8 MB at 256^3, the finest level integrate3d
-tries).  The densities build that slab as their only slab-sized object:
-each of their factors depends on two coordinates, so it is at most
-n^2-sized.  On a 2-D grid those factors are themselves grid-sized; a
-kernel holds its running sum and one term while it runs.
+q <= 0.9 and, through the angle map, up to q = 0.999; 4.2 MB at 128^3;
+16.8 MB at 256^3, the finest level integrate3d tries).  The densities
+build that slab as their only slab-sized object: each of their factors
+depends on two coordinates, so it is at most n^2-sized.  On a 2-D grid
+those factors are themselves grid-sized; a kernel holds its running sum
+and one term while it runs.
 """
 
 from __future__ import annotations
@@ -57,6 +74,7 @@ __all__ = [
     "MAX_PANELS_1D",
     "MAX_PANELS_2D",
     "MAX_PANELS_3D",
+    "MAP_SCALE",
     "IntegralResult",
     "integrate1d",
     "integrate2d",
@@ -73,6 +91,10 @@ QUAD_TOL_3D = 1e-6
 MAX_PANELS_1D = 256
 MAX_PANELS_2D = 64
 MAX_PANELS_3D = 8
+# Half-width in x that the angle map keeps at the resolution of the plain
+# rule: near phi = 0 the map is x ~ MAP_SCALE tan(phi).  Its eps =
+# min(1, MAP_SCALE / L) is exactly 1 for every q <= 15/16.
+MAP_SCALE = 8.0
 
 
 @dataclass(frozen=True)
@@ -82,8 +104,29 @@ class IntegralResult:
     panels_used: int
 
 
+def _theta_of_phi(
+    phi: np.ndarray, half: float
+) -> tuple[np.ndarray, np.ndarray | float]:
+    """theta = arctan(eps tan phi) and d theta / d phi = eps / (cos^2 phi +
+    eps^2 sin^2 phi) on [-pi/2, pi/2], for half-width L = half; phi itself
+    and 1.0 when eps = 1."""
+    eps = min(1.0, MAP_SCALE / half)
+    if eps == 1.0:
+        return phi, 1.0
+    c, s = np.cos(phi), eps * np.sin(phi)
+    return np.arctan2(s, c), eps / (c * c + s * s)
+
+
+def _phi_of_theta(theta: np.ndarray, half: float) -> np.ndarray:
+    """The inverse map phi = arctan(tan theta / eps); theta itself when eps = 1."""
+    eps = min(1.0, MAP_SCALE / half)
+    if eps == 1.0:
+        return theta
+    return np.arctan2(np.sin(theta), eps * np.cos(theta))
+
+
 def _axis(q: float, panels: int):
-    """One axis of QUAD_ORDER * panels midpoint nodes in theta and their
+    """One axis of QUAD_ORDER * panels midpoint nodes in phi and their
     Jacobian-absorbed weights over the support."""
     half = support_halfwidth(q)
     if not math.isfinite(half):
@@ -92,8 +135,8 @@ def _axis(q: float, panels: int):
     step = math.pi / n
     # (k - (n-1)/2) is an exact half-integer, so the nodes are exactly
     # symmetric about 0.
-    theta = (np.arange(n) - 0.5 * (n - 1)) * step
-    return half * np.sin(theta), (step * half) * np.cos(theta)
+    theta, dtheta = _theta_of_phi((np.arange(n) - 0.5 * (n - 1)) * step, half)
+    return half * np.sin(theta), (step * half) * np.cos(theta) * dtheta
 
 
 def _value_1d(f: Callable, q: float, panels: int) -> float:

@@ -10,9 +10,13 @@ kernel evaluation is a single matrix product.
 All randomness flows through one counter-based Philox generator keyed by the
 configured seed, so a given configuration reproduces its output exactly.
 
-Grids live in the angle variable of the substitution x = L sin(theta), which
-absorbs the square-root edge of the density.  Each CDF integrates the density's
-monotone cubic (PCHIP) interpolant exactly; each quantile inverts that integral.
+Grids are uniform in the mapped angle phi of quadrature's map: x = L sin(theta)
+absorbs the square-root edge of the density, and theta = arctan(eps tan phi)
+keeps the grid on the Gaussian bulk as q -> 1 (the identity for q <= 15/16;
+see :mod:`qnormal3d.quadrature`).  Each table row is the density in phi,
+f(x) L cos(theta) dtheta/dphi.  Each CDF integrates the row's monotone cubic
+(PCHIP) interpolant exactly; each quantile inverts that integral and returns
+theta(phi).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 from .densities import ModelParams, f_n, f_r
 from .errors import DegenerateConditioning, InsufficientSamples, NonConvergence
 from .qcore import q_number, support_halfwidth
+from .quadrature import _phi_of_theta, _theta_of_phi
 
 _KERNEL_TAIL_TOL = 1e-13
 _KERNEL_MAX_TERMS = 600
@@ -80,8 +85,17 @@ class McEstimate:
             raise ValueError("std_error must be nonnegative")
 
 
-def _theta_grid(grid_points: int) -> np.ndarray:
+def _phi_grid(grid_points: int) -> np.ndarray:
     return np.linspace(-0.5 * math.pi, 0.5 * math.pi, grid_points)
+
+
+def _density_row(
+    density: Callable[[np.ndarray], np.ndarray], half: float, phi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grid points x(phi) and the density in phi, f(x) L cos theta dtheta/dphi."""
+    theta, dtheta = _theta_of_phi(phi, half)
+    x = half * np.sin(theta)
+    return x, density(x) * half * np.cos(theta) * dtheta
 
 
 def _base_quantile(q: float, grid_points: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -185,17 +199,18 @@ def _cell_rise(
 
 
 def _invert_rows(
-    cdf: np.ndarray, dens: np.ndarray, m: np.ndarray, u: np.ndarray, theta: np.ndarray
+    cdf: np.ndarray, dens: np.ndarray, m: np.ndarray, u: np.ndarray, grid: np.ndarray
 ) -> np.ndarray:
-    """Solve cdf_row(theta) = u_row by bisection on the cell integral, for
-    tables from :func:`_pchip_cdf` with one row per u or one row for all."""
+    """Solve cdf_row(t) = u_row for t by bisection on the cell integral, for
+    tables from :func:`_pchip_cdf` on a uniform grid, with one row per u or
+    one row for all."""
     if cdf.shape[0] == 1:
         idx = np.searchsorted(cdf[0], u) - 1
     else:
         idx = np.sum(cdf < u[:, None], axis=1) - 1
     idx = np.clip(idx, 0, cdf.shape[1] - 2)
     rows = np.arange(cdf.shape[0])
-    h = theta[1] - theta[0]
+    h = grid[1] - grid[0]
     rise = _cell_rise(dens, m, rows, idx, h)
     target = u - cdf[rows, idx]
     lo = np.zeros_like(target)
@@ -205,7 +220,7 @@ def _invert_rows(
         high = rise(mid) > target
         hi = np.where(high, mid, hi)
         lo = np.where(high, lo, mid)
-    return theta[idx] + 0.5 * (lo + hi) * h
+    return grid[idx] + 0.5 * (lo + hi) * h
 
 
 def _gibbs_update(
@@ -216,7 +231,7 @@ def _gibbs_update(
     cond_b: np.ndarray,
     rho_b: float,
     q: float,
-    theta: np.ndarray,
+    phi: np.ndarray,
     half: float,
     u: np.ndarray,
 ) -> np.ndarray:
@@ -236,15 +251,15 @@ def _gibbs_update(
     hblock[n:] *= powers_b
     kernels = hblock @ grid_block
     dens = np.clip(kernels[:n] * kernels[n:], 0.0, None) * base
-    h = theta[1] - theta[0]
+    h = phi[1] - phi[0]
     cdf, m = _pchip_cdf(dens, h)
     total = cdf[:, -1]
     if np.any(total <= 0.0) or not np.all(np.isfinite(total)):
         raise DegenerateConditioning(
             "full-conditional mass vanished on the sampling grid"
         )
-    new_theta = _invert_rows(cdf, dens, m, u * total, theta)
-    return half * np.sin(new_theta)
+    new_phi = _invert_rows(cdf, dens, m, u * total, phi)
+    return half * np.sin(_theta_of_phi(new_phi, half)[0])
 
 
 def sample_3d(p: ModelParams, cfg: SamplerConfig) -> np.ndarray:
@@ -259,9 +274,8 @@ def sample_3d(p: ModelParams, cfg: SamplerConfig) -> np.ndarray:
         raise ValueError(f"need |q| < 1, got q={p.q}")
     q = p.q
     half = support_halfwidth(q)
-    theta = _theta_grid(cfg.grid_points)
-    grid_x = half * np.sin(theta)
-    base = f_n(grid_x, q) * half * np.cos(theta)
+    phi = _phi_grid(cfg.grid_points)
+    grid_x, base = _density_row(lambda xs: f_n(xs, q), half, phi)
     rho_max = max(abs(p.rho12), abs(p.rho13), abs(p.rho23))
     grid_block = _kernel_matrix(grid_x, q, rho_max)
 
@@ -276,13 +290,13 @@ def sample_3d(p: ModelParams, cfg: SamplerConfig) -> np.ndarray:
     while filled < cfg.n_samples:
         u = gen.random((3, c))
         x = _gibbs_update(
-            grid_block, base, y, p.rho12, z, p.rho13, q, theta, half, u[0]
+            grid_block, base, y, p.rho12, z, p.rho13, q, phi, half, u[0]
         )
         y = _gibbs_update(
-            grid_block, base, x, p.rho12, z, p.rho23, q, theta, half, u[1]
+            grid_block, base, x, p.rho12, z, p.rho23, q, phi, half, u[1]
         )
         z = _gibbs_update(
-            grid_block, base, y, p.rho23, x, p.rho13, q, theta, half, u[2]
+            grid_block, base, y, p.rho23, x, p.rho13, q, phi, half, u[2]
         )
         sweep += 1
         if sweep > cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:
@@ -341,21 +355,26 @@ def _density_tables(
     density: Callable[[np.ndarray], np.ndarray], q: float, grid_points: int
 ) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
     """CDF in x and quantile function in theta of a density, both read from
-    the running integral of its PCHIP in theta, so one inverts the other."""
+    the running integral of its PCHIP in phi, so one inverts the other."""
     half = support_halfwidth(q)
-    theta = _theta_grid(grid_points)
-    h = theta[1] - theta[0]
-    dens = (density(half * np.sin(theta)) * half * np.cos(theta))[None, :]
+    phi = _phi_grid(grid_points)
+    h = phi[1] - phi[0]
+    dens = _density_row(density, half, phi)[1][None, :]
     table, m = _pchip_cdf(dens, h)
     total = table[0, -1]
 
     def cdf(xs: np.ndarray) -> np.ndarray:
         th = np.arcsin(np.clip(np.asarray(xs, dtype=float) / half, -1.0, 1.0))
-        k = np.clip(np.searchsorted(theta, th, side="right") - 1, 0, grid_points - 2)
-        rise = _cell_rise(dens, m, 0, k, h)((th - theta[k]) / h)
+        ph = _phi_of_theta(th, half)
+        k = np.clip(np.searchsorted(phi, ph, side="right") - 1, 0, grid_points - 2)
+        rise = _cell_rise(dens, m, 0, k, h)((ph - phi[k]) / h)
         return np.clip((table[0, k] + rise) / total, 0.0, 1.0)
 
-    return cdf, lambda u: _invert_rows(table, dens, m, u * total, theta)
+    def quantile(u: np.ndarray) -> np.ndarray:
+        phi_u = _invert_rows(table, dens, m, u * total, phi)
+        return _theta_of_phi(phi_u, half)[0]
+
+    return cdf, quantile
 
 
 def ks_statistic(

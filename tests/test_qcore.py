@@ -131,6 +131,16 @@ class TestPochhammer:
             direct = q_pochhammer_inf(a, q)
             assert math.exp(log_q_pochhammer_inf(a, q)) == pytest.approx(direct, rel=1e-12)
 
+    @pytest.mark.parametrize("q", [0.9, 0.99, 0.999])
+    def test_log_matches_dedekind_eta(self, q):
+        # eta(-1/tau) = sqrt(-i tau) eta(tau) with q = exp(-t) gives
+        # log (q; q)_inf = -pi^2/(6t) + log(2pi/t)/2 + t/24 up to a term of
+        # order exp(-4 pi^2 / t), below 1e-160 here.  About 32k factors at
+        # q = 0.999, where a running product drifts by 8e-11.
+        t = -math.log(q)
+        eta = -(math.pi**2) / (6.0 * t) + 0.5 * math.log(2.0 * math.pi / t) + t / 24.0
+        assert log_q_pochhammer_inf(q, q) == pytest.approx(eta, rel=0.0, abs=1e-13)
+
     def test_log_rejects_large_argument(self):
         with pytest.raises(ValueError):
             log_q_pochhammer_inf(1.5, 0.5)

@@ -6,20 +6,53 @@ import numpy as np
 import pytest
 
 from qnormal3d.checks import TOL_GRAM_DIAG, TOL_GRAM_OFFDIAG
-from qnormal3d.densities import ModelParams, f_3d, f_n
+from qnormal3d.densities import ModelParams, f_3d, f_n, f_yz
 from qnormal3d.errors import NonConvergence
 from qnormal3d.polynomials import q_hermite
-from qnormal3d.qcore import q_factorial
+from qnormal3d.qcore import q_factorial, support_halfwidth
 from qnormal3d.quadrature import (
+    QUAD_ORDER,
     QUAD_TOL_1D,
+    QUAD_TOL_2D,
+    QUAD_TOL_3D,
     IntegralResult,
     _axis,
+    _phi_of_theta,
+    _theta_of_phi,
     _value_3d,
     gram_matrix,
     integrate1d,
     integrate2d,
     integrate3d,
 )
+
+
+class TestAngleMap:
+    @pytest.mark.parametrize("q", (-0.5, 0.0, 0.5, 0.9, 15 / 16))
+    def test_plain_midpoint_rule_up_to_15_16(self, q):
+        # eps = min(1, 8/L) is 1 for q <= 15/16, where the map is the
+        # identity and the nodes and weights are bit-identical to the plain
+        # midpoint rule in theta.
+        half = support_halfwidth(q)
+        for panels in (1, 2, 4):
+            n = QUAD_ORDER * panels
+            step = math.pi / n
+            theta = (np.arange(n) - 0.5 * (n - 1)) * step
+            x, w = _axis(q, panels)
+            np.testing.assert_array_equal(x, half * np.sin(theta))
+            np.testing.assert_array_equal(w, (step * half) * np.cos(theta))
+
+    @pytest.mark.parametrize("q", (0.95, 0.99, 0.999))
+    def test_map_and_inverse(self, q):
+        half = support_halfwidth(q)
+        eps = 8.0 / half
+        phi = np.linspace(-1.5, 1.5, 41)
+        theta, dtheta = _theta_of_phi(phi, half)
+        np.testing.assert_allclose(np.tan(theta), eps * np.tan(phi), rtol=1e-13)
+        np.testing.assert_allclose(_phi_of_theta(theta, half), phi, rtol=0, atol=1e-14)
+        h = 1e-6
+        up, down = _theta_of_phi(phi + h, half)[0], _theta_of_phi(phi - h, half)[0]
+        np.testing.assert_allclose(dtheta, (up - down) / (2 * h), rtol=1e-7)
 
 
 class TestIntegrate1d:
@@ -89,6 +122,17 @@ class TestIntegrate3d:
         res = integrate3d(lambda x, y, z: f_3d(x, y, z, p), p.q)
         assert res.panels_used == 2
         assert res.value == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("q", (0.99, 0.999))
+    def test_settles_at_64_nodes_per_axis_near_gaussian(self, q):
+        # The angle map keeps the nodes on the Gaussian bulk |x| < 8 as the
+        # support widens, so the level does not grow as q -> 1.
+        p = ModelParams(0.3, 0.6, -0.6, q)
+        res3 = integrate3d(lambda x, y, z: f_3d(x, y, z, p), q)
+        res2 = integrate2d(lambda x, y: f_yz(x, y, p), q)
+        assert (res3.panels_used, res2.panels_used) == (2, 2)
+        assert res3.value == pytest.approx(1.0, abs=QUAD_TOL_3D)
+        assert res2.value == pytest.approx(1.0, abs=QUAD_TOL_2D)
 
     def test_slabs_sum_to_the_whole_grid(self, params):
         # A level is summed one x-panel at a time; only the order of the
