@@ -229,6 +229,16 @@ def _kernel_terms(rho: float, q: float, cap: int) -> int | None:
     return lo
 
 
+def _kernel_coefficients(rho: float, q: float, terms: int) -> np.ndarray:
+    """c_n = 4 rho^n / (n (1-q^n)) for n = 1..terms, the Chebyshev
+    coefficients of the log Poisson-Mehler kernel, -sum_i log w(x, y | rho q^i)
+    = sum_n c_n T_n(x/L) T_n(y/L); rho^n and q^n are running products."""
+    n = np.arange(1, terms + 1)
+    rho_n = np.cumprod(np.full(terms, rho))
+    q_n = np.cumprod(np.full(terms, q))
+    return 4.0 * rho_n / (n * (1.0 - q_n))
+
+
 def _cosine(x: np.ndarray, q: float) -> np.ndarray:
     """u = x / L = cos(t), clipped to [-1, 1]."""
     return np.clip(x / support_halfwidth(q), -1.0, 1.0)
@@ -294,12 +304,8 @@ def _log_omega_series(
     total = np.zeros(np.broadcast_shapes(x.shape, y.shape))
     tu_prev, tu = np.ones(u.shape), u
     tv_prev, tv = np.ones(v.shape), v
-    rho_n = 1.0
-    q_n = 1.0
-    for n in range(1, terms + 1):
-        rho_n *= rho
-        q_n *= q
-        total += (-4.0 * rho_n / (n * (1.0 - q_n)) * tu) * tv
+    for c in _kernel_coefficients(rho, q, terms):
+        total -= (c * tu) * tv
         tu, tu_prev = 2.0 * u * tu - tu_prev, tu
         tv, tv_prev = 2.0 * v * tv - tv_prev, tv
     return total

@@ -12,6 +12,7 @@ from qnormal3d.densities import (
     DensityForm,
     MarginalForm,
     ModelParams,
+    _kernel_coefficients,
     _kernel_terms,
     _log_f_n,
     _log_lq_product,
@@ -242,6 +243,19 @@ class TestKernelSeries:
                 rtol=0,
                 atol=1e-9,
             )
+
+    @pytest.mark.parametrize("q", KERNEL_QS)
+    @pytest.mark.parametrize("rho", KERNEL_RHOS)
+    def test_coefficients_equal_running_products(self, rho, q):
+        # The densities and the sampler read one vector; it must keep the
+        # scalar loop's rounding, so every density stays bit for bit.
+        terms = _kernel_terms(rho, q, MAX_TERMS)
+        want, rho_n, q_n = [], 1.0, 1.0
+        for n in range(1, terms + 1):
+            rho_n *= rho
+            q_n *= q
+            want.append(4.0 * rho_n / (n * (1.0 - q_n)))
+        np.testing.assert_array_equal(_kernel_coefficients(rho, q, terms), want)
 
     @pytest.mark.parametrize("q", KERNEL_QS)
     def test_zero_coupling_is_exactly_zero(self, q):

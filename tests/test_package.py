@@ -1,5 +1,8 @@
 """The package's lazy export table."""
 
+import ast
+from pathlib import Path
+
 import qnormal3d
 
 EXPORTS = {
@@ -28,3 +31,20 @@ def test_exports_are_pinned_and_resolve():
     assert set(qnormal3d.__all__) == EXPORTS
     for name in qnormal3d.__all__:
         getattr(qnormal3d, name)
+
+
+def test_type_checking_imports_match_export_table():
+    # The lazy table and the imports static tools read are kept by hand;
+    # each exported name must be imported from the module the table names.
+    tree = ast.parse(Path(qnormal3d.__file__).read_text())
+    guard = next(
+        node for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"
+    )
+    imported = {
+        alias.name: node.module
+        for node in guard.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert imported == qnormal3d._EXPORTS

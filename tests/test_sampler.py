@@ -9,14 +9,26 @@ import numpy as np
 import pytest
 
 import qnormal3d
-from qnormal3d.densities import ModelParams, f_n
-from qnormal3d.errors import InsufficientSamples
+from qnormal3d.densities import (
+    ModelParams,
+    _cosine,
+    _kernel_coefficients,
+    _kernel_terms,
+    f_n,
+    f_x_given_yz,
+)
+from qnormal3d.errors import InsufficientSamples, NonConvergence
 from qnormal3d.moments import cov_yz, var_z
-from qnormal3d.qcore import support_halfwidth
+from qnormal3d.qcore import MAX_TERMS, support_halfwidth
+from qnormal3d.quadrature import _theta_of_phi
 from qnormal3d.sampler import (
     McEstimate,
     SamplerConfig,
     _base_quantile,
+    _chebyshev_rows,
+    _conditional_rows,
+    _density_row,
+    _phi_grid,
     cdf_fn,
     cdf_r,
     ks_critical,
@@ -105,11 +117,64 @@ class TestBaseSampler:
 
 
 class TestGibbsSampler:
-    def test_shape_and_support(self, params):
+    @staticmethod
+    def _check_shape_and_support(p):
         cfg = SamplerConfig(seed=5, n_samples=1500, **FAST_3D)
-        draws = sample_3d(params, cfg)
+        draws = sample_3d(p, cfg)
         assert draws.shape == (1500, 3)
-        assert np.max(np.abs(draws)) <= support_halfwidth(params.q)
+        assert np.max(np.abs(draws)) <= support_halfwidth(p.q)
+
+    def test_shape_and_support(self, params):
+        self._check_shape_and_support(params)
+
+    @pytest.mark.parametrize(
+        "point", [(0.3, 0.6, -0.6, 0.999), (0.95, 0.3, 0.3, 0.5)]
+    )
+    def test_shape_and_support_near_domain_edges(self, point):
+        # q -> 1 and |rho| -> 1: the kernel rank comes from the densities'
+        # Chebyshev tail bound, which depends on |rho| alone (N = 64, 589).
+        self._check_shape_and_support(ModelParams(*point))
+
+    def test_kernel_beyond_series_cap_raises(self):
+        # |rho| = 0.99999 needs about 3.0 million terms: the raise names the
+        # cap before any grid matrix is built.
+        cfg = SamplerConfig(seed=5, n_samples=10, **FAST_3D)
+        with pytest.raises(NonConvergence, match=str(MAX_TERMS)):
+            sample_3d(ModelParams(0.99999, 0.3, 0.3, 0.5), cfg)
+
+    @pytest.mark.parametrize("q", [0.5, 0.99, 0.999])
+    @pytest.mark.parametrize(
+        "rhos", [(0.3, 0.6, -0.6), (0.9, -0.9, 0.5), (-0.9, 0.3, 0.9)]
+    )
+    def test_conditional_rows_match_f_x_given_yz(self, rhos, q):
+        # The sampler's conditional in phi is f_x_given_yz times the grid's
+        # Jacobian L cos(theta) dtheta/dphi; both rows are normalized to sum 1.
+        # At q = 0.5 and |rho| = 0.9 f_x_given_yz takes the factor product.
+        p = ModelParams(*rhos, q)
+        half = support_halfwidth(q)
+        phi = _phi_grid(128)
+        grid_x, base = _density_row(lambda xs: f_n(xs, q), half, phi)
+        terms = _kernel_terms(max(abs(r) for r in rhos), q, MAX_TERMS)
+        grid_rows = _chebyshev_rows(_cosine(grid_x, q), np.ones(terms))
+        y = np.array([-2.0, -1.5, 0.3, 2.0])
+        z = np.array([2.1, 0.7, -0.2, 1.9])
+        rows = _conditional_rows(
+            grid_rows,
+            base,
+            y,
+            _kernel_coefficients(p.rho12, q, terms),
+            z,
+            _kernel_coefficients(p.rho13, q, terms),
+            q,
+        )
+        theta, dtheta = _theta_of_phi(phi, half)
+        jacobian = half * np.cos(theta) * dtheta
+        want = np.stack([f_x_given_yz(grid_x, b, c, p) * jacobian for b, c in zip(y, z)])
+        rows /= rows.sum(axis=1, keepdims=True)
+        want /= want.sum(axis=1, keepdims=True)
+        # Far tails reach subnormal numbers, which carry no relative digits.
+        tiny = np.finfo(float).tiny
+        np.testing.assert_allclose(rows, want, rtol=1e-10, atol=tiny)
 
     def test_deterministic(self, params):
         cfg = SamplerConfig(seed=77, n_samples=800, **FAST_3D)
