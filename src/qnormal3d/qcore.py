@@ -19,6 +19,7 @@ cap.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -137,9 +138,12 @@ def log_q_pochhammer_inf(a: float, q: float) -> float:
     # Each factor from its own power a q^k, not from a running product that
     # drifts; the omitted factors add sum_{k>=n} log(1 - a q^k) = -a q^n /
     # (1 - q) to within (a q^n)^2 / (1 - q^2), below PRODUCT_TOL^2 / (1 - q^2).
-    terms = np.log1p(-a * q ** np.arange(n)).tolist()
-    terms.append(-a * q**n / (1.0 - q))
-    return math.fsum(terms)
+    # One float array of n logs, made in place and read by fsum as it goes.
+    logs = np.arange(n, dtype=float)
+    np.power(q, logs, out=logs)
+    logs *= -a
+    np.log1p(logs, out=logs)
+    return math.fsum(itertools.chain(memoryview(logs), (-a * q**n / (1.0 - q),)))
 
 
 def support_halfwidth(q: float) -> float:

@@ -17,7 +17,8 @@ keeps the grid on the Gaussian bulk as q -> 1 (the identity for q <= 15/16;
 see :mod:`qnormal3d.quadrature`).  Each table row is the density in phi,
 f(x) L cos(theta) dtheta/dphi.  Each CDF integrates the row's monotone cubic
 (PCHIP) interpolant exactly; each quantile inverts that integral and returns
-theta(phi).
+theta(phi).  Both read their table ``_BLOCK`` points at a time, so their
+working set does not grow with the number of points read.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .qcore import MAX_TERMS, support_halfwidth
 from .quadrature import _phi_of_theta, _theta_of_phi
 
 _BISECTIONS = 26
+_BLOCK = 4096
 _KS_TERMS = 100
 _NEWTON_STEPS = 60
 
@@ -113,8 +115,10 @@ def sample_fn(q: float, cfg: SamplerConfig) -> np.ndarray:
     half = support_halfwidth(q)
     quantile = _base_quantile(q, cfg.grid_points)
     gen = np.random.Generator(np.random.Philox(key=cfg.seed))
-    u = gen.random(cfg.n_samples)
-    return half * np.sin(quantile(u))
+    out = quantile(gen.random(cfg.n_samples))
+    np.sin(out, out=out)
+    out *= half
+    return out
 
 
 def _chebyshev_rows(u: np.ndarray, coef: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -133,13 +137,19 @@ def _pchip_slopes(y: np.ndarray, h: float) -> np.ndarray:
     """Fritsch-Carlson (PCHIP) slopes for rows of values on a uniform grid:
     harmonic-mean interior slopes, 0 where the secants change sign, and
     Moler's limited three-point end slopes.  Rows need not be monotone."""
-    d = np.diff(y, axis=1) / h
+    d = np.diff(y, axis=1)
+    d /= h
     m = np.zeros_like(y)
     left, right = d[:, :-1], d[:, 1:]
-    flat = (np.sign(left) != np.sign(right)) | (left == 0) | (right == 0)
+    harm = m[:, 1:-1]  # scratch for the signs, then the harmonic means
+    flat = np.sign(left, out=harm) != np.sign(right)
+    flat |= left == 0
+    flat |= right == 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        harm = 2.0 / (1.0 / left + 1.0 / right)
-    m[:, 1:-1] = np.where(flat, 0.0, harm)
+        np.divide(1.0, left, out=harm)
+        harm += 1.0 / right
+        np.divide(2.0, harm, out=harm)
+    np.copyto(harm, 0.0, where=flat)
     for end, d0, d1 in ((0, d[:, 0], d[:, 1]), (-1, d[:, -1], d[:, -2])):
         e = 1.5 * d0 - 0.5 * d1
         e = np.where(np.sign(e) != np.sign(d0), 0.0, e)
@@ -152,8 +162,15 @@ def _pchip_cdf(dens: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Integral of the PCHIP of density rows up to each node, and its slopes.
     A cell adds the trapezoid rule plus h^2 (m0 - m1) / 12, which telescopes."""
     m = _pchip_slopes(dens, h)
-    trapezoid = h * (np.cumsum(dens, axis=1) - 0.5 * (dens + dens[:, :1]))
-    return trapezoid + h * h / 12.0 * (m[:, :1] - m), m
+    cdf = np.cumsum(dens, axis=1)
+    tmp = np.add(dens, dens[:, :1])
+    tmp *= 0.5
+    cdf -= tmp
+    cdf *= h
+    np.subtract(m[:, :1], m, out=tmp)
+    tmp *= h * h / 12.0
+    cdf += tmp
+    return cdf, m
 
 
 def _cell_rise(
@@ -337,7 +354,7 @@ def _density_tables(
     total = table[0, -1]
 
     def cdf(xs: np.ndarray) -> np.ndarray:
-        th = np.arcsin(np.clip(np.asarray(xs, dtype=float) / half, -1.0, 1.0))
+        th = np.arcsin(np.clip(xs / half, -1.0, 1.0))
         ph = _phi_of_theta(th, half)
         k = np.clip(np.searchsorted(phi, ph, side="right") - 1, 0, grid_points - 2)
         rise = _cell_rise(dens, m, 0, k, h)((ph - phi[k]) / h)
@@ -347,7 +364,19 @@ def _density_tables(
         phi_u = _invert_rows(table, dens, m, u * total, phi)
         return _theta_of_phi(phi_u, half)[0]
 
-    return cdf, quantile
+    return (lambda xs: _blockwise(cdf, xs)), (lambda u: _blockwise(quantile, u))
+
+
+def _blockwise(fn: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> np.ndarray:
+    """An elementwise table read fn applied ``_BLOCK`` points at a time into
+    one float array of the input's shape, so fn's temporaries (seven cell
+    coefficients and the bisection state per point) stay block-sized."""
+    xs = np.asarray(xs, dtype=float)
+    out = np.empty(xs.shape)
+    flat_in, flat_out = xs.reshape(-1), out.reshape(-1)
+    for start in range(0, flat_in.shape[0], _BLOCK):
+        flat_out[start : start + _BLOCK] = fn(flat_in[start : start + _BLOCK])
+    return out
 
 
 def ks_statistic(

@@ -3,11 +3,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnormal3d.qcore import (
+    _factors_needed,
     log_q_pochhammer_inf,
     q_binomial,
     q_factorial,
@@ -140,6 +142,20 @@ class TestPochhammer:
         t = -math.log(q)
         eta = -(math.pi**2) / (6.0 * t) + 0.5 * math.log(2.0 * math.pi / t) + t / 24.0
         assert log_q_pochhammer_inf(q, q) == pytest.approx(eta, rel=0.0, abs=1e-13)
+
+    @pytest.mark.parametrize("a", [0.3, -0.6, 0.999])
+    @pytest.mark.parametrize("q", [-0.9, 0.0, 0.5, 0.99, 0.999])
+    def test_log_is_fsum_of_factor_logs(self, a, q):
+        # The sum of log1p(-a q^k), k < K, and the tail -a q^K / (1 - q),
+        # formed as a list: the same values give the same double.
+        k = _factors_needed(a, q)
+        terms = np.log1p(-a * q ** np.arange(k)).tolist() + [-a * q**k / (1.0 - q)]
+        assert log_q_pochhammer_inf(a, q) == math.fsum(terms)
+
+    def test_log_holds_one_factor_array(self, traced_peak):
+        k = _factors_needed(0.3, 0.999)
+        peak, _ = traced_peak(lambda: log_q_pochhammer_inf(0.3, 0.999))
+        assert peak <= 1.25 * 8 * k
 
     def test_log_rejects_large_argument(self):
         with pytest.raises(ValueError):

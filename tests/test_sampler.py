@@ -22,12 +22,14 @@ from qnormal3d.moments import cov_yz, var_z
 from qnormal3d.qcore import MAX_TERMS, support_halfwidth
 from qnormal3d.quadrature import _theta_of_phi
 from qnormal3d.sampler import (
+    _BLOCK,
     McEstimate,
     SamplerConfig,
     _base_quantile,
     _chebyshev_rows,
     _conditional_rows,
     _density_row,
+    _pchip_cdf,
     _phi_grid,
     cdf_fn,
     cdf_r,
@@ -272,6 +274,59 @@ class TestCdfHelpers:
         u = gen.uniform(size=5000)
         stat = ks_statistic(u, lambda x: np.clip(x, 0.0, 1.0))
         assert stat < ks_critical(5000, alpha=0.01)
+
+
+class TestBlockwiseTables:
+    """Tables are read _BLOCK points at a time; every value stays the one a
+    single read of that point gives."""
+
+    @pytest.mark.parametrize("q", [0.5, 0.999])
+    def test_blocks_equal_pointwise_reads(self, q):
+        half = support_halfwidth(q)
+        xs = np.linspace(-1.05, 1.05, 2 * _BLOCK + 1) * half
+        us = np.linspace(0.0, 1.0, 2 * _BLOCK + 1)
+        for read, pts in ((cdf_fn(q, 256), xs), (_base_quantile(q, 256), us)):
+            whole = read(pts)
+            single = np.array([read(p) for p in pts])
+            assert whole.shape == pts.shape
+            assert whole.tobytes() == single.tobytes()
+            edges = [0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK]
+            assert whole[edges].tobytes() == read(pts[edges]).tobytes()
+
+    def test_keeps_scalar_and_2d_shapes(self):
+        half = support_halfwidth(0.5)
+        xs = np.linspace(-half, half, 60).reshape(6, 10)
+        for read, pts in ((cdf_r(0.3, 0.5), xs), (_base_quantile(0.5, 256), xs / (2 * half) + 0.5)):
+            grid = read(pts)
+            assert grid.shape == (6, 10)
+            assert grid.tobytes() == read(pts.ravel()).tobytes()
+            point = read(pts[2, 3])
+            assert point.shape == ()
+            assert point == grid[2, 3]
+
+
+class TestBoundedWorkingSet:
+    """Peak traced memory of the table reads stays near their output; the
+    unblocked reads held 10-13 point-sized arrays."""
+
+    N = 200_000
+
+    def test_sample_fn(self, traced_peak):
+        peak, draws = traced_peak(lambda: sample_fn(0.9, SamplerConfig(seed=5, n_samples=self.N)))
+        assert peak <= 3.0 * draws.nbytes
+
+    @pytest.mark.parametrize("q", [0.5, 0.999])
+    def test_cdf_and_quantile(self, q, traced_peak):
+        pts = np.linspace(0.0, 1.0, self.N)
+        for read in (cdf_fn(q), _base_quantile(q, 256)):
+            peak, out = traced_peak(lambda: read(pts))
+            assert peak <= 1.5 * out.nbytes
+
+    def test_pchip_cdf_rows(self, traced_peak):
+        phi = _phi_grid(128)
+        rows = np.exp(-np.outer(np.linspace(0.5, 4.0, 256), np.sin(phi) ** 2)) * np.cos(phi)
+        peak, _ = traced_peak(lambda: _pchip_cdf(rows, phi[1] - phi[0]))
+        assert peak <= 4.5 * rows.nbytes
 
 
 class TestKsCritical:
