@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
@@ -196,7 +195,7 @@ def check_marginals(p: ModelParams, seed: int = 7) -> List[VerificationReport]:
     out.append(
         _worst(
             "fZ-r-only",
-            ((f_z(zv, alt.r, q), f_z(zv, p.r, q)) for zv in zs2),
+            zip(f_z(zs2, alt.r, q).tolist(), f_z(zs2, p.r, q).tolist()),
             TOL_R_ONLY,
         )
     )
@@ -215,13 +214,15 @@ def _equal_r_variant(p: ModelParams) -> ModelParams:
     return ModelParams(rho12=a, rho13=c, rho23=c * c / a, q=p.q)
 
 
+def _spread(forms: Sequence[np.ndarray]) -> Iterable[Tuple[float, float]]:
+    """(largest, smallest) over the evaluation routes at each probe point."""
+    vals = np.array(forms)
+    return zip(vals.max(axis=0).tolist(), vals.min(axis=0).tolist())
+
+
 def _form_agreement(p: ModelParams, gen: np.random.Generator) -> VerificationReport:
-    q = p.q
-    xs = _interior(gen, q, 15).reshape(5, 3)
-    pairs = []
-    for xv, yv, zv in xs:
-        vals = [float(f_3d(xv, yv, zv, p, form=f)) for f in DensityForm]
-        pairs.append((max(vals), min(vals)))
+    xv, yv, zv = _interior(gen, p.q, 15).reshape(5, 3).T
+    pairs = _spread([f_3d(xv, yv, zv, p, form=f) for f in DensityForm])
     return _worst("f3D-form-agreement", pairs, TOL_FORMS, relative=True)
 
 
@@ -229,13 +230,8 @@ def check_fz_forms(
     p: ModelParams, seed: int = 7
 ) -> List[VerificationReport]:
     """Pairwise agreement of the four marginal evaluation routes."""
-    q = p.q
-    gen = _rng(seed)
-    zs = _interior(gen, q, 10)
-    pairs = []
-    for zv in zs:
-        vals = [float(f_z(zv, p.r, q, form=f)) for f in MarginalForm]
-        pairs.append((max(vals), min(vals)))
+    zs = _interior(_rng(seed), p.q, 10)
+    pairs = _spread([f_z(zs, p.r, p.q, form=f) for f in MarginalForm])
     return [_worst("fZ-form-agreement", pairs, TOL_FORMS, relative=True)]
 
 
@@ -305,23 +301,14 @@ def check_poisson_mehler(
     q = p.q
     gen = _rng(seed)
     rho = p.rho13
-    xs = _interior(gen, q, 50).reshape(25, 2)
-    series_vs_product = []
-    shifted = []
-    for xv, yv in xs:
-        s = float(pm_kernel(xv, yv, rho, q, form=DensityForm.SERIES))
-        pr = float(pm_kernel(xv, yv, rho, q, form=DensityForm.PRODUCT))
-        series_vs_product.append((s, pr))
-        lhs = float(pm_kernel(xv, yv, rho * q, q))
-        rhs = (
-            float(omega(xv, yv, rho, q))
-            / ((1.0 - rho**2) * (1.0 - rho**2 * q))
-            * pr
-        )
-        shifted.append((lhs, rhs))
+    xv, yv = _interior(gen, q, 50).reshape(25, 2).T
+    series = pm_kernel(xv, yv, rho, q, form=DensityForm.SERIES)
+    product = pm_kernel(xv, yv, rho, q, form=DensityForm.PRODUCT)
+    shifted = pm_kernel(xv, yv, rho * q, q)
+    rhs = omega(xv, yv, rho, q) / ((1.0 - rho**2) * (1.0 - rho**2 * q)) * product
     return [
-        _worst("pm-series-vs-product", series_vs_product, TOL_PM, relative=True),
-        _worst("pm-shifted-parameter", shifted, TOL_PM, relative=True),
+        _worst("pm-series-vs-product", zip(series.tolist(), product.tolist()), TOL_PM, relative=True),
+        _worst("pm-shifted-parameter", zip(shifted.tolist(), rhs.tolist()), TOL_PM, relative=True),
     ]
 
 
@@ -458,12 +445,7 @@ def _pcm_residual(n: int, p: ModelParams) -> float:
         for j in range(n + 1 - i)
     ]
     design = np.array(cols).T
-    target = np.array(
-        [
-            cond_exp_hn_x_given_yz(n, yv, zv, p.rho12, p.rho13, p.q)
-            for yv, zv in zip(yg.ravel(), zg.ravel())
-        ]
-    )
+    target = cond_exp_hn_x_given_yz(n, yg.ravel(), zg.ravel(), p.rho12, p.rho13, p.q)
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     return float(np.linalg.norm(design @ coef - target))
 
@@ -475,10 +457,10 @@ def kesten_mckay_density(x, r: float):
     return (1.0 + r) * np.sqrt(edge) / (2.0 * math.pi * ((1.0 + r) ** 2 - r * xv * xv))
 
 
-def _triple_product_exact_q0(k: int, m: int, n: int) -> Fraction:
+def _triple_product_exact_q0(k: int, m: int, n: int) -> float:
     if (k + m + n) % 2 or k + m < n or m + n < k or n + k < m:
-        return Fraction(0)
-    return Fraction(1)
+        return 0.0
+    return 1.0
 
 
 def check_limits(
@@ -492,7 +474,7 @@ def check_limits(
     out.append(
         _worst(
             "kesten-mckay-closed-form",
-            ((float(f_z(xv, r, 0.0)), float(kesten_mckay_density(xv, r))) for xv in xs),
+            zip(f_z(xs, r, 0.0).tolist(), kesten_mckay_density(xs, r).tolist()),
             TOL_KESTEN_MCKAY,
         )
     )
@@ -501,7 +483,7 @@ def check_limits(
         for m in range(4):
             for n in range(4):
                 exact = _triple_product_exact_q0(k, m, n)
-                pairs.append((triple_product_integral(k, m, n, 0.0), float(exact)))
+                pairs.append((triple_product_integral(k, m, n, 0.0), exact))
     out.append(_worst("q0-triple-product-exact", pairs, TOL_EXACT_Q0))
     n_h = 6
     gram = gram_matrix(

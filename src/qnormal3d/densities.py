@@ -472,47 +472,59 @@ def f_r(x, beta: float, q: float):
     return _ret(_extend(np.exp(log_val), half, xb), scalar)
 
 
+def _sum_to_tail(total: np.ndarray, terms, what: str) -> np.ndarray:
+    """Add a series' (term, envelope) pairs into total, point by point.
+
+    Each point adds terms up to its second successive envelope below
+    TAIL_TOL and none after, so an array result equals its points evaluated
+    one at a time, bit for bit.  A non-finite envelope at a point still
+    summing, or MAX_TERMS terms, raises NonConvergence.
+    """
+    live = np.ones(total.shape, dtype=bool)
+    was_below = np.zeros(total.shape, dtype=bool)
+    for j, (term, envelope) in enumerate(terms, start=1):
+        np.add(total, term, out=total, where=live)
+        # The unmasked max is cheaper; mask only once some point overflowed.
+        if not np.max(envelope) < np.inf and not np.all(np.isfinite(envelope), where=live):
+            raise NonConvergence(f"{what} overflowed at term {j}")
+        below = envelope < TAIL_TOL
+        live &= ~(was_below & below)
+        if not live.any():
+            return total
+        was_below = below
+    raise NonConvergence(f"{what} not below TAIL_TOL within {MAX_TERMS} terms")
+
+
 def _pm_series(x: np.ndarray, y: np.ndarray, rho: float, q: float) -> np.ndarray:
     """Bilinear q-Hermite kernel sum_j rho^j H_j(x) H_j(y) / [j]_q!.
 
     The recurrences run on x and y in their own shapes; only the running
-    sum is broadcast.  A term vanishes at a root of H_j(x) or H_j(y), so the
-    stop tests the envelope
+    sum is broadcast.  A term vanishes at a root of H_j(x) or H_j(y), so
+    each point's stop (_sum_to_tail) tests the envelope
     |coef| max(|H_j(x)|, |H_{j-1}(x)|) max(|H_j(y)|, |H_{j-1}(y)|) instead:
     consecutive orthogonal polynomials share no root.
     """
     total = np.ones(np.broadcast_shapes(x.shape, y.shape))
     if rho == 0.0:
         return total
-    hx_prev = np.ones(x.shape)
-    hy_prev = np.ones(y.shape)
-    hx = x
-    hy = y
-    coef = 1.0
-    qnum = 0.0
-    qpow = 1.0
-    small = 0
-    for j in range(1, MAX_TERMS + 1):
-        qnum += qpow  # [j]_q
-        qpow *= q
-        coef *= rho / qnum
-        total += coef * hx * hy
-        env_x = np.maximum(np.abs(hx), np.abs(hx_prev))
-        env_y = np.maximum(np.abs(hy), np.abs(hy_prev))
-        envelope = np.max(abs(coef) * env_x * env_y)
-        if not np.isfinite(envelope):
-            raise NonConvergence(f"bilinear kernel series overflowed at term {j}")
-        if envelope < TAIL_TOL:
-            small += 1
-            if small >= 2:
-                return total
-        else:
-            small = 0
-        hx, hx_prev = x * hx - qnum * hx_prev, hx
-        hy, hy_prev = y * hy - qnum * hy_prev, hy
-    raise NonConvergence(
-        f"bilinear kernel series not below TAIL_TOL within {MAX_TERMS} terms"
-    )
+
+    def terms():
+        hx_prev, hx = np.ones(x.shape), x
+        hy_prev, hy = np.ones(y.shape), y
+        coef = 1.0
+        qnum = 0.0
+        qpow = 1.0
+        for _ in range(MAX_TERMS):
+            qnum += qpow  # [j]_q
+            qpow *= q
+            coef *= rho / qnum
+            env_x = np.maximum(np.abs(hx), np.abs(hx_prev))
+            env_y = np.maximum(np.abs(hy), np.abs(hy_prev))
+            yield coef * hx * hy, abs(coef) * env_x * env_y
+            hx, hx_prev = x * hx - qnum * hx_prev, hx
+            hy, hy_prev = y * hy - qnum * hy_prev, hy
+
+    return _sum_to_tail(total, terms(), "bilinear kernel series")
 
 
 def pm_kernel(
@@ -661,43 +673,34 @@ def f_z(
 
 def _even_series(z: np.ndarray, r: float, q: float) -> np.ndarray:
     """sum_k r^k H_{2k}(z|q) / ([k]_q! (r;q)_{k+1}) via an incrementally
-    extended q-Hermite recurrence."""
-    h_prev = np.zeros(z.shape)  # H_{deg-1} seeded at degree -1
-    h_cur = np.ones(z.shape)  # H_deg with deg = 0
-    deg_qnum = 0.0  # [deg]_q
-    deg_qpow = 1.0  # q^deg
-    coef = 1.0 / (1.0 - r)
-    total = coef * np.ones(z.shape)  # k = 0 term is H_0 / (r;q)_1
+    extended q-Hermite recurrence.  Each point stops (_sum_to_tail) on the
+    envelope |coef| max(|H_{2k}|, |H_{2k-1}|), which cannot vanish before
+    the tail does: H_{2k} and H_{2k-1} share no root."""
+    total = np.full(z.shape, 1.0 / (1.0 - r))  # k = 0 term is H_0 / (r;q)_1
     if r == 0.0:
         return total
-    k_qnum = 0.0  # [k]_q
-    k_qpow = 1.0  # q^(k-1) ahead of the update
-    rq = r * q  # r q^k inside (r;q)_{k+1} / (r;q)_k
-    small = 0
-    for k in range(1, MAX_TERMS + 1):
-        for _ in range(2):
-            h_cur, h_prev = z * h_cur - deg_qnum * h_prev, h_cur
-            deg_qnum += deg_qpow
-            deg_qpow *= q
-        k_qnum += k_qpow
-        k_qpow *= q
-        coef *= r / (k_qnum * (1.0 - rq))
-        rq *= q
-        total += coef * h_cur
-        # H_{2k} and H_{2k-1} share no root, so this envelope cannot vanish
-        # before the tail does.
-        envelope = np.max(abs(coef) * np.maximum(np.abs(h_cur), np.abs(h_prev)))
-        if not np.isfinite(envelope):
-            raise NonConvergence(f"even-degree series overflowed at term {k}")
-        if envelope < TAIL_TOL:
-            small += 1
-            if small >= 2:
-                return total
-        else:
-            small = 0
-    raise NonConvergence(
-        f"even-degree series not below TAIL_TOL within {MAX_TERMS} terms"
-    )
+
+    def terms():
+        coef = 1.0 / (1.0 - r)
+        h_prev = np.zeros(z.shape)  # H_{deg-1} seeded at degree -1
+        h_cur = np.ones(z.shape)  # H_deg with deg = 0
+        deg_qnum = 0.0  # [deg]_q
+        deg_qpow = 1.0  # q^deg
+        k_qnum = 0.0  # [k]_q
+        k_qpow = 1.0  # q^(k-1) ahead of the update
+        rq = r * q  # r q^k inside (r;q)_{k+1} / (r;q)_k
+        for _ in range(MAX_TERMS):
+            for _ in range(2):
+                h_cur, h_prev = z * h_cur - deg_qnum * h_prev, h_cur
+                deg_qnum += deg_qpow
+                deg_qpow *= q
+            k_qnum += k_qpow
+            k_qpow *= q
+            coef *= r / (k_qnum * (1.0 - rq))
+            rq *= q
+            yield coef * h_cur, abs(coef) * np.maximum(np.abs(h_cur), np.abs(h_prev))
+
+    return _sum_to_tail(total, terms(), "even-degree series")
 
 
 def f_x_given_yz(x, y, z, params: ModelParams):

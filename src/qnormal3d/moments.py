@@ -211,26 +211,33 @@ def cond_exp_pn_x_given_yz(
 
 def cond_exp_hn_x_given_yz(
     n: int,
-    y: float,
-    z: float,
+    y,
+    z,
     rho12: float,
     rho13: float,
     q: float,
     form: CondMomentForm = CondMomentForm.ASC_EXPANSION,
-) -> float:
+):
     """E(H_n(X) | Y=y, Z=z), a polynomial of total degree n in (y, z).
 
     The conditional law of X given both other coordinates depends only on
     rho12 and rho13, so rho23 does not appear.  All three forms agree to
     near machine precision; they differ in how the answer is organized.
+
+    ASC_EXPANSION and DOUBLE_SUM take y and z as scalars or broadcastable
+    arrays and return a float or an array; each point of an array result
+    equals that point evaluated alone, bit for bit.  ASC_IMAGE solves one
+    basis change per y, so it takes scalars only and raises ValueError on
+    an array.  DomainError is raised if any point lies outside the support.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     half = support_halfwidth(q)
-    if abs(y) > half or abs(z) > half:
+    if np.any(np.abs(y) > half) or np.any(np.abs(z) > half):
         raise DomainError(f"conditioning point outside the support [-{half}, {half}]")
-    if n == 0:
-        return 1.0
+    scalar = np.ndim(y) == 0 and np.ndim(z) == 0
+    if form is CondMomentForm.ASC_IMAGE and not scalar:
+        raise ValueError("the asc-image form takes scalar y and z")
     if form is CondMomentForm.ASC_EXPANSION:
         hy = q_hermite(n, y, q).values
         pz = asc_poly(n, z, y, rho12 * rho13, q).values
@@ -245,7 +252,7 @@ def cond_exp_hn_x_given_yz(
                 * hy[n - s]
                 * pz[s]
             )
-        return float(total)
+        return float(total) if scalar else total
     if form is CondMomentForm.DOUBLE_SUM:
         hz = q_hermite(n, z, q).values
         hy = q_hermite(n, y, q).values
@@ -273,7 +280,8 @@ def cond_exp_hn_x_given_yz(
                     * hy[n - 2 * k - j]
                 )
             total += outer * inner
-        return float(total / q_pochhammer(rho12**2 * rho13**2, q, n))
+        total = total / q_pochhammer(rho12**2 * rho13**2, q, n)
+        return float(total) if scalar else total
     if form is CondMomentForm.ASC_IMAGE:
         coeffs = _asc_basis_coeffs(n, float(y), rho12, q)
         total = 0.0

@@ -13,8 +13,8 @@ are truncated once the first omitted factor is within PRODUCT_TOL of 1,
 with a hard cap of MAX_TERMS factors; log_q_pochhammer_inf adds the omitted
 tail in closed form and sums its logs exactly, so it is correct to rounding
 at every |q| < 1 within the cap.  The series elsewhere in the package
-stop once two successive term envelopes fall below TAIL_TOL, under the same
-cap.
+stop point by point, each point once two successive term envelopes there
+fall below TAIL_TOL, under the same cap.
 """
 
 from __future__ import annotations

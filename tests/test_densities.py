@@ -289,6 +289,39 @@ class TestKernelSeries:
         np.testing.assert_allclose(vals, f_n(xs, q) * pm_kernel(xs, 0.5, rho, q), rtol=1e-12)
 
 
+class TestBatchIndependence:
+    """Each point of an array call stops its series on its own tail, so the
+    array result equals the points evaluated one at a time, bit for bit.
+    x = 0 is a root of H_1 and sits next to 0.9 L, so the two points stop
+    at different terms."""
+
+    @pytest.mark.parametrize("q", [-0.5, 0.3, 0.9])
+    def test_array_equals_pointwise(self, q):
+        half = support_halfwidth(q)
+        xs = np.array([0.0, 0.9, -0.4, 0.55]) * half
+        ys = np.array([0.3, -0.7, 0.0, 0.85]) * half
+        zs = xs[::-1].copy()
+        p = ModelParams(0.3, 0.6, -0.6, q)
+
+        def pointwise(fn, *coords):
+            return np.array([fn(*point) for point in zip(*coords)])
+
+        for form in DensityForm:
+            np.testing.assert_array_equal(
+                pm_kernel(xs, ys, 0.6, q, form=form),
+                pointwise(lambda x, y: pm_kernel(x, y, 0.6, q, form=form), xs, ys),
+            )
+            np.testing.assert_array_equal(
+                f_3d(xs, ys, zs, p, form=form),
+                pointwise(lambda x, y, z: f_3d(x, y, z, p, form=form), xs, ys, zs),
+            )
+        for form in MarginalForm:
+            np.testing.assert_array_equal(
+                f_z(xs, 0.18, q, form=form),
+                pointwise(lambda z: f_z(z, 0.18, q, form=form), xs),
+            )
+
+
 class TestSeriesOverflow:
     """A q-Hermite series whose terms overflow stops at once with an error
     that says so, instead of running MAX_TERMS iterations on NaN."""

@@ -23,6 +23,7 @@ from qnormal3d.moments import (
     quadrature_oracle,
     var_z,
 )
+from qnormal3d.qcore import support_halfwidth
 
 rhos = st.floats(min_value=-0.7, max_value=0.7)
 qs = st.floats(min_value=-0.8, max_value=0.8)
@@ -144,6 +145,37 @@ class TestConditionalForms:
         v1 = cond_exp_hn_x_given_yz(3, 0.5, 1.2, p.rho12, p.rho13, p.q)
         v2 = cond_exp_hn_x_given_yz(3, 0.5, -0.8, p.rho12, p.rho13, p.q)
         assert v1 == pytest.approx(v2, rel=1e-13)
+
+
+class TestConditionalArrays:
+    """cond_exp_hn_x_given_yz on arrays: one call, the per-point values."""
+
+    @pytest.mark.parametrize("form", [CondMomentForm.ASC_EXPANSION, CondMomentForm.DOUBLE_SUM])
+    @pytest.mark.parametrize("q", [-0.5, 0.3, 0.9])
+    def test_array_equals_pointwise(self, form, q):
+        half = support_halfwidth(q)
+        grid = np.linspace(-0.85 * half, 0.85 * half, 7)
+        yg, zg = np.meshgrid(grid, grid)
+        ys, zs = yg.ravel(), zg.ravel()
+        for n in range(5):
+            vals = cond_exp_hn_x_given_yz(n, ys, zs, 0.3, -0.6, q, form=form)
+            ref = [cond_exp_hn_x_given_yz(n, y, z, 0.3, -0.6, q, form=form) for y, z in zip(ys, zs)]
+            assert isinstance(ref[0], float)
+            np.testing.assert_array_equal(vals, ref)
+
+    def test_any_point_outside_raises(self):
+        half = support_halfwidth(0.5)
+        ys = np.array([0.0, 1.01 * half])
+        with pytest.raises(DomainError):
+            cond_exp_hn_x_given_yz(2, ys, 0.1, 0.3, 0.6, 0.5)
+        with pytest.raises(DomainError):
+            cond_exp_hn_x_given_yz(2, 0.1, -ys, 0.3, 0.6, 0.5, form=CondMomentForm.DOUBLE_SUM)
+
+    def test_asc_image_rejects_arrays(self):
+        with pytest.raises(ValueError, match="scalar"):
+            cond_exp_hn_x_given_yz(
+                2, np.array([0.1, 0.2]), 0.3, 0.3, 0.6, 0.5, form=CondMomentForm.ASC_IMAGE
+            )
 
 
 class TestSingleConditionedMoments:
