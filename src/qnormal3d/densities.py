@@ -18,9 +18,7 @@ cyclic product of three such conditionals times the normalizing constant
 
 All infinite products and the constants in front of them are accumulated in
 log space: near q = 1 the products grow past the double range while the
-densities themselves stay perfectly representable.  Inside the product loops
-plain factors are multiplied in blocks of 32 and the log is taken once per
-block, which keeps the log overhead negligible.
+densities themselves stay perfectly representable.
 
 With x = L cos(t) (L the support half-width), f_N is a Jacobi theta
 function, f_N = sqrt(1-q) theta_1(t, sqrt(q)) / (2 pi q^(1/8)).  For
@@ -29,12 +27,16 @@ no product while the product above needs ~1/(1-q) factors; at and below
 0.2 the product is kept.  Both write the edge factor as log sin(t), so f_N
 is exactly 0 at the edge.
 
-The rho-kernel sum_i log w(x, y | rho q^i) has, besides its F factors, a
-Chebyshev series in x/L and y/L whose N terms depend on |rho| alone, while
-F grows like 1/(1-q).  The densities take the series when N <= F and the
-factors otherwise (|rho| -> 1 at moderate q); pm_kernel's product form
-always takes the factors, as the reference the series form is checked
-against.
+Both kernels are |1 - a e^{i theta}|^2 forms, at theta = 2t for l(x|a) and
+at theta = t +- s for w(x, y|a) with y = L cos(s), so both products,
+sum_i log l(x | a q^i) and sum_i log w(x, y | a q^i), have the same
+Chebyshev coefficients c_n = 4 a^n / (n (1-q^n)).  Each is evaluated by one
+factor loop in the angles (F factors, F growing like 1/(1-q), multiplied
+in blocks with one log per block) or by one Chebyshev series (N terms,
+N depending on |a| alone), under one rule: the series when N <= F, the
+factors otherwise (|a| -> 1 at moderate q).  pm_kernel's product form and
+f_Z's edge-product form always take the factors, as the references the
+other forms are checked against.
 
 Point arguments accept scalars or broadcastable numpy arrays.  Unconditional
 densities, and f_cn in x, extend by zero outside the support; f_x_given_yz,
@@ -175,39 +177,6 @@ def omega(x, y, rho: float, q: float):
     return _ret(val, scalar)
 
 
-def _log_blocks(values_iter, shape) -> np.ndarray:
-    """Sum of logs of a stream of positive factor arrays, taking logs once
-    per _BLOCK factors to limit transcendental cost."""
-    total = np.zeros(shape)
-    block = np.ones(shape)
-    count = 0
-    for factor in values_iter:
-        block *= factor
-        count += 1
-        if count == _BLOCK:
-            total += np.log(block, out=block)
-            block.fill(1.0)
-            count = 0
-    if count:
-        total += np.log(block, out=block)
-    return total
-
-
-def _log_lq_product(x: np.ndarray, a0: float, q: float) -> np.ndarray:
-    """sum_{i>=0} log l(x | a0 q^i) for x inside the support."""
-    n = _factors_needed(6.0 * a0, q)
-    one_minus_q = 1.0 - q
-    xsq = x**2
-
-    def factors():
-        a = a0
-        for _ in range(n):
-            yield (1.0 + a) ** 2 - one_minus_q * a * xsq
-            a *= q
-
-    return _log_blocks(factors(), xsq.shape)
-
-
 def _kernel_terms(rho: float, q: float, cap: int) -> int | None:
     """Smallest N <= cap at which the tail bound of the Chebyshev kernel
     series, 4|rho|^(N+1) / ((N+1)(1-|q|^(N+1))(1-|rho|)), is below
@@ -244,80 +213,98 @@ def _cosine(x: np.ndarray, q: float) -> np.ndarray:
     return np.clip(x / support_halfwidth(q), -1.0, 1.0)
 
 
-def _log_omega_factors(x: np.ndarray, y: np.ndarray, rho: float, q: float) -> np.ndarray:
-    """sum_{i>=0} log w(x, y | rho q^i) for x, y inside the support, one
-    factor at a time.
+def _log_factors(a0: float, q: float, t: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
+    """sum_{i>=0} log of the kernel factors at a = a0 q^i, one at a time:
+    l(x | a) for x = L cos(t), or w(x, y | a) with y = L cos(s) as well.
 
-    With x = L cos(t) and y = L cos(s), each factor is
-    w(x, y|a) = ((1-a)^2 + 4a sin^2((t+s)/2)) ((1-a)^2 + 4a sin^2((t-s)/2))
-    for a >= 0, and the same in |a| with cos^2((t-s)/2), cos^2((t+s)/2)
-    for a < 0 (x -> -x).  Both are sums of non-negative terms: the
-    quadratic form in x and y cancels as |rho| -> 1 at the corners of the
-    support square, these do not.
+    Each kernel is a product of forms |1 - a e^{2ih}|^2 = (1-a)^2 +
+    4a sin^2(h) for a >= 0, with half-angle h = t for l and h = (t+s)/2,
+    (t-s)/2 for w; for a < 0 they are (1-|a|)^2 + 4|a| cos^2(h), the
+    half-angles in reverse order (x -> -x).  Both are sums of non-negative
+    terms: the quadratic forms in x and y cancel as |a| -> 1 at the edges of
+    the support, these do not.  The forms are multiplied in blocks of
+    _BLOCK and the log is taken once per block, which keeps the log
+    overhead negligible.
     """
-    n = _factors_needed(16.0 * rho, q)
-    t, s = np.arccos(_cosine(x, q)), np.arccos(_cosine(y, q))
-    half_sum, half_diff = 0.5 * (t + s), 0.5 * (t - s)
-    # The signs of rho q^i repeat with period two, so the first two factors
-    # tell which of the two forms the loop reads; build only those.
-    first = (rho, rho * q)[:n]
+    n = _factors_needed(16.0 * a0, q)
+    halves = (t,) if s is None else (0.5 * (t + s), 0.5 * (t - s))
+    shape = np.broadcast_shapes(*(h.shape for h in halves))
+    # The signs of a0 q^i repeat with period two, so the first two factors
+    # tell which of the two form sets the loop reads; build only those.
+    first = (a0, a0 * q)[:n]
     same = flipped = None
     if any(a >= 0.0 for a in first):
-        same = (np.sin(half_sum) ** 2, np.sin(half_diff) ** 2)
+        same = [np.sin(h) ** 2 for h in halves]
     if any(a < 0.0 for a in first):
-        flipped = (np.cos(half_diff) ** 2, np.cos(half_sum) ** 2)
-    del half_sum, half_diff
-    shape = np.broadcast_shapes(x.shape, y.shape)
+        flipped = [np.cos(h) ** 2 for h in halves[::-1]]
+    del halves
+    total = np.zeros(shape)
+    block = np.ones(shape)
+    scaled = np.empty(shape)
+    count = 0
+    a = a0
+    for _ in range(n):
+        b = abs(a)
+        c, d = (1.0 - b) ** 2, 4.0 * b
+        for form in same if a >= 0.0 else flipped:
+            np.multiply(form, d, out=scaled)
+            scaled += c
+            block *= scaled
+            count += 1
+            if count == _BLOCK:
+                total += np.log(block, out=block)
+                block.fill(1.0)
+                count = 0
+        a *= q
+    if count:
+        total += np.log(block, out=block)
+    return total
 
-    def factors():
-        # Each factor is yielded as its two halves in one reused buffer:
-        # _log_blocks multiplies a half in before it asks for the next.
-        half = np.empty(shape)
-        a = rho
-        for _ in range(n):
-            b = abs(a)
-            c, d = (1.0 - b) ** 2, 4.0 * b
-            for form in same if a >= 0.0 else flipped:
-                np.multiply(form, d, out=half)
-                half += c
-                yield half
-            a *= q
 
-    return _log_blocks(factors(), shape)
+def _log_series(u: np.ndarray, v: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """-sum_n coef[n-1] T_n(u) T_n(v).
 
-
-def _log_omega_series(
-    x: np.ndarray, y: np.ndarray, rho: float, q: float, terms: int
-) -> np.ndarray:
-    """sum_{i>=0} log w(x, y | rho q^i) for x, y inside the support, as
-    -4 sum_{n=1..terms} rho^n T_n(x/L) T_n(y/L) / (n (1-q^n)).
-
-    With x = L cos(t), y = L cos(s) and L the support half-width,
-    w(x, y|r) = |1 - r e^{i(t+s)}|^2 |1 - r e^{i(t-s)}|^2, whose log is
-    -4 sum_n r^n cos(nt) cos(ns) / n; summing over r = rho q^i gives the
-    series.  The recurrences run on x and y in their own shapes and only
-    the running sum is broadcast: a matrix product would round differently
-    on an open grid than on the same points given flat.
+    With u = cos(t), v = cos(s) and coef = _kernel_coefficients(a, q, N),
+    this is the log kernel product: w(x, y|r) = |1 - r e^{i(t+s)}|^2
+    |1 - r e^{i(t-s)}|^2, whose log is -4 sum_n r^n cos(nt) cos(ns) / n;
+    summing over r = a q^i gives the series.  For l, half of it at u = 1
+    (T_n(1) = 1 exactly) and v = cos(2t) = 2 cos(t)^2 - 1.  The recurrences
+    run on u and v in their own shapes and only the running sum is
+    broadcast: a matrix product would round differently on an open grid
+    than on the same points given flat.
     """
-    u = _cosine(x, q)
-    v = _cosine(y, q)
-    total = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+    total = np.zeros(np.broadcast_shapes(u.shape, v.shape))
     tu_prev, tu = np.ones(u.shape), u
     tv_prev, tv = np.ones(v.shape), v
-    for c in _kernel_coefficients(rho, q, terms):
+    for c in coef:
         total -= (c * tu) * tv
         tu, tu_prev = 2.0 * u * tu - tu_prev, tu
         tv, tv_prev = 2.0 * v * tv - tv_prev, tv
     return total
 
 
-def _log_omega_product(x: np.ndarray, y: np.ndarray, rho: float, q: float) -> np.ndarray:
-    """sum_{i>=0} log w(x, y | rho q^i) for x, y inside the support, by the
-    Chebyshev series unless it needs more terms than the product factors."""
-    terms = _kernel_terms(rho, q, _factors_needed(16.0 * rho, q))
+def _series_terms(a: float, q: float) -> int | None:
+    """The route rule for both kernels: the N terms of the Chebyshev series,
+    or None where it needs more terms than the factor loop has factors."""
+    return _kernel_terms(a, q, _factors_needed(16.0 * a, q))
+
+
+def _log_w(x: np.ndarray, y: np.ndarray, rho: float, q: float) -> np.ndarray:
+    """sum_{i>=0} log w(x, y | rho q^i) for x, y inside the support."""
+    u, v = _cosine(x, q), _cosine(y, q)
+    terms = _series_terms(rho, q)
     if terms is None:
-        return _log_omega_factors(x, y, rho, q)
-    return _log_omega_series(x, y, rho, q, terms)
+        return _log_factors(rho, q, np.arccos(u), np.arccos(v))
+    return _log_series(u, v, _kernel_coefficients(rho, q, terms))
+
+
+def _log_l(x: np.ndarray, a: float, q: float) -> np.ndarray:
+    """sum_{i>=0} log l(x | a q^i) for x inside the support."""
+    u = _cosine(x, q)
+    terms = _series_terms(a, q)
+    if terms is None:
+        return _log_factors(a, q, np.arccos(u))
+    return 0.5 * _log_series(np.ones(()), 2.0 * u * u - 1.0, _kernel_coefficients(a, q, terms))
 
 
 def _log_sin(u: np.ndarray) -> np.ndarray:
@@ -368,7 +355,7 @@ def _log_f_n(x: np.ndarray, q: float) -> np.ndarray:
     By the Jacobi triple product f_N = sqrt(1-q) theta_1(t, sqrt(q)) /
     (2 pi q^(1/8)) with x = L cos(t), so for q > 0.2 the imaginary
     transformation needs no infinite product.  At and below 0.2 the product
-    formula of the module docstring needs few factors (about 320 at
+    formula of the module docstring needs few terms (287 series terms at
     q = -0.9) and is kept.
     """
     u = _cosine(x, q)
@@ -380,7 +367,7 @@ def _log_f_n(x: np.ndarray, q: float) -> np.ndarray:
         + 0.5 * math.log(1.0 - q)
         + _log_sin(u)
         - _LOG_PI
-        + _log_lq_product(x, q, q)
+        + _log_l(x, q, q)
     )
 
 
@@ -389,7 +376,7 @@ def _log_f_cn(x: np.ndarray, y: np.ndarray, rho: float, q: float) -> np.ndarray:
     return (
         _log_f_n(x, q)
         + log_q_pochhammer_inf(rho**2, q)
-        - _log_omega_product(x, y, rho, q)
+        - _log_w(x, y, rho, q)
     )
 
 
@@ -467,7 +454,7 @@ def f_r(x, beta: float, q: float):
         + log_q_pochhammer_inf(beta**2, q)
         - log_q_pochhammer_inf(beta, q)
         - log_q_pochhammer_inf(beta * q, q)
-        - _log_lq_product(xc, beta, q)
+        - _log_l(xc, beta, q)
     )
     return _ret(_extend(np.exp(log_val), half, xb), scalar)
 
@@ -544,10 +531,9 @@ def pm_kernel(
     if form == DensityForm.SERIES:
         val = _pm_series(xb, yb, rho, q)
     elif form in (DensityForm.PRODUCT, DensityForm.CLOSED):
-        val = np.exp(
-            log_q_pochhammer_inf(rho**2, q)
-            - _log_omega_factors(xb, yb, rho, q)
-        )
+        # Always the factor loop: the reference the series form is checked against.
+        t, s = np.arccos(_cosine(xb, q)), np.arccos(_cosine(yb, q))
+        val = np.exp(log_q_pochhammer_inf(rho**2, q) - _log_factors(rho, q, t, s))
     else:
         raise ValueError(f"unknown form {form}")
     return _ret(val, scalar)
@@ -590,9 +576,9 @@ def f_3d(
         )
         for rho in (p.rho12, p.rho13, p.rho23):
             val += log_q_pochhammer_inf(rho**2, p.q)
-        val -= _log_omega_product(xc, yc, p.rho12, p.q)
-        val -= _log_omega_product(xc, zc, p.rho13, p.q)
-        val -= _log_omega_product(yc, zc, p.rho23, p.q)
+        val -= _log_w(xc, yc, p.rho12, p.q)
+        val -= _log_w(xc, zc, p.rho13, p.q)
+        val -= _log_w(yc, zc, p.rho23, p.q)
         np.exp(val, out=val)
     elif form == DensityForm.SERIES:
         val = np.asarray(
@@ -647,12 +633,13 @@ def f_z(
             + _log_f_n(zc, q)
             + log_q_pochhammer_inf(r**2, q)
             - 2.0 * log_q_pochhammer_inf(r, q)
-            - _log_lq_product(zc, r, q)
+            - _log_l(zc, r, q)
         )
         val = np.exp(log_val)
     elif form == MarginalForm.EVEN_SERIES:
         val = (1.0 - r) * np.exp(_log_f_n(zc, q)) * _even_series(zc, r, q)
     elif form == MarginalForm.EDGE_PRODUCT:
+        t = np.arccos(_cosine(zc, q))  # the factor loop, as the other forms' reference
         log_val = (
             math.log1p(r)
             + 0.5 * math.log(1.0 - q)
@@ -662,8 +649,8 @@ def f_z(
             - _LOG_PI
             - np.log((1.0 + r) ** 2 - (1.0 - q) * r * zc**2)
             - 2.0 * log_q_pochhammer_inf(r * q, q)
-            + _log_lq_product(zc, q, q)
-            - _log_lq_product(zc, r * q, q)
+            + _log_factors(q, q, t)
+            - _log_factors(r * q, q, t)
         )
         val = np.exp(log_val)
     else:

@@ -12,13 +12,15 @@ from qnormal3d.densities import (
     DensityForm,
     MarginalForm,
     ModelParams,
+    _cosine,
     _kernel_coefficients,
     _kernel_terms,
     _log_f_n,
-    _log_lq_product,
-    _log_omega_factors,
-    _log_omega_product,
-    _log_omega_series,
+    _log_factors,
+    _log_l,
+    _log_series,
+    _log_w,
+    _series_terms,
     aw_parameters,
     f_3d,
     f_cn,
@@ -118,6 +120,11 @@ class TestBaseDensity:
         assert res.value == pytest.approx(1.0, abs=1e-9)
 
 
+def angle(x, q):
+    """t with x = L cos(t), the angle the factor loop reads."""
+    return np.arccos(_cosine(x, q))
+
+
 def log_f_n_by_product(x, q):
     """log f_N by the product formula of the densities module docstring."""
     return (
@@ -125,7 +132,7 @@ def log_f_n_by_product(x, q):
         + 0.5 * math.log(1.0 - q)
         + 0.5 * np.log(4.0 - (1.0 - q) * x**2)
         - math.log(2.0 * math.pi)
-        + _log_lq_product(x, q, q)
+        + _log_factors(q, q, angle(x, q))
     )
 
 
@@ -140,8 +147,8 @@ class TestThetaRoutes:
         + [(0.99, 1e-10), (0.999, 1e-10)],
     )
     def test_matches_product(self, q, atol):
-        # The product's own error grows like 1/(1-q): about 8e-11 at
-        # q = 0.999 and x = 0.999 L, where log f_N is near -4656.
+        # The product's own error grows like 1/(1-q): up to 7e-12 at
+        # q = 0.999, where log f_N reaches about -4656 at x = 0.999 L.
         half = support_halfwidth(q)
         xs = np.concatenate([np.linspace(-0.99, 0.99, 45), [-0.999, 0.999]]) * half
         np.testing.assert_allclose(_log_f_n(xs, q), log_f_n_by_product(xs, q), rtol=0, atol=atol)
@@ -229,7 +236,7 @@ class TestKernelSeries:
     @pytest.mark.parametrize("rho", KERNEL_RHOS)
     def test_series_matches_factor_loop(self, rho, q):
         # The series is evaluated here even where the factor loop is the
-        # shorter route and _log_omega_product would not take it.
+        # shorter route and _log_w would not take it.
         terms = _kernel_terms(rho, q, MAX_TERMS)
         nodes, _ = _axis(q, 2)
         half = support_halfwidth(q)
@@ -238,8 +245,8 @@ class TestKernelSeries:
         flat[:, :4] = [[half, -half, half, 0.0], [half, half, -half, half]]
         for x, y in ((nodes[:, None], nodes[None, :]), (flat[0], flat[1])):
             np.testing.assert_allclose(
-                _log_omega_series(x, y, rho, q, terms),
-                _log_omega_factors(x, y, rho, q),
+                _log_series(_cosine(x, q), _cosine(y, q), _kernel_coefficients(rho, q, terms)),
+                _log_factors(rho, q, angle(x, q), angle(y, q)),
                 rtol=0,
                 atol=1e-9,
             )
@@ -260,7 +267,7 @@ class TestKernelSeries:
     @pytest.mark.parametrize("q", KERNEL_QS)
     def test_zero_coupling_is_exactly_zero(self, q):
         nodes, _ = _axis(q, 1)
-        assert np.all(_log_omega_product(nodes[:, None], nodes[None, :], 0.0, q) == 0.0)
+        assert np.all(_log_w(nodes[:, None], nodes[None, :], 0.0, q) == 0.0)
 
     @pytest.mark.parametrize("q", (0.5, 0.99))
     @pytest.mark.parametrize("rho", (0.95, -0.95, 0.99, -0.99))
@@ -270,9 +277,10 @@ class TestKernelSeries:
         half = support_halfwidth(q)
         x = np.array([half, half, -half, -half])
         y = np.array([half, -half, half, -half])
+        terms = _kernel_terms(rho, q, MAX_TERMS)
         np.testing.assert_allclose(
-            _log_omega_factors(x, y, rho, q),
-            _log_omega_series(x, y, rho, q, _kernel_terms(rho, q, MAX_TERMS)),
+            _log_factors(rho, q, angle(x, q), angle(y, q)),
+            _log_series(_cosine(x, q), _cosine(y, q), _kernel_coefficients(rho, q, terms)),
             rtol=0,
             atol=1e-10,
         )
@@ -281,12 +289,110 @@ class TestKernelSeries:
         # rho -> 1 at q = 0.5: the series would need more than MAX_TERMS
         # terms, the product about 50 factors.
         rho, q = 0.9999, 0.5
-        assert _kernel_terms(rho, q, _factors_needed(16.0 * rho, q)) is None
+        assert _series_terms(rho, q) is None
         assert _kernel_terms(rho, q, MAX_TERMS) is None
         xs = np.linspace(-0.99, 0.99, 41) * support_halfwidth(q)
         vals = f_cn(xs, 0.5, rho, q)
         assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)
         np.testing.assert_allclose(vals, f_n(xs, q) * pm_kernel(xs, 0.5, rho, q), rtol=1e-12)
+
+
+def log_w_by_blocks(x, y, rho, q):
+    """sum_i log w(x, y | rho q^i) as the kernel's own factor loop computed
+    it before the l-product shared that loop: a generator of form halves
+    into a block-of-32 log accumulator."""
+    n = _factors_needed(16.0 * rho, q)
+    t, s = angle(x, q), angle(y, q)
+    half_sum, half_diff = 0.5 * (t + s), 0.5 * (t - s)
+    first = (rho, rho * q)[:n]
+    same = flipped = None
+    if any(a >= 0.0 for a in first):
+        same = (np.sin(half_sum) ** 2, np.sin(half_diff) ** 2)
+    if any(a < 0.0 for a in first):
+        flipped = (np.cos(half_diff) ** 2, np.cos(half_sum) ** 2)
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    total, block, count = np.zeros(shape), np.ones(shape), 0
+    a = rho
+    for _ in range(n):
+        b = abs(a)
+        c, d = (1.0 - b) ** 2, 4.0 * b
+        for form in same if a >= 0.0 else flipped:
+            block *= form * d + c
+            count += 1
+            if count == 32:
+                total += np.log(block)
+                block.fill(1.0)
+                count = 0
+        a *= q
+    if count:
+        total += np.log(block)
+    return total
+
+
+PRODUCT_QS = (-0.5, 0.0, 0.5, 0.9, 0.99, 0.999)
+PRODUCT_AS = (0.3, -0.6, 0.9, 0.99)
+
+
+class TestProductRoutes:
+    """Both kernel products, sum_i log l(x | a q^i) and sum_i log w(x, y |
+    a q^i), share one factor loop, one Chebyshev series and one route rule."""
+
+    @pytest.mark.parametrize("q", PRODUCT_QS)
+    @pytest.mark.parametrize("a", PRODUCT_AS)
+    def test_l_series_matches_factor_loop(self, a, q):
+        # Series evaluated even where the route rule takes the factors.
+        half = support_halfwidth(q)
+        x = np.linspace(-half, half, 2049)
+        u = _cosine(x, q)
+        coef = _kernel_coefficients(a, q, _kernel_terms(a, q, MAX_TERMS))
+        np.testing.assert_allclose(
+            0.5 * _log_series(np.ones(()), 2.0 * u * u - 1.0, coef),
+            _log_factors(a, q, angle(x, q)),
+            rtol=0,
+            atol=1e-12 if q <= 0.9 else 1e-10,
+        )
+
+    @pytest.mark.parametrize("q", PRODUCT_QS)
+    @pytest.mark.parametrize("a", PRODUCT_AS)
+    def test_diagonal_kernel_is_l_product(self, a, q):
+        # w(x, x|r) = (1-r)^2 l(x|r), so the kernel on the diagonal is the
+        # l-product plus 2 log (a; q)_inf, each through the route rule.
+        half = support_halfwidth(q)
+        x = np.linspace(-half, half, 2049)
+        np.testing.assert_allclose(
+            _log_w(x, x, a, q),
+            _log_l(x, a, q) + 2.0 * log_q_pochhammer_inf(a, q),
+            rtol=0,
+            atol=1e-12 if q <= 0.9 else 1e-10,
+        )
+
+    @pytest.mark.parametrize("q", (-0.5, 0.1, 0.9, 0.99))
+    def test_reference_forms_never_read_the_series(self, q, monkeypatch):
+        # pm_kernel's product form and f_Z's edge product are the references
+        # of pm-series-vs-product and fZ-form-agreement.
+        def series(*args):
+            raise AssertionError("a reference form read the Chebyshev series")
+
+        monkeypatch.setattr("qnormal3d.densities._log_series", series)
+        xs = np.linspace(-0.9, 0.9, 7) * support_halfwidth(q)
+        assert np.all(np.isfinite(pm_kernel(xs, xs[::-1], 0.6, q, form=DensityForm.PRODUCT)))
+        assert np.all(np.isfinite(f_z(xs, 0.3, q, form=MarginalForm.EDGE_PRODUCT)))
+
+    @pytest.mark.parametrize(
+        "rho, q", [(0.3, 0.5), (-0.6, -0.5), (0.9, 0.99), (-0.108, 0.9), (0.95, -0.9), (0.6, 0.0)]
+    )
+    def test_pm_product_bit_identical(self, rho, q):
+        half = support_halfwidth(q)
+        nodes = np.linspace(-half, half, 33)
+        x, y = nodes[:, None], nodes[None, :]
+        want = np.exp(log_q_pochhammer_inf(rho**2, q) - log_w_by_blocks(x, y, rho, q))
+        np.testing.assert_array_equal(pm_kernel(x, y, rho, q, form=DensityForm.PRODUCT), want)
+
+    def test_l_route_keeps_factors_where_shorter(self):
+        a, q = 0.9999, 0.5
+        assert _series_terms(a, q) is None
+        x = np.linspace(-1.0, 1.0, 41) * support_halfwidth(q)
+        np.testing.assert_array_equal(_log_l(x, a, q), _log_factors(a, q, angle(x, q)))
 
 
 class TestBatchIndependence:
@@ -517,7 +623,7 @@ class TestTensorGrid:
     )
     def test_f_yz_2d_grid_factor_route(self, params, bound):
         rho, q = params.rho23, params.q
-        assert _kernel_terms(rho, q, _factors_needed(16.0 * rho, q)) is None
+        assert _series_terms(rho, q) is None
         nodes, _ = _axis(params.q, 4)
         val, peak = traced_peak(lambda: f_yz(*open_grid(nodes, nodes), params))
         assert np.all(np.isfinite(val))
