@@ -100,6 +100,8 @@ FORM_RTOL = 1e-8
 FORM_ATOL = 1e-12
 DENOM_FLOOR = 1e-300
 _LOG_FLOOR = math.log(DENOM_FLOOR)
+# Stop of the bilinear kernel series, which its forms test at 1e-12 absolute.
+_PM_TAIL_TOL = 1e-14
 
 
 class DensityForm(enum.Enum):
@@ -459,31 +461,89 @@ def f_r(x, beta: float, q: float):
     return _ret(_extend(np.exp(log_val), half, xb), scalar)
 
 
-def _sum_to_tail(total: np.ndarray, terms, what: str) -> np.ndarray:
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _two_prod(a, b):
+    """(p, e) with p = fl(a * b) and p + e = a * b exactly."""
+    p = a * b
+    t = _SPLIT * a
+    a_hi = t - (t - a)
+    t = _SPLIT * b
+    b_hi = t - (t - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _dd_add(a, b):
+    """a + b in double-double: a, b and the result are (hi, lo) pairs with
+    |lo| <= ulp(hi) / 2, worth about 32 significant digits."""
+    s, e = _two_sum(a[0], b[0])
+    e = e + (a[1] + b[1])
+    hi = s + e
+    return hi, e - (hi - s)
+
+
+def _dd_mul(a, b):
+    """a * b in double-double."""
+    p, e = _two_prod(a[0], b[0])
+    e = e + (a[0] * b[1] + a[1] * b[0])
+    hi = p + e
+    return hi, e - (hi - p)
+
+
+def _dd_div(a, b):
+    """a / b in double-double, by one correction of the double quotient."""
+    q1 = a[0] / b[0]
+    r = _dd_add(a, _dd_mul((-q1, 0.0), b))
+    return _two_sum(q1, r[0] / b[0])
+
+
+def _sum_to_tail(total, terms, what: str, tol: float = TAIL_TOL):
     """Add a series' (term, envelope) pairs into total, point by point.
 
-    Each point adds terms up to its second successive envelope below
-    TAIL_TOL and none after, so an array result equals its points evaluated
-    one at a time, bit for bit.  A non-finite envelope at a point still
-    summing, or MAX_TERMS terms, raises NonConvergence.
+    total and the terms are arrays, or all (hi, lo) double-double pairs of
+    arrays, which _dd_add sums.  Each point adds terms up to its second
+    successive envelope below tol and none after, so an array result equals
+    its points evaluated one at a time, bit for bit.  A non-finite envelope
+    at a point still summing, or MAX_TERMS terms, raises NonConvergence.
     """
-    live = np.ones(total.shape, dtype=bool)
-    was_below = np.zeros(total.shape, dtype=bool)
+    double = isinstance(total, tuple)
+    shape = total[0].shape if double else total.shape
+    live = np.ones(shape, dtype=bool)
+    was_below = np.zeros(shape, dtype=bool)
     for j, (term, envelope) in enumerate(terms, start=1):
-        np.add(total, term, out=total, where=live)
+        if double:
+            for part, summed in zip(total, _dd_add(total, term)):
+                np.copyto(part, summed, where=live)
+        else:
+            np.add(total, term, out=total, where=live)
         # The unmasked max is cheaper; mask only once some point overflowed.
         if not np.max(envelope) < np.inf and not np.all(np.isfinite(envelope), where=live):
             raise NonConvergence(f"{what} overflowed at term {j}")
-        below = envelope < TAIL_TOL
+        below = envelope < tol
         live &= ~(was_below & below)
         if not live.any():
             return total
         was_below = below
-    raise NonConvergence(f"{what} not below TAIL_TOL within {MAX_TERMS} terms")
+    raise NonConvergence(f"{what} not below {tol:.0e} within {MAX_TERMS} terms")
 
 
 def _pm_series(x: np.ndarray, y: np.ndarray, rho: float, q: float) -> np.ndarray:
     """Bilinear q-Hermite kernel sum_j rho^j H_j(x) H_j(y) / [j]_q!.
+
+    Where rho x y < 0 the terms cancel: at q = 0.9, rho = 0.65 and
+    x = -y = 0.9 L they reach 1.2e7 around a kernel of 3e-11, so double
+    rounding alone would cost 1e-9.  The scalars, both recurrences and the
+    sum therefore run in double-double (_dd_add, _dd_mul), and each point
+    stops on _PM_TAIL_TOL: the tail past the stop is a few envelopes.
 
     The recurrences run on x and y in their own shapes; only the running
     sum is broadcast.  A term vanishes at a root of H_j(x) or H_j(y), so
@@ -491,27 +551,30 @@ def _pm_series(x: np.ndarray, y: np.ndarray, rho: float, q: float) -> np.ndarray
     |coef| max(|H_j(x)|, |H_{j-1}(x)|) max(|H_j(y)|, |H_{j-1}(y)|) instead:
     consecutive orthogonal polynomials share no root.
     """
-    total = np.ones(np.broadcast_shapes(x.shape, y.shape))
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    total = (np.ones(shape), np.zeros(shape))
     if rho == 0.0:
-        return total
+        return total[0]
 
     def terms():
-        hx_prev, hx = np.ones(x.shape), x
-        hy_prev, hy = np.ones(y.shape), y
-        coef = 1.0
-        qnum = 0.0
-        qpow = 1.0
+        zero_x, zero_y = np.zeros(x.shape), np.zeros(y.shape)
+        hx_prev, hx = (np.ones(x.shape), zero_x), (x, zero_x)
+        hy_prev, hy = (np.ones(y.shape), zero_y), (y, zero_y)
+        coef = (1.0, 0.0)
+        qnum = (0.0, 0.0)
+        qpow = (1.0, 0.0)
         for _ in range(MAX_TERMS):
-            qnum += qpow  # [j]_q
-            qpow *= q
-            coef *= rho / qnum
-            env_x = np.maximum(np.abs(hx), np.abs(hx_prev))
-            env_y = np.maximum(np.abs(hy), np.abs(hy_prev))
-            yield coef * hx * hy, abs(coef) * env_x * env_y
-            hx, hx_prev = x * hx - qnum * hx_prev, hx
-            hy, hy_prev = y * hy - qnum * hy_prev, hy
+            qnum = _dd_add(qnum, qpow)  # [j]_q
+            qpow = _dd_mul(qpow, (q, 0.0))
+            coef = _dd_div(_dd_mul(coef, (rho, 0.0)), qnum)
+            env_x = np.maximum(np.abs(hx[0]), np.abs(hx_prev[0]))
+            env_y = np.maximum(np.abs(hy[0]), np.abs(hy_prev[0]))
+            yield _dd_mul(_dd_mul(coef, hx), hy), abs(coef[0]) * env_x * env_y
+            minus_qnum = (-qnum[0], -qnum[1])
+            hx, hx_prev = _dd_add(_dd_mul((x, 0.0), hx), _dd_mul(minus_qnum, hx_prev)), hx
+            hy, hy_prev = _dd_add(_dd_mul((y, 0.0), hy), _dd_mul(minus_qnum, hy_prev)), hy
 
-    return _sum_to_tail(total, terms(), "bilinear kernel series")
+    return _sum_to_tail(total, terms(), "bilinear kernel series", _PM_TAIL_TOL)[0]
 
 
 def pm_kernel(
@@ -581,13 +644,19 @@ def f_3d(
         val -= _log_w(yc, zc, p.rho23, p.q)
         np.exp(val, out=val)
     elif form == DensityForm.SERIES:
+        # The kernels are summed before the result is allocated, so their
+        # double-double work arrays never coexist with it.
+        kernels = (
+            _pm_series(xc, yc, p.rho12, p.q),
+            _pm_series(yc, zc, p.rho23, p.q),
+            _pm_series(xc, zc, p.rho13, p.q),
+        )
         val = np.asarray(
             log_c + _log_f_n(xc, p.q) + _log_f_n(yc, p.q) + _log_f_n(zc, p.q)
         )
         np.exp(val, out=val)
-        val *= _pm_series(xc, yc, p.rho12, p.q)
-        val *= _pm_series(yc, zc, p.rho23, p.q)
-        val *= _pm_series(xc, zc, p.rho13, p.q)
+        for kernel in kernels:
+            val *= kernel
     else:
         raise ValueError(f"unknown form {form}")
     return _ret(_extend(val, half, xb, yb, zb), scalar)

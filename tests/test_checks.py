@@ -189,6 +189,9 @@ PINNED = [
     (ModelParams(0.3, 0.6, 0.3, 0.9), 4),
     (ModelParams(-0.3, -0.6, -0.6, -0.5), 0),
     (ModelParams(0.3, -0.6, 0.3, 0.7), 7),
+    # At q = 0.99 the bilinear series cancels past what double-double
+    # resolves and misses the product by about 1e75, so its row fails.
+    (ModelParams(0.3, 0.6, 0.3, 0.99), 4),
 ]
 
 
@@ -212,6 +215,6 @@ class TestVectorizedProbesPinned:
             assert rows[ref.name] == ref
 
     def test_pinned_points_include_a_failing_row(self):
-        p, seed = PINNED[0]
+        p, seed = PINNED[-1]
         rows = {rep.name: rep for rep in check_poisson_mehler(p, seed)}
         assert not rows["pm-series-vs-product"].passed
