@@ -11,18 +11,12 @@ Usage:
 """
 
 import argparse
-import itertools
 import sys
 import time
 from collections import defaultdict
 
-from qnormal3d.checks import SUITES, run_suite
+from qnormal3d.checks import SUITES, SWEEP_Q, SWEEP_RHO, run_suite
 from qnormal3d.densities import ModelParams
-
-RHO12 = (0.3, -0.3)
-RHO13 = (0.6, -0.6)
-RHO23 = (0.3, -0.6)
-DEFAULT_QS = (-0.5, 0.0, 0.3, 0.7, 0.9)
 
 
 def parse_args():
@@ -37,11 +31,8 @@ def parse_args():
 
 def main():
     args = parse_args()
-    qs = (args.q,) if args.q is not None else DEFAULT_QS
-    grid = [
-        ModelParams(r12, r13, r23, q)
-        for r12, r13, r23, q in itertools.product(RHO12, RHO13, RHO23, qs)
-    ]
+    qs = (args.q,) if args.q is not None else SWEEP_Q
+    grid = [ModelParams(*rho, q) for rho in SWEEP_RHO for q in qs]
 
     worst = defaultdict(float)
     counts = defaultdict(int)

@@ -14,6 +14,7 @@ and q -> 1 limits.  ``run_suite("all", ...)`` concatenates everything.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,6 +37,11 @@ from .densities import (
 )
 from .moments import (
     CondMomentForm,
+    MomentKind,
+    MomentSpec,
+    _marginal_moment,
+    _variance,
+    closed_form,
     cond_exp_hn_x_given_yz,
     cond_exp_hn_y_given_z,
     cond_exp_x_given_yz,
@@ -44,7 +50,7 @@ from .moments import (
     cond_exp_y_given_z,
     cov_yz,
     e_h2n_z,
-    mixed_moment_h,
+    quadrature_oracle,
     var_z,
 )
 from .polynomials import (
@@ -75,6 +81,11 @@ TOL_COND_QUAD = 1e-7
 TOL_PCM = 1e-9
 TOL_KESTEN_MCKAY = 1e-10
 TOL_EXACT_Q0 = 1e-10
+
+# The acceptance sweep: eight correlation triples (rho12, rho13, rho23),
+# each at five values of q.
+SWEEP_RHO = tuple(itertools.product((0.3, -0.3), (0.6, -0.6), (0.3, -0.6)))
+SWEEP_Q = (-0.5, 0.0, 0.3, 0.7, 0.9)
 
 
 @dataclass(frozen=True)
@@ -332,49 +343,41 @@ def check_moments(p: ModelParams) -> List[VerificationReport]:
     """Closed-form moments against their quadrature oracles."""
     q = p.q
     r = p.r
-    out = []
-    pairs = []
-    for n in (1, 2, 3):
-        oracle = integrate1d(
-            lambda z: q_hermite(2 * n, z, q).values[2 * n] * f_r(z, r, q), q
-        ).value
-        pairs.append((e_h2n_z(n, r, q), oracle))
-    out.append(_worst("eh2n-vs-quadrature", pairs, TOL_MOMENT))
-    out.append(
-        _report(
-            "varz-vs-quadrature",
-            var_z(r, q),
-            integrate1d(lambda z: z * z * f_r(z, r, q), q).value,
+
+    def h(deg: int) -> Callable[[np.ndarray], np.ndarray]:
+        return lambda z: q_hermite(deg, z, q).values[deg]
+
+    mixed = [MomentSpec(MomentKind.UNCONDITIONAL, d, p) for d in ((2, 2), (1, 3), (2, 4))]
+    return [
+        _worst(
+            "eh2n-vs-quadrature",
+            ((e_h2n_z(n, r, q), _marginal_moment(h(2 * n), r, q)) for n in (1, 2, 3)),
             TOL_MOMENT,
-        )
-    )
-    cov_oracle = integrate2d(lambda y, z: y * z * f_yz(y, z, p), q).value
-    out.append(_report("cov-vs-quadrature", cov_yz(p), cov_oracle, TOL_MOMENT))
-    pairs = []
-    for m, n in ((2, 2), (1, 3), (2, 4)):
-        oracle = integrate2d(
-            lambda y, z: q_hermite(m, y, q).values[m]
-            * q_hermite(n, z, q).values[n]
-            * f_yz(y, z, p),
-            q,
-        ).value
-        pairs.append((mixed_moment_h(m, n, p), oracle))
-    out.append(_worst("mixed-vs-quadrature", pairs, TOL_MOMENT))
-    pairs = []
-    for n in range(5):
-        deg = 2 * n + 1
-        val = integrate1d(
-            lambda z: q_hermite(deg, z, q).values[deg] * f_r(z, r, q), q
-        ).value
-        pairs.append((val, 0.0))
-    out.append(_worst("odd-moments-vanish", pairs, TOL_ODD))
-    return out
+        ),
+        _report(
+            "varz-vs-quadrature", var_z(r, q), _marginal_moment(lambda z: z * z, r, q), TOL_MOMENT
+        ),
+        _report(
+            "cov-vs-quadrature",
+            cov_yz(p),
+            quadrature_oracle(MomentSpec(MomentKind.UNCONDITIONAL, (1, 1), p)),
+            TOL_MOMENT,
+        ),
+        _worst(
+            "mixed-vs-quadrature",
+            ((closed_form(s), quadrature_oracle(s)) for s in mixed),
+            TOL_MOMENT,
+        ),
+        _worst(
+            "odd-moments-vanish",
+            ((_marginal_moment(h(2 * n + 1), r, q), 0.0) for n in range(5)),
+            TOL_ODD,
+        ),
+    ]
 
 
 def check_conditionals(p: ModelParams, seed: int = 7) -> List[VerificationReport]:
     """Conditional moment formulas against each other and quadrature."""
-    from .moments import MomentKind, MomentSpec, quadrature_oracle
-
     q = p.q
     gen = _rng(seed)
     out = []
@@ -501,12 +504,7 @@ def check_limits(
 
     out.append(_limit_row("fn-gaussian-limit", fn_limit_errors(LIMIT_Q_SEQUENCE)))
     out.append(_limit_row("asc-hermite-limit", asc_limit_errors(LIMIT_Q_SEQUENCE)))
-    out.append(
-        _limit_row(
-            "var-limit",
-            [abs(var_z(r, qq) - (1.0 + r) / (1.0 - r)) for qq in LIMIT_Q_SEQUENCE],
-        )
-    )
+    out.append(_limit_row("var-limit", var_limit_errors(r, LIMIT_Q_SEQUENCE)))
     return out
 
 
@@ -542,6 +540,12 @@ def asc_limit_errors(qs: Tuple[float, ...]) -> Tuple[float, ...]:
         val = asc_poly(n, xv, yv, rho, qq).values[n]
         errs.append(abs(float(val) - float(target)))
     return tuple(errs)
+
+
+def var_limit_errors(r: float, qs: Tuple[float, ...]) -> Tuple[float, ...]:
+    """Distance of the marginal variance from its Gaussian limit
+    (1 + r) / (1 - r), for each q of the sequence."""
+    return tuple(abs(var_z(r, qq) - _variance(r, 1.0)) for qq in qs)
 
 
 def _limit_row(name: str, errs: Sequence[float]) -> VerificationReport:

@@ -53,9 +53,6 @@ SUITE_NAMES = (
 MOMENT_KINDS = ("var_z", "eh2n_z", "mixed", "cond_x", "cond_y", "cond_xy")
 GRAM_FAMILIES = ("qhermite", "asc", "rogers")
 
-DEFAULT_GRID_RHO = (0.3, 0.6)
-DEFAULT_GRID_Q = (-0.5, 0.0, 0.3, 0.7, 0.9)
-
 Row = Tuple[Any, ...]
 Table = Tuple[Dict[str, Any], List[str], List[Row]]
 
@@ -247,18 +244,13 @@ def cmd_eval(args: argparse.Namespace) -> Tuple[Table, int]:
 
 
 def _check_points(args: argparse.Namespace) -> List[Tuple[float, float, float, float]]:
+    from .checks import SWEEP_Q, SWEEP_RHO
+
     if args.rho is not None and args.q is not None:
         return [(*args.rho, args.q)]
     if args.rho is not None or args.q is not None:
         raise ValueError("give both --rho and --q, or neither for the default grid")
-    lo, hi = DEFAULT_GRID_RHO
-    points = []
-    for s12 in (lo, -lo):
-        for s13 in (hi, -hi):
-            for r23 in (lo, -hi):
-                for q in DEFAULT_GRID_Q:
-                    points.append((s12, s13, r23, q))
-    return points
+    return [(*rho, q) for rho in SWEEP_RHO for q in SWEEP_Q]
 
 
 def cmd_check(args: argparse.Namespace) -> Tuple[Table, int]:
@@ -308,9 +300,8 @@ def cmd_check(args: argparse.Namespace) -> Tuple[Table, int]:
 
 def cmd_moments(args: argparse.Namespace) -> Tuple[Table, int]:
     from . import moments as mm
-    from .densities import ModelParams, f_r
+    from .densities import ModelParams
     from .polynomials import q_hermite
-    from .quadrature import integrate1d
 
     meta: Dict[str, Any] = {"command": "moments", "kind": args.kind, "q": args.q}
     meta.update(_shared_metadata())
@@ -320,16 +311,14 @@ def cmd_moments(args: argparse.Namespace) -> Tuple[Table, int]:
     if kind == "var_z":
         meta["r"] = args.r
         closed = mm.var_z(args.r, q)
-        oracle = integrate1d(lambda z: z * z * f_r(z, args.r, q), q).value
+        oracle = mm._marginal_moment(lambda z: z * z, args.r, q)
         detail = f"r={_fmt(args.r)}"
     elif kind == "eh2n_z":
         meta["r"] = args.r
         meta["n"] = args.n
         closed = mm.e_h2n_z(args.n, args.r, q)
         deg = 2 * args.n
-        oracle = integrate1d(
-            lambda z: q_hermite(deg, z, q).values[deg] * f_r(z, args.r, q), q
-        ).value
+        oracle = mm._marginal_moment(lambda z: q_hermite(deg, z, q).values[deg], args.r, q)
         detail = f"n={args.n},r={_fmt(args.r)}"
     else:
         p = ModelParams(*args.rho, q=q)
@@ -406,7 +395,7 @@ def cmd_gram(args: argparse.Namespace) -> Tuple[Table, int]:
 
 def cmd_sample(args: argparse.Namespace) -> Tuple[Table, int]:
     from .densities import ModelParams
-    from .moments import cov_yz, var_z
+    from .moments import _covariance
     from .sampler import SamplerConfig, mc_moment, sample_3d, sample_fn
 
     cfg = SamplerConfig(
@@ -447,18 +436,17 @@ def cmd_sample(args: argparse.Namespace) -> Tuple[Table, int]:
     if not args.summary:
         rows = [tuple(float(v) for v in row) for row in draws]
         return (meta, ["x", "y", "z"], rows), EXIT_OK
-    r, q = p.r, p.q
-    var_target = var_z(r, q)
+    cov = _covariance(p, p.q).tolist()
     targets = {
         "mean_x": 0.0,
         "mean_y": 0.0,
         "mean_z": 0.0,
-        "var_x": var_target,
-        "var_y": var_target,
-        "var_z": var_target,
-        "cov_xy": (p.rho12 + p.rho13 * p.rho23) / (1.0 - r * q),
-        "cov_xz": (p.rho13 + p.rho12 * p.rho23) / (1.0 - r * q),
-        "cov_yz": cov_yz(p),
+        "var_x": cov[0][0],
+        "var_y": cov[1][1],
+        "var_z": cov[2][2],
+        "cov_xy": cov[0][1],
+        "cov_xz": cov[0][2],
+        "cov_yz": cov[1][2],
     }
     fns = {
         "mean_x": lambda x, y, z: x,
@@ -479,8 +467,7 @@ def cmd_sample(args: argparse.Namespace) -> Tuple[Table, int]:
 
 
 def cmd_limits(args: argparse.Namespace) -> Tuple[Table, int]:
-    from .checks import asc_limit_errors, fn_limit_errors
-    from .moments import var_z
+    from .checks import asc_limit_errors, fn_limit_errors, var_limit_errors
 
     qs = _parse_q_seq(args.q_seq)
     meta: Dict[str, Any] = {"command": "limits", "q_seq": args.q_seq, "r": args.r}
@@ -490,7 +477,7 @@ def cmd_limits(args: argparse.Namespace) -> Tuple[Table, int]:
     series = {
         "fn-gaussian-limit": fn_limit_errors(qs),
         "asc-hermite-limit": asc_limit_errors(qs),
-        "var-limit": [abs(var_z(args.r, qq) - (1.0 + args.r) / (1.0 - args.r)) for qq in qs],
+        "var-limit": var_limit_errors(args.r, qs),
     }
     for name, errs in series.items():
         prev = None

@@ -686,25 +686,18 @@ def f_z(
     correlations only through their product r.
 
     Four evaluation routes are kept: a bilinear q-Hermite series on the
-    diagonal, the Rogers-density closed form, an even-degree q-Hermite
-    series, and a fully factored edge product.
+    diagonal, the Rogers density f_r(z, r, q) itself, an even-degree
+    q-Hermite series, and a fully factored edge product.
     """
     _check_q(q)
     _check_rho(r, "r")
+    if form == MarginalForm.ROGERS:
+        return f_r(z, r, q)
     (zb,), scalar = _points(z)
     half = support_halfwidth(q)
     zc = _clip(zb, half)
     if form == MarginalForm.HERMITE_SERIES:
         val = (1.0 - r) * np.exp(_log_f_n(zc, q)) * _pm_series(zc, zc, r, q)
-    elif form == MarginalForm.ROGERS:
-        log_val = (
-            math.log1p(-r)
-            + _log_f_n(zc, q)
-            + log_q_pochhammer_inf(r**2, q)
-            - 2.0 * log_q_pochhammer_inf(r, q)
-            - _log_l(zc, r, q)
-        )
-        val = np.exp(log_val)
     elif form == MarginalForm.EVEN_SERIES:
         val = (1.0 - r) * np.exp(_log_f_n(zc, q)) * _even_series(zc, r, q)
     elif form == MarginalForm.EDGE_PRODUCT:

@@ -21,7 +21,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .densities import ModelParams, f_3d, f_x_given_yz, f_yz, f_z
+from .densities import ModelParams, f_3d, f_r, f_x_given_yz, f_yz, f_z
 from .errors import DomainError, NonConvergence
 from .polynomials import asc_poly, q_hermite, w_poly
 from .qcore import (
@@ -106,18 +106,41 @@ def e_h2n_z(n: int, r: float, q: float) -> float:
     )
 
 
+def _variance(r: float, q: float) -> float:
+    """(1 + r) / (1 - rq), the variance of every coordinate; q = 1 gives
+    its Gaussian limit (1 + r) / (1 - r)."""
+    return (1.0 + r) / (1.0 - r * q)
+
+
+def _covariance(p: ModelParams, q: float) -> np.ndarray:
+    """The covariance matrix of (X, Y, Z) at deformation q: _variance on
+    the diagonal and (rho_ij + rho_ik rho_jk) / (1 - rq) off it.  q = 1
+    gives the covariance of the Gaussian limit."""
+    d = 1.0 - p.r * q
+    v = _variance(p.r, q)
+    c01 = (p.rho12 + p.rho13 * p.rho23) / d
+    c02 = (p.rho13 + p.rho12 * p.rho23) / d
+    c12 = (p.rho23 + p.rho12 * p.rho13) / d
+    return np.array([[v, c01, c02], [c01, v, c12], [c02, c12, v]])
+
+
+def _marginal_moment(g, r: float, q: float) -> float:
+    """E g(Z) under the one-coordinate marginal f_r(., r, q), by quadrature."""
+    return integrate1d(lambda z: g(z) * f_r(z, r, q), q).value
+
+
 def var_z(r: float, q: float) -> float:
     """Variance (1 + r) / (1 - rq) of the one-coordinate marginal."""
     if abs(r) >= 1 or abs(q) >= 1:
         raise ValueError(f"need |r| < 1 and |q| < 1, got r={r}, q={q}")
-    return (1.0 + r) / (1.0 - r * q)
+    return _variance(r, q)
 
 
 def cov_yz(p: ModelParams) -> float:
     """Covariance (rho23 + rho12 rho13) / (1 - rq) of two coordinates."""
     if abs(p.q) >= 1:
         raise ValueError(f"need |q| < 1, got q={p.q}")
-    return (p.rho23 + p.rho12 * p.rho13) / (1.0 - p.r * p.q)
+    return float(_covariance(p, p.q)[1, 2])
 
 
 def mixed_moment_h(m: int, n: int, p: ModelParams, s_max: int | None = None) -> float:
@@ -376,19 +399,10 @@ def cond_exp_xy_given_z(z: float, p: ModelParams) -> float:
 
 
 def covariance_matrix_limit(p: ModelParams) -> np.ndarray:
-    """The q -> 1 covariance matrix of the triple (X, Y, Z).
-
-    Diagonal entries (1 + r) / (1 - r); each off-diagonal entry pairs the
-    direct correlation with the product of the other two.
-    """
-    r = p.r
-    if abs(r) >= 1:
-        raise ValueError(f"need |r| < 1, got r={r}")
-    d = (1.0 + r) / (1.0 - r)
-    m01 = (p.rho12 + p.rho13 * p.rho23) / (1.0 - r)
-    m02 = (p.rho13 + p.rho12 * p.rho23) / (1.0 - r)
-    m12 = (p.rho23 + p.rho12 * p.rho13) / (1.0 - r)
-    return np.array([[d, m01, m02], [m01, d, m12], [m02, m12, d]])
+    """The q -> 1 covariance matrix of the triple (X, Y, Z): diagonal
+    entries (1 + r) / (1 - r), and each off-diagonal entry pairs the direct
+    correlation with the product of the other two, over 1 - r."""
+    return _covariance(p, 1.0)
 
 
 def closed_form(spec: MomentSpec) -> float:
@@ -424,11 +438,7 @@ def quadrature_oracle(spec: MomentSpec) -> float:
     if spec.kind is MomentKind.UNCONDITIONAL:
         if len(spec.degrees) == 1:
             n = spec.degrees[0]
-
-            def g_z(zz: np.ndarray) -> np.ndarray:
-                return q_hermite(n, zz, q).values[n] * f_z(zz, p.r, q)
-
-            return integrate1d(g_z, q).value
+            return _marginal_moment(lambda zz: q_hermite(n, zz, q).values[n], p.r, q)
         if len(spec.degrees) == 2:
             m, n = spec.degrees
 

@@ -35,9 +35,12 @@ therefore takes more levels, and like n^-2 for a constant, which in
 general ends in NonConvergence, as a jump inside the support does.
 
 Error control starts from one panel of QUAD_ORDER nodes, doubles the panel
-count per axis and compares the two levels; the difference is the reported
-error estimate.  The tolerances and panel caps per dimension are the
-module constants below.
+count per axis and compares the two levels.  A level is accepted when
+max|cur - prev| <= tol * max(1, max|cur|): the absolute tolerance for
+values of size at most 1 and the relative one above, so a large integral
+settles as well as a small one.  The difference is the reported error
+estimate.  The tolerances and panel caps per dimension are the module
+constants below.
 
 Integrands must accept numpy arrays.  Multi-dimensional integrators pass
 open (broadcastable) coordinate axes, so an integrand built from the
@@ -165,13 +168,15 @@ def _value_3d(f: Callable, q: float, panels: int) -> float:
 
 
 def _refine(value_at, tol: float, max_panels: int) -> IntegralResult:
+    """Double the panel count until two levels (scalars or arrays) agree
+    within tol scaled by max(1, max|cur|)."""
     panels = 1
     prev = value_at(panels)
     while panels * 2 <= max_panels:
         panels *= 2
         cur = value_at(panels)
-        err = abs(cur - prev)
-        if err <= tol:
+        err = float(np.max(np.abs(cur - prev)))
+        if err <= tol * max(1.0, float(np.max(np.abs(cur)))):
             return IntegralResult(cur, err, panels)
         prev = cur
     raise NonConvergence(
@@ -210,9 +215,9 @@ def gram_matrix(
     """Matrix of pairwise integrals of a polynomial family against a weight.
 
     poly_values(x) must return the stacked values with shape (n_max+1, len(x));
-    weight(x) returns the density at the nodes.  The panel count doubles until
-    the largest entry movement is below QUAD_TOL_1D relative to the matrix
-    scale.  The result is symmetrized, so G == G.T exactly.
+    weight(x) returns the density at the nodes.  The levels are refined as
+    for integrate1d, with the largest entry movement as the change between
+    two levels.  The result is symmetrized, so G == G.T exactly.
     """
 
     def level(panels: int) -> np.ndarray:
@@ -224,15 +229,4 @@ def gram_matrix(
         g = (v * c) @ v.T
         return 0.5 * (g + g.T)
 
-    panels = 1
-    prev = level(panels)
-    while panels * 2 <= MAX_PANELS_1D:
-        panels *= 2
-        cur = level(panels)
-        scale = max(1.0, float(np.max(np.abs(cur))))
-        if float(np.max(np.abs(cur - prev))) <= QUAD_TOL_1D * scale:
-            return cur
-        prev = cur
-    raise NonConvergence(
-        f"Gram matrix did not settle within {MAX_PANELS_1D} panels per axis"
-    )
+    return _refine(level, QUAD_TOL_1D, MAX_PANELS_1D).value

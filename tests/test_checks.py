@@ -8,6 +8,8 @@ import pytest
 
 from qnormal3d.checks import (
     SUITES,
+    SWEEP_Q,
+    SWEEP_RHO,
     TOL_EXACT_Q0,
     TOL_FORMS,
     TOL_KESTEN_MCKAY,
@@ -27,9 +29,10 @@ from qnormal3d.checks import (
     fn_limit_errors,
     kesten_mckay_density,
     run_suite,
+    var_limit_errors,
 )
 from qnormal3d.densities import DensityForm, MarginalForm, ModelParams, f_3d, f_z, omega, pm_kernel
-from qnormal3d.moments import cond_exp_hn_x_given_yz
+from qnormal3d.moments import cond_exp_hn_x_given_yz, var_z
 from qnormal3d.polynomials import triple_product_integral
 from qnormal3d.qcore import support_halfwidth
 
@@ -101,6 +104,22 @@ class TestLimitScans:
         qs = (0.5, 0.9)
         assert fn_limit_errors(qs) is fn_limit_errors(qs)
         assert asc_limit_errors(qs) is asc_limit_errors(qs)
+
+    def test_var_limit_errors(self):
+        r, qs = 0.06, (0.9, 0.99, 0.999)
+        expected = tuple(abs(var_z(r, q) - (1.0 + r) / (1.0 - r)) for q in qs)
+        assert var_limit_errors(r, qs) == expected
+
+
+def test_sweep_grid_is_the_acceptance_grid():
+    points = [(*rho, q) for rho in SWEEP_RHO for q in SWEEP_Q]
+    assert points == [
+        (r12, r13, r23, q)
+        for r12 in (0.3, -0.3)
+        for r13 in (0.6, -0.6)
+        for r23 in (0.3, -0.6)
+        for q in (-0.5, 0.0, 0.3, 0.7, 0.9)
+    ]
 
 
 # Per-point reference copies of the probe loops that the suites now run as

@@ -7,6 +7,8 @@ import math
 import pytest
 
 from qnormal3d.cli import main
+from qnormal3d.densities import ModelParams
+from qnormal3d.moments import _covariance, cov_yz, var_z
 
 
 def run_cli(argv, capsys):
@@ -169,6 +171,13 @@ class TestSample:
         row = stats["var_z"]
         dev = abs(float(row["estimate"]) - float(row["target"]))
         assert dev < 6 * float(row["std_error"])
+        # The targets are the moments module's formulas, bit for bit.
+        p = ModelParams(0.3, 0.4, 0.5, 0.5)
+        cov = _covariance(p, p.q)
+        assert float(row["target"]) == var_z(p.r, p.q)
+        assert float(stats["cov_yz"]["target"]) == cov_yz(p) == cov[1, 2]
+        assert float(stats["cov_xy"]["target"]) == cov[0, 1]
+        assert float(stats["cov_xz"]["target"]) == cov[0, 2]
 
     def test_base_target(self, capsys):
         code, out, _ = run_cli(

@@ -497,9 +497,16 @@ class TestZMarginal:
             assert np.all(f_z(np.array([-half, half]), 0.2, q, form=form) == 0.0)
 
     def test_matches_weighted_marginal(self):
-        r, q = 0.15, 0.3
-        for z in (0.0, 0.9, -1.4):
-            assert f_z(z, r, q) == pytest.approx(f_r(z, r, q), rel=1e-11)
+        # The Rogers route is f_r itself: equal bit for bit, at the support
+        # edges, outside the support and at NaN as well.
+        r = 0.15
+        for q in (-0.5, 0.0, 0.3, 0.9, 0.999):
+            half = support_halfwidth(q)
+            zs = np.concatenate(
+                [np.linspace(-half, half, 41), [-1.5 * half, 2.0 * half, math.nan]]
+            )
+            np.testing.assert_array_equal(f_z(zs, r, q), f_r(zs, r, q))
+            assert f_z(0.9, r, q) == f_r(0.9, r, q)
 
 
 class TestConditionals:

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from qnormal3d.checks import TOL_GRAM_DIAG, TOL_GRAM_OFFDIAG
+from qnormal3d.checks import TOL_COND_QUAD, TOL_GRAM_DIAG, TOL_GRAM_OFFDIAG
 from qnormal3d.densities import ModelParams, f_3d, f_n, f_yz
 from qnormal3d.errors import NonConvergence
+from qnormal3d.moments import MomentKind, MomentSpec, closed_form, quadrature_oracle
 from qnormal3d.polynomials import q_hermite
 from qnormal3d.qcore import q_factorial, support_halfwidth
 from qnormal3d.quadrature import (
@@ -91,6 +92,16 @@ class TestIntegrate1d:
         assert res.panels_used >= 8
         assert integrate1d(lambda x: f_n(x, 0.0), 0.0).panels_used <= 2
 
+    def test_large_integral_settles_on_its_scale(self):
+        # E(H_5(X) | y, z) at (y, z) = (0.4 L, -0.7 L), L = 20, is about
+        # 7.3e4.  Its levels agree to about 1e-14 relative but never within
+        # an absolute 1e-10, so the stop scales the tolerance by the value.
+        p = ModelParams(0.3, -0.6, 0.3, 0.99)
+        spec = MomentSpec(MomentKind.COND_X_GIVEN_YZ, (5,), p, (8.0, -14.0))
+        exact = closed_form(spec)
+        assert abs(exact) > 1e4
+        assert abs(quadrature_oracle(spec) - exact) <= TOL_COND_QUAD
+
     def test_nonconvergence_with_tiny_budget(self):
         # A jump inside the support defeats the spectral convergence, so the
         # panel doubling runs out of panels before two levels agree.
@@ -172,6 +183,12 @@ class TestGramMatrix:
         diag = np.array([q_factorial(k, q) for k in range(n + 1)])
         assert np.max(np.abs(np.diag(gram) / diag - 1.0)) <= TOL_GRAM_DIAG
         assert np.max(np.abs(gram - np.diag(np.diag(gram)))) <= TOL_GRAM_OFFDIAG
+
+    def test_raises_when_it_cannot_settle(self):
+        # A constant weight has no edge factor, so the levels converge only
+        # like n^-2, as for integrate1d.
+        with pytest.raises(NonConvergence):
+            gram_matrix(lambda xs: np.ones((1, len(xs))), lambda xs: np.ones_like(xs), 0, 0.0)
 
     def test_symmetric(self):
         q, n = -0.4, 5
