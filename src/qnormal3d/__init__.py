@@ -32,7 +32,6 @@ _EXPORTS = {
     "support_halfwidth": "qcore",
     "support": "qcore",
     # polynomial families
-    "PolyFamily": "polynomials",
     "PolySequence": "polynomials",
     "q_hermite": "polynomials",
     "asc_poly": "polynomials",
@@ -154,7 +153,6 @@ if TYPE_CHECKING:  # pragma: no cover
         var_z,
     )
     from .polynomials import (
-        PolyFamily,
         PolySequence,
         asc_poly,
         chebyshev_U,

@@ -13,8 +13,15 @@ metadata block, then a header row, 17 significant digits) or as JSON with
 the same metadata, columns, and rows.  Diagnostics go to stderr.  Output
 carries no timestamps, so identical invocations produce identical bytes.
 
-Exit codes: 0 success, 1 failed identity check, 2 invalid parameters,
-3 truncation or quadrature non-convergence, 4 too few samples.
+Validity rule: every parameter (q, each rho, r) has absolute value below 1
+and every conditioning point lies in the support [-L, L], L = 2/sqrt(1-q);
+NaN fails both.
+
+Exit codes: 0 success, 1 failed identity check, 2 invalid parameters
+(ValueError, DomainError, DegenerateConditioning, DegenerateRecurrence),
+3 truncation or quadrature non-convergence (NonConvergence), 4 too few
+samples (InsufficientSamples).  Each error prints one ``error:`` line on
+stderr and no traceback.
 
 The environment variable QNORMAL3D_THREADS, when set, seeds the usual
 thread-count variables (OMP, OpenBLAS, MKL) before the numerical modules
@@ -31,13 +38,29 @@ import re
 import sys
 from typing import Any, Dict, List, Sequence, Tuple
 
-from .errors import DomainError, InsufficientSamples, NonConvergence
+from .errors import (
+    DegenerateConditioning,
+    DegenerateRecurrence,
+    DomainError,
+    InsufficientSamples,
+    NonConvergence,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_INSUFFICIENT = 4
+# The exit code of every error a command may raise: each QNormalError
+# subclass, and ValueError for malformed or out-of-range input.
+EXIT_CODES = {
+    ValueError: EXIT_INVALID,
+    DomainError: EXIT_INVALID,
+    DegenerateConditioning: EXIT_INVALID,
+    DegenerateRecurrence: EXIT_INVALID,
+    NonConvergence: EXIT_NONCONVERGENCE,
+    InsufficientSamples: EXIT_INSUFFICIENT,
+}
 
 DENSITY_NAMES = ("fN", "fCN", "fR", "f3D", "fYZ", "fZ", "fXgYZ", "fYZgX", "pmKernel")
 SUITE_NAMES = (
@@ -593,15 +616,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         table, code = args.fn(args)
-    except (ValueError, DomainError) as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except NonConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except InsufficientSamples as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
     _emit(args, table)
     return code
 

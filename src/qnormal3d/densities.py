@@ -43,8 +43,9 @@ densities, and f_cn in x, extend by zero outside the support; f_x_given_yz,
 f_yz_given_x, pm_kernel and the complex parameter map raise DomainError
 instead.  A NaN evaluation point gives NaN in every form, while the other
 points of the same array still evaluate.  A NaN conditioning point (y of
-f_cn, y and z of f_x_given_yz, x of f_yz_given_x) or kernel argument raises
-DomainError with a message that names NaN.
+f_cn, y and z of f_x_given_yz and of aw_parameters, x of f_yz_given_x) or
+kernel argument raises DomainError with a message that names NaN.  These
+tests, and those of q and the correlations, are qcore's validity rule.
 """
 
 from __future__ import annotations
@@ -55,12 +56,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateConditioning, DomainError, NonConvergence
+from .errors import DegenerateConditioning, NonConvergence
 from .qcore import (
     MAX_TERMS,
     PRODUCT_TOL,
     TAIL_TOL,
+    _check_q,
+    _check_rho,
     _factors_needed,
+    _require_support,
     log_q_pochhammer_inf,
     support_halfwidth,
 )
@@ -130,25 +134,13 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         for name in ("rho12", "rho13", "rho23"):
-            if not abs(getattr(self, name)) < 1.0:
-                raise ValueError(f"|{name}| must be < 1")
-        if not abs(self.q) < 1.0:
-            raise ValueError("|q| must be < 1")
+            _check_rho(getattr(self, name), name)
+        _check_q(self.q)
 
     @property
     def r(self) -> float:
         """Product of the three correlations; normalizer is 1 - r."""
         return self.rho12 * self.rho13 * self.rho23
-
-
-def _check_q(q: float) -> None:
-    if not abs(q) < 1.0:
-        raise ValueError("density evaluation requires |q| < 1")
-
-
-def _check_rho(rho: float, name: str = "rho") -> None:
-    if not abs(rho) < 1.0:
-        raise ValueError(f"|{name}| must be < 1")
 
 
 def _points(*xs) -> tuple[list[np.ndarray], bool]:
@@ -414,14 +406,6 @@ def _extend(val: np.ndarray, half: float, *coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_support(arr: np.ndarray, half: float, what: str) -> None:
-    """Raise DomainError unless every point of arr lies in the support."""
-    if np.any(np.isnan(arr)):
-        raise DomainError(f"{what} is NaN")
-    if not np.all(_inside(arr, half)):
-        raise DomainError(f"{what} outside the support interval")
-
-
 def f_n(x, q: float):
     """Univariate q-Normal density; zero outside the support interval."""
     _check_q(q)
@@ -584,7 +568,8 @@ def pm_kernel(
     q: float,
     form: DensityForm = DensityForm.PRODUCT,
 ):
-    """Bilinear kernel f_CN(x|y) / f_N(x), by series or closed product."""
+    """Bilinear kernel f_CN(x|y) / f_N(x), by its SERIES or PRODUCT form;
+    any other form raises ValueError."""
     _check_q(q)
     _check_rho(rho)
     (xb, yb), scalar = _points(x, y)
@@ -593,7 +578,7 @@ def pm_kernel(
     _require_support(yb, half, "kernel argument y")
     if form == DensityForm.SERIES:
         val = _pm_series(xb, yb, rho, q)
-    elif form in (DensityForm.PRODUCT, DensityForm.CLOSED):
+    elif form == DensityForm.PRODUCT:
         # Always the factor loop: the reference the series form is checked against.
         t, s = np.arccos(_cosine(xb, q)), np.arccos(_cosine(yb, q))
         val = np.exp(log_q_pochhammer_inf(rho**2, q) - _log_factors(rho, q, t, s))
@@ -807,8 +792,8 @@ def aw_parameters(
     _check_rho(rho1, "rho1")
     _check_rho(rho2, "rho2")
     half = support_halfwidth(q)
-    if abs(y) > half or abs(z) > half:
-        raise DomainError("parameter map requires y, z in the support interval")
+    _require_support(y, half, "conditioning point y")
+    _require_support(z, half, "conditioning point z")
     s = math.sqrt(1.0 - q) / 2.0
     ty = math.sqrt(max(4.0 / (1.0 - q) - y * y, 0.0))
     tz = math.sqrt(max(4.0 / (1.0 - q) - z * z, 0.0))

@@ -22,10 +22,13 @@ from typing import Tuple
 import numpy as np
 
 from .densities import ModelParams, f_3d, f_r, f_x_given_yz, f_yz, f_z
-from .errors import DomainError, NonConvergence
+from .errors import NonConvergence
 from .polynomials import asc_poly, q_hermite, w_poly
 from .qcore import (
     TAIL_TOL,
+    _check_q,
+    _check_rho,
+    _require_support,
     q_binomial,
     q_factorial,
     q_pochhammer,
@@ -78,12 +81,7 @@ class MomentSpec:
             raise ValueError("degrees must be a nonempty tuple")
         if any((not isinstance(d, int)) or d < 0 for d in self.degrees):
             raise ValueError(f"degrees must be nonnegative integers, got {self.degrees}")
-        half = support_halfwidth(self.params.q)
-        for pt in self.points:
-            if abs(pt) > half:
-                raise DomainError(
-                    f"conditioning point {pt} outside the support [-{half}, {half}]"
-                )
+        _require_support(self.points, support_halfwidth(self.params.q), "conditioning point")
 
 
 def e_h2n_z(n: int, r: float, q: float) -> float:
@@ -95,8 +93,8 @@ def e_h2n_z(n: int, r: float, q: float) -> float:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if abs(r) >= 1 or abs(q) >= 1:
-        raise ValueError(f"need |r| < 1 and |q| < 1, got r={r}, q={q}")
+    _check_rho(r, "r")
+    _check_q(q)
     if n == 0:
         return 1.0
     return (
@@ -131,15 +129,13 @@ def _marginal_moment(g, r: float, q: float) -> float:
 
 def var_z(r: float, q: float) -> float:
     """Variance (1 + r) / (1 - rq) of the one-coordinate marginal."""
-    if abs(r) >= 1 or abs(q) >= 1:
-        raise ValueError(f"need |r| < 1 and |q| < 1, got r={r}, q={q}")
+    _check_rho(r, "r")
+    _check_q(q)
     return _variance(r, q)
 
 
 def cov_yz(p: ModelParams) -> float:
     """Covariance (rho23 + rho12 rho13) / (1 - rq) of two coordinates."""
-    if abs(p.q) >= 1:
-        raise ValueError(f"need |q| < 1, got q={p.q}")
     return float(_covariance(p, p.q)[1, 2])
 
 
@@ -156,8 +152,6 @@ def mixed_moment_h(m: int, n: int, p: ModelParams, s_max: int | None = None) -> 
     """
     if m < 0 or n < 0:
         raise ValueError(f"degrees must be nonnegative, got ({m}, {n})")
-    if abs(p.q) >= 1:
-        raise ValueError(f"need |q| < 1, got q={p.q}")
     if (m - n) % 2:
         return 0.0
     q = p.q
@@ -213,6 +207,17 @@ def _asc_basis_coeffs(n: int, y: float, rho12: float, q: float) -> np.ndarray:
     return np.linalg.solve(basis.T, target)
 
 
+def _check_conditional(y, z, rho12: float, rho13: float, q: float) -> None:
+    """qcore's validity rule for the moments of X given (Y, Z) = (y, z),
+    which take their parameters one by one rather than as ModelParams."""
+    _check_q(q)
+    _check_rho(rho12, "rho12")
+    _check_rho(rho13, "rho13")
+    half = support_halfwidth(q)
+    _require_support(y, half, "conditioning point y")
+    _require_support(z, half, "conditioning point z")
+
+
 def cond_exp_pn_x_given_yz(
     n: int, y: float, z: float, rho12: float, rho13: float, q: float
 ) -> float:
@@ -223,9 +228,7 @@ def cond_exp_pn_x_given_yz(
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    half = support_halfwidth(q)
-    if abs(y) > half or abs(z) > half:
-        raise DomainError(f"conditioning point outside the support [-{half}, {half}]")
+    _check_conditional(y, z, rho12, rho13, q)
     num = q_pochhammer(rho12**2, q, n)
     den = q_pochhammer(rho12**2 * rho13**2, q, n)
     pz = asc_poly(n, z, y, rho12 * rho13, q).values[n]
@@ -255,9 +258,7 @@ def cond_exp_hn_x_given_yz(
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    half = support_halfwidth(q)
-    if np.any(np.abs(y) > half) or np.any(np.abs(z) > half):
-        raise DomainError(f"conditioning point outside the support [-{half}, {half}]")
+    _check_conditional(y, z, rho12, rho13, q)
     scalar = np.ndim(y) == 0 and np.ndim(z) == 0
     if form is CondMomentForm.ASC_IMAGE and not scalar:
         raise ValueError("the asc-image form takes scalar y and z")
@@ -316,9 +317,7 @@ def cond_exp_hn_x_given_yz(
 
 def cond_exp_x_given_yz(y: float, z: float, rho12: float, rho13: float, q: float) -> float:
     """E(X | Y=y, Z=z): linear in (y, z) with an explicit closed form."""
-    half = support_halfwidth(q)
-    if abs(y) > half or abs(z) > half:
-        raise DomainError(f"conditioning point outside the support [-{half}, {half}]")
+    _check_conditional(y, z, rho12, rho13, q)
     r1sq = rho12 * rho12
     r2sq = rho13 * rho13
     return (y * rho12 * (1.0 - r2sq) + z * rho13 * (1.0 - r1sq)) / (1.0 - r1sq * r2sq)
@@ -336,9 +335,7 @@ def cond_exp_hn_y_given_z(n: int, z: float, p: ModelParams) -> float:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    half = support_halfwidth(p.q)
-    if abs(z) > half:
-        raise DomainError(f"conditioning point outside the support [-{half}, {half}]")
+    _require_support(z, support_halfwidth(p.q), "conditioning point z")
     if n == 0:
         return 1.0
     q = p.q
@@ -358,9 +355,7 @@ def cond_exp_hn_y_given_z(n: int, z: float, p: ModelParams) -> float:
 
 def cond_exp_y_given_z(z: float, p: ModelParams) -> float:
     """E(Y | Z=z) = (rho23 + rho12 rho13) z / (1 + r)."""
-    half = support_halfwidth(p.q)
-    if abs(z) > half:
-        raise DomainError(f"conditioning point outside the support [-{half}, {half}]")
+    _require_support(z, support_halfwidth(p.q), "conditioning point z")
     return (p.rho23 + p.rho12 * p.rho13) * z / (1.0 + p.r)
 
 
@@ -370,9 +365,7 @@ def cond_exp_y2_given_z(z: float, p: ModelParams) -> float:
     Kept separate from the degree-2 q-Hermite route so the two can be
     cross-checked; E(H_2(Y) | Z=z) = E(Y^2 | Z=z) - 1.
     """
-    half = support_halfwidth(p.q)
-    if abs(z) > half:
-        raise DomainError(f"conditioning point outside the support [-{half}, {half}]")
+    _require_support(z, support_halfwidth(p.q), "conditioning point z")
     q = p.q
     r = p.r
     ssum = p.rho23**2 + (p.rho12 * p.rho13) ** 2
@@ -385,9 +378,7 @@ def cond_exp_y2_given_z(z: float, p: ModelParams) -> float:
 
 def cond_exp_xy_given_z(z: float, p: ModelParams) -> float:
     """E(XY | Z=z): explicit quadratic in z."""
-    half = support_halfwidth(p.q)
-    if abs(z) > half:
-        raise DomainError(f"conditioning point outside the support [-{half}, {half}]")
+    _require_support(z, support_halfwidth(p.q), "conditioning point z")
     q = p.q
     r = p.r
     lead = (

@@ -22,9 +22,7 @@ Families:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -32,7 +30,6 @@ from .errors import DegenerateRecurrence
 from .qcore import q_factorial, q_number, q_pochhammer
 
 __all__ = [
-    "PolyFamily",
     "PolySequence",
     "q_hermite",
     "asc_poly",
@@ -48,29 +45,12 @@ __all__ = [
 _SINGULAR = 1e-15
 
 
-class PolyFamily(enum.Enum):
-    Q_HERMITE = "q-hermite"
-    AL_SALAM_CHIHARA = "al-salam-chihara"
-    ROGERS = "rogers"
-    ROGERS_MONIC = "rogers-monic"
-    CHEBYSHEV_U = "chebyshev-u"
-    HERMITE_PROB = "hermite-prob"
-
-
 @dataclass(frozen=True, eq=False)
 class PolySequence:
-    """Values of one polynomial family at fixed parameters and points."""
+    """Values p_0, ..., p_n of one polynomial family at fixed parameters
+    and points, as ``values`` of shape (n+1,) + point-shape."""
 
-    family: PolyFamily
-    params: Mapping[str, float]
     values: np.ndarray
-
-    @property
-    def degree(self) -> int:
-        return len(self.values) - 1
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        return self.values[k]
 
 
 def _alloc(n: int, *points: object) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -88,7 +68,7 @@ def q_hermite(n: int, x, q: float) -> PolySequence:
         values[1] = xb
     for k in range(1, n):
         values[k + 1] = xb * values[k] - q_number(k, q) * values[k - 1]
-    return PolySequence(PolyFamily.Q_HERMITE, {"q": q}, values)
+    return PolySequence(values)
 
 
 def asc_poly(n: int, x, y, rho: float, q: float) -> PolySequence:
@@ -103,9 +83,7 @@ def asc_poly(n: int, x, y, rho: float, q: float) -> PolySequence:
         values[k + 1] = (xb - rho * yb * q**k) * values[k] - (
             1.0 - rho**2 * q ** (k - 1)
         ) * q_number(k, q) * values[k - 1]
-    return PolySequence(
-        PolyFamily.AL_SALAM_CHIHARA, {"y": y, "rho": rho, "q": q}, values
-    )
+    return PolySequence(values)
 
 
 def rogers_C(n: int, x, beta: float, q: float) -> PolySequence:
@@ -121,7 +99,7 @@ def rogers_C(n: int, x, beta: float, q: float) -> PolySequence:
         if k >= 1:
             acc = acc - (1.0 - beta**2 * q ** (k - 1)) * values[k - 1]
         values[k + 1] = acc / lead
-    return PolySequence(PolyFamily.ROGERS, {"beta": beta, "q": q}, values)
+    return PolySequence(values)
 
 
 def rogers_monic(n: int, y, beta: float, q: float) -> PolySequence:
@@ -137,7 +115,7 @@ def rogers_monic(n: int, y, beta: float, q: float) -> PolySequence:
             )
         coef = q_number(k, q) * (1.0 - beta**2 * q ** (k - 1)) / den
         values[k + 1] = yb * values[k] - coef * values[k - 1]
-    return PolySequence(PolyFamily.ROGERS_MONIC, {"beta": beta, "q": q}, values)
+    return PolySequence(values)
 
 
 def chebyshev_U(n: int, x) -> PolySequence:
@@ -147,7 +125,7 @@ def chebyshev_U(n: int, x) -> PolySequence:
         values[1] = 2.0 * xb
     for k in range(1, n):
         values[k + 1] = 2.0 * xb * values[k] - values[k - 1]
-    return PolySequence(PolyFamily.CHEBYSHEV_U, {}, values)
+    return PolySequence(values)
 
 
 def hermite_prob(n: int, x) -> PolySequence:
@@ -157,7 +135,7 @@ def hermite_prob(n: int, x) -> PolySequence:
         values[1] = xb
     for k in range(1, n):
         values[k + 1] = xb * values[k] - float(k) * values[k - 1]
-    return PolySequence(PolyFamily.HERMITE_PROB, {}, values)
+    return PolySequence(values)
 
 
 def triple_product_integral(k: int, m: int, n: int, q: float) -> float:

@@ -15,6 +15,13 @@ tail in closed form and sums its logs exactly, so it is correct to rounding
 at every |q| < 1 within the cap.  The series elsewhere in the package
 stop point by point, each point once two successive term envelopes there
 fall below TAIL_TOL, under the same cap.
+
+The package's one validity rule is written here as well: every parameter
+(q, a correlation rho, the ratio r) has absolute value below 1, and every
+conditioning point lies in [-L, L] with L = support_halfwidth(q); a NaN
+parameter or point fails the rule.  The densities, moments, samplers and
+quadrature call _check_q, _check_rho and _require_support rather than
+test it themselves.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import math
 
 import numpy as np
 
-from .errors import NonConvergence
+from .errors import DomainError, NonConvergence
 
 __all__ = [
     "MAX_TERMS",
@@ -132,7 +139,7 @@ def log_q_pochhammer_inf(a: float, q: float) -> float:
     math.fsum and the omitted ones in closed form, so no error grows with
     the factor count, which is about 1/(1-q).
     """
-    if abs(a) >= 1.0:
+    if not abs(a) < 1.0:
         raise ValueError("log_q_pochhammer_inf requires |a| < 1")
     n = _factors_needed(a, q)
     # Each factor from its own power a q^k, not from a running product that
@@ -148,11 +155,32 @@ def log_q_pochhammer_inf(a: float, q: float) -> float:
 
 def support_halfwidth(q: float) -> float:
     """Half-width 2 / sqrt(1 - q) of the support interval; inf at q = 1."""
-    if abs(q) > 1.0:
+    if not abs(q) <= 1.0:
         raise ValueError("support requires |q| <= 1")
     if q == 1.0:
         return math.inf
     return 2.0 / math.sqrt(1.0 - q)
+
+
+def _check_q(q: float) -> None:
+    """The package's parameter rule for q: |q| < 1, NaN rejected."""
+    if not abs(q) < 1.0:
+        raise ValueError(f"|q| must be < 1, got q={q}")
+
+
+def _check_rho(rho: float, name: str = "rho") -> None:
+    """The same rule for a correlation or ratio named ``name``."""
+    if not abs(rho) < 1.0:
+        raise ValueError(f"|{name}| must be < 1, got {name}={rho}")
+
+
+def _require_support(arr, half: float, what: str) -> None:
+    """Raise DomainError unless every point of arr lies in [-half, half];
+    a NaN point lies nowhere."""
+    if np.any(np.isnan(arr)):
+        raise DomainError(f"{what} is NaN")
+    if not np.all(np.abs(arr) <= half):
+        raise DomainError(f"{what} outside the support [-{half}, {half}]")
 
 
 def support(q: float) -> tuple[float, float]:

@@ -67,7 +67,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonConvergence
-from .qcore import support_halfwidth
+from .qcore import _check_q, support_halfwidth
 
 __all__ = [
     "QUAD_ORDER",
@@ -131,9 +131,8 @@ def _phi_of_theta(theta: np.ndarray, half: float) -> np.ndarray:
 def _axis(q: float, panels: int):
     """One axis of QUAD_ORDER * panels midpoint nodes in phi and their
     Jacobian-absorbed weights over the support."""
+    _check_q(q)
     half = support_halfwidth(q)
-    if not math.isfinite(half):
-        raise ValueError("quadrature requires |q| < 1 (finite support)")
     n = QUAD_ORDER * panels
     step = math.pi / n
     # (k - (n-1)/2) is an exact half-integer, so the nodes are exactly

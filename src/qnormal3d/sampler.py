@@ -31,13 +31,15 @@ import numpy as np
 
 from .densities import ModelParams, _cosine, _kernel_coefficients, _kernel_terms, f_n, f_r
 from .errors import DegenerateConditioning, InsufficientSamples, NonConvergence
-from .qcore import MAX_TERMS, support_halfwidth
+from .qcore import MAX_TERMS, _check_q, support_halfwidth
 from .quadrature import _phi_of_theta, _theta_of_phi
 
 _BISECTIONS = 26
 _BLOCK = 4096
 _KS_TERMS = 100
 _NEWTON_STEPS = 60
+# Contiguous batches of mc_moment's jackknife standard error.
+_N_BATCHES = 20
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,7 @@ def sample_fn(q: float, cfg: SamplerConfig) -> np.ndarray:
     Deterministic for a fixed config: one Philox stream keyed by the seed
     feeds uniforms through the tabulated quantile function.
     """
-    if abs(q) >= 1:
-        raise ValueError(f"need |q| < 1, got q={q}")
+    _check_q(q)
     half = support_halfwidth(q)
     quantile = _base_quantile(q, cfg.grid_points)
     gen = np.random.Generator(np.random.Philox(key=cfg.seed))
@@ -259,8 +260,6 @@ def sample_3d(p: ModelParams, cfg: SamplerConfig) -> np.ndarray:
     one row per chain until ``n_samples`` rows are collected.  Fixed seeds
     reproduce the output array exactly.
     """
-    if abs(p.q) >= 1:
-        raise ValueError(f"need |q| < 1, got q={p.q}")
     q = p.q
     half = support_halfwidth(q)
     phi = _phi_grid(cfg.grid_points)
@@ -299,22 +298,20 @@ def sample_3d(p: ModelParams, cfg: SamplerConfig) -> np.ndarray:
 
 
 def mc_moment(
-    samples: Sequence[float] | np.ndarray,
-    g: Callable[..., np.ndarray],
-    n_batches: int = 20,
+    samples: Sequence[float] | np.ndarray, g: Callable[..., np.ndarray]
 ) -> McEstimate:
     """Sample mean of g with a jackknife-over-batches standard error.
 
     ``g`` receives one array per sample coordinate (one to three).  The
-    standard error comes from leave-one-out recombination of ``n_batches``
+    standard error comes from leave-one-out recombination of ``_N_BATCHES``
     contiguous batches, which respects the interleaved chain layout of
     :func:`sample_3d` output.
     """
     arr = np.asarray(samples, dtype=float)
     n = arr.shape[0]
-    if n < n_batches:
+    if n < _N_BATCHES:
         raise InsufficientSamples(
-            f"need at least {n_batches} draws for {n_batches} batches, got {n}"
+            f"need at least {_N_BATCHES} draws for {_N_BATCHES} batches, got {n}"
         )
     vals = g(arr) if arr.ndim == 1 else g(*(arr[:, i] for i in range(arr.shape[1])))
     vals = np.asarray(vals, dtype=float)
@@ -322,12 +319,12 @@ def mc_moment(
         raise ValueError(f"g must map {n} samples to {n} values, got {vals.shape}")
     total = float(np.sum(vals))
     mean = total / n
-    batches = np.array_split(vals, n_batches)
+    batches = np.array_split(vals, _N_BATCHES)
     sizes = np.array([len(b) for b in batches], dtype=float)
     sums = np.array([np.sum(b) for b in batches])
     loo = (total - sums) / (n - sizes)
     loo_bar = float(np.mean(loo))
-    var = (n_batches - 1) / n_batches * float(np.sum((loo - loo_bar) ** 2))
+    var = (_N_BATCHES - 1) / _N_BATCHES * float(np.sum((loo - loo_bar) ** 2))
     return McEstimate(value=mean, std_error=math.sqrt(var), n=n)
 
 

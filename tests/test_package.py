@@ -9,7 +9,7 @@ EXPORTS = {
     "CondMomentForm", "DegenerateConditioning", "DegenerateRecurrence",
     "DensityForm", "DomainError", "InsufficientSamples", "IntegralResult",
     "MarginalForm", "McEstimate", "ModelParams", "MomentKind", "MomentSpec",
-    "NonConvergence", "PolyFamily", "PolySequence", "QNormalError", "SUITES",
+    "NonConvergence", "PolySequence", "QNormalError", "SUITES",
     "SamplerConfig", "VerificationReport", "asc_poly", "aw_parameters",
     "cdf_fn", "cdf_r", "chebyshev_U", "closed_form", "cond_exp_hn_x_given_yz",
     "cond_exp_hn_y_given_z", "cond_exp_x_given_yz", "cond_exp_xy_given_z",

@@ -1,0 +1,89 @@
+"""The package's one validity rule and the CLI exit code of each error.
+
+Every parameter (q, each rho, r) has absolute value below 1 and every
+conditioning point lies in the support; NaN fails both.  Each public entry
+below must raise the documented error rather than return NaN or leak a
+Python exception, and the CLI must map each error to its documented code.
+"""
+
+import math
+
+import pytest
+
+from qnormal3d import errors
+from qnormal3d import moments as mm
+from qnormal3d.cli import EXIT_CODES, main
+from qnormal3d.densities import DensityForm, ModelParams, aw_parameters, pm_kernel
+from qnormal3d.errors import DomainError
+from qnormal3d.qcore import support_halfwidth
+
+NAN = math.nan
+P = ModelParams(0.3, 0.6, 0.3, 0.5)
+
+# (entry, arguments, error): one row per public entry and invalid input.
+INVALID = [
+    (mm.MomentSpec, (mm.MomentKind.COND_Y_GIVEN_Z, (1,), P, (NAN,)), DomainError),
+    (mm.cond_exp_pn_x_given_yz, (2, NAN, 0.1, 0.3, 0.6, 0.5), DomainError),
+    (mm.cond_exp_hn_x_given_yz, (2, 0.1, NAN, 0.3, 0.6, 0.5), DomainError),
+    (mm.cond_exp_x_given_yz, (NAN, 0.1, 0.3, 0.6, 0.5), DomainError),
+    (mm.cond_exp_hn_y_given_z, (2, NAN, P), DomainError),
+    (mm.cond_exp_y_given_z, (NAN, P), DomainError),
+    (mm.cond_exp_y2_given_z, (NAN, P), DomainError),
+    (mm.cond_exp_xy_given_z, (NAN, P), DomainError),
+    (aw_parameters, (NAN, 0.1, 0.3, 0.6, 0.5), DomainError),
+    (pm_kernel, (0.1, 0.2, 0.3, 0.5, DensityForm.CLOSED), ValueError),
+    (support_halfwidth, (NAN,), ValueError),
+]
+# var_z and e_h2n_z take (r, q); the moments of X given (Y, Z) take
+# (rho12, rho13, q) on their own, without a validated ModelParams.
+for r, q in ((NAN, 0.5), (1.0, 0.5), (0.1, NAN), (0.1, 1.0)):
+    INVALID += [(mm.var_z, (r, q), ValueError), (mm.e_h2n_z, (1, r, q), ValueError)]
+for rho12, rho13, q in (
+    (NAN, 0.2, 0.5), (0.1, NAN, 0.5), (1.0, 1.0, 0.5), (0.1, -1.0, 0.5), (0.1, 0.2, 1.0)
+):
+    INVALID += [
+        (mm.cond_exp_x_given_yz, (1.0, 1.0, rho12, rho13, q), ValueError),
+        (mm.cond_exp_hn_x_given_yz, (2, 1.0, 1.0, rho12, rho13, q), ValueError),
+        (mm.cond_exp_pn_x_given_yz, (2, 1.0, 1.0, rho12, rho13, q), ValueError),
+    ]
+
+
+@pytest.mark.parametrize(
+    "entry, args, error",
+    INVALID,
+    ids=[f"{fn.__name__}{i}" for i, (fn, _, _) in enumerate(INVALID)],
+)
+def test_invalid_input_raises_documented_error(entry, args, error):
+    with pytest.raises(error):
+        entry(*args)
+
+
+def test_every_error_has_its_documented_exit_code():
+    documented = {
+        ValueError: 2,
+        errors.DomainError: 2,
+        errors.DegenerateConditioning: 2,
+        errors.DegenerateRecurrence: 2,
+        errors.NonConvergence: 3,
+        errors.InsufficientSamples: 4,
+    }
+    assert set(errors.QNormalError.__subclasses__()) <= set(EXIT_CODES)
+    assert EXIT_CODES == documented
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "moments --kind cond_y --q 0.5 --rho 0.3,0.6,0.3 --n 2 --z nan".split(),
+        "eval fXgYZ --q 0.5 --y 0 --z 2.82842712474619".split(),
+        "gram --family rogers --q 0.5 --r 1".split(),
+    ],
+    ids=["nan-point", "degenerate-conditioning", "degenerate-recurrence"],
+)
+def test_cli_invalid_input_exits_2_with_one_error_line(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
