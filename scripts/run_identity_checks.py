@@ -3,7 +3,8 @@
 
 Prints one line per identity name with the worst error ratio seen across the
 grid, then a pass/fail total. Nonzero exit on any failure, so this can gate
-a CI job the same way `qnormal3d check all` does for a single point.
+a CI job the same way `qnormal3d check all` does for a single point. The
+sweep's wall time goes to stderr, so stdout is the same bytes on every run.
 
 Usage:
     python scripts/run_identity_checks.py
@@ -56,10 +57,8 @@ def main():
         )
     total_fail = sum(failures.values())
     total = sum(counts.values())
-    print(
-        f"\n{len(grid)} grid points, {total} instances, "
-        f"{total_fail} failures, {elapsed:.1f} s"
-    )
+    print(f"\n{len(grid)} grid points, {total} instances, {total_fail} failures")
+    print(f"{elapsed:.1f} s", file=sys.stderr)
     return 1 if total_fail else 0
 
 

@@ -54,14 +54,15 @@ from .moments import (
     var_z,
 )
 from .polynomials import (
+    FAMILIES,
     asc_poly,
+    default_y,
     hermite_prob,
     q_hermite,
-    rogers_monic,
     triple_product_integral,
 )
-from .qcore import q_factorial, q_pochhammer, support_halfwidth
-from .quadrature import gram_matrix, integrate1d, integrate2d, integrate3d
+from .qcore import support_halfwidth
+from .quadrature import integrate1d, integrate2d, integrate3d
 
 TOL_NORM_1D = 1e-8
 TOL_NORM_2D = 1e-7
@@ -154,7 +155,7 @@ def check_marginals(p: ModelParams, seed: int = 7) -> List[VerificationReport]:
         _report("fN-normalization", integrate1d(lambda x: f_n(x, q), q).value, 1.0, TOL_NORM_1D),
         _report("fR-normalization", integrate1d(lambda x: f_r(x, p.r, q), q).value, 1.0, TOL_NORM_1D),
     ]
-    y0 = 0.37 * support_halfwidth(q)
+    y0 = default_y(q)
     out.append(
         _report(
             "fCN-normalization",
@@ -247,50 +248,17 @@ def check_fz_forms(
 
 
 def check_orthogonality(p: ModelParams) -> List[VerificationReport]:
-    """Gram matrices of the three families against their densities."""
+    """Gram matrix of every family of ``FAMILIES`` against its density,
+    to the family's degree; ASC is conditioned at y0 = default_y(q)."""
     q = p.q
+    given = {"y": default_y(q), "rho1": p.rho12, "r": p.r}
     out = []
-    n_h = 10
-    gram = gram_matrix(
-        lambda xs: q_hermite(n_h, xs, q).values, lambda xs: f_n(xs, q), n_h, q
-    )
-    diag = np.array([q_factorial(n, q) for n in range(n_h + 1)])
-    out.append(_diag_report("gram-qhermite-diagonal", gram, diag))
-    out.append(_offdiag_report("gram-qhermite-offdiagonal", gram))
-
-    n_a = 8
-    y0 = 0.37 * support_halfwidth(q)
-    rho = p.rho12
-    gram = gram_matrix(
-        lambda xs: asc_poly(n_a, xs, y0, rho, q).values,
-        lambda xs: f_cn(xs, y0, rho, q),
-        n_a,
-        q,
-    )
-    diag = np.array(
-        [q_pochhammer(rho * rho, q, n) * q_factorial(n, q) for n in range(n_a + 1)]
-    )
-    out.append(_diag_report("gram-asc-diagonal", gram, diag))
-    out.append(_offdiag_report("gram-asc-offdiagonal", gram))
-
-    r = p.r
-    gram = gram_matrix(
-        lambda xs: rogers_monic(n_a, xs, r, q).values,
-        lambda xs: f_r(xs, r, q),
-        n_a,
-        q,
-    )
-    diag = np.array(
-        [
-            q_factorial(n, q)
-            * (1.0 - r)
-            * q_pochhammer(r * r, q, n)
-            / (q_pochhammer(r, q, n) * q_pochhammer(r, q, n + 1))
-            for n in range(n_a + 1)
-        ]
-    )
-    out.append(_diag_report("gram-rogers-diagonal", gram, diag))
-    out.append(_offdiag_report("gram-rogers-offdiagonal", gram))
+    for name, fam in FAMILIES.items():
+        args = [given[key] for key in fam.params]
+        gram = fam.gram(fam.degree, *args, q)
+        norms = np.array(fam.norms(fam.degree, *args, q))
+        out.append(_diag_report(f"gram-{name}-diagonal", gram, norms))
+        out.append(_offdiag_report(f"gram-{name}-offdiagonal", gram))
     return out
 
 
@@ -488,27 +456,25 @@ def check_limits(
                 exact = _triple_product_exact_q0(k, m, n)
                 pairs.append((triple_product_integral(k, m, n, 0.0), exact))
     out.append(_worst("q0-triple-product-exact", pairs, TOL_EXACT_Q0))
-    n_h = 6
-    gram = gram_matrix(
-        lambda vs: q_hermite(n_h, vs, 0.0).values, lambda vs: f_n(vs, 0.0), n_h, 0.0
-    )
-    exact_gram = np.eye(n_h + 1)
-    out.append(
-        _report(
-            "q0-gram-exact",
-            float(np.max(np.abs(gram - exact_gram))),
-            0.0,
-            TOL_EXACT_Q0,
-        )
-    )
-
-    out.append(_limit_row("fn-gaussian-limit", fn_limit_errors(LIMIT_Q_SEQUENCE)))
-    out.append(_limit_row("asc-hermite-limit", asc_limit_errors(LIMIT_Q_SEQUENCE)))
-    out.append(_limit_row("var-limit", var_limit_errors(r, LIMIT_Q_SEQUENCE)))
+    # At q = 0 every q-Hermite norm [n]_0! is 1: the Gram matrix is exactly I.
+    hermite, n_h = FAMILIES["qhermite"], 6
+    miss = hermite.gram(n_h, 0.0) - np.diag(hermite.norms(n_h, 0.0))
+    out.append(_report("q0-gram-exact", float(np.max(np.abs(miss))), 0.0, TOL_EXACT_Q0))
+    for name, errs in limit_series(r, LIMIT_Q_SEQUENCE).items():
+        out.append(_limit_row(name, errs))
     return out
 
 
 LIMIT_Q_SEQUENCE = (0.9, 0.99, 0.999)
+
+
+def limit_series(r: float, qs: Tuple[float, ...]) -> Dict[str, Tuple[float, ...]]:
+    """The three Gaussian-limit error series along qs, by report name."""
+    return {
+        "fn-gaussian-limit": fn_limit_errors(qs),
+        "asc-hermite-limit": asc_limit_errors(qs),
+        "var-limit": var_limit_errors(r, qs),
+    }
 
 
 @lru_cache

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import re
@@ -75,6 +76,8 @@ SUITE_NAMES = (
 )
 MOMENT_KINDS = ("var_z", "eh2n_z", "mixed", "cond_x", "cond_y", "cond_xy")
 GRAM_FAMILIES = ("qhermite", "asc", "rogers")
+# Literals, so that --help imports no numpy; tests pin SUITE_NAMES to
+# checks.SUITES and GRAM_FAMILIES to polynomials.FAMILIES.
 
 Row = Tuple[Any, ...]
 Table = Tuple[Dict[str, Any], List[str], List[Row]]
@@ -371,10 +374,7 @@ def cmd_moments(args: argparse.Namespace) -> Tuple[Table, int]:
 
 
 def cmd_gram(args: argparse.Namespace) -> Tuple[Table, int]:
-    from .densities import f_cn, f_n, f_r
-    from .polynomials import asc_poly, q_hermite, rogers_monic
-    from .qcore import support_halfwidth
-    from .quadrature import gram_matrix
+    from .polynomials import FAMILIES, default_y
 
     q = args.q
     n_max = args.nmax
@@ -385,28 +385,12 @@ def cmd_gram(args: argparse.Namespace) -> Tuple[Table, int]:
         "q": q,
     }
     meta.update(_shared_metadata())
-    if args.family == "qhermite":
-        matrix = gram_matrix(
-            lambda xs: q_hermite(n_max, xs, q).values, lambda xs: f_n(xs, q), n_max, q
-        )
-    elif args.family == "asc":
-        y0 = args.y if args.y is not None else 0.37 * support_halfwidth(q)
-        meta["y"] = y0
-        meta["rho1"] = args.rho1
-        matrix = gram_matrix(
-            lambda xs: asc_poly(n_max, xs, y0, args.rho1, q).values,
-            lambda xs: f_cn(xs, y0, args.rho1, q),
-            n_max,
-            q,
-        )
-    else:
-        meta["r"] = args.r
-        matrix = gram_matrix(
-            lambda xs: rogers_monic(n_max, xs, args.r, q).values,
-            lambda xs: f_r(xs, args.r, q),
-            n_max,
-            q,
-        )
+    fam = FAMILIES[args.family]
+    for key in fam.params:
+        # --y is the one family parameter whose default depends on q.
+        value = getattr(args, key)
+        meta[key] = default_y(q) if value is None else value
+    matrix = fam.gram(n_max, *(meta[key] for key in fam.params), q)
     columns = ["i", "j", "value"]
     rows = [
         (i, j, float(matrix[i, j]))
@@ -444,65 +428,39 @@ def cmd_sample(args: argparse.Namespace) -> Tuple[Table, int]:
     meta.update(_shared_metadata())
     if args.target == "fn":
         draws = sample_fn(args.q, cfg)
-        if not args.summary:
-            return (meta, ["x"], [(float(v),) for v in draws]), EXIT_OK
-        stats = [
-            ("mean_x", mc_moment(draws, lambda x: x), 0.0),
-            ("var_x", mc_moment(draws, lambda x: x * x), 1.0),
-        ]
-        rows = [(label, est.value, est.std_error, target) for label, est, target in stats]
-        return (meta, ["stat", "estimate", "std_error", "target"], rows), EXIT_OK
-
-    p = ModelParams(*args.rho, q=args.q)
-    meta["rho12"], meta["rho13"], meta["rho23"] = args.rho
-    draws = sample_3d(p, cfg)
+        columns = ["x"]
+        stats = [("mean_x", lambda x: x, 0.0), ("var_x", lambda x: x * x, 1.0)]
+    else:
+        p = ModelParams(*args.rho, q=args.q)
+        meta["rho12"], meta["rho13"], meta["rho23"] = args.rho
+        draws = sample_3d(p, cfg)
+        columns = ["x", "y", "z"]
+        # The means, then the covariance entries (i, j), i <= j: the
+        # diagonal first, then the pairs in order.
+        cov = _covariance(p, p.q).tolist()
+        stats = [(f"mean_{columns[i]}", lambda *v, i=i: v[i], 0.0) for i in range(3)]
+        for i, j in [(i, i) for i in range(3)] + list(itertools.combinations(range(3), 2)):
+            label = f"var_{columns[i]}" if i == j else f"cov_{columns[i]}{columns[j]}"
+            stats.append((label, lambda *v, i=i, j=j: v[i] * v[j], cov[i][j]))
     if not args.summary:
-        rows = [tuple(float(v) for v in row) for row in draws]
-        return (meta, ["x", "y", "z"], rows), EXIT_OK
-    cov = _covariance(p, p.q).tolist()
-    targets = {
-        "mean_x": 0.0,
-        "mean_y": 0.0,
-        "mean_z": 0.0,
-        "var_x": cov[0][0],
-        "var_y": cov[1][1],
-        "var_z": cov[2][2],
-        "cov_xy": cov[0][1],
-        "cov_xz": cov[0][2],
-        "cov_yz": cov[1][2],
-    }
-    fns = {
-        "mean_x": lambda x, y, z: x,
-        "mean_y": lambda x, y, z: y,
-        "mean_z": lambda x, y, z: z,
-        "var_x": lambda x, y, z: x * x,
-        "var_y": lambda x, y, z: y * y,
-        "var_z": lambda x, y, z: z * z,
-        "cov_xy": lambda x, y, z: x * y,
-        "cov_xz": lambda x, y, z: x * z,
-        "cov_yz": lambda x, y, z: y * z,
-    }
+        rows = [tuple(float(v) for v in row) for row in draws.reshape(len(draws), -1)]
+        return (meta, columns, rows), EXIT_OK
     rows = []
-    for label, fn in fns.items():
+    for label, fn, target in stats:
         est = mc_moment(draws, fn)
-        rows.append((label, est.value, est.std_error, targets[label]))
+        rows.append((label, est.value, est.std_error, target))
     return (meta, ["stat", "estimate", "std_error", "target"], rows), EXIT_OK
 
 
 def cmd_limits(args: argparse.Namespace) -> Tuple[Table, int]:
-    from .checks import asc_limit_errors, fn_limit_errors, var_limit_errors
+    from .checks import limit_series
 
     qs = _parse_q_seq(args.q_seq)
     meta: Dict[str, Any] = {"command": "limits", "q_seq": args.q_seq, "r": args.r}
     meta.update(_shared_metadata())
     columns = ["check", "q", "error", "ratio"]
     rows: List[Row] = []
-    series = {
-        "fn-gaussian-limit": fn_limit_errors(qs),
-        "asc-hermite-limit": asc_limit_errors(qs),
-        "var-limit": var_limit_errors(args.r, qs),
-    }
-    for name, errs in series.items():
+    for name, errs in limit_series(args.r, qs).items():
         prev = None
         for qq, err in zip(qs, errs):
             ratio = err / prev if prev else ""

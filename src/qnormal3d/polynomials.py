@@ -18,16 +18,24 @@ Families:
                 / ((1 - b q^(n-1))(1 - b q^n)) R_{n-1}
     Chebyshev U              U_{n+1}(x) = 2x U_n(x) - U_{n-1}(x)
     probabilists' Hermite    He_{n+1}(x) = x He_n(x) - n He_{n-1}(x)
+
+``FAMILIES`` is the one table of the families orthogonal under the model's
+densities (q-Hermite under f_N, Al-Salam-Chihara under f_CN, monic Rogers
+under f_R): the orthogonality suite and ``qnormal3d gram`` read only it, so
+a new family is one more entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, List, Tuple
 
 import numpy as np
 
+from .densities import f_cn, f_n, f_r
 from .errors import DegenerateRecurrence
-from .qcore import q_factorial, q_number, q_pochhammer
+from .qcore import q_factorial, q_number, q_pochhammer, support_halfwidth
+from .quadrature import gram_matrix
 
 __all__ = [
     "PolySequence",
@@ -219,3 +227,61 @@ def w_poly(k: int, m: int, x, r: float, q: float):
     if np.ndim(x) == 0:
         return float(val)
     return val
+
+
+
+def default_y(q: float) -> float:
+    """The Al-Salam-Chihara conditioning point when none is given: 0.37 L."""
+    return 0.37 * support_halfwidth(q)
+
+
+@dataclass(frozen=True)
+class Family:
+    """An orthogonal family, read by the orthogonality suite to ``degree``.
+
+    Each callable takes its own arguments, then the values of ``params``
+    in order, then q: values(n, x, ...) stacks p_0(x)..p_n(x), weight(x, ...)
+    is the density they are orthogonal under and norms(n, ...) lists E p_k^2.
+    """
+
+    params: Tuple[str, ...]
+    degree: int
+    values: Callable[..., np.ndarray]
+    weight: Callable[..., np.ndarray]
+    norms: Callable[..., List[float]]
+
+    def gram(self, n: int, *args: float) -> np.ndarray:
+        """E p_j p_k for j, k <= n; args are the parameters, then q."""
+        return gram_matrix(
+            lambda x: self.values(n, x, *args), lambda x: self.weight(x, *args), n, args[-1]
+        )
+
+
+# The entries call through module names rather than hold the functions, so a
+# wrapper bound over those names (as bench/tracer.py binds) sees every call.
+FAMILIES = {
+    "qhermite": Family(
+        (), 10,
+        lambda n, x, q: q_hermite(n, x, q).values,
+        lambda x, q: f_n(x, q),
+        lambda n, q: [q_factorial(k, q) for k in range(n + 1)],
+    ),
+    "asc": Family(
+        ("y", "rho1"), 8,
+        lambda n, x, y, rho, q: asc_poly(n, x, y, rho, q).values,
+        lambda x, y, rho, q: f_cn(x, y, rho, q),
+        lambda n, y, rho, q: [
+            q_pochhammer(rho * rho, q, k) * q_factorial(k, q) for k in range(n + 1)
+        ],
+    ),
+    "rogers": Family(
+        ("r",), 8,
+        lambda n, x, r, q: rogers_monic(n, x, r, q).values,
+        lambda x, r, q: f_r(x, r, q),
+        lambda n, r, q: [
+            q_factorial(k, q) * (1.0 - r) * q_pochhammer(r * r, q, k)
+            / (q_pochhammer(r, q, k) * q_pochhammer(r, q, k + 1))
+            for k in range(n + 1)
+        ],
+    ),
+}

@@ -28,6 +28,7 @@ from qnormal3d.checks import (
     check_poisson_mehler,
     fn_limit_errors,
     kesten_mckay_density,
+    limit_series,
     run_suite,
     var_limit_errors,
 )
@@ -109,6 +110,14 @@ class TestLimitScans:
         r, qs = 0.06, (0.9, 0.99, 0.999)
         expected = tuple(abs(var_z(r, q) - (1.0 + r) / (1.0 - r)) for q in qs)
         assert var_limit_errors(r, qs) == expected
+
+    def test_limit_series_names_and_order(self):
+        r, qs = 0.06, (0.5, 0.9)
+        assert list(limit_series(r, qs).items()) == [
+            ("fn-gaussian-limit", fn_limit_errors(qs)),
+            ("asc-hermite-limit", asc_limit_errors(qs)),
+            ("var-limit", var_limit_errors(r, qs)),
+        ]
 
 
 def test_sweep_grid_is_the_acceptance_grid():

@@ -3,12 +3,20 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qnormal3d.cli import main
+import qnormal3d
+from qnormal3d import checks
+from qnormal3d.checks import TOL_GRAM_DIAG
+from qnormal3d.cli import GRAM_FAMILIES, SUITE_NAMES, main
 from qnormal3d.densities import ModelParams
 from qnormal3d.moments import _covariance, cov_yz, var_z
+from qnormal3d.polynomials import FAMILIES, default_y
 
 
 def run_cli(argv, capsys):
@@ -145,6 +153,55 @@ class TestGram:
             assert diag[i] == pytest.approx(want, rel=1e-9)
         off = [float(r["value"]) for r in rows if r["i"] != r["j"]]
         assert max(abs(v) for v in off) < 1e-10
+
+    @pytest.mark.parametrize(
+        "family, flags, given",
+        [
+            ("qhermite", [], {}),
+            ("asc", ["--rho1", "-0.4"], {"y": default_y(0.5), "rho1": -0.4}),
+            ("rogers", ["--r", "0.3"], {"r": 0.3}),
+        ],
+    )
+    def test_each_family_matches_its_table_entry(self, family, flags, given, capsys):
+        nmax, q = 5, 0.5
+        argv = ["gram", "--family", family, "--nmax", str(nmax), "--q", str(q), *flags]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        meta, _, rows = parse_csv(out)
+        assert len(rows) == (nmax + 1) ** 2
+        # The family's parameters close the metadata block, in this order.
+        keys = list(meta)
+        tail = keys[keys.index("quad_tol_3d") + 1 :]
+        assert [(key, float(meta[key])) for key in tail] == list(given.items())
+        norms = FAMILIES[family].norms(nmax, *given.values(), q)
+        diag = [float(r["value"]) for r in rows if r["i"] == r["j"]]
+        for got, want in zip(diag, norms, strict=True):
+            assert abs(got - want) <= TOL_GRAM_DIAG * max(1.0, abs(want))
+
+
+def test_help_imports_no_numpy_and_name_tuples_match_tables():
+    # The parser's name tuples are literals so that --help stays free of
+    # numpy; they must still list exactly what the tables define.
+    src = str(Path(qnormal3d.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import contextlib, io, sys\n"
+        "import qnormal3d.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        qnormal3d.cli.main(['--help'])\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"
+    assert GRAM_FAMILIES == tuple(FAMILIES)
+    assert SUITE_NAMES == (*checks.SUITES, "all")
 
 
 class TestSample:
