@@ -37,7 +37,7 @@ import json
 import os
 import re
 import sys
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from .errors import (
     DegenerateConditioning,
@@ -63,7 +63,6 @@ EXIT_CODES = {
     InsufficientSamples: EXIT_INSUFFICIENT,
 }
 
-DENSITY_NAMES = ("fN", "fCN", "fR", "f3D", "fYZ", "fZ", "fXgYZ", "fYZgX", "pmKernel")
 SUITE_NAMES = (
     "orthogonality",
     "marginals",
@@ -81,6 +80,53 @@ GRAM_FAMILIES = ("qhermite", "asc", "rogers")
 
 Row = Tuple[Any, ...]
 Table = Tuple[Dict[str, Any], List[str], List[Row]]
+
+RHO_KEYS = ("rho12", "rho13", "rho23")
+
+
+def _marginal(dn, args: argparse.Namespace, z):
+    if args.form == "all":
+        return {f"value_{f.value}": dn.f_z(z, args.r, args.q, form=f) for f in dn.MarginalForm}
+    return dn.f_z(z, args.r, args.q, form=dn.MarginalForm(args.form))
+
+
+# The densities `eval` tabulates: name -> (coordinate columns, one grid axis
+# each; the options written to the metadata, in order, "rho" as rho12, rho13,
+# rho23 and a form option as "form"; the call on the flattened grid).  A call
+# takes the densities module, so that --help imports no numpy, the arguments
+# and one array per column, and returns the value column or a dict of them.
+EVAL_DENSITIES: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...], Callable[..., Any]]] = {
+    "fN": (("x",), (), lambda dn, a, x: dn.f_n(x, a.q)),
+    "fCN": (("x",), ("y", "rho1"), lambda dn, a, x: dn.f_cn(x, a.y, a.rho1, a.q)),
+    "fR": (("x",), ("r",), lambda dn, a, x: dn.f_r(x, a.r, a.q)),
+    "f3D": (
+        ("x", "y", "z"),
+        ("rho", "f3d_form"),
+        lambda dn, a, x, y, z: dn.f_3d(
+            x, y, z, dn.ModelParams(*a.rho, q=a.q), form=dn.DensityForm(a.f3d_form)
+        ),
+    ),
+    "fYZ": (
+        ("y", "z"), ("rho",), lambda dn, a, y, z: dn.f_yz(y, z, dn.ModelParams(*a.rho, q=a.q))
+    ),
+    "fZ": (("z",), ("r", "form"), _marginal),
+    "fXgYZ": (
+        ("x",),
+        ("rho", "y", "z"),
+        lambda dn, a, x: dn.f_x_given_yz(x, a.y, a.z, dn.ModelParams(*a.rho, q=a.q)),
+    ),
+    "fYZgX": (
+        ("y", "z"),
+        ("rho", "x"),
+        lambda dn, a, y, z: dn.f_yz_given_x(y, z, a.x, dn.ModelParams(*a.rho, q=a.q)),
+    ),
+    "pmKernel": (
+        ("x",),
+        ("y", "rho1", "pm_form"),
+        lambda dn, a, x: dn.pm_kernel(x, a.y, a.rho1, a.q, form=dn.DensityForm(a.pm_form)),
+    ),
+}
+DENSITY_NAMES = tuple(EVAL_DENSITIES)
 
 
 def _configure_threads() -> None:
@@ -176,96 +222,34 @@ def _shared_metadata() -> Dict[str, Any]:
     }
 
 
-def _axis_values(spec: Tuple[float, float, int]):
-    import numpy as np
-
-    lo, hi, count = spec
-    return np.linspace(lo, hi, count)
-
-
 def cmd_eval(args: argparse.Namespace) -> Tuple[Table, int]:
     import numpy as np
 
     from . import densities as dn
 
-    q = args.q
-    axes = _parse_grid(args.grid)
-    meta: Dict[str, Any] = {"command": "eval", "density": args.density, "q": q}
+    coords, options, call = EVAL_DENSITIES[args.density]
+    meta: Dict[str, Any] = {"command": "eval", "density": args.density, "q": args.q}
     meta["grid"] = args.grid
     meta.update(_shared_metadata())
+    for key in options:
+        if key == "rho":
+            meta.update(zip(RHO_KEYS, args.rho))
+        else:
+            meta["form" if key.endswith("form") else key] = getattr(args, key)
 
-    name = args.density
-    dim = {"f3D": 3, "fYZ": 2, "fYZgX": 2}.get(name, 1)
-    if len(axes) == 1 and dim > 1:
+    axes = _parse_grid(args.grid)
+    dim = len(coords)
+    if len(axes) == 1:
         axes = axes * dim
     if len(axes) != dim:
-        raise ValueError(f"{name} needs {dim} grid axes, got {len(axes)}")
-    grids = [_axis_values(a) for a in axes]
-    mesh = np.meshgrid(*grids, indexing="ij") if dim > 1 else [grids[0]]
+        raise ValueError(f"{args.density} needs {dim} grid axes, got {len(axes)}")
+    mesh = np.meshgrid(*(np.linspace(*axis) for axis in axes), indexing="ij")
     flat = [m.ravel() for m in mesh]
-
-    columns: List[str]
-    value_cols: List[Tuple[str, np.ndarray]] = []
-    if name == "fN":
-        value_cols = [("value", dn.f_n(flat[0], q))]
-        columns = ["x"]
-    elif name == "fR":
-        meta["r"] = args.r
-        value_cols = [("value", dn.f_r(flat[0], args.r, q))]
-        columns = ["x"]
-    elif name == "fCN":
-        meta["y"] = args.y
-        meta["rho1"] = args.rho1
-        value_cols = [("value", dn.f_cn(flat[0], args.y, args.rho1, q))]
-        columns = ["x"]
-    elif name == "pmKernel":
-        meta["y"] = args.y
-        meta["rho1"] = args.rho1
-        form = dn.DensityForm(args.pm_form)
-        meta["form"] = form.value
-        value_cols = [("value", dn.pm_kernel(flat[0], args.y, args.rho1, q, form=form))]
-        columns = ["x"]
-    elif name == "fZ":
-        meta["r"] = args.r
-        if args.form == "all":
-            meta["form"] = "all"
-            value_cols = [
-                (f"value_{f.value}", dn.f_z(flat[0], args.r, q, form=f))
-                for f in dn.MarginalForm
-            ]
-        else:
-            form = dn.MarginalForm(args.form)
-            meta["form"] = form.value
-            value_cols = [("value", dn.f_z(flat[0], args.r, q, form=form))]
-        columns = ["z"]
-    else:
-        p = dn.ModelParams(*args.rho, q=q)
-        meta["rho12"], meta["rho13"], meta["rho23"] = args.rho
-        if name == "f3D":
-            form = dn.DensityForm(args.f3d_form)
-            meta["form"] = form.value
-            value_cols = [("value", dn.f_3d(*flat, p, form=form))]
-            columns = ["x", "y", "z"]
-        elif name == "fYZ":
-            value_cols = [("value", dn.f_yz(flat[0], flat[1], p))]
-            columns = ["y", "z"]
-        elif name == "fXgYZ":
-            meta["y"], meta["z"] = args.y, args.z
-            value_cols = [("value", dn.f_x_given_yz(flat[0], args.y, args.z, p))]
-            columns = ["x"]
-        elif name == "fYZgX":
-            meta["x"] = args.x
-            value_cols = [("value", dn.f_yz_given_x(flat[0], flat[1], args.x, p))]
-            columns = ["y", "z"]
-        else:
-            raise ValueError(f"unknown density {name!r}")
-
-    columns = columns + [label for label, _ in value_cols]
-    rows = [
-        tuple(float(f[i]) for f in flat)
-        + tuple(float(np.asarray(vals).ravel()[i]) for _, vals in value_cols)
-        for i in range(flat[0].size)
-    ]
+    values = call(dn, args, *flat)
+    if not isinstance(values, dict):
+        values = {"value": values}
+    columns = [*coords, *values]
+    rows = list(zip(*(np.ravel(c).tolist() for c in [*flat, *values.values()])))
     return (meta, columns, rows), EXIT_OK
 
 
@@ -280,47 +264,21 @@ def _check_points(args: argparse.Namespace) -> List[Tuple[float, float, float, f
 
 
 def cmd_check(args: argparse.Namespace) -> Tuple[Table, int]:
-    from .checks import run_suite
+    from dataclasses import fields
+
+    from .checks import VerificationReport, run_suite
     from .densities import ModelParams
 
     meta: Dict[str, Any] = {"command": "check", "suite": args.suite}
     meta.update(_shared_metadata())
-    columns = [
-        "suite",
-        "rho12",
-        "rho13",
-        "rho23",
-        "q",
-        "name",
-        "lhs",
-        "rhs",
-        "abs_err",
-        "rel_err",
-        "tol",
-        "passed",
-    ]
+    report_fields = [f.name for f in fields(VerificationReport)]
     rows: List[Row] = []
     all_passed = True
-    for r12, r13, r23, q in _check_points(args):
-        p = ModelParams(r12, r13, r23, q)
-        for rep in run_suite(args.suite, p, seed=args.seed):
-            rows.append(
-                (
-                    args.suite,
-                    r12,
-                    r13,
-                    r23,
-                    q,
-                    rep.name,
-                    rep.lhs,
-                    rep.rhs,
-                    rep.abs_err,
-                    rep.rel_err,
-                    rep.tol,
-                    rep.passed,
-                )
-            )
+    for point in _check_points(args):
+        for rep in run_suite(args.suite, ModelParams(*point), seed=args.seed):
+            rows.append((args.suite, *point, *(getattr(rep, name) for name in report_fields)))
             all_passed = all_passed and rep.passed
+    columns = ["suite", *RHO_KEYS, "q", *report_fields]
     return (meta, columns, rows), EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
@@ -329,48 +287,40 @@ def cmd_moments(args: argparse.Namespace) -> Tuple[Table, int]:
     from .densities import ModelParams
     from .polynomials import q_hermite
 
-    meta: Dict[str, Any] = {"command": "moments", "kind": args.kind, "q": args.q}
+    q, kind = args.q, args.kind
+    meta: Dict[str, Any] = {"command": "moments", "kind": kind, "q": q}
     meta.update(_shared_metadata())
-    columns = ["kind", "detail", "closed", "quadrature", "abs_err", "rel_err"]
-    q = args.q
-    kind = args.kind
     if kind == "var_z":
         meta["r"] = args.r
         closed = mm.var_z(args.r, q)
         oracle = mm._marginal_moment(lambda z: z * z, args.r, q)
         detail = f"r={_fmt(args.r)}"
     elif kind == "eh2n_z":
-        meta["r"] = args.r
-        meta["n"] = args.n
+        meta["r"], meta["n"] = args.r, args.n
         closed = mm.e_h2n_z(args.n, args.r, q)
         deg = 2 * args.n
         oracle = mm._marginal_moment(lambda z: q_hermite(deg, z, q).values[deg], args.r, q)
         detail = f"n={args.n},r={_fmt(args.r)}"
     else:
-        p = ModelParams(*args.rho, q=q)
-        meta["rho12"], meta["rho13"], meta["rho23"] = args.rho
-        if kind == "mixed":
-            spec = mm.MomentSpec(mm.MomentKind.UNCONDITIONAL, (args.m, args.n), p)
-            detail = f"m={args.m},n={args.n}"
-        elif kind == "cond_x":
-            spec = mm.MomentSpec(
-                mm.MomentKind.COND_X_GIVEN_YZ, (args.n,), p, (args.y, args.z)
-            )
-            detail = f"n={args.n},y={_fmt(args.y)},z={_fmt(args.z)}"
-        elif kind == "cond_y":
-            spec = mm.MomentSpec(mm.MomentKind.COND_Y_GIVEN_Z, (args.n,), p, (args.z,))
-            detail = f"n={args.n},z={_fmt(args.z)}"
-        elif kind == "cond_xy":
-            spec = mm.MomentSpec(mm.MomentKind.COND_XY_GIVEN_Z, (1, 1), p, (args.z,))
-            detail = f"z={_fmt(args.z)}"
-        else:
-            raise ValueError(f"unknown moment kind {kind!r}")
-        closed = mm.closed_form(spec)
-        oracle = mm.quadrature_oracle(spec)
+        # The kinds read through a MomentSpec: its kind, degrees and points.
+        name, degrees, points, detail = {
+            "mixed": ("UNCONDITIONAL", (args.m, args.n), (), f"m={args.m},n={args.n}"),
+            "cond_x": (
+                "COND_X_GIVEN_YZ",
+                (args.n,),
+                (args.y, args.z),
+                f"n={args.n},y={_fmt(args.y)},z={_fmt(args.z)}",
+            ),
+            "cond_y": ("COND_Y_GIVEN_Z", (args.n,), (args.z,), f"n={args.n},z={_fmt(args.z)}"),
+            "cond_xy": ("COND_XY_GIVEN_Z", (1, 1), (args.z,), f"z={_fmt(args.z)}"),
+        }[kind]
+        meta.update(zip(RHO_KEYS, args.rho))
+        spec = mm.MomentSpec(mm.MomentKind[name], degrees, ModelParams(*args.rho, q=q), points)
+        closed, oracle = mm.closed_form(spec), mm.quadrature_oracle(spec)
     abs_err = abs(closed - oracle)
     rel_err = abs_err / max(1.0, abs(oracle))
-    rows = [(kind, detail, closed, oracle, abs_err, rel_err)]
-    return (meta, columns, rows), EXIT_OK
+    columns = ["kind", "detail", "closed", "quadrature", "abs_err", "rel_err"]
+    return (meta, columns, [(kind, detail, closed, oracle, abs_err, rel_err)]), EXIT_OK
 
 
 def cmd_gram(args: argparse.Namespace) -> Tuple[Table, int]:
@@ -392,15 +342,13 @@ def cmd_gram(args: argparse.Namespace) -> Tuple[Table, int]:
         meta[key] = default_y(q) if value is None else value
     matrix = fam.gram(n_max, *(meta[key] for key in fam.params), q)
     columns = ["i", "j", "value"]
-    rows = [
-        (i, j, float(matrix[i, j]))
-        for i in range(n_max + 1)
-        for j in range(n_max + 1)
-    ]
+    rows = [(i, j, v) for i, row in enumerate(matrix.tolist()) for j, v in enumerate(row)]
     return (meta, columns, rows), EXIT_OK
 
 
 def cmd_sample(args: argparse.Namespace) -> Tuple[Table, int]:
+    from dataclasses import asdict
+
     from .densities import ModelParams
     from .moments import _covariance
     from .sampler import SamplerConfig, mc_moment, sample_3d, sample_fn
@@ -413,18 +361,9 @@ def cmd_sample(args: argparse.Namespace) -> Tuple[Table, int]:
         thin=args.thin,
         n_chains=args.chains,
     )
-    meta: Dict[str, Any] = {
-        "command": "sample",
-        "target": args.target,
-        "q": args.q,
-        "seed": cfg.seed,
-        "n_samples": cfg.n_samples,
-        "grid_points": cfg.grid_points,
-        "burn_in": cfg.burn_in,
-        "thin": cfg.thin,
-        "n_chains": cfg.n_chains,
-        "rng": "philox-4x64",
-    }
+    meta: Dict[str, Any] = {"command": "sample", "target": args.target, "q": args.q}
+    meta.update(asdict(cfg))
+    meta["rng"] = "philox-4x64"
     meta.update(_shared_metadata())
     if args.target == "fn":
         draws = sample_fn(args.q, cfg)
@@ -432,7 +371,7 @@ def cmd_sample(args: argparse.Namespace) -> Tuple[Table, int]:
         stats = [("mean_x", lambda x: x, 0.0), ("var_x", lambda x: x * x, 1.0)]
     else:
         p = ModelParams(*args.rho, q=args.q)
-        meta["rho12"], meta["rho13"], meta["rho23"] = args.rho
+        meta.update(zip(RHO_KEYS, args.rho))
         draws = sample_3d(p, cfg)
         columns = ["x", "y", "z"]
         # The means, then the covariance entries (i, j), i <= j: the
@@ -443,7 +382,7 @@ def cmd_sample(args: argparse.Namespace) -> Tuple[Table, int]:
             label = f"var_{columns[i]}" if i == j else f"cov_{columns[i]}{columns[j]}"
             stats.append((label, lambda *v, i=i, j=j: v[i] * v[j], cov[i][j]))
     if not args.summary:
-        rows = [tuple(float(v) for v in row) for row in draws.reshape(len(draws), -1)]
+        rows = [tuple(row) for row in draws.reshape(len(draws), -1).tolist()]
         return (meta, columns, rows), EXIT_OK
     rows = []
     for label, fn, target in stats:
