@@ -85,6 +85,7 @@ RHO_KEYS = ("rho12", "rho13", "rho23")
 
 
 def _marginal(dn, args: argparse.Namespace, z):
+    """f_z by the --form route, or by every route side by side."""
     if args.form == "all":
         return {f"value_{f.value}": dn.f_z(z, args.r, args.q, form=f) for f in dn.MarginalForm}
     return dn.f_z(z, args.r, args.q, form=dn.MarginalForm(args.form))

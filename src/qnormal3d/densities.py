@@ -87,7 +87,6 @@ __all__ = [
     "aw_parameters",
     "FORM_RTOL",
     "FORM_ATOL",
-    "DENOM_FLOOR",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -98,12 +97,9 @@ _BLOCK = 32
 # formula at and below it.
 _THETA_MIN_Q = 0.2
 
-# Agreement tolerances for alternative evaluation routes of one density,
-# and the floor below which a conditional denominator counts as degenerate.
+# Agreement tolerances for alternative evaluation routes of one density.
 FORM_RTOL = 1e-8
 FORM_ATOL = 1e-12
-DENOM_FLOOR = 1e-300
-_LOG_FLOOR = math.log(DENOM_FLOOR)
 # Stop of the bilinear kernel series, which its forms test at 1e-12 absolute.
 _PM_TAIL_TOL = 1e-14
 
@@ -748,8 +744,8 @@ def f_x_given_yz(x, y, z, params: ModelParams):
     _require_support(zb, half, "conditioning point z")
     _require_support(xb[~np.isnan(xb)], half, "point x")
     log_den = _log_f_cn(zb, yb, p.rho12 * p.rho13, p.q)
-    if np.any(log_den < _LOG_FLOOR):
-        raise DegenerateConditioning("conditional denominator below the floor")
+    if np.any(np.isneginf(log_den)):
+        raise DegenerateConditioning("conditioning point has zero density")
     val = np.asarray(
         _log_f_cn(xb, yb, p.rho12, p.q) + _log_f_cn(zb, xb, p.rho13, p.q)
     )
@@ -768,8 +764,8 @@ def f_yz_given_x(y, z, x, params: ModelParams):
     _require_support(yb[~np.isnan(yb)], half, "point y")
     _require_support(zb[~np.isnan(zb)], half, "point z")
     log_den = _log_f_cn(xb, xb, p.r, p.q)
-    if np.any(log_den < _LOG_FLOOR):
-        raise DegenerateConditioning("conditional denominator below the floor")
+    if np.any(np.isneginf(log_den)):
+        raise DegenerateConditioning("conditioning point has zero density")
     val = np.asarray(
         _log_f_cn(xb, yb, p.rho12, p.q) + _log_f_cn(yb, zb, p.rho23, p.q)
     )

@@ -21,8 +21,8 @@ class DegenerateRecurrence(QNormalError):
 
 
 class DegenerateConditioning(QNormalError):
-    """A conditional density denominator fell below the representable
-    floor, so the conditional is numerically undefined."""
+    """A conditional law is undefined: its conditioning point has zero
+    density, or its mass vanished on the sampler's grid."""
 
 
 class InsufficientSamples(QNormalError):

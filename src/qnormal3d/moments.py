@@ -21,7 +21,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .densities import ModelParams, f_3d, f_r, f_x_given_yz, f_yz, f_z
+from .densities import ModelParams, f_r, f_x_given_yz, f_yz, f_yz_given_x
 from .errors import NonConvergence
 from .polynomials import asc_poly, q_hermite, w_poly
 from .qcore import (
@@ -450,20 +450,27 @@ def quadrature_oracle(spec: MomentSpec) -> float:
             return q_hermite(n, xx, q).values[n] * f_x_given_yz(xx, y, z, p)
 
         return integrate1d(g_x, q).value
+    # The conditional densities below are ratios formed in logs before they
+    # are integrated, so each integrates to 1 however small f_z(z) is.
     if spec.kind is MomentKind.COND_Y_GIVEN_Z:
         (n,) = spec.degrees
         (z,) = spec.points
+        # f_yz(y, z) / f_z(z) = f_cn(y|z; rho23) f_cn(z|y; rho12 rho13) / f_cn(z|z; r),
+        # the law of X given (Y, Z) = (z, z) with correlations (rho23, rho12 rho13).
+        given_z = ModelParams(p.rho23, p.rho12 * p.rho13, 0.0, q)
 
         def g_y(yy: np.ndarray) -> np.ndarray:
-            return q_hermite(n, yy, q).values[n] * f_yz(yy, z, p)
+            return q_hermite(n, yy, q).values[n] * f_x_given_yz(yy, z, z, given_z)
 
-        return integrate1d(g_y, q).value / f_z(z, p.r, q)
+        return integrate1d(g_y, q).value
     if spec.kind is MomentKind.COND_XY_GIVEN_Z:
         (z,) = spec.points
+        # f_3d(x, y, z) / f_z(z): the law of (Y, Z) given X, relabelled.
+        relabelled = ModelParams(p.rho13, p.rho23, p.rho12, q)
 
         def g_xy(xx: np.ndarray, yy: np.ndarray) -> np.ndarray:
-            return xx * yy * f_3d(xx, yy, z, p)
+            return xx * yy * f_yz_given_x(xx, yy, z, relabelled)
 
-        return integrate2d(g_xy, q).value / f_z(z, p.r, q)
+        return integrate2d(g_xy, q).value
     raise ValueError(f"unknown moment kind {spec.kind!r}")
 

@@ -62,6 +62,8 @@ class PolySequence:
 
 
 def _alloc(n: int, *points: object) -> tuple[np.ndarray, list[np.ndarray]]:
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
     arrs = [np.asarray(p, dtype=float) for p in points]
     shape = np.broadcast_shapes(*(a.shape for a in arrs)) if arrs else ()
     values = np.empty((n + 1,) + shape)

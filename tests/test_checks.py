@@ -131,6 +131,14 @@ def test_sweep_grid_is_the_acceptance_grid():
     ]
 
 
+@pytest.mark.parametrize("rho", SWEEP_RHO)
+def test_conditionals_pass_near_gaussian_limit(rho):
+    # The oracles integrate conditional densities formed in logs, so a tiny
+    # f_z(z) at a conditioning point near the support edge stays resolved.
+    reports = check_conditionals(ModelParams(*rho, 0.99), seed=0)
+    assert [rep.name for rep in reports if not rep.passed] == []
+
+
 # Per-point reference copies of the probe loops that the suites now run as
 # one array call per evaluation route.  Each returns the rows it covers,
 # keyed by name, drawing the suite's random probes in the suite's order.

@@ -13,7 +13,7 @@ import pytest
 import qnormal3d
 from qnormal3d import checks
 from qnormal3d.checks import TOL_GRAM_DIAG
-from qnormal3d.cli import GRAM_FAMILIES, SUITE_NAMES, main
+from qnormal3d.cli import DENSITY_NAMES, GRAM_FAMILIES, SUITE_NAMES, main
 from qnormal3d.densities import ModelParams
 from qnormal3d.moments import _covariance, cov_yz, var_z
 from qnormal3d.polynomials import FAMILIES, default_y
@@ -64,6 +64,15 @@ class TestEval:
         assert len(header) == 5  # four evaluation routes
         vals = [float(v) for k, v in rows[0].items() if k != "z"]
         assert max(vals) - min(vals) < 1e-12
+
+    @pytest.mark.parametrize("density", DENSITY_NAMES)
+    def test_every_density_tabulates(self, density, capsys):
+        code, out, _ = run_cli(["eval", density, "--q", "0.5", "--grid", "-1:1:3"], capsys)
+        assert code == 0
+        meta, header, rows = parse_csv(out)
+        assert meta["density"] == density and header[-1] == "value"
+        assert len(rows) == 3 ** (len(header) - 1)
+        assert all(0.0 < float(row["value"]) < math.inf for row in rows)
 
     def test_invalid_q_exits_2(self, capsys):
         code, _, err = run_cli(["eval", "fN", "--q", "1.5", "--grid", "-1:1:5"], capsys)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qnormal3d.checks import TOL_NORM_1D, TOL_NORM_2D
 from qnormal3d.densities import (
     DensityForm,
     MarginalForm,
@@ -522,6 +523,18 @@ class TestConditionals:
             lambda y, z: f_yz_given_x(y, z, x0, params), params.q
         ).value
         assert total == pytest.approx(1.0, abs=1e-7)
+
+    def test_normalize_where_the_denominator_underflows(self):
+        # At q = 0.999 these conditioning points have log denominators near
+        # -2900 and -2750, far below the double range; the ratios are formed
+        # in logs, so they still integrate to 1.
+        p = ModelParams(0.3, -0.6, -0.6, 0.999)
+        half = support_halfwidth(p.q)
+        y0, z0 = 0.37 * half, -0.95 * half
+        total = integrate1d(lambda x: f_x_given_yz(x, y0, z0, p), p.q).value
+        assert total == pytest.approx(1.0, abs=TOL_NORM_1D)
+        total = integrate2d(lambda y, z: f_yz_given_x(y, z, z0, p), p.q).value
+        assert total == pytest.approx(1.0, abs=TOL_NORM_2D)
 
     def test_bayes_consistency(self, params):
         x, y, z = 0.4, -0.3, 0.9

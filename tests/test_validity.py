@@ -77,8 +77,16 @@ def test_every_error_has_its_documented_exit_code():
         "moments --kind cond_y --q 0.5 --rho 0.3,0.6,0.3 --n 2 --z nan".split(),
         "eval fXgYZ --q 0.5 --y 0 --z 2.82842712474619".split(),
         "gram --family rogers --q 0.5 --r 1".split(),
+        "gram --family qhermite --q 0.5 --nmax -1".split(),
+        "moments --kind cond_y --q 0.5 --rho 0.3,0.6,0.3 --n 2 --z 2.82842712474619".split(),
     ],
-    ids=["nan-point", "degenerate-conditioning", "degenerate-recurrence"],
+    ids=[
+        "nan-point",
+        "degenerate-conditioning",
+        "degenerate-recurrence",
+        "negative-degree",
+        "zero-density-point",
+    ],
 )
 def test_cli_invalid_input_exits_2_with_one_error_line(argv, capsys):
     code = main(argv)
