@@ -28,25 +28,19 @@ _EXPORTS = {
     "q_factorial": "qcore",
     "q_binomial": "qcore",
     "q_pochhammer": "qcore",
-    "q_pochhammer_inf": "qcore",
     "support_halfwidth": "qcore",
-    "support": "qcore",
     # polynomial families
     "PolySequence": "polynomials",
     "q_hermite": "polynomials",
     "asc_poly": "polynomials",
-    "rogers_C": "polynomials",
     "rogers_monic": "polynomials",
-    "chebyshev_U": "polynomials",
     "hermite_prob": "polynomials",
     "triple_product_integral": "polynomials",
-    "h_squared_linearization": "polynomials",
     "w_poly": "polynomials",
     # densities
     "DensityForm": "densities",
     "MarginalForm": "densities",
     "ModelParams": "densities",
-    "l_q": "densities",
     "omega": "densities",
     "f_n": "densities",
     "f_cn": "densities",
@@ -78,7 +72,6 @@ _EXPORTS = {
     "cond_exp_x_given_yz": "moments",
     "cond_exp_hn_y_given_z": "moments",
     "cond_exp_xy_given_z": "moments",
-    "covariance_matrix_limit": "moments",
     # sampler
     "SamplerConfig": "sampler",
     "McEstimate": "sampler",
@@ -124,7 +117,6 @@ if TYPE_CHECKING:  # pragma: no cover
         f_yz,
         f_yz_given_x,
         f_z,
-        l_q,
         omega,
         pm_kernel,
     )
@@ -146,7 +138,6 @@ if TYPE_CHECKING:  # pragma: no cover
         cond_exp_x_given_yz,
         cond_exp_xy_given_z,
         cov_yz,
-        covariance_matrix_limit,
         e_h2n_z,
         mixed_moment_h,
         quadrature_oracle,
@@ -155,11 +146,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .polynomials import (
         PolySequence,
         asc_poly,
-        chebyshev_U,
-        h_squared_linearization,
         hermite_prob,
         q_hermite,
-        rogers_C,
         rogers_monic,
         triple_product_integral,
         w_poly,
@@ -169,8 +157,6 @@ if TYPE_CHECKING:  # pragma: no cover
         q_factorial,
         q_number,
         q_pochhammer,
-        q_pochhammer_inf,
-        support,
         support_halfwidth,
     )
     from .quadrature import (

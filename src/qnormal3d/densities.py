@@ -73,7 +73,6 @@ __all__ = [
     "ModelParams",
     "DensityForm",
     "MarginalForm",
-    "l_q",
     "omega",
     "f_n",
     "f_cn",
@@ -147,13 +146,6 @@ def _points(*xs) -> tuple[list[np.ndarray], bool]:
 
 def _ret(value: np.ndarray, scalar: bool):
     return float(value) if scalar else value
-
-
-def l_q(x, a: float, q: float):
-    """Quadratic kernel l(x|a) = (1+a)^2 - (1-q) a x^2."""
-    (xb,), scalar = _points(x)
-    val = (1.0 + a) ** 2 - (1.0 - q) * a * xb**2
-    return _ret(val, scalar)
 
 
 def omega(x, y, rho: float, q: float):

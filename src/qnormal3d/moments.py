@@ -389,13 +389,6 @@ def cond_exp_xy_given_z(z: float, p: ModelParams) -> float:
     return lead * z**2 + const
 
 
-def covariance_matrix_limit(p: ModelParams) -> np.ndarray:
-    """The q -> 1 covariance matrix of the triple (X, Y, Z): diagonal
-    entries (1 + r) / (1 - r), and each off-diagonal entry pairs the direct
-    correlation with the product of the other two, over 1 - r."""
-    return _covariance(p, 1.0)
-
-
 def closed_form(spec: MomentSpec) -> float:
     """Evaluate a moment request by its closed form."""
     p = spec.params

@@ -10,13 +10,9 @@ Families:
     continuous q-Hermite     H_{n+1}(x) = x H_n(x) - [n]_q H_{n-1}(x)
     Al-Salam-Chihara         P_{n+1}(x) = (x - rho y q^n) P_n(x)
                                           - (1 - rho^2 q^(n-1)) [n]_q P_{n-1}(x)
-    Rogers / q-ultraspherical, classical normalization:
-        2x (1 - b q^n) C_n(x) = (1 - q^(n+1)) C_{n+1}(x)
-                                + (1 - b^2 q^(n-1)) C_{n-1}(x)
-    Rogers, monic:
+    Rogers / q-ultraspherical, monic:
         y R_n = R_{n+1} + [n]_q (1 - b^2 q^(n-1))
                 / ((1 - b q^(n-1))(1 - b q^n)) R_{n-1}
-    Chebyshev U              U_{n+1}(x) = 2x U_n(x) - U_{n-1}(x)
     probabilists' Hermite    He_{n+1}(x) = x He_n(x) - n He_{n-1}(x)
 
 ``FAMILIES`` is the one table of the families orthogonal under the model's
@@ -41,12 +37,9 @@ __all__ = [
     "PolySequence",
     "q_hermite",
     "asc_poly",
-    "rogers_C",
     "rogers_monic",
-    "chebyshev_U",
     "hermite_prob",
     "triple_product_integral",
-    "h_squared_linearization",
     "w_poly",
 ]
 
@@ -96,22 +89,6 @@ def asc_poly(n: int, x, y, rho: float, q: float) -> PolySequence:
     return PolySequence(values)
 
 
-def rogers_C(n: int, x, beta: float, q: float) -> PolySequence:
-    """Rogers (q-ultraspherical) values C_0(x|beta,q) .. C_n(x|beta,q)."""
-    values, (xb,) = _alloc(n, x)
-    for k in range(n):
-        lead = 1.0 - q ** (k + 1)
-        if abs(lead) < _SINGULAR:
-            raise DegenerateRecurrence(
-                f"Rogers recurrence coefficient 1 - q^{k + 1} vanishes"
-            )
-        acc = 2.0 * xb * (1.0 - beta * q**k) * values[k]
-        if k >= 1:
-            acc = acc - (1.0 - beta**2 * q ** (k - 1)) * values[k - 1]
-        values[k + 1] = acc / lead
-    return PolySequence(values)
-
-
 def rogers_monic(n: int, y, beta: float, q: float) -> PolySequence:
     """Monic Rogers values R_0(y|beta,q) .. R_n(y|beta,q)."""
     values, (yb,) = _alloc(n, y)
@@ -125,16 +102,6 @@ def rogers_monic(n: int, y, beta: float, q: float) -> PolySequence:
             )
         coef = q_number(k, q) * (1.0 - beta**2 * q ** (k - 1)) / den
         values[k + 1] = yb * values[k] - coef * values[k - 1]
-    return PolySequence(values)
-
-
-def chebyshev_U(n: int, x) -> PolySequence:
-    """Chebyshev second-kind values U_0(x) .. U_n(x)."""
-    values, (xb,) = _alloc(n, x)
-    if n >= 1:
-        values[1] = 2.0 * xb
-    for k in range(1, n):
-        values[k + 1] = 2.0 * xb * values[k] - values[k - 1]
     return PolySequence(values)
 
 
@@ -171,20 +138,6 @@ def triple_product_integral(k: int, m: int, n: int, q: float) -> float:
     num = q_factorial(m, q) * q_factorial(n, q) * q_factorial(k, q)
     den = q_factorial(a, q) * q_factorial(b, q) * q_factorial(c, q)
     return num / den
-
-
-def h_squared_linearization(j: int, q: float) -> np.ndarray:
-    """Coefficients c_0..c_j with H_j(x|q)^2 = sum_k c_k H_{2k}(x|q).
-
-    c_k = ([j]_q!)^2 / (([k]_q!)^2 [j-k]_q!).
-    """
-    if j < 0:
-        raise ValueError("h_squared_linearization requires j >= 0")
-    fj = q_factorial(j, q)
-    out = np.empty(j + 1)
-    for k in range(j + 1):
-        out[k] = fj * fj / (q_factorial(k, q) ** 2 * q_factorial(j - k, q))
-    return out
 
 
 def w_poly(k: int, m: int, x, r: float, q: float):

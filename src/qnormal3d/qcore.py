@@ -1,5 +1,5 @@
 """q-series arithmetic: q-numbers, q-factorials, q-binomials, q-Pochhammer
-symbols and the support interval of the q-Normal family.
+symbols and the support half-width of the q-Normal family.
 
 Conventions used throughout the package:
 
@@ -41,9 +41,7 @@ __all__ = [
     "q_factorial",
     "q_binomial",
     "q_pochhammer",
-    "q_pochhammer_inf",
     "log_q_pochhammer_inf",
-    "support",
     "support_halfwidth",
 ]
 
@@ -120,17 +118,6 @@ def _factors_needed(a: float, q: float) -> int:
     return n
 
 
-def q_pochhammer_inf(a: float, q: float) -> float:
-    """Truncated infinite q-Pochhammer symbol (a; q)_inf for |q| < 1.
-
-    Deterministic: the factor count is computed in advance from the
-    geometric decay of a q^k.  Raises NonConvergence when MAX_TERMS factors
-    are not enough.
-    """
-    n = _factors_needed(a, q)
-    return q_pochhammer(a, q, n)
-
-
 def log_q_pochhammer_inf(a: float, q: float) -> float:
     """log (a; q)_inf, valid for |a| < 1, |q| < 1 where every factor is positive.
 
@@ -181,12 +168,3 @@ def _require_support(arr, half: float, what: str) -> None:
         raise DomainError(f"{what} is NaN")
     if not np.all(np.abs(arr) <= half):
         raise DomainError(f"{what} outside the support [-{half}, {half}]")
-
-
-def support(q: float) -> tuple[float, float]:
-    """Support interval of the q-Normal density.
-
-    [-2/sqrt(1-q), 2/sqrt(1-q)] for |q| < 1; the whole real line at q = 1.
-    """
-    half = support_halfwidth(q)
-    return (-half, half)

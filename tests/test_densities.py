@@ -31,7 +31,6 @@ from qnormal3d.densities import (
     f_yz,
     f_yz_given_x,
     f_z,
-    l_q,
     omega,
     pm_kernel,
 )
@@ -53,15 +52,6 @@ def interior(q, frac):
 
 
 class TestKernels:
-    def test_l_q_values(self):
-        assert l_q(2.0, 0.5, 0.0) == pytest.approx(0.25, abs=1e-15)
-        assert l_q(0.0, 0.3, 0.7) == pytest.approx(1.69, abs=1e-15)
-        assert l_q(1.4, 0.0, 0.5) == 1.0
-
-    @given(x=st.floats(min_value=-2, max_value=2), a=rhos, q=qs)
-    def test_l_q_even(self, x, a, q):
-        assert l_q(x, a, q) == pytest.approx(l_q(-x, a, q), rel=1e-14)
-
     def test_omega_values(self):
         # the quadratic kernel at (1, 1, 0.5, 0.5):
         # 0.5625 - 0.5*0.5*1.25 + 0.5*0.25*2 = 0.5
@@ -74,8 +64,10 @@ class TestKernels:
 
     @given(x=st.floats(min_value=-1.9, max_value=1.9), r=st.floats(min_value=-0.8, max_value=0.8), q=qs)
     def test_omega_diagonal_collapses(self, x, r, q):
+        # w(x, x | r) = (1-r)^2 l(x|r), with l(x|r) = (1+r)^2 - (1-q) r x^2
+        l_xr = (1.0 + r) ** 2 - (1.0 - q) * r * x**2
         assert omega(x, x, r, q) == pytest.approx(
-            (1.0 - r) ** 2 * l_q(x, r, q), rel=1e-12, abs=1e-13
+            (1.0 - r) ** 2 * l_xr, rel=1e-12, abs=1e-13
         )
 
 

@@ -11,13 +11,13 @@ from qnormal3d.moments import (
     CondMomentForm,
     MomentKind,
     MomentSpec,
+    _covariance,
     closed_form,
     cond_exp_hn_x_given_yz,
     cond_exp_hn_y_given_z,
     cond_exp_x_given_yz,
     cond_exp_xy_given_z,
     cov_yz,
-    covariance_matrix_limit,
     e_h2n_z,
     mixed_moment_h,
     quadrature_oracle,
@@ -207,23 +207,9 @@ class TestSingleConditionedMoments:
         assert cond_exp_xy_given_z(0.7, params) == pytest.approx(closed_form(spec), rel=1e-13)
 
 
-class TestLimitCovariance:
-    def test_matrix_values(self, params):
-        mat = covariance_matrix_limit(params)
-        d = (1 + params.r) / (1 - params.r)
-        assert mat[0, 0] == pytest.approx(d, rel=1e-14)
-        assert mat[0, 1] == pytest.approx(
-            (params.rho12 + params.rho13 * params.rho23) / (1 - params.r), rel=1e-14
-        )
-        np.testing.assert_allclose(mat, mat.T, atol=0)
-
-    def test_frozen_entry(self, params):
-        assert covariance_matrix_limit(params)[0, 1] == pytest.approx(
-            0.53191489361702127, rel=1e-13
-        )
-
+class TestCovariance:
     def test_positive_definite_on_grid(self):
         for r23 in (0.3, -0.6):
             p = ModelParams(0.3, -0.6, r23, 0.7)
-            eigvals = np.linalg.eigvalsh(covariance_matrix_limit(p))
+            eigvals = np.linalg.eigvalsh(_covariance(p, p.q))
             assert np.all(eigvals > 0)

@@ -11,17 +11,16 @@ EXPORTS = {
     "MarginalForm", "McEstimate", "ModelParams", "MomentKind", "MomentSpec",
     "NonConvergence", "PolySequence", "QNormalError", "SUITES",
     "SamplerConfig", "VerificationReport", "asc_poly", "aw_parameters",
-    "cdf_fn", "cdf_r", "chebyshev_U", "closed_form", "cond_exp_hn_x_given_yz",
+    "cdf_fn", "cdf_r", "closed_form", "cond_exp_hn_x_given_yz",
     "cond_exp_hn_y_given_z", "cond_exp_x_given_yz", "cond_exp_xy_given_z",
-    "cov_yz", "covariance_matrix_limit", "e_h2n_z", "f_3d", "f_cn", "f_n",
-    "f_r", "f_x_given_yz", "f_yz", "f_yz_given_x", "f_z", "gram_matrix",
-    "h_squared_linearization", "hermite_prob", "integrate1d", "integrate2d",
-    "integrate3d", "ks_critical", "ks_statistic", "l_q", "mc_moment",
-    "mixed_moment_h", "omega", "pm_kernel", "q_binomial", "q_factorial",
-    "q_hermite", "q_number", "q_pochhammer", "q_pochhammer_inf",
-    "quadrature_oracle", "rogers_C", "rogers_monic", "run_suite", "sample_3d",
-    "sample_fn", "support", "support_halfwidth", "triple_product_integral",
-    "var_z", "w_poly", "__version__",
+    "cov_yz", "e_h2n_z", "f_3d", "f_cn", "f_n", "f_r", "f_x_given_yz",
+    "f_yz", "f_yz_given_x", "f_z", "gram_matrix", "hermite_prob",
+    "integrate1d", "integrate2d", "integrate3d", "ks_critical",
+    "ks_statistic", "mc_moment", "mixed_moment_h", "omega", "pm_kernel",
+    "q_binomial", "q_factorial", "q_hermite", "q_number", "q_pochhammer",
+    "quadrature_oracle", "rogers_monic", "run_suite", "sample_3d",
+    "sample_fn", "support_halfwidth", "triple_product_integral", "var_z",
+    "w_poly", "__version__",
 }
 
 

@@ -8,20 +8,22 @@ from hypothesis import strategies as st
 from qnormal3d.polynomials import (
     PolySequence,
     asc_poly,
-    chebyshev_U,
-    h_squared_linearization,
     hermite_prob,
     q_hermite,
-    rogers_C,
     rogers_monic,
     triple_product_integral,
     w_poly,
 )
-from qnormal3d.qcore import q_factorial, q_number, q_pochhammer
+from qnormal3d.qcore import q_factorial, q_number
 
 qs = st.floats(min_value=-0.9, max_value=0.9)
 xs = st.floats(min_value=-1.8, max_value=1.8)
 degrees = st.integers(min_value=0, max_value=10)
+
+
+def chebyshev_u(n, theta):
+    """U_n(cos theta) = sin((n+1) theta) / sin(theta), the closed form."""
+    return np.sin((n + 1) * theta) / np.sin(theta)
 
 
 class TestQHermite:
@@ -53,9 +55,8 @@ class TestQHermite:
 
     @given(theta=st.floats(min_value=0.1, max_value=3.0), n=degrees)
     def test_q_zero_is_chebyshev(self, theta, n):
-        c = np.cos(theta)
-        lhs = q_hermite(n, 2.0 * c, 0.0).values[n]
-        rhs = chebyshev_U(n, c).values[n]
+        lhs = q_hermite(n, 2.0 * np.cos(theta), 0.0).values[n]
+        rhs = chebyshev_u(n, theta)
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
 
     def test_vector_points(self):
@@ -64,13 +65,6 @@ class TestQHermite:
         assert seq.values.shape == (6, 7)
         for i, x in enumerate(xs_arr):
             assert seq.values[3, i] == pytest.approx(q_hermite(3, float(x), 0.4).values[3])
-
-
-class TestChebyshev:
-    @given(theta=st.floats(min_value=0.2, max_value=2.9), n=degrees)
-    def test_sine_ratio(self, theta, n):
-        val = chebyshev_U(n, np.cos(theta)).values[n]
-        assert val == pytest.approx(np.sin((n + 1) * theta) / np.sin(theta), rel=1e-10, abs=1e-10)
 
 
 class TestAlSalamChihara:
@@ -118,27 +112,11 @@ class TestRogers:
     )
     @settings(max_examples=100)
     def test_q_zero_chebyshev_combination(self, theta, r, n):
-        # at q = 0, on the doubled argument, p_n = U_n - r U_{n-2};
-        # the classically scaled family picks up the prefactor (1 - r)
-        c = np.cos(theta)
-        combo = chebyshev_U(n, c).values[n] - r * chebyshev_U(n - 2, c).values[n - 2]
-        assert rogers_monic(n, 2.0 * c, r, 0.0).values[n] == pytest.approx(
+        # at q = 0, on the doubled argument, p_n = U_n - r U_{n-2}
+        combo = chebyshev_u(n, theta) - r * chebyshev_u(n - 2, theta)
+        assert rogers_monic(n, 2.0 * np.cos(theta), r, 0.0).values[n] == pytest.approx(
             combo, rel=1e-10, abs=1e-10
         )
-        assert rogers_C(n, c, r, 0.0).values[n] == pytest.approx(
-            (1.0 - r) * combo, rel=1e-10, abs=1e-10
-        )
-
-    def test_scaled_matches_monic(self):
-        # C_n(x|b,q) = ((b)_n / (q)_n) (1-q)^(n/2) p_n(2x/sqrt(1-q))
-        n, x, b, q = 4, 0.45, 0.3, 0.6
-        scale = (
-            q_pochhammer(b, q, n)
-            / q_pochhammer(q, q, n)
-            * (1.0 - q) ** (n / 2.0)
-        )
-        monic = rogers_monic(n, 2.0 * x / np.sqrt(1.0 - q), b, q).values[n]
-        assert rogers_C(n, x, b, q).values[n] == pytest.approx(scale * monic, rel=1e-12)
 
 
 class TestTripleProduct:
@@ -164,24 +142,6 @@ class TestTripleProduct:
         ref = triple_product_integral(k, m, n, q)
         assert triple_product_integral(m, k, n, q) == pytest.approx(ref, rel=1e-12)
         assert triple_product_integral(n, m, k, q) == pytest.approx(ref, rel=1e-12)
-
-
-class TestHSquared:
-    @given(j=st.integers(min_value=0, max_value=6), q=qs)
-    def test_end_coefficients(self, j, q):
-        # leading term is monic; the constant term carries the squared norm
-        coeffs = h_squared_linearization(j, q)
-        assert coeffs[j] == pytest.approx(1.0, rel=1e-12)
-        assert coeffs[0] == pytest.approx(q_factorial(j, q), rel=1e-12)
-
-    @given(x=xs, q=qs, j=st.integers(min_value=0, max_value=6))
-    @settings(max_examples=150)
-    def test_expansion_evaluates(self, x, q, j):
-        coeffs = h_squared_linearization(j, q)
-        evens = q_hermite(2 * j, x, q).values
-        recombined = sum(coeffs[k] * evens[2 * k] for k in range(j + 1))
-        direct = q_hermite(j, x, q).values[j] ** 2
-        assert recombined == pytest.approx(direct, rel=1e-10, abs=1e-10)
 
 
 class TestConnectionPolynomials:
