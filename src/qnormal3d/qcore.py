@@ -76,10 +76,18 @@ def q_factorial(n: int, q: float) -> float:
 
 
 def q_binomial(n: int, k: int, q: float) -> float:
-    """Gaussian binomial coefficient [n choose k]_q; 0 outside 0 <= k <= n."""
+    """Gaussian binomial coefficient [n choose k]_q; 0 outside 0 <= k <= n.
+
+    Formed as a running product whose partial products are themselves
+    [n choose i]_q, so it stays finite wherever the answer is, although
+    [n]_q! alone overflows; at q = 1 every partial product is an integer.
+    """
     if k < 0 or k > n or n < 0:
         return 0.0
-    return q_factorial(n, q) / (q_factorial(k, q) * q_factorial(n - k, q))
+    out = 1.0
+    for i in range(min(k, n - k)):
+        out = out * q_number(n - i, q) / q_number(i + 1, q)
+    return out
 
 
 def q_pochhammer(a: float, q: float, j: int) -> float:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qnormal3d.checks import TOL_COND_FORMS
 from qnormal3d.densities import ModelParams
 from qnormal3d.errors import DomainError, NonConvergence
 from qnormal3d.moments import (
@@ -117,6 +118,15 @@ class TestConditionalForms:
         for form in (CondMomentForm.DOUBLE_SUM, CondMomentForm.ASC_IMAGE):
             alt = cond_exp_hn_x_given_yz(n, y, z, p.rho12, p.rho13, q, form=form)
             assert alt == pytest.approx(ref, rel=1e-9, abs=1e-9)
+
+    def test_high_degree_forms_finite_and_agree(self):
+        # At n = 200, q = 0.99 the q-binomial weights exceed what [n]_q!
+        # can hold; both expansions must still give the same finite value.
+        args = (200, 8.0, -14.0, 0.3, -0.6, 0.99)
+        ref = cond_exp_hn_x_given_yz(*args, form=CondMomentForm.ASC_EXPANSION)
+        alt = cond_exp_hn_x_given_yz(*args, form=CondMomentForm.DOUBLE_SUM)
+        assert np.isfinite(ref) and np.isfinite(alt)
+        assert alt == pytest.approx(ref, rel=TOL_COND_FORMS)
 
     def test_linear_case_closed_form(self, params):
         y, z = 0.6, -0.4

@@ -1,6 +1,7 @@
 """Scalar q-series building blocks: brackets, factorials, Pochhammer products."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -71,6 +72,20 @@ class TestQBinomial:
         assert q_binomial(4, 0, 0.7) == 1.0
         assert q_binomial(4, 4, 0.7) == 1.0
         assert q_binomial(6, 3, 1.0) == 20.0
+
+    def test_finite_where_factorials_overflow(self):
+        # [200]_q! overflows at q = 0.99 while [200 choose 100]_q is about
+        # 5.2e40.  Decimal(0.99) holds the double's exact value, so the
+        # reference is the coefficient at the q the function was given.
+        n, k, q = 200, 100, 0.99
+        with localcontext() as ctx:
+            ctx.prec = 60
+            qd = Decimal(q)
+            exact = Decimal(1)
+            for i in range(k):
+                exact = exact * (1 - qd ** (n - i)) / (1 - qd ** (i + 1))
+        assert math.isinf(q_factorial(n, q))
+        assert q_binomial(n, k, q) == pytest.approx(float(exact), rel=1e-13)
 
     @given(
         n=small_ints,
