@@ -139,16 +139,16 @@ def cov_yz(p: ModelParams) -> float:
     return float(_covariance(p, p.q)[1, 2])
 
 
-def mixed_moment_h(m: int, n: int, p: ModelParams, s_max: int | None = None) -> float:
+def mixed_moment_h(m: int, n: int, p: ModelParams) -> float:
     """E H_m(Y) H_n(Z) as a truncated double series.
 
     The series runs over bands s >= max(m, n) of total linearization degree,
     each band a short sum over k with q-binomial weights; band size decays
     geometrically in max(|rho23|, |rho12 rho13|).  The prefactor (1 - r)
-    multiplies the whole series.  By default s_max follows that decay rate,
-    with a margin of 60 degrees for the polynomial growth of the bands.
-    Raises NonConvergence when the final band still contributes more than
-    TAIL_TOL relative to the total.
+    multiplies the whole series.  The last band is where that decay reaches
+    TAIL_TOL, plus m + n + 60 degrees for the polynomial growth of the
+    bands.  Raises NonConvergence when the final band still contributes
+    more than TAIL_TOL relative to the total.
     """
     if m < 0 or n < 0:
         raise ValueError(f"degrees must be nonnegative, got ({m}, {n})")
@@ -157,10 +157,9 @@ def mixed_moment_h(m: int, n: int, p: ModelParams, s_max: int | None = None) -> 
     q = p.q
     a = p.rho23
     b = p.rho12 * p.rho13
-    if s_max is None:
-        decay = max(abs(a), abs(b))
-        tail = math.ceil(math.log(TAIL_TOL) / math.log(decay)) if decay > 0.0 else 0
-        s_max = m + n + tail + 60
+    decay = max(abs(a), abs(b))
+    tail = math.ceil(math.log(TAIL_TOL) / math.log(decay)) if decay > 0.0 else 0
+    s_max = m + n + tail + 60
     # log [i]_q! for i <= s_max + 1: the factorials themselves overflow
     # past i ~ 300 at q = 0.9, while the ratios a band needs stay moderate.
     log_fact = [0.0]
@@ -189,7 +188,7 @@ def mixed_moment_h(m: int, n: int, p: ModelParams, s_max: int | None = None) -> 
     if last_band > TAIL_TOL * scale:
         raise NonConvergence(
             f"mixed moment series tail {last_band:.3e} above tolerance "
-            f"{TAIL_TOL:.1e} at s_max={s_max}; increase s_max"
+            f"{TAIL_TOL:.1e} at band {s_max}"
         )
     return (1.0 - p.r) * total
 

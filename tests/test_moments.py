@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qnormal3d.checks import TOL_COND_FORMS
 from qnormal3d.densities import ModelParams
-from qnormal3d.errors import DomainError, NonConvergence
+from qnormal3d.errors import DomainError
 from qnormal3d.moments import (
     CondMomentForm,
     MomentKind,
@@ -55,10 +55,6 @@ class TestMixedMoments:
 
     def test_frozen_value(self, params):
         assert mixed_moment_h(2, 2, params) == pytest.approx(0.56062588309173689, rel=1e-12)
-
-    def test_degenerate_truncation_raises(self, params):
-        with pytest.raises(NonConvergence):
-            mixed_moment_h(4, 4, params, s_max=4)
 
     def test_zero_zero_normalizes(self, params):
         assert mixed_moment_h(0, 0, params) == pytest.approx(1.0, rel=1e-12)
