@@ -144,6 +144,20 @@ class TestGibbsSampler:
         with pytest.raises(NonConvergence, match=str(MAX_TERMS)):
             sample_3d(ModelParams(0.99999, 0.3, 0.3, 0.5), cfg)
 
+    def test_kernel_beyond_memory_budget_raises(self, traced_peak):
+        # |rho| = 0.9998 needs 151,056 terms, under MAX_TERMS; at the default
+        # 256 chains and 256 grid points the 256 MiB budget caps N at 65,536,
+        # and the raise comes before the grid matrix is built.
+        assert _kernel_terms(0.9998, 0.5, MAX_TERMS) == 151_056
+        cfg = SamplerConfig(seed=5, n_samples=10)
+
+        def attempt():
+            with pytest.raises(NonConvergence, match="256 MiB"):
+                sample_3d(ModelParams(0.9998, 0.3, 0.3, 0.5), cfg)
+
+        peak, _ = traced_peak(attempt)
+        assert peak < 2**20
+
     @pytest.mark.parametrize("q", [0.5, 0.99, 0.999])
     @pytest.mark.parametrize(
         "rhos", [(0.3, 0.6, -0.6), (0.9, -0.9, 0.5), (-0.9, 0.3, 0.9)]
