@@ -77,11 +77,8 @@ def q_factorial(n: int, q: float) -> float:
 
 def q_binomial(n: int, k: int, q: float) -> float:
     """Gaussian binomial coefficient [n choose k]_q; 0 outside 0 <= k <= n.
-
-    Formed as a running product whose partial products are themselves
-    [n choose i]_q, so it stays finite wherever the answer is, although
-    [n]_q! alone overflows; at q = 1 every partial product is an integer.
-    """
+    Each partial product is [n choose i]_q, so it stays finite where [n]_q!
+    overflows, and at q = 1 each partial product is an integer."""
     if k < 0 or k > n or n < 0:
         return 0.0
     out = 1.0

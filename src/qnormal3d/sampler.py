@@ -36,7 +36,8 @@ from .quadrature import _phi_of_theta, _theta_of_phi
 
 _BISECTIONS = 26
 _BLOCK = 4096
-# Bytes that the Gibbs grid matrix and chains block may hold together.
+# Bytes that the Gibbs grid matrix and chains block, one row of N doubles
+# per grid point or chain, may hold together.
 _KERNEL_BUDGET = 256 * 2**20
 _KS_TERMS = 100
 _NEWTON_STEPS = 60
@@ -240,8 +241,7 @@ def _gibbs_update(
 
     The Chebyshev log-kernels of :func:`_conditional_rows` take one GEMM per
     update and are never clipped.  Their block holds (chains + grid_points) N
-    doubles, N = 3,006 at |rho| = 0.99 and 30,199 at 0.999, within
-    ``_KERNEL_BUDGET`` bytes.
+    doubles, N = 3,006 at |rho| = 0.99 and 30,199 at 0.999.
     """
     dens = _conditional_rows(grid_rows, base, cond_a, coef_a, cond_b, coef_b, q)
     h = phi[1] - phi[0]
@@ -268,16 +268,12 @@ def sample_3d(p: ModelParams, cfg: SamplerConfig) -> np.ndarray:
     phi = _phi_grid(cfg.grid_points)
     grid_x, base = _density_row(lambda xs: f_n(xs, q), half, phi)
     rho_max = max(abs(p.rho12), abs(p.rho13), abs(p.rho23))
-    # The grid matrix and the chains block each hold one row of N doubles
-    # per grid point or chain.
-    rows = cfg.n_chains + cfg.grid_points
-    cap = min(MAX_TERMS, _KERNEL_BUDGET // (8 * rows))
+    cap = min(MAX_TERMS, _KERNEL_BUDGET // (8 * (cfg.n_chains + cfg.grid_points)))
     terms = _kernel_terms(rho_max, q, cap)
     if terms is None:
         raise NonConvergence(
-            f"rho-kernel series needs more than {cap} terms at rho={rho_max}, "
-            f"q={q}: the cap is MAX_TERMS = {MAX_TERMS} or what a "
-            f"{_KERNEL_BUDGET >> 20} MiB block of {rows} rows holds, if fewer"
+            f"rho-kernel series needs more than {cap} terms at rho={rho_max}, q={q} "
+            f"(cap: MAX_TERMS = {MAX_TERMS} or a {_KERNEL_BUDGET >> 20} MiB block)"
         )
     grid_rows = _chebyshev_rows(_cosine(grid_x, q), np.ones(terms))
     c12, c13, c23 = (_kernel_coefficients(r, q, terms) for r in (p.rho12, p.rho13, p.rho23))
