@@ -77,6 +77,7 @@ def q_factorial(n: int, q: float) -> float:
 
 def q_binomial(n: int, k: int, q: float) -> float:
     """Gaussian binomial coefficient [n choose k]_q; 0 outside 0 <= k <= n.
+
     Each partial product is [n choose i]_q, so it stays finite where [n]_q!
     overflows, and at q = 1 each partial product is an integer."""
     if k < 0 or k > n or n < 0:
