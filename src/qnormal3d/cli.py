@@ -377,7 +377,7 @@ def cmd_sample(args: argparse.Namespace) -> Tuple[Table, int]:
         columns = ["x", "y", "z"]
         # The means, then the covariance entries (i, j), i <= j: the
         # diagonal first, then the pairs in order.
-        cov = _covariance(p, p.q).tolist()
+        cov = _covariance(p).tolist()
         stats = [(f"mean_{columns[i]}", lambda *v, i=i: v[i], 0.0) for i in range(3)]
         for i, j in [(i, i) for i in range(3)] + list(itertools.combinations(range(3), 2)):
             label = f"var_{columns[i]}" if i == j else f"cov_{columns[i]}{columns[j]}"

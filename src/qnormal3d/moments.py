@@ -110,12 +110,11 @@ def _variance(r: float, q: float) -> float:
     return (1.0 + r) / (1.0 - r * q)
 
 
-def _covariance(p: ModelParams, q: float) -> np.ndarray:
-    """The covariance matrix of (X, Y, Z) at deformation q: _variance on
-    the diagonal and (rho_ij + rho_ik rho_jk) / (1 - rq) off it.  q = 1
-    gives the covariance of the Gaussian limit."""
-    d = 1.0 - p.r * q
-    v = _variance(p.r, q)
+def _covariance(p: ModelParams) -> np.ndarray:
+    """The covariance matrix of (X, Y, Z): _variance on the diagonal and
+    (rho_ij + rho_ik rho_jk) / (1 - rq) off it."""
+    d = 1.0 - p.r * p.q
+    v = _variance(p.r, p.q)
     c01 = (p.rho12 + p.rho13 * p.rho23) / d
     c02 = (p.rho13 + p.rho12 * p.rho23) / d
     c12 = (p.rho23 + p.rho12 * p.rho13) / d
@@ -136,7 +135,7 @@ def var_z(r: float, q: float) -> float:
 
 def cov_yz(p: ModelParams) -> float:
     """Covariance (rho23 + rho12 rho13) / (1 - rq) of two coordinates."""
-    return float(_covariance(p, p.q)[1, 2])
+    return float(_covariance(p)[1, 2])
 
 
 def mixed_moment_h(m: int, n: int, p: ModelParams) -> float:

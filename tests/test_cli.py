@@ -239,7 +239,7 @@ class TestSample:
         assert dev < 6 * float(row["std_error"])
         # The targets are the moments module's formulas, bit for bit.
         p = ModelParams(0.3, 0.4, 0.5, 0.5)
-        cov = _covariance(p, p.q)
+        cov = _covariance(p)
         assert float(row["target"]) == var_z(p.r, p.q)
         assert float(stats["cov_yz"]["target"]) == cov_yz(p) == cov[1, 2]
         assert float(stats["cov_xy"]["target"]) == cov[0, 1]

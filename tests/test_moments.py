@@ -217,5 +217,5 @@ class TestCovariance:
     def test_positive_definite_on_grid(self):
         for r23 in (0.3, -0.6):
             p = ModelParams(0.3, -0.6, r23, 0.7)
-            eigvals = np.linalg.eigvalsh(_covariance(p, p.q))
+            eigvals = np.linalg.eigvalsh(_covariance(p))
             assert np.all(eigvals > 0)
