@@ -37,7 +37,7 @@ import json
 import os
 import re
 import sys
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from .errors import (
     DegenerateConditioning,
@@ -75,8 +75,12 @@ SUITE_NAMES = (
 )
 MOMENT_KINDS = ("var_z", "eh2n_z", "mixed", "cond_x", "cond_y", "cond_xy")
 GRAM_FAMILIES = ("qhermite", "asc", "rogers")
+DENSITY_FORMS = ("product", "series", "closed")
+MARGINAL_FORMS = ("hermite-series", "rogers", "even-series", "edge-product")
+FORM_NAMES = (*DENSITY_FORMS, *MARGINAL_FORMS, "all")
 # Literals, so that --help imports no numpy; tests pin SUITE_NAMES to
-# checks.SUITES and GRAM_FAMILIES to polynomials.FAMILIES.
+# checks.SUITES, GRAM_FAMILIES to polynomials.FAMILIES and FORM_NAMES to
+# densities.DensityForm and MarginalForm.
 
 Row = Tuple[Any, ...]
 Table = Tuple[Dict[str, Any], List[str], List[Row]]
@@ -84,33 +88,36 @@ Table = Tuple[Dict[str, Any], List[str], List[Row]]
 RHO_KEYS = ("rho12", "rho13", "rho23")
 
 
-def _marginal(dn, args: argparse.Namespace, z):
-    """f_z by the --form route, or by every route side by side."""
-    if args.form == "all":
-        return {f"value_{f.value}": dn.f_z(z, args.r, args.q, form=f) for f in dn.MarginalForm}
-    return dn.f_z(z, args.r, args.q, form=dn.MarginalForm(args.form))
-
-
 # The densities `eval` tabulates: name -> (coordinate columns, one grid axis
 # each; the options written to the metadata, in order, "rho" as rho12, rho13,
-# rho23 and a form option as "form"; the call on the flattened grid).  A call
-# takes the densities module, so that --help imports no numpy, the arguments
-# and one array per column, and returns the value column or a dict of them.
-EVAL_DENSITIES: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...], Callable[..., Any]]] = {
+# rho23; the call on the flattened grid) and, for a density with evaluation
+# routes, the routes --form picks from, in the column order of --form all,
+# and the route taken without it.  A call takes the densities module, so
+# that --help imports no numpy, the arguments and one array per column, and
+# the route as ``form`` where there are routes; it returns the value column.
+EVAL_DENSITIES: Dict[str, Tuple[Any, ...]] = {
     "fN": (("x",), (), lambda dn, a, x: dn.f_n(x, a.q)),
     "fCN": (("x",), ("y", "rho1"), lambda dn, a, x: dn.f_cn(x, a.y, a.rho1, a.q)),
     "fR": (("x",), ("r",), lambda dn, a, x: dn.f_r(x, a.r, a.q)),
     "f3D": (
         ("x", "y", "z"),
-        ("rho", "f3d_form"),
-        lambda dn, a, x, y, z: dn.f_3d(
-            x, y, z, dn.ModelParams(*a.rho, q=a.q), form=dn.DensityForm(a.f3d_form)
+        ("rho",),
+        lambda dn, a, x, y, z, form: dn.f_3d(
+            x, y, z, dn.ModelParams(*a.rho, q=a.q), form=dn.DensityForm(form)
         ),
+        DENSITY_FORMS,
+        "product",
     ),
     "fYZ": (
         ("y", "z"), ("rho",), lambda dn, a, y, z: dn.f_yz(y, z, dn.ModelParams(*a.rho, q=a.q))
     ),
-    "fZ": (("z",), ("r", "form"), _marginal),
+    "fZ": (
+        ("z",),
+        ("r",),
+        lambda dn, a, z, form: dn.f_z(z, a.r, a.q, form=dn.MarginalForm(form)),
+        MARGINAL_FORMS,
+        "rogers",
+    ),
     "fXgYZ": (
         ("x",),
         ("rho", "y", "z"),
@@ -123,8 +130,10 @@ EVAL_DENSITIES: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...], Callable[..., 
     ),
     "pmKernel": (
         ("x",),
-        ("y", "rho1", "pm_form"),
-        lambda dn, a, x: dn.pm_kernel(x, a.y, a.rho1, a.q, form=dn.DensityForm(a.pm_form)),
+        ("y", "rho1"),
+        lambda dn, a, x, form: dn.pm_kernel(x, a.y, a.rho1, a.q, form=dn.DensityForm(form)),
+        ("product", "series"),
+        "product",
     ),
 }
 DENSITY_NAMES = tuple(EVAL_DENSITIES)
@@ -228,7 +237,12 @@ def cmd_eval(args: argparse.Namespace) -> Tuple[Table, int]:
 
     from . import densities as dn
 
-    coords, options, call = EVAL_DENSITIES[args.density]
+    coords, options, call, *routing = EVAL_DENSITIES[args.density]
+    routes, form = routing or ((), None)
+    if args.form is not None:
+        if not routes or args.form not in (*routes, "all"):
+            raise ValueError(f"{args.density} has no --form {args.form}")
+        form = args.form
     meta: Dict[str, Any] = {"command": "eval", "density": args.density, "q": args.q}
     meta["grid"] = args.grid
     meta.update(_shared_metadata())
@@ -236,7 +250,9 @@ def cmd_eval(args: argparse.Namespace) -> Tuple[Table, int]:
         if key == "rho":
             meta.update(zip(RHO_KEYS, args.rho))
         else:
-            meta["form" if key.endswith("form") else key] = getattr(args, key)
+            meta[key] = getattr(args, key)
+    if routes:
+        meta["form"] = form
 
     axes = _parse_grid(args.grid)
     dim = len(coords)
@@ -246,9 +262,12 @@ def cmd_eval(args: argparse.Namespace) -> Tuple[Table, int]:
         raise ValueError(f"{args.density} needs {dim} grid axes, got {len(axes)}")
     mesh = np.meshgrid(*(np.linspace(*axis) for axis in axes), indexing="ij")
     flat = [m.ravel() for m in mesh]
-    values = call(dn, args, *flat)
-    if not isinstance(values, dict):
-        values = {"value": values}
+    if form is None:
+        values = {"value": call(dn, args, *flat)}
+    elif form == "all":
+        values = {f"value_{route}": call(dn, args, *flat, form=route) for route in routes}
+    else:
+        values = {"value": call(dn, args, *flat, form=form)}
     columns = [*coords, *values]
     rows = list(zip(*(np.ravel(c).tolist() for c in [*flat, *values.values()])))
     return (meta, columns, rows), EXIT_OK
@@ -441,14 +460,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--z", type=float, default=0.0)
     p_eval.add_argument(
         "--form",
-        default="rogers",
-        choices=("hermite-series", "rogers", "even-series", "edge-product", "all"),
-        help="marginal evaluation route",
+        choices=FORM_NAMES,
+        help="evaluation route of fZ (default rogers), f3D or pmKernel (default "
+        "product); 'all' tabulates every route side by side",
     )
-    p_eval.add_argument(
-        "--f3d-form", default="product", choices=("product", "series", "closed")
-    )
-    p_eval.add_argument("--pm-form", default="product", choices=("product", "series"))
     _add_output_flags(p_eval)
     p_eval.set_defaults(fn=cmd_eval)
 

@@ -15,6 +15,7 @@ product moment E(XY | Z).
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -28,6 +29,9 @@ from .qcore import (
     TAIL_TOL,
     _check_q,
     _check_rho,
+    _q_binomial_row,
+    _q_numbers,
+    _q_pochhammer_row,
     _require_support,
     q_binomial,
     q_factorial,
@@ -95,13 +99,10 @@ def e_h2n_z(n: int, r: float, q: float) -> float:
         raise ValueError(f"n must be nonnegative, got {n}")
     _check_rho(r, "r")
     _check_q(q)
-    if n == 0:
-        return 1.0
-    return (
-        r**n
-        * q_factorial(2 * n, q)
-        / (q_factorial(n, q) * q_pochhammer(r * q, q, n))
-    )
+    # The running product of r [n+j]_q / (1 - r q^j), j = 1..n, stays finite
+    # where [2n]_q! overflows.
+    qn = _q_numbers(2 * n, q)
+    return math.prod((r * qn[n + j] / (1.0 - r * q**j) for j in range(1, n + 1)), start=1.0)
 
 
 def _variance(r: float, q: float) -> float:
@@ -161,13 +162,7 @@ def mixed_moment_h(m: int, n: int, p: ModelParams) -> float:
     s_max = m + n + tail + 60
     # log [i]_q! for i <= s_max + 1: the factorials themselves overflow
     # past i ~ 300 at q = 0.9, while the ratios a band needs stay moderate.
-    log_fact = [0.0]
-    qnum = 0.0
-    qpow = 1.0
-    for _ in range(1, s_max + 2):
-        qnum += qpow  # [i]_q
-        qpow *= q
-        log_fact.append(log_fact[-1] + math.log(qnum))
+    log_fact = [0.0, *itertools.accumulate(map(math.log, _q_numbers(s_max + 1, q)[1:]))]
     total = 0.0
     last_band = 0.0
     mu = min(m, n)
@@ -260,17 +255,23 @@ def cond_exp_hn_x_given_yz(
     scalar = np.ndim(y) == 0 and np.ndim(z) == 0
     if form is CondMomentForm.ASC_IMAGE and not scalar:
         raise ValueError("the asc-image form takes scalar y and z")
+    # The q-numbers, q-binomials and q-Pochhammer symbols of both series,
+    # read from rows built once; each entry equals its qcore scalar bit for bit.
+    qn = _q_numbers(n, q)
+    binom_n = _q_binomial_row(n, qn)
+    poch12 = _q_pochhammer_row(rho12**2, q, n)
+    poch_both = _q_pochhammer_row(rho12**2 * rho13**2, q, n)
     if form is CondMomentForm.ASC_EXPANSION:
         hy = q_hermite(n, y, q).values
         pz = asc_poly(n, z, y, rho12 * rho13, q).values
         total = 0.0
         for s in range(n + 1):
             total += (
-                q_binomial(n, s, q)
+                binom_n[s]
                 * rho12 ** (n - s)
                 * rho13**s
-                * q_pochhammer(rho12**2, q, s)
-                / q_pochhammer(rho12**2 * rho13**2, q, s)
+                * poch12[s]
+                / poch_both[s]
                 * hy[n - s]
                 * pz[s]
             )
@@ -278,31 +279,36 @@ def cond_exp_hn_x_given_yz(
     if form is CondMomentForm.DOUBLE_SUM:
         hz = q_hermite(n, z, q).values
         hy = q_hermite(n, y, q).values
+        poch13 = _q_pochhammer_row(rho13**2, q, n)
         total = 0.0
         for k in range(n // 2 + 1):
+            m = n - 2 * k
             outer = (
                 (-1) ** k
                 * q ** (k * (k - 1) // 2)
-                * q_binomial(n, 2 * k, q)
+                * binom_n[2 * k]
                 * q_binomial(2 * k, k, q)
                 * q_factorial(k, q)
                 * (rho12 * rho13) ** (2 * k)
-                * q_pochhammer(rho12**2, q, k)
-                * q_pochhammer(rho13**2, q, k)
+                * poch12[k]
+                * poch13[k]
             )
+            binom_m = _q_binomial_row(m, qn)
+            shifted12 = _q_pochhammer_row(rho12**2 * q**k, q, m)
+            shifted13 = _q_pochhammer_row(rho13**2 * q**k, q, m)
             inner = 0.0
-            for j in range(n - 2 * k + 1):
+            for j in range(m + 1):
                 inner += (
-                    q_binomial(n - 2 * k, j, q)
-                    * q_pochhammer(rho12**2 * q**k, q, j)
-                    * q_pochhammer(rho13**2 * q**k, q, n - 2 * k - j)
-                    * rho12 ** (n - 2 * k - j)
+                    binom_m[j]
+                    * shifted12[j]
+                    * shifted13[m - j]
+                    * rho12 ** (m - j)
                     * rho13**j
                     * hz[j]
-                    * hy[n - 2 * k - j]
+                    * hy[m - j]
                 )
             total += outer * inner
-        total = total / q_pochhammer(rho12**2 * rho13**2, q, n)
+        total = total / poch_both[n]
         return float(total) if scalar else total
     if form is CondMomentForm.ASC_IMAGE:
         coeffs = _asc_basis_coeffs(n, float(y), rho12, q)

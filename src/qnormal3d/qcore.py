@@ -53,51 +53,62 @@ TAIL_TOL = 1e-12
 PRODUCT_TOL = 1e-14
 
 
+def _q_numbers(n: int, q: float) -> list:
+    """[0]_q, ..., [n]_q, the running sums of 1, q, q^2, ...  The scalar
+    functions below each read one entry of one of these rows."""
+    out = [0.0]
+    power = 1.0
+    for _ in range(n):
+        out.append(out[-1] + power)
+        power *= q
+    return out
+
+
+def _q_binomial_row(n: int, qn: list) -> list:
+    """[n choose k]_q for k = 0..n from qn = _q_numbers(n, q), as partial
+    products of [n - i]_q / [i + 1]_q, i < min(k, n - k): each is [n choose
+    i + 1]_q, so none overflows where [n]_q! does."""
+    half = [1.0]
+    for i in range(n // 2):
+        half.append(half[-1] * qn[n - i] / qn[i + 1])
+    return [half[min(k, n - k)] for k in range(n + 1)]
+
+
+def _q_pochhammer_row(a: float, q: float, j: int) -> list:
+    """(a; q)_0, ..., (a; q)_j, the running products of 1 - a q^i."""
+    out = [1.0]
+    for _ in range(j):
+        out.append(out[-1] * (1.0 - a))
+        a *= q
+    return out
+
+
 def q_number(n: int, q: float) -> float:
     """[n]_q = 1 + q + ... + q^(n-1), the q-analogue of n."""
     if n < 0:
         raise ValueError("q_number requires n >= 0")
-    total = 0.0
-    power = 1.0
-    for _ in range(n):
-        total += power
-        power *= q
-    return total
+    return _q_numbers(n, q)[n]
 
 
 def q_factorial(n: int, q: float) -> float:
     """[n]_q! = [1]_q [2]_q ... [n]_q with [0]_q! = 1."""
     if n < 0:
         raise ValueError("q_factorial requires n >= 0")
-    out = 1.0
-    for k in range(1, n + 1):
-        out *= q_number(k, q)
-    return out
+    return math.prod(_q_numbers(n, q)[1:], start=1.0)
 
 
 def q_binomial(n: int, k: int, q: float) -> float:
-    """Gaussian binomial coefficient [n choose k]_q; 0 outside 0 <= k <= n.
-
-    Each partial product is [n choose i]_q, so it stays finite where [n]_q!
-    overflows, and at q = 1 each partial product is an integer."""
+    """Gaussian binomial coefficient [n choose k]_q; 0 outside 0 <= k <= n."""
     if k < 0 or k > n or n < 0:
         return 0.0
-    out = 1.0
-    for i in range(min(k, n - k)):
-        out = out * q_number(n - i, q) / q_number(i + 1, q)
-    return out
+    return _q_binomial_row(n, _q_numbers(n, q))[k]
 
 
 def q_pochhammer(a: float, q: float, j: int) -> float:
     """Finite q-Pochhammer symbol (a; q)_j, with (a; q)_0 = 1."""
     if j < 0:
         raise ValueError("q_pochhammer requires j >= 0")
-    out = 1.0
-    term = a
-    for _ in range(j):
-        out *= 1.0 - term
-        term *= q
-    return out
+    return _q_pochhammer_row(a, q, j)[j]
 
 
 def _factors_needed(a: float, q: float) -> int:

@@ -36,6 +36,8 @@ from .quadrature import _phi_of_theta, _theta_of_phi
 
 _BISECTIONS = 26
 _BLOCK = 4096
+# The fixed grid of cdf_fn and cdf_r: points uniform in the mapped angle.
+_CDF_POINTS = 2048
 # Bytes that the Gibbs grid matrix and chains block, one row of N doubles
 # per grid point or chain, may hold together.
 _KERNEL_BUDGET = 256 * 2**20
@@ -332,14 +334,14 @@ def mc_moment(
     return McEstimate(value=mean, std_error=math.sqrt(var), n=n)
 
 
-def cdf_fn(q: float, grid_points: int = 2048) -> Callable[[np.ndarray], np.ndarray]:
-    """Tabulated CDF of the one-dimensional base density."""
-    return _density_tables(lambda xs: f_n(xs, q), q, grid_points)[0]
+def cdf_fn(q: float) -> Callable[[np.ndarray], np.ndarray]:
+    """CDF of the one-dimensional base density, tabulated at ``_CDF_POINTS`` angles."""
+    return _density_tables(lambda xs: f_n(xs, q), q, _CDF_POINTS)[0]
 
 
-def cdf_r(r: float, q: float, grid_points: int = 2048) -> Callable[[np.ndarray], np.ndarray]:
-    """Tabulated CDF of the single-coordinate marginal with ratio r."""
-    return _density_tables(lambda xs: f_r(xs, r, q), q, grid_points)[0]
+def cdf_r(r: float, q: float) -> Callable[[np.ndarray], np.ndarray]:
+    """CDF of the one-coordinate marginal with ratio r, tabulated at ``_CDF_POINTS`` angles."""
+    return _density_tables(lambda xs: f_r(xs, r, q), q, _CDF_POINTS)[0]
 
 
 def _density_tables(

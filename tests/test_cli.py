@@ -13,8 +13,15 @@ import pytest
 import qnormal3d
 from qnormal3d import checks
 from qnormal3d.checks import TOL_GRAM_DIAG
-from qnormal3d.cli import DENSITY_NAMES, GRAM_FAMILIES, SUITE_NAMES, main
-from qnormal3d.densities import ModelParams
+from qnormal3d.cli import (
+    DENSITY_NAMES,
+    EVAL_DENSITIES,
+    FORM_NAMES,
+    GRAM_FAMILIES,
+    SUITE_NAMES,
+    main,
+)
+from qnormal3d.densities import DensityForm, MarginalForm, ModelParams
 from qnormal3d.moments import _covariance, cov_yz, var_z
 from qnormal3d.polynomials import FAMILIES, default_y
 
@@ -73,6 +80,32 @@ class TestEval:
         assert meta["density"] == density and header[-1] == "value"
         assert len(rows) == 3 ** (len(header) - 1)
         assert all(0.0 < float(row["value"]) < math.inf for row in rows)
+
+    @pytest.mark.parametrize(
+        "density, argv",
+        [
+            ("fZ", ["--q", "0.3", "--r", "0.2", "--grid", "-1:1:5"]),
+            ("f3D", ["--q", "0.5", "--grid", "-1:1:3"]),
+            ("pmKernel", ["--q", "0.9", "--y", "0.4", "--grid", "-1:1:5"]),
+        ],
+    )
+    def test_form_all_columns_are_the_single_route_runs(self, density, argv, capsys):
+        _, _, _, routes, default = EVAL_DENSITIES[density]
+        code, out, _ = run_cli(["eval", density, *argv, "--form", "all"], capsys)
+        assert code == 0
+        meta, header, rows = parse_csv(out)
+        assert meta["form"] == "all"
+        assert header[-len(routes):] == [f"value_{route}" for route in routes]
+        for route in routes:
+            code, single, _ = run_cli(["eval", density, *argv, "--form", route], capsys)
+            assert code == 0
+            meta, _, single_rows = parse_csv(single)
+            assert meta["form"] == route
+            assert [r["value"] for r in single_rows] == [r[f"value_{route}"] for r in rows]
+        # Without --form the density takes its default route, byte for byte.
+        code, implicit, _ = run_cli(["eval", density, *argv], capsys)
+        assert code == 0
+        assert implicit == run_cli(["eval", density, *argv, "--form", default], capsys)[1]
 
     def test_invalid_q_exits_2(self, capsys):
         code, _, err = run_cli(["eval", "fN", "--q", "1.5", "--grid", "-1:1:5"], capsys)
@@ -211,6 +244,15 @@ def test_help_imports_no_numpy_and_name_tuples_match_tables():
     assert out.stdout.strip() == "False"
     assert GRAM_FAMILIES == tuple(FAMILIES)
     assert SUITE_NAMES == (*checks.SUITES, "all")
+    density_forms = tuple(f.value for f in DensityForm)
+    marginal_forms = tuple(f.value for f in MarginalForm)
+    assert FORM_NAMES == (*density_forms, *marginal_forms, "all")
+    routes = {name: entry[3:] for name, entry in EVAL_DENSITIES.items() if entry[3:]}
+    assert routes == {
+        "f3D": (density_forms, "product"),
+        "fZ": (marginal_forms, "rogers"),
+        "pmKernel": (("product", "series"), "product"),
+    }
 
 
 class TestSample:

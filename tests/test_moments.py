@@ -1,5 +1,7 @@
 """Closed-form moments against their quadrature oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,8 @@ from qnormal3d.moments import (
     quadrature_oracle,
     var_z,
 )
-from qnormal3d.qcore import support_halfwidth
+from qnormal3d.polynomials import asc_poly, q_hermite
+from qnormal3d.qcore import q_binomial, q_factorial, q_pochhammer, support_halfwidth
 
 rhos = st.floats(min_value=-0.7, max_value=0.7)
 qs = st.floats(min_value=-0.8, max_value=0.8)
@@ -37,6 +40,15 @@ class TestUnivariateClosedForms:
     def test_variance_plugins(self):
         assert var_z(0.5, 0.0) == pytest.approx(1.5, abs=1e-15)
         assert var_z(0.3, 0.5) == pytest.approx(1.3 / 0.85, rel=1e-15)
+
+    @pytest.mark.parametrize("n, r, q", [(200, 0.3, 0.9), (100, 0.3, 0.999)])
+    def test_even_hermite_moment_past_factorial_overflow(self, n, r, q):
+        # [2n]_q! overflows here; the moment, about 4.9e96 and 1.1e176, does not.
+        logs = [n * math.log(r)]
+        logs += [math.log((1.0 - q**k) / (1.0 - q)) for k in range(n + 1, 2 * n + 1)]
+        logs += [-math.log1p(-r * q**j) for j in range(1, n + 1)]
+        want = math.exp(math.fsum(logs))
+        assert e_h2n_z(n, r, q) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @given(r=st.floats(min_value=-0.7, max_value=0.7), q=qs)
     def test_variance_from_hermite_moment(self, r, q):
@@ -98,6 +110,51 @@ class TestOracleRegistry:
             MomentSpec(MomentKind.UNCONDITIONAL, (-1,), params)
 
 
+def _term_by_term(n, y, z, rho12, rho13, q, form):
+    """E(H_n(X) | y, z) with every q-binomial and q-Pochhammer symbol formed
+    anew for each term: the reference the row-reading forms must equal."""
+    hy = q_hermite(n, y, q).values
+    total = 0.0
+    if form is CondMomentForm.ASC_EXPANSION:
+        pz = asc_poly(n, z, y, rho12 * rho13, q).values
+        for s in range(n + 1):
+            total += (
+                q_binomial(n, s, q)
+                * rho12 ** (n - s)
+                * rho13**s
+                * q_pochhammer(rho12**2, q, s)
+                / q_pochhammer(rho12**2 * rho13**2, q, s)
+                * hy[n - s]
+                * pz[s]
+            )
+        return total
+    hz = q_hermite(n, z, q).values
+    for k in range(n // 2 + 1):
+        outer = (
+            (-1) ** k
+            * q ** (k * (k - 1) // 2)
+            * q_binomial(n, 2 * k, q)
+            * q_binomial(2 * k, k, q)
+            * q_factorial(k, q)
+            * (rho12 * rho13) ** (2 * k)
+            * q_pochhammer(rho12**2, q, k)
+            * q_pochhammer(rho13**2, q, k)
+        )
+        inner = 0.0
+        for j in range(n - 2 * k + 1):
+            inner += (
+                q_binomial(n - 2 * k, j, q)
+                * q_pochhammer(rho12**2 * q**k, q, j)
+                * q_pochhammer(rho13**2 * q**k, q, n - 2 * k - j)
+                * rho12 ** (n - 2 * k - j)
+                * rho13**j
+                * hz[j]
+                * hy[n - 2 * k - j]
+            )
+        total += outer * inner
+    return total / q_pochhammer(rho12**2 * rho13**2, q, n)
+
+
 class TestConditionalForms:
     @given(
         r12=rhos,
@@ -123,6 +180,18 @@ class TestConditionalForms:
         alt = cond_exp_hn_x_given_yz(*args, form=CondMomentForm.DOUBLE_SUM)
         assert np.isfinite(ref) and np.isfinite(alt)
         assert alt == pytest.approx(ref, rel=TOL_COND_FORMS)
+
+    @pytest.mark.parametrize("form", [CondMomentForm.ASC_EXPANSION, CondMomentForm.DOUBLE_SUM])
+    @pytest.mark.parametrize("q", [0.7, -0.5, 0.99, 0.0])
+    def test_rows_equal_term_by_term_bit_for_bit(self, form, q):
+        half = support_halfwidth(q)
+        ys = np.array([0.37, -0.9, 0.0]) * half
+        zs = np.array([-0.21, 0.8, 0.5]) * half
+        for rho12, rho13 in ((0.3, -0.6), (0.9, 0.5), (0.0, 0.4)):
+            for n in range(31):
+                got = cond_exp_hn_x_given_yz(n, ys, zs, rho12, rho13, q, form=form)
+                want = _term_by_term(n, ys, zs, rho12, rho13, q, form)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_linear_case_closed_form(self, params):
         y, z = 0.6, -0.4

@@ -179,6 +179,45 @@ class TestPochhammer:
             log_q_pochhammer_inf(1.5, 0.5)
 
 
+def _loop_q_number(n, q):
+    total, power = 0.0, 1.0
+    for _ in range(n):
+        total += power
+        power *= q
+    return total
+
+
+def _loop_q_binomial(n, k, q):
+    out = 1.0
+    for i in range(min(k, n - k)):
+        out = out * _loop_q_number(n - i, q) / _loop_q_number(i + 1, q)
+    return out
+
+
+def _loop_q_pochhammer(a, q, j):
+    out, term = 1.0, a
+    for _ in range(j):
+        out *= 1.0 - term
+        term *= q
+    return out
+
+
+@pytest.mark.parametrize("q", [0.7, -0.5, 0.99, 0.0, 0.999])
+def test_scalars_equal_their_one_call_loops_bit_for_bit(q):
+    # Each scalar reads one entry of a row; the rows multiply and add in the
+    # order of these loops, so a caller reading a row gets the same bits.
+    for n in range(60):
+        assert q_number(n, q).hex() == _loop_q_number(n, q).hex()
+        fact = 1.0
+        for k in range(1, n + 1):
+            fact *= _loop_q_number(k, q)
+        assert q_factorial(n, q).hex() == fact.hex()
+        for k in range(n + 1):
+            assert q_binomial(n, k, q).hex() == _loop_q_binomial(n, k, q).hex()
+        for a in (0.3, -0.7, 0.99 * q):
+            assert q_pochhammer(a, q, n).hex() == _loop_q_pochhammer(a, q, n).hex()
+
+
 class TestSupport:
     def test_halfwidth_values(self):
         assert support_halfwidth(0.0) == 2.0

@@ -29,6 +29,7 @@ from qnormal3d.sampler import (
     _chebyshev_rows,
     _conditional_rows,
     _density_row,
+    _density_tables,
     _pchip_cdf,
     _phi_grid,
     cdf_fn,
@@ -41,6 +42,12 @@ from qnormal3d.sampler import (
 )
 
 FAST_3D = dict(grid_points=64, burn_in=120, thin=2, n_chains=64)
+
+
+def _cdf_fn_256(q):
+    """The base density's CDF read from a 256-point table, cheaper than the
+    fixed 2048-point table of cdf_fn."""
+    return _density_tables(lambda xs: f_n(xs, q), q, 256)[0]
 
 
 class TestConfig:
@@ -254,6 +261,15 @@ class TestCdfHelpers:
         assert vals[-1] == pytest.approx(1.0, abs=1e-9)
         assert np.all(np.diff(vals) >= -1e-12)
 
+    def test_cdf_tables_use_the_fixed_grid(self):
+        xs = np.linspace(-2.0, 2.0, 101)
+        want = _density_tables(lambda v: f_n(v, 0.5), 0.5, 2048)[0](xs)
+        assert cdf_fn(0.5)(xs).tobytes() == want.tobytes()
+        with pytest.raises(TypeError):
+            cdf_fn(0.5, 256)
+        with pytest.raises(TypeError):
+            cdf_r(0.3, 0.5, 256)
+
     def test_weighted_cdf_median_symmetry(self):
         cdf = cdf_r(0.3, 0.4)
         assert cdf(np.array([0.0]))[0] == pytest.approx(0.5, abs=1e-9)
@@ -262,7 +278,7 @@ class TestCdfHelpers:
     def test_quantile_inverts_cdf(self, q):
         half = support_halfwidth(q)
         xs = np.linspace(-1.0, 1.0, 601) * min(3.0, 0.9 * half)
-        theta = _base_quantile(q, 256)(cdf_fn(q, 256)(xs))
+        theta = _base_quantile(q, 256)(_cdf_fn_256(q)(xs))
         back = half * np.sin(theta)
         np.testing.assert_allclose(back, xs, rtol=0.0, atol=1e-6)
 
@@ -281,7 +297,7 @@ class TestCdfHelpers:
         xs = np.linspace(-half, half, 4001)
         th = np.arcsin(np.clip(xs / half, -1.0, 1.0))
         want = anti(np.arctan2(np.sin(th), eps * np.cos(th))) / anti(phi[-1])
-        np.testing.assert_allclose(cdf_fn(q, 256)(xs), want, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(_cdf_fn_256(q)(xs), want, rtol=0.0, atol=1e-13)
 
     def test_ks_statistic_uniform(self):
         gen = np.random.default_rng(3)
@@ -299,7 +315,7 @@ class TestBlockwiseTables:
         half = support_halfwidth(q)
         xs = np.linspace(-1.05, 1.05, 2 * _BLOCK + 1) * half
         us = np.linspace(0.0, 1.0, 2 * _BLOCK + 1)
-        for read, pts in ((cdf_fn(q, 256), xs), (_base_quantile(q, 256), us)):
+        for read, pts in ((_cdf_fn_256(q), xs), (_base_quantile(q, 256), us)):
             whole = read(pts)
             single = np.array([read(p) for p in pts])
             assert whole.shape == pts.shape

@@ -79,6 +79,8 @@ def test_every_error_has_its_documented_exit_code():
         "gram --family rogers --q 0.5 --r 1".split(),
         "gram --family qhermite --q 0.5 --nmax -1".split(),
         "moments --kind cond_y --q 0.5 --rho 0.3,0.6,0.3 --n 2 --z 2.82842712474619".split(),
+        "eval fN --q 0.5 --form rogers".split(),
+        "eval pmKernel --q 0.5 --form closed".split(),
     ],
     ids=[
         "nan-point",
@@ -86,6 +88,8 @@ def test_every_error_has_its_documented_exit_code():
         "degenerate-recurrence",
         "negative-degree",
         "zero-density-point",
+        "form-of-a-density-without-routes",
+        "form-the-density-lacks",
     ],
 )
 def test_cli_invalid_input_exits_2_with_one_error_line(argv, capsys):
