@@ -43,13 +43,10 @@ from .moments import (
     _variance,
     closed_form,
     cond_exp_hn_x_given_yz,
-    cond_exp_hn_y_given_z,
     cond_exp_x_given_yz,
-    cond_exp_xy_given_z,
     cond_exp_y2_given_z,
     cond_exp_y_given_z,
     cov_yz,
-    e_h2n_z,
     quadrature_oracle,
     var_z,
 )
@@ -58,7 +55,6 @@ from .polynomials import (
     asc_poly,
     default_y,
     hermite_prob,
-    q_hermite,
     triple_product_integral,
 )
 from .qcore import support_halfwidth
@@ -119,22 +115,33 @@ def _report(
     )
 
 
+def _rank(err: float) -> Tuple[bool, float]:
+    """Sort key of an error: a NaN ranks above every number, inf included."""
+    return (math.isnan(err), err)
+
+
 def _worst(
     name: str,
     pairs: Iterable[Tuple[float, float]],
     tol: float,
     relative: bool = False,
 ) -> VerificationReport:
-    """One report for many instances of the same identity: the worst one."""
-    best: VerificationReport | None = None
-    for lhs, rhs in pairs:
-        rep = _report(name, lhs, rhs, tol, relative)
-        key = rep.rel_err if relative else rep.abs_err
-        if best is None or key > (best.rel_err if relative else best.abs_err):
-            best = rep
-    if best is None:
+    """One report for many (lhs, rhs) instances of the same identity: the
+    first of the worst.  A NaN error ranks worst, so a NaN probe fails the
+    row wherever it falls."""
+    reports = [_report(name, lhs, rhs, tol, relative) for lhs, rhs in pairs]
+    if not reports:
         raise ValueError(f"check {name} produced no instances")
-    return best
+    return max(reports, key=lambda rep: _rank(rep.rel_err if relative else rep.abs_err))
+
+
+def _forms_agree(name: str, route_values: Sequence, tol: float) -> VerificationReport:
+    """Agreement of the evaluation routes of one quantity: route_values holds
+    each route's values at the same probes, and each probe's instance is
+    (largest, smallest) over the routes, compared relatively."""
+    vals = np.array(route_values)
+    pairs = zip(vals.max(axis=0).tolist(), vals.min(axis=0).tolist())
+    return _worst(name, pairs, tol, relative=True)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -150,69 +157,48 @@ def check_marginals(p: ModelParams, seed: int = 7) -> List[VerificationReport]:
     """Normalization of every density, the marginalization chain, and the
     agreement of the f_3d and f_Z evaluation routes."""
     q = p.q
-    gen = _rng(seed)
-    out = [
-        _report("fN-normalization", integrate1d(lambda x: f_n(x, q), q).value, 1.0, TOL_NORM_1D),
-        _report("fR-normalization", integrate1d(lambda x: f_r(x, p.r, q), q).value, 1.0, TOL_NORM_1D),
-    ]
     y0 = default_y(q)
-    out.append(
-        _report(
-            "fCN-normalization",
-            integrate1d(lambda x: f_cn(x, y0, p.rho12, q), q).value,
-            1.0,
-            TOL_NORM_1D,
-        )
+    norms = (
+        ("fN-normalization", integrate1d(lambda x: f_n(x, q), q), TOL_NORM_1D),
+        ("fR-normalization", integrate1d(lambda x: f_r(x, p.r, q), q), TOL_NORM_1D),
+        ("fCN-normalization", integrate1d(lambda x: f_cn(x, y0, p.rho12, q), q), TOL_NORM_1D),
+        ("fYZ-normalization", integrate2d(lambda y, z: f_yz(y, z, p), q), TOL_NORM_2D),
+        ("C3D-normalization", integrate3d(lambda x, y, z: f_3d(x, y, z, p), q), TOL_NORM_3D),
     )
-    out.append(
-        _report(
-            "fYZ-normalization",
-            integrate2d(lambda y, z: f_yz(y, z, p), q).value,
-            1.0,
-            TOL_NORM_2D,
-        )
-    )
-    out.append(
-        _report(
-            "C3D-normalization",
-            integrate3d(lambda x, y, z: f_3d(x, y, z, p), q).value,
-            1.0,
-            TOL_NORM_3D,
-        )
-    )
-    pts = _interior(gen, q, 20).reshape(10, 2)
-    out.append(
-        _worst(
+    gen = _rng(seed)
+    yz = _interior(gen, q, 20).reshape(10, 2)
+    zs = _interior(gen, q, 10)
+    zs2 = _interior(gen, q, 10)
+    xyz = _interior(gen, q, 15).reshape(5, 3).T
+    zs3 = _interior(_rng(seed), q, 10)  # the f_Z routes draw from a fresh stream
+    alt = _equal_r_variant(p)
+    rows = (
+        (
             "fYZ-from-f3D",
             (
                 (integrate1d(lambda x: f_3d(x, yv, zv, p), q).value, f_yz(yv, zv, p))
-                for yv, zv in pts
+                for yv, zv in yz
             ),
             TOL_MARGINAL_2D,
-        )
-    )
-    zs = _interior(gen, q, 10)
-    out.append(
-        _worst(
+        ),
+        (
             "fZ-from-f3D",
             (
                 (integrate2d(lambda x, y: f_3d(x, y, zv, p), q).value, f_r(zv, p.r, q))
                 for zv in zs
             ),
             TOL_MARGINAL_1D,
-        )
+        ),
+        ("fZ-r-only", zip(f_z(zs2, alt.r, q).tolist(), f_z(zs2, p.r, q).tolist()), TOL_R_ONLY),
     )
-    zs2 = _interior(gen, q, 10)
-    alt = _equal_r_variant(p)
-    out.append(
-        _worst(
-            "fZ-r-only",
-            zip(f_z(zs2, alt.r, q).tolist(), f_z(zs2, p.r, q).tolist()),
-            TOL_R_ONLY,
-        )
-    )
-    out.append(_form_agreement(p, gen))
-    return out + check_fz_forms(p, seed)
+    f3d_routes = [f_3d(*xyz, p, form=f) for f in DensityForm]
+    fz_routes = [f_z(zs3, p.r, q, form=f) for f in MarginalForm]
+    return [
+        *(_report(name, integral.value, 1.0, tol) for name, integral, tol in norms),
+        *(_worst(*row) for row in rows),
+        _forms_agree("f3D-form-agreement", f3d_routes, TOL_FORMS),
+        _forms_agree("fZ-form-agreement", fz_routes, TOL_FORMS),
+    ]
 
 
 def _equal_r_variant(p: ModelParams) -> ModelParams:
@@ -224,27 +210,6 @@ def _equal_r_variant(p: ModelParams) -> ModelParams:
     c = p.rho12
     a = c * (1.0 + abs(c)) / (2.0 * abs(c))
     return ModelParams(rho12=a, rho13=c, rho23=c * c / a, q=p.q)
-
-
-def _spread(forms: Sequence[np.ndarray]) -> Iterable[Tuple[float, float]]:
-    """(largest, smallest) over the evaluation routes at each probe point."""
-    vals = np.array(forms)
-    return zip(vals.max(axis=0).tolist(), vals.min(axis=0).tolist())
-
-
-def _form_agreement(p: ModelParams, gen: np.random.Generator) -> VerificationReport:
-    xv, yv, zv = _interior(gen, p.q, 15).reshape(5, 3).T
-    pairs = _spread([f_3d(xv, yv, zv, p, form=f) for f in DensityForm])
-    return _worst("f3D-form-agreement", pairs, TOL_FORMS, relative=True)
-
-
-def check_fz_forms(
-    p: ModelParams, seed: int = 7
-) -> List[VerificationReport]:
-    """Pairwise agreement of the four marginal evaluation routes."""
-    zs = _interior(_rng(seed), p.q, 10)
-    pairs = _spread([f_z(zs, p.r, p.q, form=f) for f in MarginalForm])
-    return [_worst("fZ-form-agreement", pairs, TOL_FORMS, relative=True)]
 
 
 def check_orthogonality(p: ModelParams) -> List[VerificationReport]:
@@ -312,97 +277,56 @@ def check_moments(p: ModelParams) -> List[VerificationReport]:
     q = p.q
     r = p.r
 
-    def h(deg: int) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda z: q_hermite(deg, z, q).values[deg]
+    def vs_oracle(*degrees: Tuple[int, ...]) -> List[Tuple[float, float]]:
+        specs = [MomentSpec(MomentKind.UNCONDITIONAL, d, p) for d in degrees]
+        return [(closed_form(s), quadrature_oracle(s)) for s in specs]
 
-    mixed = [MomentSpec(MomentKind.UNCONDITIONAL, d, p) for d in ((2, 2), (1, 3), (2, 4))]
-    return [
-        _worst(
-            "eh2n-vs-quadrature",
-            ((e_h2n_z(n, r, q), _marginal_moment(h(2 * n), r, q)) for n in (1, 2, 3)),
-            TOL_MOMENT,
-        ),
-        _report(
-            "varz-vs-quadrature", var_z(r, q), _marginal_moment(lambda z: z * z, r, q), TOL_MOMENT
-        ),
-        _report(
-            "cov-vs-quadrature",
-            cov_yz(p),
-            quadrature_oracle(MomentSpec(MomentKind.UNCONDITIONAL, (1, 1), p)),
-            TOL_MOMENT,
-        ),
-        _worst(
-            "mixed-vs-quadrature",
-            ((closed_form(s), quadrature_oracle(s)) for s in mixed),
-            TOL_MOMENT,
-        ),
-        _worst(
-            "odd-moments-vanish",
-            ((_marginal_moment(h(2 * n + 1), r, q), 0.0) for n in range(5)),
-            TOL_ODD,
-        ),
-    ]
+    cov = MomentSpec(MomentKind.UNCONDITIONAL, (1, 1), p)
+    odd = vs_oracle(*((d,) for d in range(1, 10, 2)))
+    rows = (
+        ("eh2n-vs-quadrature", vs_oracle((2,), (4,), (6,)), TOL_MOMENT),
+        ("varz-vs-quadrature", [(var_z(r, q), _marginal_moment(np.square, r, q))], TOL_MOMENT),
+        ("cov-vs-quadrature", [(cov_yz(p), quadrature_oracle(cov))], TOL_MOMENT),
+        ("mixed-vs-quadrature", vs_oracle((2, 2), (1, 3), (2, 4)), TOL_MOMENT),
+        # The quadrature value is the lhs of this row: odd moments vanish.
+        ("odd-moments-vanish", [(oracle, closed) for closed, oracle in odd], TOL_ODD),
+    )
+    return [_worst(*row) for row in rows]
 
 
 def check_conditionals(p: ModelParams, seed: int = 7) -> List[VerificationReport]:
     """Conditional moment formulas against each other and quadrature."""
     q = p.q
     gen = _rng(seed)
-    out = []
-    form_pairs = []
-    quad_pairs = []
-    for n in range(6):
-        yv, zv = _interior(gen, q, 2)
-        v1 = cond_exp_hn_x_given_yz(n, yv, zv, p.rho12, p.rho13, q, CondMomentForm.ASC_EXPANSION)
-        v2 = cond_exp_hn_x_given_yz(n, yv, zv, p.rho12, p.rho13, q, CondMomentForm.DOUBLE_SUM)
-        v3 = cond_exp_hn_x_given_yz(n, yv, zv, p.rho12, p.rho13, q, CondMomentForm.ASC_IMAGE)
-        form_pairs.append((max(v1, v2, v3), min(v1, v2, v3)))
-        oracle = quadrature_oracle(
-            MomentSpec(MomentKind.COND_X_GIVEN_YZ, (n,), p, (yv, zv))
-        )
-        quad_pairs.append((v1, oracle))
-    out.append(_worst("condx-forms-agree", form_pairs, TOL_COND_FORMS, relative=True))
-    out.append(_worst("condx-vs-quadrature", quad_pairs, TOL_COND_QUAD))
-
-    pairs = []
-    for n in range(1, 5):
-        zv = float(_interior(gen, q, 1)[0])
-        oracle = quadrature_oracle(
-            MomentSpec(MomentKind.COND_Y_GIVEN_Z, (n,), p, (zv,))
-        )
-        pairs.append((cond_exp_hn_y_given_z(n, zv, p), oracle))
-    out.append(_worst("condy-vs-quadrature", pairs, TOL_COND_QUAD))
-
-    yv, zv = _interior(gen, q, 2)
-    oracle = quadrature_oracle(MomentSpec(MomentKind.COND_X_GIVEN_YZ, (1,), p, (yv, zv)))
-    out.append(
-        _report(
-            "ex-vs-quadrature",
-            cond_exp_x_given_yz(yv, zv, p.rho12, p.rho13, q),
-            oracle,
-            TOL_COND_QUAD,
-        )
+    x_on_yz, y_on_z = MomentKind.COND_X_GIVEN_YZ, MomentKind.COND_Y_GIVEN_Z
+    condx = [MomentSpec(x_on_yz, (n,), p, tuple(_interior(gen, q, 2))) for n in range(6)]
+    condy = [MomentSpec(y_on_z, (n,), p, (float(_interior(gen, q, 1)[0]),)) for n in range(1, 5)]
+    ex = MomentSpec(x_on_yz, (1,), p, tuple(_interior(gen, q, 2)))
+    z1 = (float(_interior(gen, q, 1)[0]),)
+    cyz, cy2z = (MomentSpec(y_on_z, (n,), p, z1) for n in (1, 2))
+    cconv = MomentSpec(MomentKind.COND_XY_GIVEN_Z, (1, 1), p, z1)
+    # Each row pairs closed values with the moment requests whose quadrature
+    # oracles they must match.
+    rows = (
+        ("condx-vs-quadrature", [(closed_form(s), s) for s in condx]),
+        ("condy-vs-quadrature", [(closed_form(s), s) for s in condy]),
+        ("ex-vs-quadrature", [(cond_exp_x_given_yz(*ex.points, p.rho12, p.rho13, q), ex)]),
+        ("cyz-vs-quadrature", [(cond_exp_y_given_z(*z1, p), cyz)]),
+        ("cy2z-vs-quadrature", [(cond_exp_y2_given_z(*z1, p) - 1.0, cy2z)]),
+        ("cconv-vs-quadrature", [(closed_form(cconv), cconv)]),
     )
-    zv = float(_interior(gen, q, 1)[0])
-    oracle = quadrature_oracle(MomentSpec(MomentKind.COND_Y_GIVEN_Z, (1,), p, (zv,)))
-    out.append(_report("cyz-vs-quadrature", cond_exp_y_given_z(zv, p), oracle, TOL_COND_QUAD))
-    oracle = quadrature_oracle(MomentSpec(MomentKind.COND_Y_GIVEN_Z, (2,), p, (zv,)))
-    out.append(
-        _report(
-            "cy2z-vs-quadrature",
-            cond_exp_y2_given_z(zv, p) - 1.0,
-            oracle,
-            TOL_COND_QUAD,
-        )
-    )
-    oracle = quadrature_oracle(MomentSpec(MomentKind.COND_XY_GIVEN_Z, (1, 1), p, (zv,)))
-    out.append(_report("cconv-vs-quadrature", cond_exp_xy_given_z(zv, p), oracle, TOL_COND_QUAD))
-
-    pairs = []
-    for n in range(1, 5):
-        pairs.append((_pcm_residual(n, p), 0.0))
-    out.append(_worst("pcm-degree-fit", pairs, TOL_PCM))
-    return out
+    routes = [
+        [cond_exp_hn_x_given_yz(s.degrees[0], *s.points, p.rho12, p.rho13, q, form) for s in condx]
+        for form in CondMomentForm
+    ]
+    return [
+        _forms_agree("condx-forms-agree", routes, TOL_COND_FORMS),
+        *(
+            _worst(name, ((v, quadrature_oracle(s)) for v, s in pairs), TOL_COND_QUAD)
+            for name, pairs in rows
+        ),
+        _worst("pcm-degree-fit", ((_pcm_residual(n, p), 0.0) for n in range(1, 5)), TOL_PCM),
+    ]
 
 
 def _pcm_residual(n: int, p: ModelParams) -> float:
@@ -428,41 +352,31 @@ def kesten_mckay_density(x, r: float):
     return (1.0 + r) * np.sqrt(edge) / (2.0 * math.pi * ((1.0 + r) ** 2 - r * xv * xv))
 
 
-def _triple_product_exact_q0(k: int, m: int, n: int) -> float:
-    if (k + m + n) % 2 or k + m < n or m + n < k or n + k < m:
-        return 0.0
-    return 1.0
-
-
 def check_limits(
     p: ModelParams, seed: int = 7
 ) -> List[VerificationReport]:
     """Behaviour at q = 0 (exact forms) and q -> 1 (Gaussian targets)."""
-    gen = _rng(seed)
-    out = []
     r = p.r
-    xs = gen.uniform(-1.9, 1.9, 10)
-    out.append(
+    xs = _rng(seed).uniform(-1.9, 1.9, 10)
+    # At q = 0 a triple product is 1 when (k, m, n) is a triangle of even
+    # perimeter and 0 otherwise.
+    triangle = []
+    for kmn in itertools.product(range(4), repeat=3):
+        exact = sum(kmn) % 2 == 0 and 2 * max(kmn) <= sum(kmn)
+        triangle.append((triple_product_integral(*kmn, 0.0), float(exact)))
+    # At q = 0 every q-Hermite norm [n]_0! is 1: the Gram matrix is exactly I.
+    hermite, n_h = FAMILIES["qhermite"], 6
+    miss = hermite.gram(n_h, 0.0) - np.diag(hermite.norms(n_h, 0.0))
+    return [
         _worst(
             "kesten-mckay-closed-form",
             zip(f_z(xs, r, 0.0).tolist(), kesten_mckay_density(xs, r).tolist()),
             TOL_KESTEN_MCKAY,
-        )
-    )
-    pairs = []
-    for k in range(4):
-        for m in range(4):
-            for n in range(4):
-                exact = _triple_product_exact_q0(k, m, n)
-                pairs.append((triple_product_integral(k, m, n, 0.0), exact))
-    out.append(_worst("q0-triple-product-exact", pairs, TOL_EXACT_Q0))
-    # At q = 0 every q-Hermite norm [n]_0! is 1: the Gram matrix is exactly I.
-    hermite, n_h = FAMILIES["qhermite"], 6
-    miss = hermite.gram(n_h, 0.0) - np.diag(hermite.norms(n_h, 0.0))
-    out.append(_report("q0-gram-exact", float(np.max(np.abs(miss))), 0.0, TOL_EXACT_Q0))
-    for name, errs in limit_series(r, LIMIT_Q_SEQUENCE).items():
-        out.append(_limit_row(name, errs))
-    return out
+        ),
+        _worst("q0-triple-product-exact", triangle, TOL_EXACT_Q0),
+        _report("q0-gram-exact", float(np.max(np.abs(miss))), 0.0, TOL_EXACT_Q0),
+        *(_limit_row(name, errs) for name, errs in limit_series(r, LIMIT_Q_SEQUENCE).items()),
+    ]
 
 
 LIMIT_Q_SEQUENCE = (0.9, 0.99, 0.999)
@@ -514,14 +428,24 @@ def var_limit_errors(r: float, qs: Tuple[float, ...]) -> Tuple[float, ...]:
     return tuple(abs(var_z(r, qq) - _variance(r, 1.0)) for qq in qs)
 
 
+def _limit_ratios(errs: Sequence[float]) -> List[float]:
+    """Ratio of each error of a q -> 1 series to the one before it.
+
+    A step from an error of exactly 0 has ratio 0 when the next error is 0
+    too, since the series already sits at its limit, and inf otherwise.
+    """
+    return [
+        b / a if a else (0.0 if b == 0.0 else math.inf) for a, b in zip(errs, errs[1:])
+    ]
+
+
 def _limit_row(name: str, errs: Sequence[float]) -> VerificationReport:
     """Strict error decrease along the q -> 1 sequence, as one report row.
 
-    lhs is the worst consecutive error ratio; the row passes when every
-    step shrinks, i.e. the worst ratio stays below one.
+    lhs is the worst consecutive error ratio, by :func:`_limit_ratios`; the
+    row passes when every step shrinks, i.e. the worst ratio stays below one.
     """
-    ratios = [errs[i + 1] / errs[i] for i in range(len(errs) - 1)]
-    worst = max(ratios)
+    worst = max(_limit_ratios(errs), key=_rank)
     return VerificationReport(
         name=name,
         lhs=float(worst),

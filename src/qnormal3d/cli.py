@@ -412,7 +412,7 @@ def cmd_sample(args: argparse.Namespace) -> Tuple[Table, int]:
 
 
 def cmd_limits(args: argparse.Namespace) -> Tuple[Table, int]:
-    from .checks import limit_series
+    from .checks import _limit_ratios, limit_series
 
     qs = _parse_q_seq(args.q_seq)
     meta: Dict[str, Any] = {"command": "limits", "q_seq": args.q_seq, "r": args.r}
@@ -420,11 +420,8 @@ def cmd_limits(args: argparse.Namespace) -> Tuple[Table, int]:
     columns = ["check", "q", "error", "ratio"]
     rows: List[Row] = []
     for name, errs in limit_series(args.r, qs).items():
-        prev = None
-        for qq, err in zip(qs, errs):
-            ratio = err / prev if prev else ""
-            rows.append((name, qq, err, ratio))
-            prev = err
+        ratios = ["", *_limit_ratios(errs)]
+        rows.extend((name, qq, err, ratio) for qq, err, ratio in zip(qs, errs, ratios))
     return (meta, columns, rows), EXIT_OK
 
 

@@ -1,6 +1,7 @@
 """Identity suites produce structured reports and pass at interior points."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,21 +11,32 @@ from qnormal3d.checks import (
     SUITES,
     SWEEP_Q,
     SWEEP_RHO,
+    TOL_COND_FORMS,
+    TOL_COND_QUAD,
     TOL_EXACT_Q0,
     TOL_FORMS,
     TOL_KESTEN_MCKAY,
+    TOL_MOMENT,
+    TOL_NORM_1D,
+    TOL_NORM_2D,
+    TOL_NORM_3D,
+    TOL_ODD,
     TOL_PCM,
     TOL_PM,
     TOL_R_ONLY,
     VerificationReport,
     _equal_r_variant,
     _interior,
+    _limit_ratios,
+    _limit_row,
+    _report,
     _rng,
     _worst,
     asc_limit_errors,
     check_conditionals,
     check_limits,
     check_marginals,
+    check_moments,
     check_poisson_mehler,
     fn_limit_errors,
     kesten_mckay_density,
@@ -32,11 +44,39 @@ from qnormal3d.checks import (
     run_suite,
     var_limit_errors,
 )
-from qnormal3d.densities import DensityForm, MarginalForm, ModelParams, f_3d, f_z, omega, pm_kernel
-from qnormal3d.moments import cond_exp_hn_x_given_yz, var_z
-from qnormal3d.polynomials import triple_product_integral
+from qnormal3d.densities import (
+    DensityForm,
+    MarginalForm,
+    ModelParams,
+    f_3d,
+    f_cn,
+    f_n,
+    f_r,
+    f_yz,
+    f_z,
+    omega,
+    pm_kernel,
+)
+from qnormal3d.moments import (
+    CondMomentForm,
+    MomentKind,
+    MomentSpec,
+    _marginal_moment,
+    closed_form,
+    cond_exp_hn_x_given_yz,
+    cond_exp_hn_y_given_z,
+    cond_exp_x_given_yz,
+    cond_exp_xy_given_z,
+    cond_exp_y2_given_z,
+    cond_exp_y_given_z,
+    cov_yz,
+    e_h2n_z,
+    quadrature_oracle,
+    var_z,
+)
+from qnormal3d.polynomials import default_y, q_hermite, triple_product_integral
 from qnormal3d.qcore import support_halfwidth
-
+from qnormal3d.quadrature import integrate1d, integrate2d, integrate3d
 
 EXPECTED_SUITES = {
     "orthogonality",
@@ -120,6 +160,107 @@ class TestLimitScans:
         ]
 
 
+
+class TestWorst:
+    @pytest.mark.parametrize(
+        "pairs", [[(1.0, 1.0), (math.nan, 1.0)], [(math.nan, 1.0), (1.0, 1.0)]]
+    )
+    def test_nan_probe_fails_the_row_in_either_order(self, pairs):
+        rep = _worst("a", pairs, 1e-8)
+        assert math.isnan(rep.lhs)
+        assert not rep.passed
+
+    def test_nan_ranks_above_inf(self):
+        rep = _worst("a", [(math.inf, 1.0), (math.nan, 1.0), (2.0, 1.0)], 1e-8)
+        assert math.isnan(rep.lhs)
+
+    def test_first_of_equal_worst_is_kept(self):
+        rep = _worst("a", [(1.0, 0.0), (0.0, 1.0), (0.5, 0.0)], 1e-8)
+        assert (rep.lhs, rep.rhs) == (1.0, 0.0)
+
+
+class TestLimitRatios:
+    def test_steps_from_an_exact_zero(self):
+        errs = (0.5, 0.25, 0.0, 0.0, 1e-300)
+        assert _limit_ratios(errs) == [0.5, 0.0, 0.0, math.inf]
+
+    def test_series_at_its_limit_passes(self):
+        row = _limit_row("var-limit", (0.0, 0.0, 0.0))
+        assert (row.lhs, row.passed) == (0.0, True)
+
+    def test_growth_from_zero_fails(self):
+        row = _limit_row("var-limit", (1e-3, 0.0, 1e-17))
+        assert (row.lhs, row.passed) == (math.inf, False)
+
+    def test_nan_step_fails(self):
+        assert not _limit_row("var-limit", (1e-3, 1e-4, math.nan)).passed
+
+
+@pytest.mark.parametrize("rho, q", [((0.0, 0.6, 0.3), 0.5), ((0.3, 0.0, -0.6), 0.7)])
+def test_all_suites_pass_at_a_zero_correlation(rho, q):
+    # r = 0, so every var-limit error is exactly 0: the series sits at its limit.
+    reports = run_suite("all", ModelParams(*rho, q), seed=1)
+    assert [rep.name for rep in reports if not rep.passed] == []
+    var_row = next(rep for rep in reports if rep.name == "var-limit")
+    assert (var_row.lhs, var_row.abs_err) == (0.0, 0.0)
+
+
+ROW_NAMES = {
+    "orthogonality": [
+        "gram-qhermite-diagonal",
+        "gram-qhermite-offdiagonal",
+        "gram-asc-diagonal",
+        "gram-asc-offdiagonal",
+        "gram-rogers-diagonal",
+        "gram-rogers-offdiagonal",
+    ],
+    "marginals": [
+        "fN-normalization",
+        "fR-normalization",
+        "fCN-normalization",
+        "fYZ-normalization",
+        "C3D-normalization",
+        "fYZ-from-f3D",
+        "fZ-from-f3D",
+        "fZ-r-only",
+        "f3D-form-agreement",
+        "fZ-form-agreement",
+    ],
+    "chapman-kolmogorov": ["ck-semigroup"],
+    "poisson-mehler": ["pm-series-vs-product", "pm-shifted-parameter"],
+    "moments": [
+        "eh2n-vs-quadrature",
+        "varz-vs-quadrature",
+        "cov-vs-quadrature",
+        "mixed-vs-quadrature",
+        "odd-moments-vanish",
+    ],
+    "conditionals": [
+        "condx-forms-agree",
+        "condx-vs-quadrature",
+        "condy-vs-quadrature",
+        "ex-vs-quadrature",
+        "cyz-vs-quadrature",
+        "cy2z-vs-quadrature",
+        "cconv-vs-quadrature",
+        "pcm-degree-fit",
+    ],
+    "limits": [
+        "kesten-mckay-closed-form",
+        "q0-triple-product-exact",
+        "q0-gram-exact",
+        "fn-gaussian-limit",
+        "asc-hermite-limit",
+        "var-limit",
+    ],
+}
+
+
+def test_row_names_are_pinned_in_order():
+    p = ModelParams(0.3, 0.6, 0.3, 0.7)
+    assert {suite: [rep.name for rep in run_suite(suite, p)] for suite in SUITES} == ROW_NAMES
+
+
 def test_sweep_grid_is_the_acceptance_grid():
     points = [(*rho, q) for rho in SWEEP_RHO for q in SWEEP_Q]
     assert points == [
@@ -139,9 +280,10 @@ def test_conditionals_pass_near_gaussian_limit(rho):
     assert [rep.name for rep in reports if not rep.passed] == []
 
 
-# Per-point reference copies of the probe loops that the suites now run as
-# one array call per evaluation route.  Each returns the rows it covers,
-# keyed by name, drawing the suite's random probes in the suite's order.
+# Per-point reference copies of the probe loops and hand-written rows that
+# the suites now run as one array call per evaluation route and as row
+# tables.  Each returns the rows it covers, keyed by name, drawing the
+# suite's random probes in the suite's order.
 
 
 def _ref_poisson_mehler(p, seed):
@@ -165,6 +307,17 @@ def _ref_poisson_mehler(p, seed):
 
 def _ref_marginals(p, seed):
     q = p.q
+    y0 = default_y(q)
+    norms = [
+        _report(name, integral.value, 1.0, tol)
+        for name, integral, tol in [
+            ("fN-normalization", integrate1d(lambda x: f_n(x, q), q), TOL_NORM_1D),
+            ("fR-normalization", integrate1d(lambda x: f_r(x, p.r, q), q), TOL_NORM_1D),
+            ("fCN-normalization", integrate1d(lambda x: f_cn(x, y0, p.rho12, q), q), TOL_NORM_1D),
+            ("fYZ-normalization", integrate2d(lambda y, z: f_yz(y, z, p), q), TOL_NORM_2D),
+            ("C3D-normalization", integrate3d(lambda x, y, z: f_3d(x, y, z, p), q), TOL_NORM_3D),
+        ]
+    ]
     gen = _rng(seed)
     _interior(gen, q, 20)  # fYZ-from-f3D
     _interior(gen, q, 10)  # fZ-from-f3D
@@ -181,7 +334,7 @@ def _ref_marginals(p, seed):
         vals = [float(f_z(zv, p.r, q, form=f)) for f in MarginalForm]
         pairs.append((max(vals), min(vals)))
     forms_z = _worst("fZ-form-agreement", pairs, TOL_FORMS, relative=True)
-    return [r_only, forms_3d, forms_z]
+    return [*norms, r_only, forms_3d, forms_z]
 
 
 def _ref_limits(p, seed):
@@ -202,7 +355,76 @@ def _ref_limits(p, seed):
     return [km, _worst("q0-triple-product-exact", pairs, TOL_EXACT_Q0)]
 
 
+def _ref_moments(p, seed):
+    q, r = p.q, p.r
+
+    def h(deg):
+        return lambda z: q_hermite(deg, z, q).values[deg]
+
+    mixed = [MomentSpec(MomentKind.UNCONDITIONAL, d, p) for d in ((2, 2), (1, 3), (2, 4))]
+    return [
+        _worst(
+            "eh2n-vs-quadrature",
+            ((e_h2n_z(n, r, q), _marginal_moment(h(2 * n), r, q)) for n in (1, 2, 3)),
+            TOL_MOMENT,
+        ),
+        _report(
+            "varz-vs-quadrature", var_z(r, q), _marginal_moment(lambda z: z * z, r, q), TOL_MOMENT
+        ),
+        _report(
+            "cov-vs-quadrature",
+            cov_yz(p),
+            quadrature_oracle(MomentSpec(MomentKind.UNCONDITIONAL, (1, 1), p)),
+            TOL_MOMENT,
+        ),
+        _worst(
+            "mixed-vs-quadrature",
+            ((closed_form(s), quadrature_oracle(s)) for s in mixed),
+            TOL_MOMENT,
+        ),
+        _worst(
+            "odd-moments-vanish",
+            ((_marginal_moment(h(2 * n + 1), r, q), 0.0) for n in range(5)),
+            TOL_ODD,
+        ),
+    ]
+
+
 def _ref_conditionals(p, seed):
+    q = p.q
+    gen = _rng(seed)
+    out = []
+    form_pairs = []
+    quad_pairs = []
+    for n in range(6):
+        yv, zv = _interior(gen, q, 2)
+        vals = [
+            cond_exp_hn_x_given_yz(n, yv, zv, p.rho12, p.rho13, q, form) for form in CondMomentForm
+        ]
+        form_pairs.append((max(vals), min(vals)))
+        oracle = quadrature_oracle(MomentSpec(MomentKind.COND_X_GIVEN_YZ, (n,), p, (yv, zv)))
+        quad_pairs.append((vals[0], oracle))
+    out.append(_worst("condx-forms-agree", form_pairs, TOL_COND_FORMS, relative=True))
+    out.append(_worst("condx-vs-quadrature", quad_pairs, TOL_COND_QUAD))
+    pairs = []
+    for n in range(1, 5):
+        zv = float(_interior(gen, q, 1)[0])
+        oracle = quadrature_oracle(MomentSpec(MomentKind.COND_Y_GIVEN_Z, (n,), p, (zv,)))
+        pairs.append((cond_exp_hn_y_given_z(n, zv, p), oracle))
+    out.append(_worst("condy-vs-quadrature", pairs, TOL_COND_QUAD))
+    yv, zv = _interior(gen, q, 2)
+    oracle = quadrature_oracle(MomentSpec(MomentKind.COND_X_GIVEN_YZ, (1,), p, (yv, zv)))
+    closed = cond_exp_x_given_yz(yv, zv, p.rho12, p.rho13, q)
+    out.append(_report("ex-vs-quadrature", closed, oracle, TOL_COND_QUAD))
+    zv = float(_interior(gen, q, 1)[0])
+    for name, closed, kind, degrees in [
+        ("cyz-vs-quadrature", cond_exp_y_given_z(zv, p), MomentKind.COND_Y_GIVEN_Z, (1,)),
+        ("cy2z-vs-quadrature", cond_exp_y2_given_z(zv, p) - 1.0, MomentKind.COND_Y_GIVEN_Z, (2,)),
+        ("cconv-vs-quadrature", cond_exp_xy_given_z(zv, p), MomentKind.COND_XY_GIVEN_Z, (1, 1)),
+    ]:
+        oracle = quadrature_oracle(MomentSpec(kind, degrees, p, (zv,)))
+        out.append(_report(name, closed, oracle, TOL_COND_QUAD))
+
     pairs = []
     for n in range(1, 5):
         half = support_halfwidth(p.q)
@@ -218,7 +440,7 @@ def _ref_conditionals(p, seed):
         )
         coef, *_ = np.linalg.lstsq(design, target, rcond=None)
         pairs.append((float(np.linalg.norm(design @ coef - target)), 0.0))
-    return [_worst("pcm-degree-fit", pairs, TOL_PCM)]
+    return [*out, _worst("pcm-degree-fit", pairs, TOL_PCM)]
 
 
 PINNED = [
@@ -232,8 +454,8 @@ PINNED = [
 
 
 class TestVectorizedProbesPinned:
-    """The array-call suites report exactly what the per-point loops did,
-    field for field, failing rows included."""
+    """The array-call and table suites report exactly what the per-point
+    loops and hand-written rows did, by repr, failing rows included."""
 
     @pytest.mark.parametrize(
         "suite, reference",
@@ -241,6 +463,9 @@ class TestVectorizedProbesPinned:
             (check_poisson_mehler, _ref_poisson_mehler),
             (check_marginals, _ref_marginals),
             (check_limits, _ref_limits),
+            pytest.param(
+                lambda p, seed: check_moments(p), _ref_moments, id="check_moments-_ref_moments"
+            ),
             (check_conditionals, _ref_conditionals),
         ],
     )
@@ -248,7 +473,7 @@ class TestVectorizedProbesPinned:
     def test_rows_equal_per_point_loops(self, suite, reference, p, seed):
         rows = {rep.name: rep for rep in suite(p, seed)}
         for ref in reference(p, seed):
-            assert rows[ref.name] == ref
+            assert repr(rows[ref.name]) == repr(ref)
 
     def test_pinned_points_include_a_failing_row(self):
         p, seed = PINNED[-1]

@@ -155,6 +155,21 @@ class TestCheck:
         )
         assert code == 2
 
+    def test_zero_correlation_exits_0_without_traceback(self):
+        # r = 0 here, so every var-limit error is exactly 0.
+        src = str(Path(qnormal3d.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = ["check", "all", "--rho", "0,0.6,0.3", "--q", "0.5", "--seed", "1"]
+        out = subprocess.run(
+            [sys.executable, "-m", "qnormal3d.cli", *argv],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (out.returncode, out.stderr) == (0, "")
+        _, _, rows = parse_csv(out.stdout)
+        assert len(rows) == 38
+        assert all(r["passed"] == "true" for r in rows)
+
 
 class TestMoments:
     def test_variance_plugin(self, capsys):
@@ -316,6 +331,13 @@ class TestLimits:
         assert set(by_check) == {"fn-gaussian-limit", "asc-hermite-limit", "var-limit"}
         for errs in by_check.values():
             assert all(b < a for a, b in zip(errs, errs[1:]))
+
+    def test_zero_error_series_reads_ratio_zero(self, capsys):
+        code, out, _ = run_cli(["limits", "--r", "0"], capsys)
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        var_rows = [(r["error"], r["ratio"]) for r in rows if r["check"] == "var-limit"]
+        assert var_rows == [("0", ""), ("0", "0"), ("0", "0")]
 
 
 class TestOutputFile:
