@@ -2,7 +2,7 @@
 
 Densities, orthogonal polynomial families, closed-form moments, a
 quadrature engine on the compact support, identity check suites, and an
-inverse-CDF Gibbs sampler, with a command line front end.
+exact inverse-CDF sampler, with a command line front end.
 
 Submodules import lazily, so ``import qnormal3d`` stays cheap and the
 CLI can configure the BLAS thread pool before numpy loads.

@@ -367,22 +367,19 @@ def cmd_gram(args: argparse.Namespace) -> Tuple[Table, int]:
 
 
 def cmd_sample(args: argparse.Namespace) -> Tuple[Table, int]:
-    from dataclasses import asdict
-
     from .densities import ModelParams
     from .moments import _covariance
     from .sampler import SamplerConfig, mc_moment, sample_3d, sample_fn
 
-    cfg = SamplerConfig(
-        seed=args.seed,
-        n_samples=args.n,
-        grid_points=args.grid_points,
-        burn_in=args.burn_in,
-        thin=args.thin,
-        n_chains=args.chains,
-    )
-    meta: Dict[str, Any] = {"command": "sample", "target": args.target, "q": args.q}
-    meta.update(asdict(cfg))
+    cfg = SamplerConfig(seed=args.seed, n_samples=args.n, grid_points=args.grid_points)
+    meta: Dict[str, Any] = {
+        "command": "sample",
+        "target": args.target,
+        "q": args.q,
+        "seed": cfg.seed,
+        "n_samples": cfg.n_samples,
+        "grid_points": cfg.grid_points,
+    }
     meta["rng"] = "philox-4x64"
     meta.update(_shared_metadata())
     if args.target == "fn":
@@ -501,9 +498,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--q", type=float, default=0.5)
     p_sample.add_argument("--rho", type=_parse_rho, default=(0.3, 0.4, 0.5))
     p_sample.add_argument("--grid-points", type=int, default=256)
-    p_sample.add_argument("--burn-in", type=int, default=1000)
-    p_sample.add_argument("--thin", type=int, default=5)
-    p_sample.add_argument("--chains", type=int, default=256)
     p_sample.add_argument("--summary", action="store_true", help="emit moment summary")
     _add_output_flags(p_sample)
     p_sample.set_defaults(fn=cmd_sample)

@@ -2,11 +2,12 @@
 
 Two generators are provided.  ``sample_fn`` draws i.i.d. variates from the
 one-dimensional base density through a tabulated inverse CDF.  ``sample_3d``
-runs a Gibbs sweep over the three coordinates; each full conditional is the
-base density reweighted by two Poisson-Mehler kernels, tabulated on a fixed
-grid and inverted per step.  The kernels' logs are the densities' Chebyshev
-series, cut where their tail bound puts it at the largest |rho|, and many
-chains advance in lockstep, so each step's log-kernels are one matrix product.
+draws i.i.d. triples exactly, in sequence: Z from its marginal, then Y given
+Z, then X given (Y, Z).  Each conditional is the base density reweighted by
+two Poisson-Mehler kernels, tabulated on a fixed grid and inverted per draw.
+The kernels' logs are the densities' Chebyshev series, cut where their tail
+bound puts it at the largest |rho|, and a block of rows is drawn at once, so
+each conditional's log-kernels are one matrix product.
 
 All randomness flows through one counter-based Philox generator keyed by the
 configured seed, so a given configuration reproduces its output exactly.
@@ -38,24 +39,26 @@ _BISECTIONS = 26
 _BLOCK = 4096
 # The fixed grid of cdf_fn and cdf_r: points uniform in the mapped angle.
 _CDF_POINTS = 2048
-# Bytes that the Gibbs grid matrix and chains block, one row of N doubles
-# per grid point or chain, may hold together.
+# Bytes that the grid matrix and a block's kernel rows, one row of N doubles
+# per grid point or drawn row, may hold together.
 _KERNEL_BUDGET = 256 * 2**20
 _KS_TERMS = 100
 _NEWTON_STEPS = 60
 # Contiguous batches of mc_moment's jackknife standard error.
 _N_BATCHES = 20
+# Rows of one sample_3d block.  Its conditional draws hold a few
+# (rows, grid_points) arrays, which set the sampler's peak memory.
+_ROWS = 64
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
     """Knobs for the samplers.
 
-    ``grid_points`` sets the inverse-CDF tabulation resolution, ``burn_in``
-    and ``thin`` shape the Gibbs chain, and ``n_chains`` is how many chains
-    advance together (output interleaves them harvest round by harvest
-    round).  Defaults for burn_in and thin come from autocorrelation probes
-    at the strongest tested correlations (see scripts/sampler_study.py).
+    ``grid_points`` sets the inverse-CDF tabulation resolution.  ``burn_in``,
+    ``thin`` and ``n_chains`` are ignored and unchecked.  They remain only
+    because the benchmark's smoke list still passes them; its revision in
+    ROADMAP item 3 deletes them.
     """
 
     seed: int
@@ -72,12 +75,6 @@ class SamplerConfig:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.grid_points < 64:
             raise ValueError(f"grid_points must be >= 64, got {self.grid_points}")
-        if self.burn_in < 0:
-            raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
-        if self.thin < 1:
-            raise ValueError(f"thin must be >= 1, got {self.thin}")
-        if self.n_chains < 1:
-            raise ValueError(f"n_chains must be >= 1, got {self.n_chains}")
 
 
 @dataclass(frozen=True)
@@ -221,10 +218,10 @@ def _conditional_rows(
     grid_rows: np.ndarray, base: np.ndarray, cond_a: np.ndarray, coef_a: np.ndarray,
     cond_b: np.ndarray, coef_b: np.ndarray, q: float,
 ) -> np.ndarray:
-    """Unnormalized full conditionals in phi on the grid, one row per chain:
-    the base row times exp of the summed log-kernels, which is one product
-    of the (chains, N) block c_a T(u_a) + c_b T(u_b) with the grid matrix
-    T(u_g), shifted by each row's max so nothing overflows or needs clipping."""
+    """Unnormalized conditionals in phi on the grid, one row per draw: the
+    base row times exp of the summed log-kernels, which is one product of
+    the (rows, N) block c_a T(u_a) + c_b T(u_b) with the grid matrix T(u_g),
+    shifted by each row's max so nothing overflows or needs clipping."""
     block = _chebyshev_rows(_cosine(cond_a, q), coef_a)
     _chebyshev_rows(_cosine(cond_b, q), coef_b, out=block)
     dens = block.T @ grid_rows
@@ -234,15 +231,16 @@ def _conditional_rows(
     return dens
 
 
-def _gibbs_update(
+def _conditional_draw(
     grid_rows: np.ndarray, base: np.ndarray, cond_a: np.ndarray, coef_a: np.ndarray,
     cond_b: np.ndarray, coef_b: np.ndarray, q: float, phi: np.ndarray, half: float,
     u: np.ndarray,
 ) -> np.ndarray:
-    """Redraw one coordinate given the other two, for all chains at once.
+    """Draw one coordinate from its conditional given two conditioning
+    points, one row per uniform in u.
 
     The Chebyshev log-kernels of :func:`_conditional_rows` take one GEMM per
-    update and are never clipped.  Their block holds (chains + grid_points) N
+    draw and are never clipped.  Their block holds (rows + grid_points) N
     doubles, N = 3,006 at |rho| = 0.99 and 30,199 at 0.999.
     """
     dens = _conditional_rows(grid_rows, base, cond_a, coef_a, cond_b, coef_b, q)
@@ -251,26 +249,27 @@ def _gibbs_update(
     total = cdf[:, -1]
     if np.any(total <= 0.0) or not np.all(np.isfinite(total)):
         raise DegenerateConditioning(
-            "full-conditional mass vanished on the sampling grid"
+            "conditional mass vanished on the sampling grid"
         )
     new_phi = _invert_rows(cdf, dens, m, u * total, phi)
     return half * np.sin(_theta_of_phi(new_phi, half)[0])
 
 
 def sample_3d(p: ModelParams, cfg: SamplerConfig) -> np.ndarray:
-    """Gibbs draws from the three-dimensional law, shape (n_samples, 3).
+    """I.i.d. draws from the three-dimensional law, shape (n_samples, 3).
 
-    ``n_chains`` chains start from i.i.d. base-density draws and advance in
-    lockstep; after ``burn_in`` sweeps every ``thin``-th sweep contributes
-    one row per chain until ``n_samples`` rows are collected.  Fixed seeds
-    reproduce the output array exactly.
+    Each block of ``_ROWS`` rows draws Z from its marginal f_R(.; r, q), then
+    Y | Z, the base density reweighted by the rho23 and rho12 rho13 kernels
+    at z, then X | (Y, Z), reweighted by the rho12 kernel at y and the rho13
+    kernel at z.  One Philox stream keyed by the seed feeds every block, so
+    fixed seeds reproduce the output array exactly.
     """
     q = p.q
     half = support_halfwidth(q)
     phi = _phi_grid(cfg.grid_points)
     grid_x, base = _density_row(lambda xs: f_n(xs, q), half, phi)
     rho_max = max(abs(p.rho12), abs(p.rho13), abs(p.rho23))
-    cap = min(MAX_TERMS, _KERNEL_BUDGET // (8 * (cfg.n_chains + cfg.grid_points)))
+    cap = min(MAX_TERMS, _KERNEL_BUDGET // (8 * (_ROWS + cfg.grid_points)))
     terms = _kernel_terms(rho_max, q, cap)
     if terms is None:
         raise NonConvergence(
@@ -278,28 +277,21 @@ def sample_3d(p: ModelParams, cfg: SamplerConfig) -> np.ndarray:
             f"(cap: MAX_TERMS = {MAX_TERMS} or a {_KERNEL_BUDGET >> 20} MiB block)"
         )
     grid_rows = _chebyshev_rows(_cosine(grid_x, q), np.ones(terms))
-    c12, c13, c23 = (_kernel_coefficients(r, q, terms) for r in (p.rho12, p.rho13, p.rho23))
+    c12, c13, c23, c_yz = (
+        _kernel_coefficients(r, q, terms) for r in (p.rho12, p.rho13, p.rho23, p.rho12 * p.rho13)
+    )
+    z_quantile = _density_tables(lambda xs: f_r(xs, p.r, q), q, cfg.grid_points)[1]
 
     gen = np.random.Generator(np.random.Philox(key=cfg.seed))
-    quantile = _base_quantile(q, cfg.grid_points)
-    c = cfg.n_chains
-    x, y, z = (half * np.sin(quantile(gen.random(c))) for _ in range(3))
-
     out = np.empty((cfg.n_samples, 3))
-    filled = 0
-    sweep = 0
-    while filled < cfg.n_samples:
-        u = gen.random((3, c))
-        x = _gibbs_update(grid_rows, base, y, c12, z, c13, q, phi, half, u[0])
-        y = _gibbs_update(grid_rows, base, x, c12, z, c23, q, phi, half, u[1])
-        z = _gibbs_update(grid_rows, base, y, c23, x, c13, q, phi, half, u[2])
-        sweep += 1
-        if sweep > cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:
-            take = min(c, cfg.n_samples - filled)
-            out[filled : filled + take, 0] = x[:take]
-            out[filled : filled + take, 1] = y[:take]
-            out[filled : filled + take, 2] = z[:take]
-            filled += take
+    for start in range(0, cfg.n_samples, _ROWS):
+        rows = out[start : start + _ROWS]
+        u = gen.random((3, rows.shape[0]))
+        z = half * np.sin(z_quantile(u[0]))
+        y = _conditional_draw(grid_rows, base, z, c23, z, c_yz, q, phi, half, u[1])
+        rows[:, 0] = _conditional_draw(grid_rows, base, y, c12, z, c13, q, phi, half, u[2])
+        rows[:, 1] = y
+        rows[:, 2] = z
     return out
 
 
@@ -310,8 +302,9 @@ def mc_moment(
 
     ``g`` receives one array per sample coordinate (one to three).  The
     standard error comes from leave-one-out recombination of ``_N_BATCHES``
-    contiguous batches, which respects the interleaved chain layout of
-    :func:`sample_3d` output.
+    contiguous batches.  For i.i.d. draws it estimates the plain standard
+    error; it needs no variance formula per statistic and stays valid for
+    draws correlated within a batch.
     """
     arr = np.asarray(samples, dtype=float)
     n = arr.shape[0]

@@ -188,7 +188,7 @@ def test_criterion_10_sampler(announce):
     n = 200_000
     cfg = SamplerConfig(seed=2024, n_samples=n, grid_points=128)
 
-    small = SamplerConfig(seed=2024, n_samples=2000, grid_points=128, burn_in=200)
+    small = SamplerConfig(seed=2024, n_samples=2000, grid_points=128)
     rerun_a = sample_3d(p, small)
     rerun_b = sample_3d(p, small)
     reproducible = rerun_a.tobytes() == rerun_b.tobytes()

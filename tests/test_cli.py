@@ -272,7 +272,7 @@ def test_help_imports_no_numpy_and_name_tuples_match_tables():
 
 class TestSample:
     def test_byte_identical_reruns(self, capsys):
-        argv = ["sample", "--n", "1000", "--seed", "7", "--grid-points", "64", "--burn-in", "100"]
+        argv = ["sample", "--n", "1000", "--seed", "7", "--grid-points", "64"]
         code1, out1, _ = run_cli(argv, capsys)
         code2, out2, _ = run_cli(argv, capsys)
         assert code1 == code2 == 0
@@ -281,8 +281,7 @@ class TestSample:
     def test_summary_mode(self, capsys):
         code, out, _ = run_cli(
             [
-                "sample", "--n", "2000", "--seed", "3", "--grid-points", "64",
-                "--burn-in", "150", "--chains", "64", "--summary",
+                "sample", "--n", "2000", "--seed", "3", "--grid-points", "64", "--summary",
             ],
             capsys,
         )

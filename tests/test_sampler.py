@@ -1,4 +1,4 @@
-"""Inverse-CDF and Gibbs samplers: determinism, marginals, error bars."""
+"""Inverse-CDF samplers: determinism, marginals, error bars."""
 
 import os
 import subprocess
@@ -16,9 +16,10 @@ from qnormal3d.densities import (
     _kernel_terms,
     f_n,
     f_x_given_yz,
+    f_yz,
 )
 from qnormal3d.errors import InsufficientSamples, NonConvergence
-from qnormal3d.moments import cov_yz, var_z
+from qnormal3d.moments import _covariance, cov_yz, var_z
 from qnormal3d.qcore import MAX_TERMS, support_halfwidth
 from qnormal3d.quadrature import _theta_of_phi
 from qnormal3d.sampler import (
@@ -41,7 +42,7 @@ from qnormal3d.sampler import (
     sample_fn,
 )
 
-FAST_3D = dict(grid_points=64, burn_in=120, thin=2, n_chains=64)
+FAST_3D = dict(grid_points=64)
 
 
 def _cdf_fn_256(q):
@@ -54,8 +55,6 @@ class TestConfig:
     def test_defaults(self):
         cfg = SamplerConfig(seed=1, n_samples=10)
         assert cfg.grid_points == 256
-        assert cfg.burn_in == 1000
-        assert cfg.thin == 5
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -64,9 +63,6 @@ class TestConfig:
             dict(seed=2**64, n_samples=10),
             dict(seed=1, n_samples=0),
             dict(seed=1, n_samples=10, grid_points=32),
-            dict(seed=1, n_samples=10, burn_in=-1),
-            dict(seed=1, n_samples=10, thin=0),
-            dict(seed=1, n_samples=10, n_chains=0),
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -152,9 +148,9 @@ class TestGibbsSampler:
             sample_3d(ModelParams(0.99999, 0.3, 0.3, 0.5), cfg)
 
     def test_kernel_beyond_memory_budget_raises(self, traced_peak):
-        # |rho| = 0.9998 needs 151,056 terms, under MAX_TERMS; at the default
-        # 256 chains and 256 grid points the 256 MiB budget caps N at 65,536,
-        # and the raise comes before the grid matrix is built.
+        # |rho| = 0.9998 needs 151,056 terms, under MAX_TERMS; at 64 rows a
+        # block and the default 256 grid points the 256 MiB budget caps N at
+        # 104,857, and the raise comes before the grid matrix is built.
         assert _kernel_terms(0.9998, 0.5, MAX_TERMS) == 151_056
         cfg = SamplerConfig(seed=5, n_samples=10)
 
@@ -170,34 +166,40 @@ class TestGibbsSampler:
         "rhos", [(0.3, 0.6, -0.6), (0.9, -0.9, 0.5), (-0.9, 0.3, 0.9)]
     )
     def test_conditional_rows_match_f_x_given_yz(self, rhos, q):
-        # The sampler's conditional in phi is f_x_given_yz times the grid's
-        # Jacobian L cos(theta) dtheta/dphi; both rows are normalized to sum 1.
-        # At q = 0.5 and |rho| = 0.9 f_x_given_yz takes the factor product.
+        # The sampler's X | (Y, Z) row in phi is f_x_given_yz times the grid's
+        # Jacobian L cos(theta) dtheta/dphi, and its Y | Z row, both kernels
+        # conditioned on z with rho23 and rho12 rho13, is f_yz(., z) times
+        # it; all rows are normalized to sum 1.  At q = 0.5 and |rho| = 0.9
+        # f_x_given_yz takes the factor product.
         p = ModelParams(*rhos, q)
         half = support_halfwidth(q)
         phi = _phi_grid(128)
         grid_x, base = _density_row(lambda xs: f_n(xs, q), half, phi)
         terms = _kernel_terms(max(abs(r) for r in rhos), q, MAX_TERMS)
         grid_rows = _chebyshev_rows(_cosine(grid_x, q), np.ones(terms))
+        c12, c13, c23, c_yz = (
+            _kernel_coefficients(r, q, terms) for r in (p.rho12, p.rho13, p.rho23, p.rho12 * p.rho13)
+        )
         y = np.array([-2.0, -1.5, 0.3, 2.0])
         z = np.array([2.1, 0.7, -0.2, 1.9])
-        rows = _conditional_rows(
-            grid_rows,
-            base,
-            y,
-            _kernel_coefficients(p.rho12, q, terms),
-            z,
-            _kernel_coefficients(p.rho13, q, terms),
-            q,
-        )
         theta, dtheta = _theta_of_phi(phi, half)
         jacobian = half * np.cos(theta) * dtheta
-        want = np.stack([f_x_given_yz(grid_x, b, c, p) * jacobian for b, c in zip(y, z)])
-        rows /= rows.sum(axis=1, keepdims=True)
-        want /= want.sum(axis=1, keepdims=True)
-        # Far tails reach subnormal numbers, which carry no relative digits.
-        tiny = np.finfo(float).tiny
-        np.testing.assert_allclose(rows, want, rtol=1e-10, atol=tiny)
+        pairs = [
+            (
+                _conditional_rows(grid_rows, base, y, c12, z, c13, q),
+                np.stack([f_x_given_yz(grid_x, b, c, p) * jacobian for b, c in zip(y, z)]),
+            ),
+            (
+                _conditional_rows(grid_rows, base, z, c23, z, c_yz, q),
+                np.stack([f_yz(grid_x, c, p) * jacobian for c in z]),
+            ),
+        ]
+        for rows, want in pairs:
+            rows /= rows.sum(axis=1, keepdims=True)
+            want /= want.sum(axis=1, keepdims=True)
+            # Far tails reach subnormal numbers, which carry no relative digits.
+            tiny = np.finfo(float).tiny
+            np.testing.assert_allclose(rows, want, rtol=1e-10, atol=tiny)
 
     def test_deterministic(self, params):
         cfg = SamplerConfig(seed=77, n_samples=800, **FAST_3D)
@@ -206,7 +208,7 @@ class TestGibbsSampler:
         np.testing.assert_array_equal(a, b)
 
     def test_covariances_track_targets(self, params):
-        cfg = SamplerConfig(seed=2024, n_samples=20_000, grid_points=96, burn_in=400, thin=3, n_chains=128)
+        cfg = SamplerConfig(seed=2024, n_samples=20_000, grid_points=96)
         draws = sample_3d(params, cfg)
         var_target = var_z(params.r, params.q)
         checks = [
@@ -219,10 +221,24 @@ class TestGibbsSampler:
             assert abs(est.value - target) < 4 * est.std_error
 
     def test_marginal_distribution(self, params):
-        cfg = SamplerConfig(seed=404, n_samples=20_000, grid_points=96, burn_in=400, thin=3, n_chains=128)
+        cfg = SamplerConfig(seed=404, n_samples=20_000, grid_points=96)
+        # Every one-coordinate margin is f_R(.; r, q).  Z is read straight
+        # off its quantile table, so its KS distance is that of its uniforms;
+        # X and Y test the two conditional draws.
         draws = sample_3d(params, cfg)
-        stat = ks_statistic(draws[:, 2], cdf_r(params.r, params.q))
-        assert stat < ks_critical(draws.shape[0], alpha=0.01)
+        cdf = cdf_r(params.r, params.q)
+        for col in (0, 1):
+            assert ks_statistic(draws[:, col], cdf) < ks_critical(draws.shape[0], alpha=0.01)
+
+    def test_unbiased_at_strong_correlation_near_gaussian_q(self):
+        # Strong correlations at near-Gaussian q: 287 kernel terms, and the
+        # point where a Markov chain over the three conditionals mixes worst.
+        p = ModelParams(0.9, 0.9, 0.9, 0.99)
+        draws = sample_3d(p, SamplerConfig(seed=2024, n_samples=20_000, grid_points=128))
+        cov = _covariance(p)
+        for i, j in ((2, 2), (1, 2), (0, 1)):
+            est = mc_moment(draws, lambda *v: v[i] * v[j])
+            assert abs(est.value - cov[i, j]) < 3 * est.std_error, (i, j)
 
 
 class TestMcMoment:
