@@ -7,7 +7,7 @@ be checked against the other route.
 
 Unconditional moments cover the single-coordinate q-Hermite expectations
 and the mixed two-coordinate expectation (a truncated double series).
-Conditional moments cover E(H_n(X) | Y, Z) in three equivalent forms,
+Conditional moments cover E(H_n(X) | Y, Z) in two equivalent forms,
 E(H_n(Y) | Z) as a finite combination of connection polynomials, and the
 product moment E(XY | Z).
 """
@@ -35,7 +35,6 @@ from .qcore import (
     _require_support,
     q_binomial,
     q_factorial,
-    q_pochhammer,
     support_halfwidth,
 )
 from .quadrature import integrate1d, integrate2d
@@ -51,18 +50,11 @@ class MomentKind(enum.Enum):
 
 
 class CondMomentForm(enum.Enum):
-    """Evaluation routes for E(H_n(X) | Y, Z).
-
-    ASC_EXPANSION expands H_n(x) against the Al-Salam-Chihara family in the
-    conditioning variable y.  DOUBLE_SUM is the fully expanded double series
-    in q-Hermite values of both conditioning variables.  ASC_IMAGE converts
-    H_n numerically into the Al-Salam-Chihara basis and pushes each basis
-    element through its one-line conditional expectation.
-    """
+    """Evaluation routes for E(H_n(X) | Y, Z): ASC_EXPANSION sums
+    Al-Salam-Chihara values in z, DOUBLE_SUM q-Hermite values of y and z."""
 
     ASC_EXPANSION = "asc-expansion"
     DOUBLE_SUM = "double-sum"
-    ASC_IMAGE = "asc-image"
 
 
 @dataclass(frozen=True)
@@ -187,19 +179,6 @@ def mixed_moment_h(m: int, n: int, p: ModelParams) -> float:
     return (1.0 - p.r) * total
 
 
-def _asc_basis_coeffs(n: int, y: float, rho12: float, q: float) -> np.ndarray:
-    """Coefficients writing H_n(x) in the Al-Salam-Chihara basis in x.
-
-    Solved numerically from values on n + 1 spread-out nodes instead of by
-    coefficient recursion, so no basis-change convention is needed.
-    """
-    half = support_halfwidth(q)
-    nodes = np.linspace(-0.9 * half, 0.9 * half, n + 1)
-    basis = asc_poly(n, nodes, y, rho12, q).values
-    target = q_hermite(n, nodes, q).values[n]
-    return np.linalg.solve(basis.T, target)
-
-
 def _check_conditional(y, z, rho12: float, rho13: float, q: float) -> None:
     """qcore's validity rule for the moments of X given (Y, Z) = (y, z),
     which take their parameters one by one rather than as ModelParams."""
@@ -209,23 +188,6 @@ def _check_conditional(y, z, rho12: float, rho13: float, q: float) -> None:
     half = support_halfwidth(q)
     _require_support(y, half, "conditioning point y")
     _require_support(z, half, "conditioning point z")
-
-
-def cond_exp_pn_x_given_yz(
-    n: int, y: float, z: float, rho12: float, rho13: float, q: float
-) -> float:
-    """E(P_n(X | y, rho12) | Y=y, Z=z) for the Al-Salam-Chihara family.
-
-    The image is a single Al-Salam-Chihara polynomial in z with shifted
-    parameter rho12 rho13, scaled by a Pochhammer ratio.
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    _check_conditional(y, z, rho12, rho13, q)
-    num = q_pochhammer(rho12**2, q, n)
-    den = q_pochhammer(rho12**2 * rho13**2, q, n)
-    pz = asc_poly(n, z, y, rho12 * rho13, q).values[n]
-    return float(rho13**n * num / den * pz)
 
 
 def cond_exp_hn_x_given_yz(
@@ -240,21 +202,18 @@ def cond_exp_hn_x_given_yz(
     """E(H_n(X) | Y=y, Z=z), a polynomial of total degree n in (y, z).
 
     The conditional law of X given both other coordinates depends only on
-    rho12 and rho13, so rho23 does not appear.  All three forms agree to
+    rho12 and rho13, so rho23 does not appear.  The two forms agree to
     near machine precision; they differ in how the answer is organized.
 
-    ASC_EXPANSION and DOUBLE_SUM take y and z as scalars or broadcastable
-    arrays and return a float or an array; each point of an array result
-    equals that point evaluated alone, bit for bit.  ASC_IMAGE solves one
-    basis change per y, so it takes scalars only and raises ValueError on
-    an array.  DomainError is raised if any point lies outside the support.
+    Both take y and z as scalars or broadcastable arrays and return a float
+    or an array; each point of an array result equals that point evaluated
+    alone, bit for bit.  DomainError is raised if any point lies outside
+    the support.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     _check_conditional(y, z, rho12, rho13, q)
     scalar = np.ndim(y) == 0 and np.ndim(z) == 0
-    if form is CondMomentForm.ASC_IMAGE and not scalar:
-        raise ValueError("the asc-image form takes scalar y and z")
     # The q-numbers, q-binomials and q-Pochhammer symbols of both series,
     # read from rows built once; each entry equals its qcore scalar bit for bit.
     qn = _q_numbers(n, q)
@@ -262,6 +221,9 @@ def cond_exp_hn_x_given_yz(
     poch12 = _q_pochhammer_row(rho12**2, q, n)
     poch_both = _q_pochhammer_row(rho12**2 * rho13**2, q, n)
     if form is CondMomentForm.ASC_EXPANSION:
+        # H_n(x) = sum_s [n s]_q rho12^(n-s) H_{n-s}(y) P_s(x | y, rho12), and
+        # E(P_s(X) | y, z) = rho13^s (rho12^2)_s / (rho12^2 rho13^2)_s
+        # P_s(z | y, rho12 rho13).
         hy = q_hermite(n, y, q).values
         pz = asc_poly(n, z, y, rho12 * rho13, q).values
         total = 0.0
@@ -310,12 +272,6 @@ def cond_exp_hn_x_given_yz(
             total += outer * inner
         total = total / poch_both[n]
         return float(total) if scalar else total
-    if form is CondMomentForm.ASC_IMAGE:
-        coeffs = _asc_basis_coeffs(n, float(y), rho12, q)
-        total = 0.0
-        for s in range(n + 1):
-            total += coeffs[s] * cond_exp_pn_x_given_yz(s, y, z, rho12, rho13, q)
-        return float(total)
     raise ValueError(f"unknown form {form!r}")
 
 

@@ -1,28 +1,27 @@
 """Orthogonal polynomial families attached to the q-Normal world.
 
-Every evaluator returns the whole sequence of values p_0(x), ..., p_n(x)
-from its three-term recurrence, seeded with the degree -1 element equal to 0
-and p_0 = 1.  Point arguments may be scalars or numpy arrays (broadcast
-together); the returned ``values`` array has shape (n+1,) + point-shape.
+Every family is monic, p_{k+1}(x) = (x - alpha_k) p_k(x) - beta_k p_{k-1}(x)
+from p_{-1} = 0 and p_0 = 1, and one loop evaluates them all.  Point
+arguments may be scalars or numpy arrays (broadcast together); the returned
+``values`` array has shape (n+1,) + point-shape.  The rows (alpha_k = 0
+unless given):
 
-Families:
-
-    continuous q-Hermite     H_{n+1}(x) = x H_n(x) - [n]_q H_{n-1}(x)
-    Al-Salam-Chihara         P_{n+1}(x) = (x - rho y q^n) P_n(x)
-                                          - (1 - rho^2 q^(n-1)) [n]_q P_{n-1}(x)
-    Rogers / q-ultraspherical, monic:
-        y R_n = R_{n+1} + [n]_q (1 - b^2 q^(n-1))
-                / ((1 - b q^(n-1))(1 - b q^n)) R_{n-1}
-    probabilists' Hermite    He_{n+1}(x) = x He_n(x) - n He_{n-1}(x)
+    continuous q-Hermite   beta_k = [k]_q
+    Al-Salam-Chihara       alpha_k = rho y q^k, beta_k = (1 - rho^2 q^(k-1)) [k]_q
+    monic Rogers           beta_k = [k]_q (1 - b^2 q^(k-1)) / ((1 - b q^(k-1))(1 - b q^k))
+    probabilists' Hermite  beta_k = k
 
 ``FAMILIES`` is the one table of the families orthogonal under the model's
 densities (q-Hermite under f_N, Al-Salam-Chihara under f_CN, monic Rogers
 under f_R): the orthogonality suite and ``qnormal3d gram`` read only it, so
-a new family is one more entry.
+a new family is one more entry.  Under a probability weight a monic family
+has E p_n^2 = beta_1 ... beta_n.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
@@ -30,7 +29,7 @@ import numpy as np
 
 from .densities import f_cn, f_n, f_r
 from .errors import DegenerateRecurrence
-from .qcore import q_factorial, q_number, q_pochhammer, support_halfwidth
+from .qcore import _q_numbers, q_factorial, q_number, q_pochhammer, support_halfwidth
 from .quadrature import gram_matrix
 
 __all__ = [
@@ -54,24 +53,57 @@ class PolySequence:
     values: np.ndarray
 
 
-def _alloc(n: int, *points: object) -> tuple[np.ndarray, list[np.ndarray]]:
+def _recurrence(n: int, x, alpha, beta) -> np.ndarray:
+    """p_0(x) .. p_n(x) from the coefficient rows of the monic recurrence.
+
+    Reads alpha[0..n-1] and beta[1..n-1].  ``alpha`` is None for a
+    symmetric family, or an array of shape (rows,) + point-shape.
+    """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
-    arrs = [np.asarray(p, dtype=float) for p in points]
-    shape = np.broadcast_shapes(*(a.shape for a in arrs)) if arrs else ()
+    x = np.asarray(x, dtype=float)
+    shape = x.shape if alpha is None else np.broadcast_shapes(x.shape, alpha.shape[1:])
     values = np.empty((n + 1,) + shape)
     values[0] = 1.0
-    return values, [np.broadcast_to(a, shape) for a in arrs]
+    if n >= 1:
+        values[1] = x if alpha is None else x - alpha[0]
+    for k in range(1, n):
+        step = x if alpha is None else x - alpha[k]
+        values[k + 1] = step * values[k] - beta[k] * values[k - 1]
+    return values
+
+
+# Row builders: (alpha, beta) for k = 0..n; beta_0 is never read.  Values to
+# degree n read the rows to n - 1, so only norms to degree n read beta_n.
+
+
+def _q_hermite_rows(n: int, q: float):
+    return None, _q_numbers(n, q)
+
+
+def _asc_rows(n: int, y, rho: float, q: float):
+    y = np.asarray(y, dtype=float)
+    alpha = np.array([rho * y * q**k for k in range(n + 1)]).reshape((n + 1,) + y.shape)
+    qn = _q_numbers(n, q)
+    return alpha, [0.0] + [(1.0 - rho**2 * q ** (k - 1)) * qn[k] for k in range(1, n + 1)]
+
+
+def _rogers_rows(n: int, r: float, q: float):
+    qn = _q_numbers(n, q)
+    beta = [0.0]
+    for k in range(1, n + 1):
+        den = (1.0 - r * q ** (k - 1)) * (1.0 - r * q**k)
+        if abs(den) < _SINGULAR:
+            raise DegenerateRecurrence(
+                f"monic Rogers recurrence denominator vanishes at degree {k + 1}"
+            )
+        beta.append(qn[k] * (1.0 - r**2 * q ** (k - 1)) / den)
+    return None, beta
 
 
 def q_hermite(n: int, x, q: float) -> PolySequence:
     """Continuous q-Hermite values H_0(x|q) .. H_n(x|q)."""
-    values, (xb,) = _alloc(n, x)
-    if n >= 1:
-        values[1] = xb
-    for k in range(1, n):
-        values[k + 1] = xb * values[k] - q_number(k, q) * values[k - 1]
-    return PolySequence(values)
+    return PolySequence(_recurrence(n, x, *_q_hermite_rows(n - 1, q)))
 
 
 def asc_poly(n: int, x, y, rho: float, q: float) -> PolySequence:
@@ -79,40 +111,17 @@ def asc_poly(n: int, x, y, rho: float, q: float) -> PolySequence:
 
     At rho = 0 the recurrence collapses to the continuous q-Hermite one.
     """
-    values, (xb, yb) = _alloc(n, x, y)
-    if n >= 1:
-        values[1] = xb - rho * yb
-    for k in range(1, n):
-        values[k + 1] = (xb - rho * yb * q**k) * values[k] - (
-            1.0 - rho**2 * q ** (k - 1)
-        ) * q_number(k, q) * values[k - 1]
-    return PolySequence(values)
+    return PolySequence(_recurrence(n, x, *_asc_rows(n - 1, y, rho, q)))
 
 
 def rogers_monic(n: int, y, beta: float, q: float) -> PolySequence:
     """Monic Rogers values R_0(y|beta,q) .. R_n(y|beta,q)."""
-    values, (yb,) = _alloc(n, y)
-    if n >= 1:
-        values[1] = yb
-    for k in range(1, n):
-        den = (1.0 - beta * q ** (k - 1)) * (1.0 - beta * q**k)
-        if abs(den) < _SINGULAR:
-            raise DegenerateRecurrence(
-                f"monic Rogers recurrence denominator vanishes at degree {k + 1}"
-            )
-        coef = q_number(k, q) * (1.0 - beta**2 * q ** (k - 1)) / den
-        values[k + 1] = yb * values[k] - coef * values[k - 1]
-    return PolySequence(values)
+    return PolySequence(_recurrence(n, y, *_rogers_rows(n - 1, beta, q)))
 
 
 def hermite_prob(n: int, x) -> PolySequence:
     """Probabilists' Hermite values He_0(x) .. He_n(x)."""
-    values, (xb,) = _alloc(n, x)
-    if n >= 1:
-        values[1] = xb
-    for k in range(1, n):
-        values[k + 1] = xb * values[k] - float(k) * values[k - 1]
-    return PolySequence(values)
+    return PolySequence(_recurrence(n, x, None, [float(k) for k in range(n)]))
 
 
 def triple_product_integral(k: int, m: int, n: int, q: float) -> float:
@@ -195,15 +204,24 @@ class Family:
     """An orthogonal family, read by the orthogonality suite to ``degree``.
 
     Each callable takes its own arguments, then the values of ``params``
-    in order, then q: values(n, x, ...) stacks p_0(x)..p_n(x), weight(x, ...)
-    is the density they are orthogonal under and norms(n, ...) lists E p_k^2.
+    in order, then q: coefficients(n, ...) gives the recurrence rows to
+    degree n and weight(x, ...) is the density the family is orthogonal
+    under.
     """
 
     params: Tuple[str, ...]
     degree: int
-    values: Callable[..., np.ndarray]
+    coefficients: Callable[..., tuple]
     weight: Callable[..., np.ndarray]
-    norms: Callable[..., List[float]]
+
+    def values(self, n: int, x, *args: float) -> np.ndarray:
+        """p_0(x) .. p_n(x), stacked; args are the parameters, then q."""
+        return _recurrence(n, x, *self.coefficients(n - 1, *args))
+
+    def norms(self, n: int, *args: float) -> List[float]:
+        """E p_0^2 .. E p_n^2, the running products of beta_1 .. beta_n."""
+        beta = self.coefficients(n, *args)[1]
+        return list(itertools.accumulate(beta[1 : n + 1], operator.mul, initial=1.0))
 
     def gram(self, n: int, *args: float) -> np.ndarray:
         """E p_j p_k for j, k <= n; args are the parameters, then q."""
@@ -212,31 +230,9 @@ class Family:
         )
 
 
-# The entries call through module names rather than hold the functions, so a
-# wrapper bound over those names (as bench/tracer.py binds) sees every call.
+# The weights look the densities up by name, so a tracer that rebinds them sees each call.
 FAMILIES = {
-    "qhermite": Family(
-        (), 10,
-        lambda n, x, q: q_hermite(n, x, q).values,
-        lambda x, q: f_n(x, q),
-        lambda n, q: [q_factorial(k, q) for k in range(n + 1)],
-    ),
-    "asc": Family(
-        ("y", "rho1"), 8,
-        lambda n, x, y, rho, q: asc_poly(n, x, y, rho, q).values,
-        lambda x, y, rho, q: f_cn(x, y, rho, q),
-        lambda n, y, rho, q: [
-            q_pochhammer(rho * rho, q, k) * q_factorial(k, q) for k in range(n + 1)
-        ],
-    ),
-    "rogers": Family(
-        ("r",), 8,
-        lambda n, x, r, q: rogers_monic(n, x, r, q).values,
-        lambda x, r, q: f_r(x, r, q),
-        lambda n, r, q: [
-            q_factorial(k, q) * (1.0 - r) * q_pochhammer(r * r, q, k)
-            / (q_pochhammer(r, q, k) * q_pochhammer(r, q, k + 1))
-            for k in range(n + 1)
-        ],
-    ),
+    "qhermite": Family((), 10, _q_hermite_rows, lambda x, q: f_n(x, q)),
+    "asc": Family(("y", "rho1"), 8, _asc_rows, lambda x, y, rho, q: f_cn(x, y, rho, q)),
+    "rogers": Family(("r",), 8, _rogers_rows, lambda x, r, q: f_r(x, r, q)),
 }

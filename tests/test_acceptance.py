@@ -201,7 +201,9 @@ def test_criterion_10_sampler(announce):
     cov_est = mc_moment(draws, lambda x, y, z: y * z)
     var_dev = abs(var_est.value - var_z(p.r, p.q)) / var_est.std_error
     cov_dev = abs(cov_est.value - cov_yz(p)) / cov_est.std_error
-    ks = ks_statistic(draws[:, 2], cdf_r(p.r, p.q))
+    # Every coordinate follows the one-coordinate marginal; only Z is read
+    # straight off its inverse-CDF table, so X and Y test the conditionals.
+    ks_x, ks_y, ks = (ks_statistic(draws[:, i], cdf_r(p.r, p.q)) for i in range(3))
     ks_crit = ks_critical(n, alpha=0.01)
 
     ok = (
@@ -210,11 +212,13 @@ def test_criterion_10_sampler(announce):
         and var_dev < 3.0
         and cov_dev < 3.0
         and ks < ks_crit
+        and ks_x < ks_crit
+        and ks_y < ks_crit
     )
     announce(
         f"CRITERION 10 sampler: {'PASS' if ok else 'FAIL'} "
         f"(var {var_dev:.2f} se, cov {cov_dev:.2f} se, "
-        f"KS {ks:.5f} < {ks_crit:.5f}, bytes {'ok' if reproducible else 'DIFFER'}, "
+        f"KS x/y/z {ks_x:.5f}/{ks_y:.5f}/{ks:.5f} < {ks_crit:.5f}, bytes {'ok' if reproducible else 'DIFFER'}, "
         f"{elapsed:.1f} s)"
     )
     assert reproducible, "fixed-seed rerun produced different bytes"
@@ -222,5 +226,7 @@ def test_criterion_10_sampler(announce):
     assert var_dev < 3.0, f"var(Z) off by {var_dev:.2f} standard errors"
     assert cov_dev < 3.0, f"cov(Y,Z) off by {cov_dev:.2f} standard errors"
     assert ks < ks_crit, f"KS statistic {ks:.5f} exceeds {ks_crit:.5f}"
+    assert ks_x < ks_crit, f"KS statistic of X {ks_x:.5f} exceeds {ks_crit:.5f}"
+    assert ks_y < ks_crit, f"KS statistic of Y {ks_y:.5f} exceeds {ks_crit:.5f}"
     assert draws.shape == (n, 3)
     assert np.isfinite(draws).all()

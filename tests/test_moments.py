@@ -168,9 +168,8 @@ class TestConditionalForms:
         p = ModelParams(r12, r13, r23, q)
         y, z = 0.45, -0.25
         ref = cond_exp_hn_x_given_yz(n, y, z, p.rho12, p.rho13, q, form=CondMomentForm.ASC_EXPANSION)
-        for form in (CondMomentForm.DOUBLE_SUM, CondMomentForm.ASC_IMAGE):
-            alt = cond_exp_hn_x_given_yz(n, y, z, p.rho12, p.rho13, q, form=form)
-            assert alt == pytest.approx(ref, rel=1e-9, abs=1e-9)
+        alt = cond_exp_hn_x_given_yz(n, y, z, p.rho12, p.rho13, q, form=CondMomentForm.DOUBLE_SUM)
+        assert alt == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
     def test_high_degree_forms_finite_and_agree(self):
         # At n = 200, q = 0.99 the q-binomial weights exceed what [n]_q!
@@ -245,12 +244,6 @@ class TestConditionalArrays:
             cond_exp_hn_x_given_yz(2, ys, 0.1, 0.3, 0.6, 0.5)
         with pytest.raises(DomainError):
             cond_exp_hn_x_given_yz(2, 0.1, -ys, 0.3, 0.6, 0.5, form=CondMomentForm.DOUBLE_SUM)
-
-    def test_asc_image_rejects_arrays(self):
-        with pytest.raises(ValueError, match="scalar"):
-            cond_exp_hn_x_given_yz(
-                2, np.array([0.1, 0.2]), 0.3, 0.3, 0.6, 0.5, form=CondMomentForm.ASC_IMAGE
-            )
 
 
 class TestSingleConditionedMoments:

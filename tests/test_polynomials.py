@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qnormal3d.errors import DegenerateRecurrence
 from qnormal3d.polynomials import (
+    FAMILIES,
     PolySequence,
     asc_poly,
     hermite_prob,
@@ -14,7 +16,7 @@ from qnormal3d.polynomials import (
     triple_product_integral,
     w_poly,
 )
-from qnormal3d.qcore import q_factorial, q_number
+from qnormal3d.qcore import q_factorial, q_number, q_pochhammer
 
 qs = st.floats(min_value=-0.9, max_value=0.9)
 xs = st.floats(min_value=-1.8, max_value=1.8)
@@ -117,6 +119,37 @@ class TestRogers:
         assert rogers_monic(n, 2.0 * np.cos(theta), r, 0.0).values[n] == pytest.approx(
             combo, rel=1e-10, abs=1e-10
         )
+
+
+    def test_degenerate_denominator_raises_at_degree_two(self):
+        # (1 - r)(1 - r q) vanishes in floating point; degree 1 never reads it.
+        r = 0.9999999999999999
+        np.testing.assert_array_equal(rogers_monic(1, 0.1, r, 0.5).values, [1.0, 0.1])
+        with pytest.raises(DegenerateRecurrence, match="vanishes at degree 2"):
+            rogers_monic(2, 0.1, r, 0.5)
+
+
+class TestFamilyNorms:
+    """The norms FAMILIES reads off its recurrence rows against the paper's
+    closed forms."""
+
+    @pytest.mark.parametrize("q", [-0.5, 0.0, 0.5, 0.9, 0.99])
+    def test_beta_products_are_closed_forms(self, q):
+        n = 10
+        ks = range(n + 1)
+        for c in (0.3, -0.6, 0.9):
+            closed = {
+                "qhermite": ((), [q_factorial(k, q) for k in ks]),
+                "asc": ((0.4, c), [q_pochhammer(c * c, q, k) * q_factorial(k, q) for k in ks]),
+                "rogers": ((c,), [
+                    q_factorial(k, q) * (1.0 - c) * q_pochhammer(c * c, q, k)
+                    / (q_pochhammer(c, q, k) * q_pochhammer(c, q, k + 1))
+                    for k in ks
+                ]),
+            }
+            for name, (args, want) in closed.items():
+                got = FAMILIES[name].norms(n, *args, q)
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0, err_msg=name)
 
 
 class TestTripleProduct:

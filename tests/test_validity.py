@@ -19,11 +19,13 @@ from qnormal3d.qcore import support_halfwidth
 
 NAN = math.nan
 P = ModelParams(0.3, 0.6, 0.3, 0.5)
+DOUBLE_SUM = mm.CondMomentForm.DOUBLE_SUM
 
-# (entry, arguments, error): one row per public entry and invalid input.
+# (entry, arguments, error): one row per public entry and invalid input.  The
+# ids are positional, so a row that loses its subject is replaced, not deleted.
 INVALID = [
     (mm.MomentSpec, (mm.MomentKind.COND_Y_GIVEN_Z, (1,), P, (NAN,)), DomainError),
-    (mm.cond_exp_pn_x_given_yz, (2, NAN, 0.1, 0.3, 0.6, 0.5), DomainError),
+    (mm.cond_exp_hn_x_given_yz, (2, NAN, 0.1, 0.3, 0.6, 0.5, DOUBLE_SUM), DomainError),
     (mm.cond_exp_hn_x_given_yz, (2, 0.1, NAN, 0.3, 0.6, 0.5), DomainError),
     (mm.cond_exp_x_given_yz, (NAN, 0.1, 0.3, 0.6, 0.5), DomainError),
     (mm.cond_exp_hn_y_given_z, (2, NAN, P), DomainError),
@@ -44,7 +46,7 @@ for rho12, rho13, q in (
     INVALID += [
         (mm.cond_exp_x_given_yz, (1.0, 1.0, rho12, rho13, q), ValueError),
         (mm.cond_exp_hn_x_given_yz, (2, 1.0, 1.0, rho12, rho13, q), ValueError),
-        (mm.cond_exp_pn_x_given_yz, (2, 1.0, 1.0, rho12, rho13, q), ValueError),
+        (mm.cond_exp_hn_x_given_yz, (2, 1.0, 1.0, rho12, rho13, q, DOUBLE_SUM), ValueError),
     ]
 
 
