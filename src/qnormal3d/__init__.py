@@ -4,8 +4,7 @@ Densities, orthogonal polynomial families, closed-form moments, a
 quadrature engine on the compact support, identity check suites, and an
 exact inverse-CDF sampler, with a command line front end.
 
-Submodules import lazily, so ``import qnormal3d`` stays cheap and the
-CLI can configure the BLAS thread pool before numpy loads.
+Submodules import lazily, so ``import qnormal3d`` stays cheap.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ _EXPORTS = {
     "rogers_monic": "polynomials",
     "hermite_prob": "polynomials",
     "triple_product_integral": "polynomials",
-    "w_poly": "polynomials",
     # densities
     "DensityForm": "densities",
     "MarginalForm": "densities",
@@ -150,7 +148,6 @@ if TYPE_CHECKING:  # pragma: no cover
         q_hermite,
         rogers_monic,
         triple_product_integral,
-        w_poly,
     )
     from .qcore import (
         q_binomial,

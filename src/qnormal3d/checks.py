@@ -57,7 +57,7 @@ from .polynomials import (
     hermite_prob,
     triple_product_integral,
 )
-from .qcore import support_halfwidth
+from .qcore import _check_q, support_halfwidth
 from .quadrature import integrate1d, integrate2d, integrate3d
 
 TOL_NORM_1D = 1e-8
@@ -384,6 +384,8 @@ LIMIT_Q_SEQUENCE = (0.9, 0.99, 0.999)
 
 def limit_series(r: float, qs: Tuple[float, ...]) -> Dict[str, Tuple[float, ...]]:
     """The three Gaussian-limit error series along qs, by report name."""
+    for qq in qs:
+        _check_q(qq)
     return {
         "fn-gaussian-limit": fn_limit_errors(qs),
         "asc-hermite-limit": asc_limit_errors(qs),

@@ -22,10 +22,6 @@ Exit codes: 0 success, 1 failed identity check, 2 invalid parameters
 3 truncation or quadrature non-convergence (NonConvergence), 4 too few
 samples (InsufficientSamples).  Each error prints one ``error:`` line on
 stderr and no traceback.
-
-The environment variable QNORMAL3D_THREADS, when set, seeds the usual
-thread-count variables (OMP, OpenBLAS, MKL) before the numerical modules
-load, so it controls the BLAS pool for every subcommand.
 """
 
 from __future__ import annotations
@@ -34,7 +30,6 @@ import argparse
 import csv
 import itertools
 import json
-import os
 import re
 import sys
 from typing import Any, Dict, List, Sequence, Tuple
@@ -137,19 +132,6 @@ EVAL_DENSITIES: Dict[str, Tuple[Any, ...]] = {
     ),
 }
 DENSITY_NAMES = tuple(EVAL_DENSITIES)
-
-
-def _configure_threads() -> None:
-    count = os.environ.get("QNORMAL3D_THREADS")
-    if not count:
-        return
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(var, count)
 
 
 def _parse_rho(text: str) -> Tuple[float, float, float]:
@@ -515,7 +497,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    _configure_threads()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -8,8 +8,9 @@ be checked against the other route.
 Unconditional moments cover the single-coordinate q-Hermite expectations
 and the mixed two-coordinate expectation (a truncated double series).
 Conditional moments cover E(H_n(X) | Y, Z) in two equivalent forms,
-E(H_n(Y) | Z) as a finite combination of connection polynomials, and the
-product moment E(XY | Z).
+E(H_n(Y) | Z) and the product moment E(XY | Z).  The law of Y given Z = z
+is the law of X given (Y, Z) = (z, z) with correlations (rho23, rho12 rho13),
+so E(H_n(Y) | Z = z) is E(H_n(X) | Y = Z = z) there, by either route.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .densities import ModelParams, f_r, f_x_given_yz, f_yz, f_yz_given_x
 from .errors import NonConvergence
-from .polynomials import asc_poly, q_hermite, w_poly
+from .polynomials import asc_poly, q_hermite
 from .qcore import (
     TAIL_TOL,
     _check_q,
@@ -283,34 +284,23 @@ def cond_exp_x_given_yz(y: float, z: float, rho12: float, rho13: float, q: float
     return (y * rho12 * (1.0 - r2sq) + z * rho13 * (1.0 - r1sq)) / (1.0 - r1sq * r2sq)
 
 
+def _given_z(p: ModelParams) -> ModelParams:
+    """The parameters under which Y given Z = z is X given (Y, Z) = (z, z):
+    f_yz(y, z) / f_z(z) = f_cn(y|z; rho23) f_cn(z|y; rho12 rho13) / f_cn(z|z; r)."""
+    return ModelParams(p.rho23, p.rho12 * p.rho13, 0.0, p.q)
+
+
 def cond_exp_hn_y_given_z(n: int, z: float, p: ModelParams) -> float:
     """E(H_n(Y) | Z=z), a polynomial of degree at most n in z.
 
-    Finite combination of connection polynomials W_{s, n-s}(z | r, q) with
-    q-binomial weights.  The correlation weight of each term pairs the power
-    s on one channel with n - s on the other, symmetrically in the two
-    channels rho23 and rho12 rho13; the even case carries one extra middle
-    term with weight r^{n/2}.  This coefficient pattern was validated
-    against direct quadrature of the two-coordinate marginal.
+    The law of Y given Z = z is the law of X given (Y, Z) = (z, z) with
+    correlations (rho23, rho12 rho13), so this is E(H_n(X) | Y=z, Z=z)
+    under those correlations, by the default route of
+    :func:`cond_exp_hn_x_given_yz`.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
     _require_support(z, support_halfwidth(p.q), "conditioning point z")
-    if n == 0:
-        return 1.0
-    q = p.q
-    r = p.r
-    a = p.rho23
-    b = p.rho12 * p.rho13
-    m = n // 2
-    total = 0.0
-    if n % 2 == 0:
-        total += q_binomial(n, m, q) * r**m * float(w_poly(m, m, z, r, q))
-    upper = m + 1 if n % 2 else m
-    for s in range(upper):
-        weight = a**s * b ** (n - s) + a ** (n - s) * b**s
-        total += q_binomial(n, s, q) * weight * float(w_poly(s, n - s, z, r, q))
-    return float(total)
+    g = _given_z(p)
+    return cond_exp_hn_x_given_yz(n, z, z, g.rho12, g.rho13, g.q)
 
 
 def cond_exp_y_given_z(z: float, p: ModelParams) -> float:
@@ -408,9 +398,7 @@ def quadrature_oracle(spec: MomentSpec) -> float:
     if spec.kind is MomentKind.COND_Y_GIVEN_Z:
         (n,) = spec.degrees
         (z,) = spec.points
-        # f_yz(y, z) / f_z(z) = f_cn(y|z; rho23) f_cn(z|y; rho12 rho13) / f_cn(z|z; r),
-        # the law of X given (Y, Z) = (z, z) with correlations (rho23, rho12 rho13).
-        given_z = ModelParams(p.rho23, p.rho12 * p.rho13, 0.0, q)
+        given_z = _given_z(p)
 
         def g_y(yy: np.ndarray) -> np.ndarray:
             return q_hermite(n, yy, q).values[n] * f_x_given_yz(yy, z, z, given_z)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .densities import f_cn, f_n, f_r
 from .errors import DegenerateRecurrence
-from .qcore import _q_numbers, q_factorial, q_number, q_pochhammer, support_halfwidth
+from .qcore import _check_rho, _q_numbers, q_factorial, support_halfwidth
 from .quadrature import gram_matrix
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "rogers_monic",
     "hermite_prob",
     "triple_product_integral",
-    "w_poly",
 ]
 
 _SINGULAR = 1e-15
@@ -89,6 +88,7 @@ def _asc_rows(n: int, y, rho: float, q: float):
 
 
 def _rogers_rows(n: int, r: float, q: float):
+    _check_rho(r, "beta")
     qn = _q_numbers(n, q)
     beta = [0.0]
     for k in range(1, n + 1):
@@ -147,51 +147,6 @@ def triple_product_integral(k: int, m: int, n: int, q: float) -> float:
     num = q_factorial(m, q) * q_factorial(n, q) * q_factorial(k, q)
     den = q_factorial(a, q) * q_factorial(b, q) * q_factorial(c, q)
     return num / den
-
-
-def w_poly(k: int, m: int, x, r: float, q: float):
-    """Connection polynomial W_{k,m}(x|r,q): the ratio of the doubly shifted
-    bilinear q-Hermite sum to the unshifted one,
-
-        sum_i r^i H_{i+k} H_{i+m} / [i]_q!
-            = W_{k,m}  *  sum_i r^i H_i H_i / [i]_q!.
-
-    Computed exactly by the ladder recurrence
-
-        W_{s,j} = x W_{s-1,j} - [s-1]_q W_{s-2,j} - q^(s-1) r W_{s-1,j+1}
-
-    from the boundary W_{0,j} = (r;q)_j / (r^2;q)_j R_j(x|r,q), which follows
-    from shifting the recurrence of the q-Hermite factor.  The single-sum
-    shortcut sometimes quoted for W_{k,m} reproduces these values only for
-    k <= 1; the degree-(k+m) products it combines become linearly dependent
-    beyond that, so this ladder is the defining evaluation.  W is symmetric
-    in (k, m); W_{0,0} = 1, W_{1,0}(x) = x / (1+r).
-    """
-    if k < 0 or m < 0:
-        raise ValueError("w_poly requires k, m >= 0")
-    total_deg = k + m
-    rg = rogers_monic(total_deg, x, r, q).values
-    row = [
-        q_pochhammer(r, q, j) / q_pochhammer(r * r, q, j) * rg[j]
-        for j in range(total_deg + 1)
-    ]
-    xb = np.asarray(x, dtype=float)
-    prev: list | None = None
-    for s in range(1, k + 1):
-        qn = q_number(s - 1, q)
-        qpow = q ** (s - 1)
-        new = [
-            xb * row[j]
-            - (qn * prev[j] if s >= 2 else 0.0)
-            - qpow * r * row[j + 1]
-            for j in range(total_deg - s + 1)
-        ]
-        prev, row = row, new
-    val = row[m]
-    if np.ndim(x) == 0:
-        return float(val)
-    return val
-
 
 
 def default_y(q: float) -> float:

@@ -255,6 +255,20 @@ class TestSingleConditionedMoments:
                     quadrature_oracle(spec), rel=1e-7, abs=1e-7
                 )
 
+    @pytest.mark.parametrize("z", [-16.0, -15.0])
+    def test_high_degree_near_gaussian_matches_oracle(self, z):
+        p = ModelParams(0.6, -0.6, 0.3, 0.99)
+        spec = MomentSpec(MomentKind.COND_Y_GIVEN_Z, (12,), p, (z,))
+        assert closed_form(spec) == pytest.approx(quadrature_oracle(spec), rel=1e-5)
+
+    def test_is_x_given_yz_at_the_relabelled_params(self, params):
+        given_z = ModelParams(params.rho23, params.rho12 * params.rho13, 0.0, params.q)
+        for n in (0, 1, 4, 9):
+            for z in (0.0, 0.8, -1.1):
+                y_on_z = MomentSpec(MomentKind.COND_Y_GIVEN_Z, (n,), params, (z,))
+                x_on_yz = MomentSpec(MomentKind.COND_X_GIVEN_YZ, (n,), given_z, (z, z))
+                assert closed_form(y_on_z) == closed_form(x_on_yz)
+
     def test_tower_property(self, params):
         # averaging the conditional first moment over the margin recovers 0
         from qnormal3d.densities import f_z

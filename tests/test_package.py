@@ -20,7 +20,7 @@ EXPORTS = {
     "q_binomial", "q_factorial", "q_hermite", "q_number", "q_pochhammer",
     "quadrature_oracle", "rogers_monic", "run_suite", "sample_3d",
     "sample_fn", "support_halfwidth", "triple_product_integral", "var_z",
-    "w_poly", "__version__",
+    "__version__",
 }
 
 

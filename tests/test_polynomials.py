@@ -14,7 +14,6 @@ from qnormal3d.polynomials import (
     q_hermite,
     rogers_monic,
     triple_product_integral,
-    w_poly,
 )
 from qnormal3d.qcore import q_factorial, q_number, q_pochhammer
 
@@ -175,40 +174,6 @@ class TestTripleProduct:
         ref = triple_product_integral(k, m, n, q)
         assert triple_product_integral(m, k, n, q) == pytest.approx(ref, rel=1e-12)
         assert triple_product_integral(n, m, k, q) == pytest.approx(ref, rel=1e-12)
-
-
-class TestConnectionPolynomials:
-    def test_boundary_values(self):
-        assert w_poly(0, 0, 0.8, 0.3, 0.5) == pytest.approx(1.0, abs=1e-15)
-        assert w_poly(1, 0, 0.8, 0.3, 0.5) == pytest.approx(0.8 / 1.3, rel=1e-14)
-
-    def test_frozen_values(self):
-        assert w_poly(1, 1, 0.8, 0.3, 0.5) == pytest.approx(0.67498993153443410, rel=1e-13)
-        assert w_poly(2, 0, 0.8, 0.3, 0.5) == pytest.approx(-0.60894079742247280, rel=1e-13)
-
-    @given(
-        k=st.integers(min_value=0, max_value=4),
-        m=st.integers(min_value=0, max_value=4),
-        x=xs,
-        r=st.floats(min_value=-0.8, max_value=0.8),
-        q=qs,
-    )
-    @settings(max_examples=150)
-    def test_symmetry(self, k, m, x, r, q):
-        assert w_poly(k, m, x, r, q) == pytest.approx(
-            w_poly(m, k, x, r, q), rel=1e-10, abs=1e-10
-        )
-
-    def test_defining_ratio_numerically(self):
-        # sum_i r^i H_{i+k} H_{i+m} / [i]! == W_{k,m} * sum_i r^i H_i^2 / [i]!
-        x, r, q, k, m = 0.6, 0.35, 0.45, 2, 1
-        terms = 80
-        vals = q_hermite(terms + max(k, m), x, q).values
-        shifted = sum(
-            r**i * vals[i + k] * vals[i + m] / q_factorial(i, q) for i in range(terms)
-        )
-        base = sum(r**i * vals[i] ** 2 / q_factorial(i, q) for i in range(terms))
-        assert shifted / base == pytest.approx(w_poly(k, m, x, r, q), rel=1e-11)
 
 
 class TestPolySequence:

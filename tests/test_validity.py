@@ -79,21 +79,30 @@ def test_every_error_has_its_documented_exit_code():
         "moments --kind cond_y --q 0.5 --rho 0.3,0.6,0.3 --n 2 --z nan".split(),
         "eval fXgYZ --q 0.5 --y 0 --z 2.82842712474619".split(),
         "gram --family rogers --q 0.5 --r 1".split(),
+        "gram --family rogers --q 0.5 --r 0.9999999999999999".split(),
         "gram --family qhermite --q 0.5 --nmax -1".split(),
         "moments --kind cond_y --q 0.5 --rho 0.3,0.6,0.3 --n 2 --z 2.82842712474619".split(),
         "eval fN --q 0.5 --form rogers".split(),
         "eval pmKernel --q 0.5 --form closed".split(),
+        "limits --q-seq 0.9,1".split(),
+        "limits --q-seq 0.9,nan".split(),
     ],
     ids=[
         "nan-point",
         "degenerate-conditioning",
+        "rogers-r-at-bound",
         "degenerate-recurrence",
         "negative-degree",
         "zero-density-point",
         "form-of-a-density-without-routes",
         "form-the-density-lacks",
+        "limits-q-at-bound",
+        "limits-q-nan",
     ],
 )
+# A warning is an error here: numpy's warnings would print lines of their own
+# on stderr outside pytest, ahead of the one error line.
+@pytest.mark.filterwarnings("error")
 def test_cli_invalid_input_exits_2_with_one_error_line(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -101,3 +110,16 @@ def test_cli_invalid_input_exits_2_with_one_error_line(argv, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("gram --family rogers --q 0.5 --r 1", "|beta| must be < 1"),
+        ("limits --q-seq 0.9,nan", "|q| must be < 1"),
+    ],
+    ids=["rogers-r-at-bound", "limits-q-nan"],
+)
+def test_invalid_parameter_gets_the_validity_message(argv, message, capsys):
+    assert main(argv.split()) == 2
+    assert message in capsys.readouterr().err
