@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Sweep the identity suites over a parameter grid and summarize per identity.
 
-Prints one line per identity name with the worst error ratio seen across the
-grid, then a pass/fail total. Nonzero exit on any failure, so this can gate
+Prints one line per identity name with the worst err/tol seen across the
+grid, where err is the error each row's verdict read (a NaN ranks worst),
+then a pass/fail total. Nonzero exit on any failure, so this can gate
 a CI job the same way `qnormal3d check all` does for a single point. The
 sweep's wall time goes to stderr, so stdout is the same bytes on every run.
 
@@ -16,7 +17,7 @@ import sys
 import time
 from collections import defaultdict
 
-from qnormal3d.checks import SUITES, SWEEP_Q, SWEEP_RHO, run_suite
+from qnormal3d.checks import SUITES, SWEEP_Q, SWEEP_RHO, _rank, run_suite
 from qnormal3d.densities import ModelParams
 
 
@@ -41,9 +42,7 @@ def main():
     start = time.perf_counter()
     for p in grid:
         for rep in run_suite(args.suite, p, seed=args.seed):
-            err = max(rep.abs_err, rep.rel_err)
-            ratio = err / rep.tol if rep.tol < 1.0 else rep.lhs
-            worst[rep.name] = max(worst[rep.name], ratio)
+            worst[rep.name] = max(worst[rep.name], rep.err / rep.tol, key=_rank)
             counts[rep.name] += 1
             failures[rep.name] += 0 if rep.passed else 1
     elapsed = time.perf_counter() - start

@@ -396,14 +396,10 @@ def quadrature_oracle(spec: MomentSpec) -> float:
     # The conditional densities below are ratios formed in logs before they
     # are integrated, so each integrates to 1 however small f_z(z) is.
     if spec.kind is MomentKind.COND_Y_GIVEN_Z:
-        (n,) = spec.degrees
         (z,) = spec.points
-        given_z = _given_z(p)
-
-        def g_y(yy: np.ndarray) -> np.ndarray:
-            return q_hermite(n, yy, q).values[n] * f_x_given_yz(yy, z, z, given_z)
-
-        return integrate1d(g_y, q).value
+        return quadrature_oracle(
+            MomentSpec(MomentKind.COND_X_GIVEN_YZ, spec.degrees, _given_z(p), (z, z))
+        )
     if spec.kind is MomentKind.COND_XY_GIVEN_Z:
         (z,) = spec.points
         # f_3d(x, y, z) / f_z(z): the law of (Y, Z) given X, relabelled.

@@ -168,12 +168,20 @@ def _value_3d(f: Callable, q: float, panels: int) -> float:
 
 def _refine(value_at, tol: float, max_panels: int) -> IntegralResult:
     """Double the panel count until two levels (scalars or arrays) agree
-    within tol scaled by max(1, max|cur|)."""
+    within tol scaled by max(1, max|cur|); a level that is not finite raises."""
+
+    def level(panels: int):
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = value_at(panels)
+        if not np.all(np.isfinite(value)):
+            raise NonConvergence(f"quadrature level is not finite at {panels} panel(s) per axis")
+        return value
+
     panels = 1
-    prev = value_at(panels)
+    prev = level(panels)
     while panels * 2 <= max_panels:
         panels *= 2
-        cur = value_at(panels)
+        cur = level(panels)
         err = float(np.max(np.abs(cur - prev)))
         if err <= tol * max(1.0, float(np.max(np.abs(cur)))):
             return IntegralResult(cur, err, panels)

@@ -55,17 +55,16 @@ _ROWS = 64
 class SamplerConfig:
     """Knobs for the samplers.
 
-    ``grid_points`` sets the inverse-CDF tabulation resolution.  ``burn_in``,
-    ``thin`` and ``n_chains`` are ignored and unchecked.  They remain only
-    because the benchmark's smoke list still passes them; its revision in
-    ROADMAP item 3 deletes them.
+    ``grid_points`` sets the inverse-CDF tabulation resolution.  ``burn_in``
+    and ``n_chains`` are ignored and unchecked.  They remain only because
+    the benchmark's smoke list still passes them; its revision in ROADMAP
+    item 3 deletes them.
     """
 
     seed: int
     n_samples: int
     grid_points: int = 256
     burn_in: int = 1000
-    thin: int = 5
     n_chains: int = 256
 
     def __post_init__(self) -> None:

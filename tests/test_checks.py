@@ -1,8 +1,11 @@
 """Identity suites produce structured reports and pass at interior points."""
 
 import dataclasses
+import importlib.util
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,7 +77,7 @@ from qnormal3d.moments import (
     quadrature_oracle,
     var_z,
 )
-from qnormal3d.polynomials import default_y, q_hermite, triple_product_integral
+from qnormal3d.polynomials import FAMILIES, default_y, q_hermite, triple_product_integral
 from qnormal3d.qcore import support_halfwidth
 from qnormal3d.quadrature import integrate1d, integrate2d, integrate3d
 
@@ -100,7 +103,7 @@ class TestRegistry:
 
 class TestReports:
     def test_report_is_frozen_with_fields(self):
-        rep = VerificationReport("demo", 1.0, 1.0, 0.0, 0.0, 1e-8, True)
+        rep = VerificationReport("demo", 1.0, 1.0, 0.0, 0.0, 0.0, 1e-8, True)
         assert dataclasses.is_dataclass(rep)
         with pytest.raises(dataclasses.FrozenInstanceError):
             rep.passed = False
@@ -115,6 +118,28 @@ class TestReports:
             assert rep.abs_err >= 0.0
             assert rep.tol > 0.0
 
+    def test_err_is_the_error_the_verdict_read(self, params):
+        relative = ("pm-", "-form-agreement", "condx-forms-agree", "-diagonal")
+        limits = {"fn-gaussian-limit", "asc-hermite-limit", "var-limit"}
+        for rep in run_suite("all", params):
+            if rep.name in limits:
+                assert (rep.err, rep.passed) == (rep.lhs, rep.err < 1.0)
+                continue
+            assert rep.passed == (rep.err <= rep.tol)
+            measure = rep.rel_err if any(key in rep.name for key in relative) else rep.abs_err
+            assert rep.err == measure, rep.name
+
+    def test_gram_diagonal_reports_its_worst_relative_entry(self):
+        p = ModelParams(0.3, 0.6, 0.3, -0.5)
+        given = {"y": default_y(p.q), "rho1": p.rho12, "r": p.r}
+        rows = {rep.name: rep for rep in run_suite("orthogonality", p)}
+        for name, fam in FAMILIES.items():
+            args = [given[key] for key in fam.params]
+            gram = fam.gram(fam.degree, *args, p.q)
+            norms = np.array(fam.norms(fam.degree, *args, p.q))
+            rel = np.abs(np.diag(gram) - norms) / np.maximum(1.0, np.abs(norms))
+            assert rows[f"gram-{name}-diagonal"].err == rel.max()
+
     def test_all_concatenates(self, params):
         combined = run_suite("all", params)
         total = sum(len(run_suite(s, params)) for s in EXPECTED_SUITES)
@@ -126,6 +151,20 @@ class TestReports:
         c = run_suite("chapman-kolmogorov", params, seed=2)
         assert [r.lhs for r in a] == [r.lhs for r in b]
         assert [r.lhs for r in a] != [r.lhs for r in c]
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [(0.5, 0.5, 0.5), (0.0, 0.0, 0.0), (-0.4, -0.4, -0.4)],
+    ids=["positive", "zero", "negative"],
+)
+def test_r_only_variant_of_an_all_equal_triple(rho):
+    p = ModelParams(*rho, 0.7)
+    alt = _equal_r_variant(p)
+    assert (alt.rho12, alt.rho13, alt.rho23) != rho
+    assert alt.r == pytest.approx(p.r, abs=1e-16)
+    row = next(rep for rep in check_marginals(p, seed=3) if rep.name == "fZ-r-only")
+    assert row.passed and row.err < 1e-13
 
 
 class TestKestenMcKay:
@@ -141,11 +180,6 @@ class TestKestenMcKay:
 
 
 class TestLimitScans:
-    def test_computed_once_per_sequence(self):
-        qs = (0.5, 0.9)
-        assert fn_limit_errors(qs) is fn_limit_errors(qs)
-        assert asc_limit_errors(qs) is asc_limit_errors(qs)
-
     def test_var_limit_errors(self):
         r, qs = 0.06, (0.9, 0.99, 0.999)
         expected = tuple(abs(var_z(r, q) - (1.0 + r) / (1.0 - r)) for q in qs)
@@ -177,6 +211,18 @@ class TestWorst:
     def test_first_of_equal_worst_is_kept(self):
         rep = _worst("a", [(1.0, 0.0), (0.0, 1.0), (0.5, 0.0)], 1e-8)
         assert (rep.lhs, rep.rhs) == (1.0, 0.0)
+
+
+def test_sweep_summary_ranks_a_nan_row_worst(monkeypatch, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_identity_checks.py"
+    spec = importlib.util.spec_from_file_location("run_identity_checks", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    rows = [_report("demo", math.nan, 1.0, 1e-8), _report("demo", 2.0, 1.0, 1e-8)]
+    monkeypatch.setattr(script, "run_suite", lambda suite, p, seed: rows)
+    monkeypatch.setattr(sys, "argv", ["run_identity_checks.py", "--q", "0.5"])
+    assert script.main() == 1
+    assert capsys.readouterr().out.splitlines()[1].split() == ["demo", "16", "nan", "16"]
 
 
 class TestLimitRatios:
@@ -323,7 +369,11 @@ def _ref_marginals(p, seed):
     _interior(gen, q, 10)  # fZ-from-f3D
     zs2 = _interior(gen, q, 10)
     alt = _equal_r_variant(p)
-    r_only = _worst("fZ-r-only", ((f_z(zv, alt.r, q), f_z(zv, p.r, q)) for zv in zs2), TOL_R_ONLY)
+    r_only = _worst(
+        "fZ-r-only",
+        ((integrate1d(lambda y: f_yz(y, zv, alt), q).value, f_r(zv, p.r, q)) for zv in zs2),
+        TOL_R_ONLY,
+    )
     pairs = []
     for xv, yv, zv in _interior(gen, q, 15).reshape(5, 3):
         vals = [float(f_3d(xv, yv, zv, p, form=f)) for f in DensityForm]

@@ -189,6 +189,17 @@ class TestMoments:
         assert float(rows[0]["closed"]) == pytest.approx(0.56062588309173689, rel=1e-10)
         assert float(rows[0]["abs_err"]) < 1e-9
 
+    def test_even_hermite_moment(self, capsys):
+        code, out, _ = run_cli(
+            ["moments", "--kind", "eh2n_z", "--q", "0.5", "--r", "0.3", "--n", "3"], capsys
+        )
+        assert code == 0
+        meta, _, rows = parse_csv(out)
+        assert (meta["r"], meta["n"]) == ("0.29999999999999999", "3")
+        assert rows[0]["detail"] == "n=3,r=0.29999999999999999"
+        assert float(rows[0]["closed"]) == pytest.approx(0.25517370646047111, rel=1e-14)
+        assert float(rows[0]["abs_err"]) < 1e-13
+
     def test_conditional_kind(self, capsys):
         code, out, _ = run_cli(
             ["moments", "--kind", "cond_y", "--q", "0.3", "--rho", "0.3,0.4,0.5", "--n", "2", "--z", "0.4"],

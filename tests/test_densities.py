@@ -34,7 +34,7 @@ from qnormal3d.densities import (
     omega,
     pm_kernel,
 )
-from qnormal3d.errors import DomainError, NonConvergence
+from qnormal3d.errors import DegenerateConditioning, DomainError, NonConvergence
 from qnormal3d.qcore import (
     MAX_TERMS,
     _factors_needed,
@@ -536,6 +536,13 @@ class TestConditionals:
         )
         fx = integrate2d(lambda yy, zz: f_3d(x, yy, zz, params), params.q).value
         assert f_yz_given_x(y, z, x, params) * fx == pytest.approx(joint, rel=1e-7)
+
+    @pytest.mark.parametrize("edge", [1.0, -1.0])
+    def test_conditioning_on_x_at_the_support_edge_is_degenerate(self, params, edge):
+        # f_X vanishes at x = +-L, so the law of (Y, Z) given X is undefined there.
+        x0 = edge * support_halfwidth(params.q)
+        with pytest.raises(DegenerateConditioning):
+            f_yz_given_x(0.1, -0.2, x0, params)
 
     def test_aw_parameters_conjugate_pairs(self):
         a, b, c, d = aw_parameters(1.0, -0.5, 0.5, 0.4, 0.5)

@@ -104,12 +104,31 @@ def test_every_error_has_its_documented_exit_code():
 # on stderr outside pytest, ahead of the one error line.
 @pytest.mark.filterwarnings("error")
 def test_cli_invalid_input_exits_2_with_one_error_line(argv, capsys):
+    assert _exit_code_with_one_error_line(argv, capsys) == 2
+
+
+def _exit_code_with_one_error_line(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
-    assert code == 2
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    return code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "moments --kind eh2n_z --q 0.9 --r 0.5 --n 300".split(),
+        "gram --family qhermite --q 0.9 --nmax 400".split(),
+    ],
+    ids=["hermite-moment-overflow", "gram-overflow"],
+)
+# The integrands overflow: the first level that is not finite ends the
+# refinement with NonConvergence, and numpy prints no warning of its own.
+@pytest.mark.filterwarnings("error")
+def test_cli_quadrature_overflow_exits_3_with_one_error_line(argv, capsys):
+    assert _exit_code_with_one_error_line(argv, capsys) == 3
 
 
 @pytest.mark.parametrize(
