@@ -485,26 +485,28 @@ def _sum_to_tail(total, terms, what: str, tol: float = TAIL_TOL):
     arrays, which _dd_add sums.  Each point adds terms up to its second
     successive envelope below tol and none after, so an array result equals
     its points evaluated one at a time, bit for bit.  A non-finite envelope
-    at a point still summing, or MAX_TERMS terms, raises NonConvergence.
+    at a point still summing, or MAX_TERMS terms, raises NonConvergence;
+    numpy's own overflow warnings are silenced, since that raise reports it.
     """
     double = isinstance(total, tuple)
     shape = total[0].shape if double else total.shape
     live = np.ones(shape, dtype=bool)
     was_below = np.zeros(shape, dtype=bool)
-    for j, (term, envelope) in enumerate(terms, start=1):
-        if double:
-            for part, summed in zip(total, _dd_add(total, term)):
-                np.copyto(part, summed, where=live)
-        else:
-            np.add(total, term, out=total, where=live)
-        # The unmasked max is cheaper; mask only once some point overflowed.
-        if not np.max(envelope) < np.inf and not np.all(np.isfinite(envelope), where=live):
-            raise NonConvergence(f"{what} overflowed at term {j}")
-        below = envelope < tol
-        live &= ~(was_below & below)
-        if not live.any():
-            return total
-        was_below = below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, (term, envelope) in enumerate(terms, start=1):
+            if double:
+                for part, summed in zip(total, _dd_add(total, term)):
+                    np.copyto(part, summed, where=live)
+            else:
+                np.add(total, term, out=total, where=live)
+            # The unmasked max is cheaper; mask only once some point overflowed.
+            if not np.max(envelope) < np.inf and not np.all(np.isfinite(envelope), where=live):
+                raise NonConvergence(f"{what} overflowed at term {j}")
+            below = envelope < tol
+            live &= ~(was_below & below)
+            if not live.any():
+                return total
+            was_below = below
     raise NonConvergence(f"{what} not below {tol:.0e} within {MAX_TERMS} terms")
 
 

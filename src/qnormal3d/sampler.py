@@ -5,9 +5,9 @@ one-dimensional base density through a tabulated inverse CDF.  ``sample_3d``
 draws i.i.d. triples exactly, in sequence: Z from its marginal, then Y given
 Z, then X given (Y, Z).  Each conditional is the base density reweighted by
 two Poisson-Mehler kernels, tabulated on a fixed grid and inverted per draw.
-The kernels' logs are the densities' Chebyshev series, cut where their tail
-bound puts it at the largest |rho|, and a block of rows is drawn at once, so
-each conditional's log-kernels are one matrix product.
+The kernels' logs are the densities' own ``_log_w``, evaluated for a block
+of rows at once on the open axes (rows, grid), so each conditional takes the
+densities' route rule: the Chebyshev series, or the factor loop as |rho| -> 1.
 
 All randomness flows through one counter-based Philox generator keyed by the
 configured seed, so a given configuration reproduces its output exactly.
@@ -30,18 +30,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .densities import ModelParams, _cosine, _kernel_coefficients, _kernel_terms, f_n, f_r
-from .errors import DegenerateConditioning, InsufficientSamples, NonConvergence
-from .qcore import MAX_TERMS, _check_q, support_halfwidth
+from .densities import ModelParams, _log_w, f_n, f_r
+from .errors import DegenerateConditioning, InsufficientSamples
+from .qcore import _check_q, support_halfwidth
 from .quadrature import _phi_of_theta, _theta_of_phi
 
 _BISECTIONS = 26
 _BLOCK = 4096
 # The fixed grid of cdf_fn and cdf_r: points uniform in the mapped angle.
 _CDF_POINTS = 2048
-# Bytes that the grid matrix and a block's kernel rows, one row of N doubles
-# per grid point or drawn row, may hold together.
-_KERNEL_BUDGET = 256 * 2**20
 _KS_TERMS = 100
 _NEWTON_STEPS = 60
 # Contiguous batches of mc_moment's jackknife standard error.
@@ -123,18 +120,6 @@ def sample_fn(q: float, cfg: SamplerConfig) -> np.ndarray:
     return out
 
 
-def _chebyshev_rows(u: np.ndarray, coef: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Rows c_n T_n(u), n = 1..len(coef), of a (len(coef), len(u)) array,
-    added into ``out`` when it is given."""
-    if out is None:
-        out = np.zeros((coef.shape[0], u.shape[0]))
-    prev, cur = np.ones_like(u), u
-    for row, c in zip(out, coef):
-        row += c * cur
-        prev, cur = cur, 2.0 * u * cur - prev
-    return out
-
-
 def _pchip_slopes(y: np.ndarray, h: float) -> np.ndarray:
     """Fritsch-Carlson (PCHIP) slopes for rows of values on a uniform grid:
     harmonic-mean interior slopes, 0 where the secants change sign, and
@@ -213,36 +198,25 @@ def _invert_rows(
     return grid[idx] + 0.5 * (lo + hi) * h
 
 
-def _conditional_rows(
-    grid_rows: np.ndarray, base: np.ndarray, cond_a: np.ndarray, coef_a: np.ndarray,
-    cond_b: np.ndarray, coef_b: np.ndarray, q: float,
-) -> np.ndarray:
-    """Unnormalized conditionals in phi on the grid, one row per draw: the
-    base row times exp of the summed log-kernels, which is one product of
-    the (rows, N) block c_a T(u_a) + c_b T(u_b) with the grid matrix T(u_g),
-    shifted by each row's max so nothing overflows or needs clipping."""
-    block = _chebyshev_rows(_cosine(cond_a, q), coef_a)
-    _chebyshev_rows(_cosine(cond_b, q), coef_b, out=block)
-    dens = block.T @ grid_rows
-    dens -= np.max(dens, axis=1, keepdims=True)
-    np.exp(dens, out=dens)
-    dens *= base
-    return dens
-
-
 def _conditional_draw(
-    grid_rows: np.ndarray, base: np.ndarray, cond_a: np.ndarray, coef_a: np.ndarray,
-    cond_b: np.ndarray, coef_b: np.ndarray, q: float, phi: np.ndarray, half: float,
+    grid_x: np.ndarray, base: np.ndarray, cond_a: np.ndarray, rho_a: float,
+    cond_b: np.ndarray, rho_b: float, q: float, phi: np.ndarray, half: float,
     u: np.ndarray,
 ) -> np.ndarray:
     """Draw one coordinate from its conditional given two conditioning
     points, one row per uniform in u.
 
-    The Chebyshev log-kernels of :func:`_conditional_rows` take one GEMM per
-    draw and are never clipped.  Their block holds (rows + grid_points) N
-    doubles, N = 3,006 at |rho| = 0.99 and 30,199 at 0.999.
+    Each row is the base row over the kernels prod_i w(x, c | rho q^i) at
+    its two conditioning points: exp of minus the two ``_log_w`` sums on the
+    open axes (rows, grid), shifted by each row's max so nothing overflows.
+    Either route of ``_log_w`` holds a few (rows, grid_points) arrays.
     """
-    dens = _conditional_rows(grid_rows, base, cond_a, coef_a, cond_b, coef_b, q)
+    grid = grid_x[None, :]
+    dens = -_log_w(grid, cond_a[:, None], rho_a, q)
+    dens -= _log_w(grid, cond_b[:, None], rho_b, q)
+    dens -= np.max(dens, axis=1, keepdims=True)
+    np.exp(dens, out=dens)
+    dens *= base
     h = phi[1] - phi[0]
     cdf, m = _pchip_cdf(dens, h)
     total = cdf[:, -1]
@@ -267,18 +241,6 @@ def sample_3d(p: ModelParams, cfg: SamplerConfig) -> np.ndarray:
     half = support_halfwidth(q)
     phi = _phi_grid(cfg.grid_points)
     grid_x, base = _density_row(lambda xs: f_n(xs, q), half, phi)
-    rho_max = max(abs(p.rho12), abs(p.rho13), abs(p.rho23))
-    cap = min(MAX_TERMS, _KERNEL_BUDGET // (8 * (_ROWS + cfg.grid_points)))
-    terms = _kernel_terms(rho_max, q, cap)
-    if terms is None:
-        raise NonConvergence(
-            f"rho-kernel series needs more than {cap} terms at rho={rho_max}, q={q} "
-            f"(cap: MAX_TERMS = {MAX_TERMS} or a {_KERNEL_BUDGET >> 20} MiB block)"
-        )
-    grid_rows = _chebyshev_rows(_cosine(grid_x, q), np.ones(terms))
-    c12, c13, c23, c_yz = (
-        _kernel_coefficients(r, q, terms) for r in (p.rho12, p.rho13, p.rho23, p.rho12 * p.rho13)
-    )
     z_quantile = _density_tables(lambda xs: f_r(xs, p.r, q), q, cfg.grid_points)[1]
 
     gen = np.random.Generator(np.random.Philox(key=cfg.seed))
@@ -287,8 +249,8 @@ def sample_3d(p: ModelParams, cfg: SamplerConfig) -> np.ndarray:
         rows = out[start : start + _ROWS]
         u = gen.random((3, rows.shape[0]))
         z = half * np.sin(z_quantile(u[0]))
-        y = _conditional_draw(grid_rows, base, z, c23, z, c_yz, q, phi, half, u[1])
-        rows[:, 0] = _conditional_draw(grid_rows, base, y, c12, z, c13, q, phi, half, u[2])
+        y = _conditional_draw(grid_x, base, z, p.rho23, z, p.rho12 * p.rho13, q, phi, half, u[1])
+        rows[:, 0] = _conditional_draw(grid_x, base, y, p.rho12, z, p.rho13, q, phi, half, u[2])
         rows[:, 1] = y
         rows[:, 2] = z
     return out

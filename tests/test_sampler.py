@@ -9,26 +9,18 @@ import numpy as np
 import pytest
 
 import qnormal3d
-from qnormal3d.densities import (
-    ModelParams,
-    _cosine,
-    _kernel_coefficients,
-    _kernel_terms,
-    f_n,
-    f_x_given_yz,
-    f_yz,
-)
-from qnormal3d.errors import InsufficientSamples, NonConvergence
+from qnormal3d import sampler
+from qnormal3d.densities import ModelParams, f_n, f_x_given_yz, f_yz
+from qnormal3d.errors import InsufficientSamples
 from qnormal3d.moments import _covariance, cov_yz, var_z
-from qnormal3d.qcore import MAX_TERMS, support_halfwidth
+from qnormal3d.qcore import support_halfwidth
 from qnormal3d.quadrature import _theta_of_phi
 from qnormal3d.sampler import (
     _BLOCK,
     McEstimate,
     SamplerConfig,
     _base_quantile,
-    _chebyshev_rows,
-    _conditional_rows,
+    _conditional_draw,
     _density_row,
     _density_tables,
     _pchip_cdf,
@@ -133,68 +125,66 @@ class TestGibbsSampler:
         self._check_shape_and_support(params)
 
     @pytest.mark.parametrize(
-        "point", [(0.3, 0.6, -0.6, 0.999), (0.95, 0.3, 0.3, 0.5)]
+        "point", [(0.3, 0.6, -0.6, 0.999), (0.95, 0.3, 0.3, 0.5), (0.99999, 0.3, 0.3, 0.5)]
     )
     def test_shape_and_support_near_domain_edges(self, point):
-        # q -> 1 and |rho| -> 1: the kernel rank comes from the densities'
-        # Chebyshev tail bound, which depends on |rho| alone (N = 64, 589).
+        # q -> 1 and |rho| -> 1: each kernel takes the densities' route rule.
+        # At q = 0.999 all take the Chebyshev series (at most N = 64 terms);
+        # at q = 0.5 the rho12 kernel of |rho12| >= 0.95 takes the factor
+        # loop (51 factors), where the series would need 589 terms at 0.95
+        # and about 3.0 million at 0.99999.
         self._check_shape_and_support(ModelParams(*point))
 
-    def test_kernel_beyond_series_cap_raises(self):
-        # |rho| = 0.99999 needs about 3.0 million terms: the raise names the
-        # cap before any grid matrix is built.
-        cfg = SamplerConfig(seed=5, n_samples=10, **FAST_3D)
-        with pytest.raises(NonConvergence, match=str(MAX_TERMS)):
-            sample_3d(ModelParams(0.99999, 0.3, 0.3, 0.5), cfg)
-
-    def test_kernel_beyond_memory_budget_raises(self, traced_peak):
-        # |rho| = 0.9998 needs 151,056 terms, under MAX_TERMS; at 64 rows a
-        # block and the default 256 grid points the 256 MiB budget caps N at
-        # 104,857, and the raise comes before the grid matrix is built.
-        assert _kernel_terms(0.9998, 0.5, MAX_TERMS) == 151_056
-        cfg = SamplerConfig(seed=5, n_samples=10)
-
-        def attempt():
-            with pytest.raises(NonConvergence, match="256 MiB"):
-                sample_3d(ModelParams(0.9998, 0.3, 0.3, 0.5), cfg)
-
-        peak, _ = traced_peak(attempt)
-        assert peak < 2**20
+    def test_rho_near_one_samples_in_bounded_memory(self, traced_peak):
+        # |rho12| = 0.9998 needs 151,056 series terms, so the rho12 kernel
+        # takes the factor loop, whose working set is a few (rows, grid)
+        # arrays at every |rho|.
+        p = ModelParams(0.9998, 0.3, 0.3, 0.5)
+        draws = sample_3d(p, SamplerConfig(seed=2024, n_samples=20_000))
+        cov = _covariance(p)
+        for i in range(3):
+            for j in range(i, 3):
+                est = mc_moment(draws, lambda *v: v[i] * v[j])
+                assert abs(est.value - cov[i, j]) < 3 * est.std_error, (i, j)
+        peak, _ = traced_peak(lambda: sample_3d(p, SamplerConfig(seed=5, n_samples=1000)))
+        assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("q", [0.5, 0.99, 0.999])
     @pytest.mark.parametrize(
-        "rhos", [(0.3, 0.6, -0.6), (0.9, -0.9, 0.5), (-0.9, 0.3, 0.9)]
+        "rhos", [(0.3, 0.6, -0.6), (0.9, -0.9, 0.5), (-0.9, 0.3, 0.9), (0.9998, 0.3, 0.3)]
     )
-    def test_conditional_rows_match_f_x_given_yz(self, rhos, q):
-        # The sampler's X | (Y, Z) row in phi is f_x_given_yz times the grid's
-        # Jacobian L cos(theta) dtheta/dphi, and its Y | Z row, both kernels
-        # conditioned on z with rho23 and rho12 rho13, is f_yz(., z) times
-        # it; all rows are normalized to sum 1.  At q = 0.5 and |rho| = 0.9
-        # f_x_given_yz takes the factor product.
+    def test_conditional_rows_match_f_x_given_yz(self, rhos, q, monkeypatch):
+        # The rows that _conditional_draw integrates: its X | (Y, Z) row in
+        # phi is f_x_given_yz times the grid's Jacobian L cos(theta)
+        # dtheta/dphi, and its Y | Z row, both kernels conditioned on z with
+        # rho23 and rho12 rho13, is f_yz(., z) times it; all rows are
+        # normalized to sum 1.  At q = 0.5 and |rho| = 0.9, and at
+        # rho12 = 0.9998 at every q, the kernel takes the factor loop.
         p = ModelParams(*rhos, q)
         half = support_halfwidth(q)
         phi = _phi_grid(128)
         grid_x, base = _density_row(lambda xs: f_n(xs, q), half, phi)
-        terms = _kernel_terms(max(abs(r) for r in rhos), q, MAX_TERMS)
-        grid_rows = _chebyshev_rows(_cosine(grid_x, q), np.ones(terms))
-        c12, c13, c23, c_yz = (
-            _kernel_coefficients(r, q, terms) for r in (p.rho12, p.rho13, p.rho23, p.rho12 * p.rho13)
-        )
         y = np.array([-2.0, -1.5, 0.3, 2.0])
         z = np.array([2.1, 0.7, -0.2, 1.9])
+        u = np.linspace(0.2, 0.8, 4)
+        seen = []
+        pchip_cdf = sampler._pchip_cdf
+
+        def spy(dens, h):
+            seen.append(dens.copy())
+            return pchip_cdf(dens, h)
+
+        monkeypatch.setattr(sampler, "_pchip_cdf", spy)
+        _conditional_draw(grid_x, base, y, p.rho12, z, p.rho13, q, phi, half, u)
+        _conditional_draw(grid_x, base, z, p.rho23, z, p.rho12 * p.rho13, q, phi, half, u)
         theta, dtheta = _theta_of_phi(phi, half)
         jacobian = half * np.cos(theta) * dtheta
-        pairs = [
-            (
-                _conditional_rows(grid_rows, base, y, c12, z, c13, q),
-                np.stack([f_x_given_yz(grid_x, b, c, p) * jacobian for b, c in zip(y, z)]),
-            ),
-            (
-                _conditional_rows(grid_rows, base, z, c23, z, c_yz, q),
-                np.stack([f_yz(grid_x, c, p) * jacobian for c in z]),
-            ),
+        wants = [
+            np.stack([f_x_given_yz(grid_x, b, c, p) * jacobian for b, c in zip(y, z)]),
+            np.stack([f_yz(grid_x, c, p) * jacobian for c in z]),
         ]
-        for rows, want in pairs:
+        assert len(seen) == 2
+        for rows, want in zip(seen, wants):
             rows /= rows.sum(axis=1, keepdims=True)
             want /= want.sum(axis=1, keepdims=True)
             # Far tails reach subnormal numbers, which carry no relative digits.

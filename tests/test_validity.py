@@ -121,11 +121,21 @@ def _exit_code_with_one_error_line(argv, capsys):
     [
         "moments --kind eh2n_z --q 0.9 --r 0.5 --n 300".split(),
         "gram --family qhermite --q 0.9 --nmax 400".split(),
+        "eval fZ --q 0.999 --r 0.9 --form hermite-series --grid -60:60:5".split(),
+        "eval fZ --q 0.999 --r 0.06 --form even-series --grid -60:60:5".split(),
+        "eval f3D --q 0.999 --form series --rho 0.9,0.9,0.9 --grid -60:60:3".split(),
     ],
-    ids=["hermite-moment-overflow", "gram-overflow"],
+    ids=[
+        "hermite-moment-overflow",
+        "gram-overflow",
+        "fz-hermite-series-overflow",
+        "fz-even-series-overflow",
+        "f3d-series-overflow",
+    ],
 )
-# The integrands overflow: the first level that is not finite ends the
-# refinement with NonConvergence, and numpy prints no warning of its own.
+# The integrands or series terms overflow: the first level that is not
+# finite ends the refinement, and the first non-finite envelope ends the
+# series, with NonConvergence; numpy prints no warning of its own.
 @pytest.mark.filterwarnings("error")
 def test_cli_quadrature_overflow_exits_3_with_one_error_line(argv, capsys):
     assert _exit_code_with_one_error_line(argv, capsys) == 3
