@@ -177,9 +177,11 @@ def check_marginals(p: ModelParams, seed: int = 7) -> List[VerificationReport]:
     alt = _equal_r_variant(p)
     rows = (
         (
-            "fYZ-from-f3D",
+            # Each pair marginal as the (Y, Z) one of a relabelling, at the same probes.
+            "f2D-from-f3D",
             (
-                (integrate1d(lambda x: f_3d(x, yv, zv, p), q).value, f_yz(yv, zv, p))
+                (integrate1d(lambda x: f_3d(x, yv, zv, pp), q).value, f_yz(yv, zv, pp))
+                for pp in (p.permuted(perm) for perm in ((0, 1, 2), (1, 0, 2), (2, 0, 1)))
                 for yv, zv in yz
             ),
             TOL_MARGINAL_2D,
@@ -212,7 +214,7 @@ def _equal_r_variant(p: ModelParams) -> ModelParams:
     """A different correlation triple with the same product r, whose (Y, Z)
     law couples other correlations: fZ-r-only integrates it over y."""
     if not (p.rho12 == p.rho13 == p.rho23):
-        return ModelParams(rho12=p.rho23, rho13=p.rho12, rho23=p.rho13, q=p.q)
+        return p.permuted((1, 2, 0))
     if p.rho12 == 0.0:
         return ModelParams(0.0, 0.5, 0.0, p.q)
     c = p.rho12

@@ -314,7 +314,7 @@ def cmd_moments(args: argparse.Namespace) -> Tuple[Table, int]:
                 f"n={args.n},y={_fmt(args.y)},z={_fmt(args.z)}",
             ),
             "cond_y": ("COND_Y_GIVEN_Z", (args.n,), (args.z,), f"n={args.n},z={_fmt(args.z)}"),
-            "cond_xy": ("COND_XY_GIVEN_Z", (1, 1), (args.z,), f"z={_fmt(args.z)}"),
+            "cond_xy": ("COND_XY_GIVEN_Z", (args.m, args.n), (args.z,), f"z={_fmt(args.z)}"),
         }[kind]
         meta.update(zip(RHO_KEYS, args.rho))
         spec = mm.MomentSpec(mm.MomentKind[name], degrees, ModelParams(*args.rho, q=q), points)

@@ -51,6 +51,7 @@ tests, and those of q and the correlations, are qcore's validity rule.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -136,6 +137,23 @@ class ModelParams:
     def r(self) -> float:
         """Product of the three correlations; normalizer is 1 - r."""
         return self.rho12 * self.rho13 * self.rho23
+
+    def permuted(self, perm: tuple[int, int, int]) -> ModelParams:
+        """The parameters of the coordinates (c_perm[0], c_perm[1], c_perm[2]):
+        rho'_ij = rho_{perm[i] perm[j]}.  Under one of these, each pair marginal
+        is f_yz, and each coordinate given the other two is f_x_given_yz."""
+        if tuple(perm) not in itertools.permutations(range(3)):
+            raise ValueError(f"perm must be a permutation of (0, 1, 2), got {perm!r}")
+        # Each correlation indexed by the coordinate its pair leaves out.
+        left_out = (self.rho23, self.rho13, self.rho12)
+        i, j, k = perm
+        return ModelParams(left_out[k], left_out[j], left_out[i], self.q)
+
+
+def _given_z(p: ModelParams) -> ModelParams:
+    """The parameters under which Y given Z = z is X given (Y, Z) = (z, z):
+    f_yz(y, z) / f_z(z) = f_cn(y|z; rho23) f_cn(z|y; rho12 rho13) / f_cn(z|z; r)."""
+    return ModelParams(p.rho23, p.rho12 * p.rho13, 0.0, p.q)
 
 
 def _points(*xs) -> tuple[list[np.ndarray], bool]:

@@ -23,7 +23,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .densities import ModelParams, f_r, f_x_given_yz, f_yz, f_yz_given_x
+from .densities import ModelParams, _given_z, f_r, f_x_given_yz, f_yz, f_yz_given_x
 from .errors import NonConvergence
 from .polynomials import asc_poly, q_hermite
 from .qcore import (
@@ -79,6 +79,8 @@ class MomentSpec:
         if any((not isinstance(d, int)) or d < 0 for d in self.degrees):
             raise ValueError(f"degrees must be nonnegative integers, got {self.degrees}")
         _require_support(self.points, support_halfwidth(self.params.q), "conditioning point")
+        if self.kind is MomentKind.COND_XY_GIVEN_Z and tuple(self.degrees) != (1, 1):
+            raise ValueError(f"E(XY | Z) takes degrees (1, 1), got {self.degrees}")
 
 
 def e_h2n_z(n: int, r: float, q: float) -> float:
@@ -284,12 +286,6 @@ def cond_exp_x_given_yz(y: float, z: float, rho12: float, rho13: float, q: float
     return (y * rho12 * (1.0 - r2sq) + z * rho13 * (1.0 - r1sq)) / (1.0 - r1sq * r2sq)
 
 
-def _given_z(p: ModelParams) -> ModelParams:
-    """The parameters under which Y given Z = z is X given (Y, Z) = (z, z):
-    f_yz(y, z) / f_z(z) = f_cn(y|z; rho23) f_cn(z|y; rho12 rho13) / f_cn(z|z; r)."""
-    return ModelParams(p.rho23, p.rho12 * p.rho13, 0.0, p.q)
-
-
 def cond_exp_hn_y_given_z(n: int, z: float, p: ModelParams) -> float:
     """E(H_n(Y) | Z=z), a polynomial of degree at most n in z.
 
@@ -403,11 +399,7 @@ def quadrature_oracle(spec: MomentSpec) -> float:
     if spec.kind is MomentKind.COND_XY_GIVEN_Z:
         (z,) = spec.points
         # f_3d(x, y, z) / f_z(z): the law of (Y, Z) given X, relabelled.
-        relabelled = ModelParams(p.rho13, p.rho23, p.rho12, q)
-
-        def g_xy(xx: np.ndarray, yy: np.ndarray) -> np.ndarray:
-            return xx * yy * f_yz_given_x(xx, yy, z, relabelled)
-
-        return integrate2d(g_xy, q).value
+        relabelled = p.permuted((2, 0, 1))
+        return integrate2d(lambda xx, yy: xx * yy * f_yz_given_x(xx, yy, z, relabelled), q).value
     raise ValueError(f"unknown moment kind {spec.kind!r}")
 

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .densities import ModelParams, _log_w, f_n, f_r
+from .densities import ModelParams, _given_z, _log_w, f_n, f_r
 from .errors import DegenerateConditioning, InsufficientSamples
 from .qcore import _check_q, support_halfwidth
 from .quadrature import _phi_of_theta, _theta_of_phi
@@ -199,21 +199,19 @@ def _invert_rows(
 
 
 def _conditional_draw(
-    grid_x: np.ndarray, base: np.ndarray, cond_a: np.ndarray, rho_a: float,
-    cond_b: np.ndarray, rho_b: float, q: float, phi: np.ndarray, half: float,
-    u: np.ndarray,
+    grid_x: np.ndarray, base: np.ndarray, a: np.ndarray, b: np.ndarray,
+    params: ModelParams, phi: np.ndarray, half: float, u: np.ndarray,
 ) -> np.ndarray:
-    """Draw one coordinate from its conditional given two conditioning
-    points, one row per uniform in u.
+    """Draw X given (Y, Z) = (a, b) under params, one row per uniform in u.
 
-    Each row is the base row over the kernels prod_i w(x, c | rho q^i) at
-    its two conditioning points: exp of minus the two ``_log_w`` sums on the
-    open axes (rows, grid), shifted by each row's max so nothing overflows.
-    Either route of ``_log_w`` holds a few (rows, grid_points) arrays.
+    Each row is the base row over prod_i w(x, a | rho12 q^i) w(x, b | rho13 q^i):
+    exp of minus the two ``_log_w`` sums on the open axes (rows, grid), shifted
+    by each row's max so nothing overflows.  Either route of ``_log_w`` holds
+    a few (rows, grid_points) arrays.
     """
     grid = grid_x[None, :]
-    dens = -_log_w(grid, cond_a[:, None], rho_a, q)
-    dens -= _log_w(grid, cond_b[:, None], rho_b, q)
+    dens = -_log_w(grid, a[:, None], params.rho12, params.q)
+    dens -= _log_w(grid, b[:, None], params.rho13, params.q)
     dens -= np.max(dens, axis=1, keepdims=True)
     np.exp(dens, out=dens)
     dens *= base
@@ -232,10 +230,9 @@ def sample_3d(p: ModelParams, cfg: SamplerConfig) -> np.ndarray:
     """I.i.d. draws from the three-dimensional law, shape (n_samples, 3).
 
     Each block of ``_ROWS`` rows draws Z from its marginal f_R(.; r, q), then
-    Y | Z, the base density reweighted by the rho23 and rho12 rho13 kernels
-    at z, then X | (Y, Z), reweighted by the rho12 kernel at y and the rho13
-    kernel at z.  One Philox stream keyed by the seed feeds every block, so
-    fixed seeds reproduce the output array exactly.
+    Y | Z, which is X | (Y, Z) = (z, z) under ``_given_z``, then X | (Y, Z).
+    One Philox stream keyed by the seed feeds every block, so fixed seeds
+    reproduce the output array exactly.
     """
     q = p.q
     half = support_halfwidth(q)
@@ -249,8 +246,8 @@ def sample_3d(p: ModelParams, cfg: SamplerConfig) -> np.ndarray:
         rows = out[start : start + _ROWS]
         u = gen.random((3, rows.shape[0]))
         z = half * np.sin(z_quantile(u[0]))
-        y = _conditional_draw(grid_x, base, z, p.rho23, z, p.rho12 * p.rho13, q, phi, half, u[1])
-        rows[:, 0] = _conditional_draw(grid_x, base, y, p.rho12, z, p.rho13, q, phi, half, u[2])
+        y = _conditional_draw(grid_x, base, z, z, _given_z(p), phi, half, u[1])
+        rows[:, 0] = _conditional_draw(grid_x, base, y, z, p, phi, half, u[2])
         rows[:, 1] = y
         rows[:, 2] = z
     return out

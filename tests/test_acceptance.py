@@ -23,6 +23,8 @@ from qnormal3d.sampler import (
     sample_3d,
 )
 
+from conditional_stats import T_BOUND, conditional_moment_t
+
 RHO12 = (0.3, -0.3)
 RHO13 = (0.6, -0.6)
 RHO23 = (0.3, -0.6)
@@ -131,7 +133,7 @@ def test_criterion_04_semigroup(grid_reports, announce):
 
 def test_criterion_05_marginalization(grid_reports, announce):
     pinned = {
-        "fYZ-from-f3D": 1e-7,
+        "f2D-from-f3D": 1e-7,
         "fZ-from-f3D": 1e-6,
         "fZ-r-only": 1e-10,
     }
@@ -205,6 +207,8 @@ def test_criterion_10_sampler(announce):
     # straight off its inverse-CDF table, so X and Y test the conditionals.
     ks_x, ks_y, ks = (ks_statistic(draws[:, i], cdf_r(p.r, p.q)) for i in range(3))
     ks_crit = ks_critical(n, alpha=0.01)
+    # How X depends on (Y, Z), and Y on Z, beyond the margins.
+    worst_t = float(np.max(np.abs(conditional_moment_t(draws, p))))
 
     ok = (
         reproducible
@@ -214,11 +218,13 @@ def test_criterion_10_sampler(announce):
         and ks < ks_crit
         and ks_x < ks_crit
         and ks_y < ks_crit
+        and worst_t < T_BOUND
     )
     announce(
         f"CRITERION 10 sampler: {'PASS' if ok else 'FAIL'} "
         f"(var {var_dev:.2f} se, cov {cov_dev:.2f} se, "
-        f"KS x/y/z {ks_x:.5f}/{ks_y:.5f}/{ks:.5f} < {ks_crit:.5f}, bytes {'ok' if reproducible else 'DIFFER'}, "
+        f"KS x/y/z {ks_x:.5f}/{ks_y:.5f}/{ks:.5f} < {ks_crit:.5f}, "
+        f"cond-moment |t| {worst_t:.2f} < {T_BOUND}, bytes {'ok' if reproducible else 'DIFFER'}, "
         f"{elapsed:.1f} s)"
     )
     assert reproducible, "fixed-seed rerun produced different bytes"
@@ -228,5 +234,6 @@ def test_criterion_10_sampler(announce):
     assert ks < ks_crit, f"KS statistic {ks:.5f} exceeds {ks_crit:.5f}"
     assert ks_x < ks_crit, f"KS statistic of X {ks_x:.5f} exceeds {ks_crit:.5f}"
     assert ks_y < ks_crit, f"KS statistic of Y {ks_y:.5f} exceeds {ks_crit:.5f}"
+    assert worst_t < T_BOUND, f"conditional-moment |t| {worst_t:.2f} exceeds {T_BOUND}"
     assert draws.shape == (n, 3)
     assert np.isfinite(draws).all()

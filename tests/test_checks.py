@@ -266,7 +266,7 @@ ROW_NAMES = {
         "fCN-normalization",
         "fYZ-normalization",
         "C3D-normalization",
-        "fYZ-from-f3D",
+        "f2D-from-f3D",
         "fZ-from-f3D",
         "fZ-r-only",
         "f3D-form-agreement",
@@ -365,7 +365,7 @@ def _ref_marginals(p, seed):
         ]
     ]
     gen = _rng(seed)
-    _interior(gen, q, 20)  # fYZ-from-f3D
+    _interior(gen, q, 20)  # f2D-from-f3D
     _interior(gen, q, 10)  # fZ-from-f3D
     zs2 = _interior(gen, q, 10)
     alt = _equal_r_variant(p)

@@ -1,5 +1,6 @@
 """Density evaluation: kernels, forms, normalization, conditioning, domains."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -450,6 +451,67 @@ class TestModelParams:
             ModelParams(1.0, 0.4, 0.5, 0.5)
         with pytest.raises(ValueError):
             ModelParams(0.3, 0.4, 0.5, 1.0)
+
+
+PERMUTATIONS = list(itertools.permutations(range(3)))
+# The acceptance grid's q range, |rho| up to 0.99 and points within 0.95 L.
+qs_acceptance = st.floats(min_value=-0.5, max_value=0.9)
+wide_rhos = st.floats(min_value=-0.99, max_value=0.99)
+fracs = st.floats(min_value=-0.95, max_value=0.95)
+TINY = np.finfo(float).tiny  # subnormal values carry no relative digits
+
+
+class TestRelabelling:
+    P = ModelParams(0.3, -0.6, 0.5, 0.7)
+
+    def test_identity(self):
+        assert self.P.permuted((0, 1, 2)) == self.P
+
+    def test_correlation_of_each_relabelled_pair(self):
+        # rho'_ij = rho_{perm[i] perm[j]}: (Z, X, Y) couples Z-X by rho13,
+        # Z-Y by rho23 and X-Y by rho12.
+        assert self.P.permuted((2, 0, 1)) == ModelParams(-0.6, 0.5, 0.3, 0.7)
+
+    @pytest.mark.parametrize("s", PERMUTATIONS)
+    @pytest.mark.parametrize("t", PERMUTATIONS)
+    def test_composition(self, s, t):
+        # Relabelling by s, then by t, gives the coordinates c_s(t(i)).
+        composed = tuple(s[t[i]] for i in range(3))
+        assert self.P.permuted(s).permuted(t) == self.P.permuted(composed)
+
+    @pytest.mark.parametrize("perm", [(0, 1, 1), (0, 1), (0, 1, 3), (0, 1, 2, 0), (1, 2, 3), ()])
+    def test_rejects_a_non_permutation(self, perm):
+        with pytest.raises(ValueError, match="permutation"):
+            self.P.permuted(perm)
+
+    @given(rho=st.tuples(wide_rhos, wide_rhos, wide_rhos), q=qs_acceptance, c=st.tuples(fracs, fracs, fracs))
+    @settings(max_examples=40, deadline=None)
+    def test_f_3d_is_equivariant(self, rho, q, c):
+        # f_3d(c; p) = f_3d(c_perm; p.permuted(perm)) for every perm and form.
+        # An overflowing series raises its documented NonConvergence.
+        p = ModelParams(*rho, q)
+        pts = [v * support_halfwidth(q) for v in c]
+        for form in DensityForm:
+            vals = []
+            for perm in PERMUTATIONS:
+                try:
+                    vals.append(f_3d(*(pts[i] for i in perm), p.permuted(perm), form=form))
+                except NonConvergence:
+                    assert form is DensityForm.SERIES
+            if vals:
+                np.testing.assert_allclose(vals, vals[0], rtol=1e-12, atol=TINY)
+
+    @given(rho=st.tuples(wide_rhos, wide_rhos, wide_rhos), q=qs_acceptance, c=st.tuples(fracs, fracs, fracs))
+    @settings(max_examples=40, deadline=None)
+    def test_pair_densities_are_equivariant(self, rho, q, c):
+        # Swapping Y and Z swaps rho12 and rho13 and leaves rho23.
+        p = ModelParams(*rho, q)
+        x, y, z = (v * support_halfwidth(q) for v in c)
+        swapped = p.permuted((0, 2, 1))
+        np.testing.assert_allclose(
+            f_x_given_yz(x, z, y, swapped), f_x_given_yz(x, y, z, p), rtol=1e-12, atol=TINY
+        )
+        np.testing.assert_allclose(f_yz(z, y, swapped), f_yz(y, z, p), rtol=1e-12, atol=TINY)
 
 
 class TestJointDensity:

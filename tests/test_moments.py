@@ -109,6 +109,13 @@ class TestOracleRegistry:
         with pytest.raises(ValueError):
             MomentSpec(MomentKind.UNCONDITIONAL, (-1,), params)
 
+    @pytest.mark.parametrize("degrees", [(2, 3), (5,), (1,), (1, 2), (1, 1, 1)])
+    def test_product_moment_takes_degrees_one_one(self, degrees):
+        # Both routes evaluate E(XY | Z), which is the (1, 1) moment only.
+        p = ModelParams(0.3, 0.6, -0.6, 0.5)
+        with pytest.raises(ValueError, match=r"\(1, 1\)"):
+            MomentSpec(MomentKind.COND_XY_GIVEN_Z, degrees, p, (0.4,))
+
 
 def _term_by_term(n, y, z, rho12, rho13, q, form):
     """E(H_n(X) | y, z) with every q-binomial and q-Pochhammer symbol formed

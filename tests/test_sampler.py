@@ -10,7 +10,7 @@ import pytest
 
 import qnormal3d
 from qnormal3d import sampler
-from qnormal3d.densities import ModelParams, f_n, f_x_given_yz, f_yz
+from qnormal3d.densities import ModelParams, _given_z, f_n, f_x_given_yz, f_yz
 from qnormal3d.errors import InsufficientSamples
 from qnormal3d.moments import _covariance, cov_yz, var_z
 from qnormal3d.qcore import support_halfwidth
@@ -33,6 +33,8 @@ from qnormal3d.sampler import (
     sample_3d,
     sample_fn,
 )
+
+from conditional_stats import T_BOUND, conditional_moment_t
 
 FAST_3D = dict(grid_points=64)
 
@@ -175,8 +177,8 @@ class TestGibbsSampler:
             return pchip_cdf(dens, h)
 
         monkeypatch.setattr(sampler, "_pchip_cdf", spy)
-        _conditional_draw(grid_x, base, y, p.rho12, z, p.rho13, q, phi, half, u)
-        _conditional_draw(grid_x, base, z, p.rho23, z, p.rho12 * p.rho13, q, phi, half, u)
+        _conditional_draw(grid_x, base, y, z, p, phi, half, u)
+        _conditional_draw(grid_x, base, z, z, _given_z(p), phi, half, u)
         theta, dtheta = _theta_of_phi(phi, half)
         jacobian = half * np.cos(theta) * dtheta
         wants = [
@@ -229,6 +231,22 @@ class TestGibbsSampler:
         for i, j in ((2, 2), (1, 2), (0, 1)):
             est = mc_moment(draws, lambda *v: v[i] * v[j])
             assert abs(est.value - cov[i, j]) < 3 * est.std_error, (i, j)
+
+    def test_conditional_moments_catch_swapped_correlations(self, monkeypatch):
+        # X | (Y, Z) drawn under rho12 and rho13 swapped keeps every margin
+        # and cov(Y, Z); only the conditional moments see it.
+        p = ModelParams(0.3, 0.6, -0.6, 0.0)
+        cfg = SamplerConfig(seed=2024, n_samples=20_000, grid_points=128)
+        assert np.max(np.abs(conditional_moment_t(sample_3d(p, cfg), p))) < T_BOUND
+        draw = sampler._conditional_draw
+
+        def swapped(grid_x, base, a, b, params, *rest):
+            if params == p:  # the X | (Y, Z) call; Y | Z reads _given_z(p)
+                params = p.permuted((0, 2, 1))
+            return draw(grid_x, base, a, b, params, *rest)
+
+        monkeypatch.setattr(sampler, "_conditional_draw", swapped)
+        assert np.max(np.abs(conditional_moment_t(sample_3d(p, cfg), p))) > T_BOUND
 
 
 class TestMcMoment:

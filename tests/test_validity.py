@@ -82,6 +82,7 @@ def test_every_error_has_its_documented_exit_code():
         "gram --family rogers --q 0.5 --r 0.9999999999999999".split(),
         "gram --family qhermite --q 0.5 --nmax -1".split(),
         "moments --kind cond_y --q 0.5 --rho 0.3,0.6,0.3 --n 2 --z 2.82842712474619".split(),
+        "moments --kind cond_xy --q 0.5 --m 2 --n 3".split(),
         "eval fN --q 0.5 --form rogers".split(),
         "eval pmKernel --q 0.5 --form closed".split(),
         "limits --q-seq 0.9,1".split(),
@@ -94,6 +95,7 @@ def test_every_error_has_its_documented_exit_code():
         "degenerate-recurrence",
         "negative-degree",
         "zero-density-point",
+        "product-moment-degrees",
         "form-of-a-density-without-routes",
         "form-the-density-lacks",
         "limits-q-at-bound",
