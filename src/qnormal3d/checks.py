@@ -59,6 +59,12 @@ from .polynomials import (
 from .qcore import _check_q, support_halfwidth
 from .quadrature import integrate1d, integrate2d, integrate3d
 
+__all__ = [
+    "VerificationReport",
+    "run_suite",
+    "SUITES",
+]
+
 TOL_NORM_1D = 1e-8
 TOL_NORM_2D = 1e-7
 TOL_NORM_3D = 1e-6
@@ -200,7 +206,7 @@ def check_marginals(p: ModelParams, seed: int = 7) -> List[VerificationReport]:
             TOL_R_ONLY,
         ),
     )
-    f3d_routes = [f_3d(*xyz, p, form=f) for f in DensityForm]
+    f3d_routes = [f_3d(*xyz, p, form=f) for f in (DensityForm.PRODUCT, DensityForm.SERIES)]
     fz_routes = [f_z(zs3, p.r, q, form=f) for f in MarginalForm]
     return [
         *(_report(name, integral.value, 1.0, tol) for name, integral, tol in norms),

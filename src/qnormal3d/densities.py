@@ -85,8 +85,6 @@ __all__ = [
     "f_yz_given_x",
     "pm_kernel",
     "aw_parameters",
-    "FORM_RTOL",
-    "FORM_ATOL",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -107,6 +105,7 @@ _PM_TAIL_TOL = 1e-14
 class DensityForm(enum.Enum):
     PRODUCT = "product"
     SERIES = "series"
+    # The product route under a second name, which callers still pass.
     CLOSED = "closed"
 
 
@@ -604,10 +603,10 @@ def f_3d(
 ):
     """Trivariate density; zero outside the support cube.
 
-    Product form chains the three pairwise conditionals, closed form expands
-    them into one constant and six kernel products, series form replaces each
-    coupling by its bilinear q-Hermite series.  All three agree pointwise to
-    FORM_RTOL and exist as separate code paths on purpose.
+    Product form chains the three pairwise conditionals, and series form
+    replaces each coupling by its bilinear q-Hermite series; the two are
+    independent routes that agree pointwise to FORM_RTOL.  Closed form, the
+    same ten log terms in another order, is the product route.
     """
     p = params
     _check_q(p.q)
@@ -618,23 +617,13 @@ def f_3d(
     # Each term depends on at most two coordinates, so only the first sum
     # that involves all three is result-sized.  The other terms go into it
     # in place, in the formula's order, which keeps every rounding the same.
-    if form == DensityForm.PRODUCT:
+    if form in (DensityForm.PRODUCT, DensityForm.CLOSED):
         val = np.asarray(
             log_c
             + _log_f_cn(xc, yc, p.rho12, p.q)
             + _log_f_cn(yc, zc, p.rho23, p.q)
         )
         val += _log_f_cn(zc, xc, p.rho13, p.q)
-        np.exp(val, out=val)
-    elif form == DensityForm.CLOSED:
-        val = np.asarray(
-            log_c + _log_f_n(xc, p.q) + _log_f_n(yc, p.q) + _log_f_n(zc, p.q)
-        )
-        for rho in (p.rho12, p.rho13, p.rho23):
-            val += log_q_pochhammer_inf(rho**2, p.q)
-        val -= _log_w(xc, yc, p.rho12, p.q)
-        val -= _log_w(xc, zc, p.rho13, p.q)
-        val -= _log_w(yc, zc, p.rho23, p.q)
         np.exp(val, out=val)
     elif form == DensityForm.SERIES:
         # The kernels are summed before the result is allocated, so their

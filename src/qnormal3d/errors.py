@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "QNormalError",
+    "NonConvergence",
+    "DomainError",
+    "DegenerateRecurrence",
+    "DegenerateConditioning",
+    "InsufficientSamples",
+]
+
 
 class QNormalError(Exception):
     """Base class for all library-specific errors."""
@@ -7,7 +16,8 @@ class QNormalError(Exception):
 
 class NonConvergence(QNormalError):
     """A truncated series, product or adaptive quadrature hit its cap
-    before reaching the requested tolerance."""
+    before reaching the requested tolerance, or a result lies outside the
+    double range."""
 
 
 class DomainError(QNormalError):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -30,6 +31,7 @@ from .qcore import (
     TAIL_TOL,
     _check_q,
     _check_rho,
+    _finite,
     _q_binomial_row,
     _q_numbers,
     _q_pochhammer_row,
@@ -39,6 +41,25 @@ from .qcore import (
     support_halfwidth,
 )
 from .quadrature import integrate1d, integrate2d
+
+__all__ = [
+    "MomentKind",
+    "CondMomentForm",
+    "MomentSpec",
+    "closed_form",
+    "quadrature_oracle",
+    "e_h2n_z",
+    "var_z",
+    "cov_yz",
+    "mixed_moment_h",
+    "cond_exp_hn_x_given_yz",
+    "cond_exp_x_given_yz",
+    "cond_exp_hn_y_given_z",
+    "cond_exp_xy_given_z",
+]
+
+# Largest argument of math.exp that stays in the double range.
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class MomentKind(enum.Enum):
@@ -97,7 +118,8 @@ def e_h2n_z(n: int, r: float, q: float) -> float:
     # The running product of r [n+j]_q / (1 - r q^j), j = 1..n, stays finite
     # where [2n]_q! overflows.
     qn = _q_numbers(2 * n, q)
-    return math.prod((r * qn[n + j] / (1.0 - r * q**j) for j in range(1, n + 1)), start=1.0)
+    value = math.prod((r * qn[n + j] / (1.0 - r * q**j) for j in range(1, n + 1)), start=1.0)
+    return _finite(value, f"E H_{2 * n}(Z)")
 
 
 def _variance(r: float, q: float) -> float:
@@ -143,7 +165,8 @@ def mixed_moment_h(m: int, n: int, p: ModelParams) -> float:
     multiplies the whole series.  The last band is where that decay reaches
     TAIL_TOL, plus m + n + 60 degrees for the polynomial growth of the
     bands.  Raises NonConvergence when the final band still contributes
-    more than TAIL_TOL relative to the total.
+    more than TAIL_TOL relative to the total, or when a term or the moment
+    overflows.
     """
     if m < 0 or n < 0:
         raise ValueError(f"degrees must be nonnegative, got ({m}, {n})")
@@ -156,8 +179,10 @@ def mixed_moment_h(m: int, n: int, p: ModelParams) -> float:
     tail = math.ceil(math.log(TAIL_TOL) / math.log(decay)) if decay > 0.0 else 0
     s_max = m + n + tail + 60
     # log [i]_q! for i <= s_max + 1: the factorials themselves overflow
-    # past i ~ 300 at q = 0.9, while the ratios a band needs stay moderate.
+    # past i ~ 300 at q = 0.9, and so may a ratio of them before the powers
+    # of a and b scale it down, so each term is one exp of its log.
     log_fact = [0.0, *itertools.accumulate(map(math.log, _q_numbers(s_max + 1, q)[1:]))]
+    log_a, log_b = (math.log(abs(c)) if c else -math.inf for c in (a, b))
     total = 0.0
     last_band = 0.0
     mu = min(m, n)
@@ -169,8 +194,12 @@ def mixed_moment_h(m: int, n: int, p: ModelParams) -> float:
             cn = q_binomial(n, k - (s - n) // 2, q)
             if cm == 0.0 or cn == 0.0:
                 continue
-            ratio = math.exp(log_fact[k] + log_fact[s - k] - log_den)
-            band += a**k * b ** (s - k) * cm * cn * ratio
+            log_term = log_fact[k] + log_fact[s - k] - log_den + math.log(cm) + math.log(cn)
+            log_term += (k * log_a if k else 0.0) + ((s - k) * log_b if s - k else 0.0)
+            if log_term > _LOG_MAX:
+                raise NonConvergence(f"mixed moment series term overflows at band {s}")
+            negative = (a < 0.0 and k % 2 == 1) != (b < 0.0 and (s - k) % 2 == 1)
+            band += -math.exp(log_term) if negative else math.exp(log_term)
         total += band
         last_band = abs(band)
     scale = max(1.0, abs(total))
@@ -179,7 +208,7 @@ def mixed_moment_h(m: int, n: int, p: ModelParams) -> float:
             f"mixed moment series tail {last_band:.3e} above tolerance "
             f"{TAIL_TOL:.1e} at band {s_max}"
         )
-    return (1.0 - p.r) * total
+    return _finite((1.0 - p.r) * total, "mixed moment")
 
 
 def _check_conditional(y, z, rho12: float, rho13: float, q: float) -> None:

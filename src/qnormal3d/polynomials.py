@@ -21,6 +21,7 @@ has E p_n^2 = beta_1 ... beta_n.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
@@ -29,7 +30,7 @@ import numpy as np
 
 from .densities import f_cn, f_n, f_r
 from .errors import DegenerateRecurrence
-from .qcore import _check_rho, _q_numbers, q_factorial, support_halfwidth
+from .qcore import _check_rho, _finite, _q_binomial_row, _q_numbers, support_halfwidth
 from .quadrature import gram_matrix
 
 __all__ = [
@@ -134,6 +135,9 @@ def triple_product_integral(k: int, m: int, n: int, q: float) -> float:
         / ([ (m+n-k)/2 ]_q! [ (m+k-n)/2 ]_q! [ (n+k-m)/2 ]_q!)
 
     The half indices are formed in integer arithmetic after the parity check.
+    The value is the running product [m choose b]_q [n]_q! prod_{c<j<=k} [j]_q
+    with b = (m+k-n)/2 and c = (n+k-m)/2.  Its factors are >= 1 for q >= 0,
+    so it overflows, raising NonConvergence, only where the value does.
     """
     if min(k, m, n) < 0:
         return 0.0
@@ -141,12 +145,11 @@ def triple_product_integral(k: int, m: int, n: int, q: float) -> float:
         return 0.0
     if m + n < k or m + k < n or n + k < m:
         return 0.0
-    a = (m + n - k) // 2
     b = (m + k - n) // 2
     c = (n + k - m) // 2
-    num = q_factorial(m, q) * q_factorial(n, q) * q_factorial(k, q)
-    den = q_factorial(a, q) * q_factorial(b, q) * q_factorial(c, q)
-    return num / den
+    qn = _q_numbers(max(k, m, n), q)
+    value = math.prod(qn[1 : n + 1] + qn[c + 1 : k + 1], start=_q_binomial_row(m, qn)[b])
+    return _finite(value, f"triple product integral ({k}, {m}, {n})")
 
 
 def default_y(q: float) -> float:

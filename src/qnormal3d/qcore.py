@@ -34,14 +34,10 @@ import numpy as np
 from .errors import DomainError, NonConvergence
 
 __all__ = [
-    "MAX_TERMS",
-    "TAIL_TOL",
-    "PRODUCT_TOL",
     "q_number",
     "q_factorial",
     "q_binomial",
     "q_pochhammer",
-    "log_q_pochhammer_inf",
     "support_halfwidth",
 ]
 
@@ -176,6 +172,13 @@ def _check_rho(rho: float, name: str = "rho") -> None:
     """The same rule for a correlation or ratio named ``name``."""
     if not abs(rho) < 1.0:
         raise ValueError(f"|{name}| must be < 1, got {name}={rho}")
+
+
+def _finite(value: float, what: str) -> float:
+    """A closed form's value, or NonConvergence where it left the double range."""
+    if not math.isfinite(value):
+        raise NonConvergence(f"{what} overflows the double range")
+    return value
 
 
 def _require_support(arr, half: float, what: str) -> None:

@@ -70,14 +70,6 @@ from .errors import NonConvergence
 from .qcore import _check_q, support_halfwidth
 
 __all__ = [
-    "QUAD_ORDER",
-    "QUAD_TOL_1D",
-    "QUAD_TOL_2D",
-    "QUAD_TOL_3D",
-    "MAX_PANELS_1D",
-    "MAX_PANELS_2D",
-    "MAX_PANELS_3D",
-    "MAP_SCALE",
     "IntegralResult",
     "integrate1d",
     "integrate2d",

@@ -35,6 +35,18 @@ from .errors import DegenerateConditioning, InsufficientSamples
 from .qcore import _check_q, support_halfwidth
 from .quadrature import _phi_of_theta, _theta_of_phi
 
+__all__ = [
+    "SamplerConfig",
+    "McEstimate",
+    "sample_fn",
+    "sample_3d",
+    "mc_moment",
+    "cdf_fn",
+    "cdf_r",
+    "ks_statistic",
+    "ks_critical",
+]
+
 _BISECTIONS = 26
 _BLOCK = 4096
 # The fixed grid of cdf_fn and cdf_r: points uniform in the mapped angle.

@@ -524,6 +524,13 @@ class TestJointDensity:
             alt = f_3d(pts[:, 0], pts[:, 1], pts[:, 2], params, form=form)
             np.testing.assert_allclose(alt, ref, rtol=1e-9)
 
+    def test_closed_is_the_product_route(self, params):
+        pts = np.linspace(-0.9, 0.9, 7) * support_halfwidth(params.q)
+        x, y, z = np.meshgrid(pts, pts, pts, indexing="ij")
+        np.testing.assert_array_equal(
+            f_3d(x, y, z, params, form=DensityForm.CLOSED), f_3d(x, y, z, params)
+        )
+
     def test_pair_marginal_consistency(self, params):
         # integrating the joint density over x recovers the (y, z) margin
         y0, z0 = 0.5, -0.8

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qnormal3d.checks import TOL_COND_FORMS
 from qnormal3d.densities import ModelParams
-from qnormal3d.errors import DomainError
+from qnormal3d.errors import DomainError, NonConvergence
 from qnormal3d.moments import (
     CondMomentForm,
     MomentKind,
@@ -50,6 +50,10 @@ class TestUnivariateClosedForms:
         want = math.exp(math.fsum(logs))
         assert e_h2n_z(n, r, q) == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    def test_even_hermite_moment_past_the_double_range_raises(self):
+        with pytest.raises(NonConvergence, match="overflow"):
+            e_h2n_z(2000, 0.9, 0.99)
+
     @given(r=st.floats(min_value=-0.7, max_value=0.7), q=qs)
     def test_variance_from_hermite_moment(self, r, q):
         # E z^2 = E H_2(z) + 1
@@ -77,6 +81,41 @@ class TestMixedMoments:
         p = ModelParams(0.95, 0.95, 0.95, 0.9)
         assert mixed_moment_h(0, 0, p) == pytest.approx(1.0, rel=1e-12)
         assert mixed_moment_h(1, 1, p) == pytest.approx(cov_yz(p), rel=1e-12)
+
+    def test_past_the_ratio_overflow(self):
+        # A band's factorial ratio overflows here before the powers of
+        # a = rho23 and b = rho12 rho13 scale it down; the moment is ~9.9e77.
+        m = n = 200
+        p = ModelParams(0.05, 0.05, 0.05, 0.99)
+        a, b = p.rho23, p.rho12 * p.rho13
+        s_max = m + n + math.ceil(math.log(1e-12) / math.log(max(a, b))) + 60
+        log_fact = [0.0]
+        for i in range(1, s_max + 1):
+            log_fact.append(log_fact[-1] + math.log((1.0 - p.q**i) / (1.0 - p.q)))
+
+        def log_binom(top, k):
+            return log_fact[top] - log_fact[k] - log_fact[top - k]
+
+        logs = [
+            log_fact[k] + log_fact[s - k] - log_fact[(s - m) // 2] - log_fact[(s - n) // 2]
+            + log_binom(m, k - (s - m) // 2) + log_binom(n, k - (s - n) // 2)
+            + k * math.log(a) + (s - k) * math.log(b)
+            for s in range(m, s_max + 1, 2)
+            for k in range((s - m) // 2, (s + m) // 2 + 1)
+        ]
+        top = max(logs)
+        want = (1.0 - p.r) * math.exp(top) * math.fsum(math.exp(x - top) for x in logs)
+        assert mixed_moment_h(m, n, p) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert math.log10(want) == pytest.approx(77.995, abs=1e-3)
+
+    def test_past_the_double_range_raises(self):
+        with pytest.raises(NonConvergence, match="overflow"):
+            mixed_moment_h(200, 200, ModelParams(0.9, 0.9, 0.9, 0.99))
+
+    @pytest.mark.parametrize("rho", [(0.0, 0.6, 0.5), (0.3, 0.6, 0.0)], ids=["b=0", "a=0"])
+    def test_zero_power_base_matches_oracle(self, rho):
+        spec = MomentSpec(MomentKind.UNCONDITIONAL, (2, 4), ModelParams(*rho, 0.5))
+        assert closed_form(spec) == pytest.approx(quadrature_oracle(spec), rel=1e-9, abs=1e-12)
 
 
 class TestOracleRegistry:

@@ -1,11 +1,13 @@
 """Recurrence-built polynomial families and their exact cross-relations."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnormal3d.errors import DegenerateRecurrence
+from qnormal3d.errors import DegenerateRecurrence, NonConvergence
 from qnormal3d.polynomials import (
     FAMILIES,
     PolySequence,
@@ -174,6 +176,21 @@ class TestTripleProduct:
         ref = triple_product_integral(k, m, n, q)
         assert triple_product_integral(m, k, n, q) == pytest.approx(ref, rel=1e-12)
         assert triple_product_integral(n, m, k, q) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("k, m, n, q", [(2, 300, 300, 0.9), (4, 200, 202, 0.95)])
+    def test_past_factorial_overflow(self, k, m, n, q):
+        # [m]_q! [n]_q! overflows here; the integral, about 2.4e295 and
+        # 6.3e251, does not.
+        def log_fact(j):
+            return math.fsum(math.log((1.0 - q**i) / (1.0 - q)) for i in range(1, j + 1))
+
+        halves = ((m + n - k) // 2, (m + k - n) // 2, (n + k - m) // 2)
+        want = math.fsum(map(log_fact, (k, m, n))) - math.fsum(map(log_fact, halves))
+        assert math.log(triple_product_integral(k, m, n, q)) == pytest.approx(want, abs=1e-12)
+
+    def test_past_the_double_range_raises(self):
+        with pytest.raises(NonConvergence, match="overflow"):
+            triple_product_integral(300, 300, 300, 0.9)
 
 
 class TestPolySequence:

@@ -126,6 +126,7 @@ def _exit_code_with_one_error_line(argv, capsys):
         "eval fZ --q 0.999 --r 0.9 --form hermite-series --grid -60:60:5".split(),
         "eval fZ --q 0.999 --r 0.06 --form even-series --grid -60:60:5".split(),
         "eval f3D --q 0.999 --form series --rho 0.9,0.9,0.9 --grid -60:60:3".split(),
+        "moments --kind mixed --q 0.99 --rho 0.9,0.9,0.9 --m 200 --n 200".split(),
     ],
     ids=[
         "hermite-moment-overflow",
@@ -133,11 +134,13 @@ def _exit_code_with_one_error_line(argv, capsys):
         "fz-hermite-series-overflow",
         "fz-even-series-overflow",
         "f3d-series-overflow",
+        "mixed-moment-overflow",
     ],
 )
-# The integrands or series terms overflow: the first level that is not
-# finite ends the refinement, and the first non-finite envelope ends the
-# series, with NonConvergence; numpy prints no warning of its own.
+# The integrands, series terms or closed forms overflow: the first level that
+# is not finite ends the refinement, the first non-finite envelope ends the
+# series, and a closed form past the double range raises, each with
+# NonConvergence; numpy prints no warning of its own.
 @pytest.mark.filterwarnings("error")
 def test_cli_quadrature_overflow_exits_3_with_one_error_line(argv, capsys):
     assert _exit_code_with_one_error_line(argv, capsys) == 3
