@@ -51,6 +51,7 @@ from .moments import (
 )
 from .polynomials import (
     FAMILIES,
+    _gram_basis,
     asc_poly,
     default_y,
     hermite_prob,
@@ -337,19 +338,24 @@ def check_conditionals(p: ModelParams, seed: int = 7) -> List[VerificationReport
 
 
 def _pcm_residual(n: int, p: ModelParams) -> float:
-    """Least-squares residual of a total-degree-n fit to E(H_n(X) | y, z)."""
+    """Least-squares residual of a total-degree-n fit to E(H_n(X) | y, z).
+
+    T is the (m, m) table of the moment on m = 2n + 5 equispaced points
+    over +-0.85 L in each of z (rows) and y (columns).  The products
+    P_i(z) P_j(y) of the orthonormal Gram polynomials on those points are
+    an orthonormal basis of the tables, and those with i + j <= n span the
+    polynomials of total degree n, so the fit keeps C = P T P^T where
+    i + j <= n and the residual is ||T - P^T C P||_F: two small matrix
+    products on a basis of condition number 1, with no linear solve.
+    """
+    m = 2 * n + 5
     half = support_halfwidth(p.q)
-    grid = np.linspace(-0.85 * half, 0.85 * half, 2 * n + 5)
-    yg, zg = np.meshgrid(grid, grid)
-    cols = [
-        (yg**i * zg**j).ravel()
-        for i in range(n + 1)
-        for j in range(n + 1 - i)
-    ]
-    design = np.array(cols).T
-    target = cond_exp_hn_x_given_yz(n, yg.ravel(), zg.ravel(), p.rho12, p.rho13, p.q)
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    return float(np.linalg.norm(design @ coef - target))
+    grid = np.linspace(-0.85 * half, 0.85 * half, m)
+    target = cond_exp_hn_x_given_yz(n, grid, grid[:, None], p.rho12, p.rho13, p.q)
+    basis = _gram_basis(n, m)
+    coef = basis @ target @ basis.T
+    coef[np.add.outer(np.arange(n + 1), np.arange(n + 1)) > n] = 0.0
+    return float(np.linalg.norm(target - basis.T @ coef @ basis))
 
 
 def kesten_mckay_density(x, r: float):

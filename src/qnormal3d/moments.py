@@ -165,8 +165,12 @@ def mixed_moment_h(m: int, n: int, p: ModelParams) -> float:
     multiplies the whole series.  The last band is where that decay reaches
     TAIL_TOL, plus m + n + 60 degrees for the polynomial growth of the
     bands.  Raises NonConvergence when the final band still contributes
-    more than TAIL_TOL relative to the total, or when a term or the moment
-    overflows.
+    more than TAIL_TOL relative to the total, when a term or the moment
+    overflows, or when the terms cancel: the sum carries sum |term|, and
+    each term passes through at most (terms in a band) + (bands) roundings,
+    so eps * that depth * sum |term| bounds the rounding error (Higham,
+    Accuracy and Stability of Numerical Algorithms, sec. 4.2); past
+    TAIL_TOL * max(1, |total|) the value is not resolved.
     """
     if m < 0 or n < 0:
         raise ValueError(f"degrees must be nonnegative, got ({m}, {n})")
@@ -184,9 +188,11 @@ def mixed_moment_h(m: int, n: int, p: ModelParams) -> float:
     log_fact = [0.0, *itertools.accumulate(map(math.log, _q_numbers(s_max + 1, q)[1:]))]
     log_a, log_b = (math.log(abs(c)) if c else -math.inf for c in (a, b))
     total = 0.0
+    magnitude = 0.0
     last_band = 0.0
     mu = min(m, n)
-    for s in range(max(m, n), s_max + 1, 2):
+    bands = range(max(m, n), s_max + 1, 2)
+    for s in bands:
         log_den = log_fact[(s - m) // 2] + log_fact[(s - n) // 2]
         band = 0.0
         for k in range((s - mu) // 2, (s + mu) // 2 + 1):
@@ -199,10 +205,18 @@ def mixed_moment_h(m: int, n: int, p: ModelParams) -> float:
             if log_term > _LOG_MAX:
                 raise NonConvergence(f"mixed moment series term overflows at band {s}")
             negative = (a < 0.0 and k % 2 == 1) != (b < 0.0 and (s - k) % 2 == 1)
-            band += -math.exp(log_term) if negative else math.exp(log_term)
+            term = math.exp(log_term)
+            magnitude += term
+            band += -term if negative else term
         total += band
         last_band = abs(band)
     scale = max(1.0, abs(total))
+    rounding = sys.float_info.epsilon * (mu + 1 + len(bands)) * magnitude
+    if rounding > TAIL_TOL * scale:
+        raise NonConvergence(
+            f"mixed moment series cancels: rounding bound {rounding:.3e} above "
+            f"{TAIL_TOL:.1e} x {scale:.3e}"
+        )
     if last_band > TAIL_TOL * scale:
         raise NonConvergence(
             f"mixed moment series tail {last_band:.3e} above tolerance "

@@ -32,6 +32,7 @@ from qnormal3d.checks import (
     _interior,
     _limit_ratios,
     _limit_row,
+    _pcm_residual,
     _report,
     _rng,
     _worst,
@@ -77,7 +78,13 @@ from qnormal3d.moments import (
     quadrature_oracle,
     var_z,
 )
-from qnormal3d.polynomials import FAMILIES, default_y, q_hermite, triple_product_integral
+from qnormal3d.polynomials import (
+    FAMILIES,
+    _gram_basis,
+    default_y,
+    q_hermite,
+    triple_product_integral,
+)
 from qnormal3d.qcore import support_halfwidth
 from qnormal3d.quadrature import integrate1d, integrate2d, integrate3d
 
@@ -477,19 +484,22 @@ def _ref_conditionals(p, seed):
 
     pairs = []
     for n in range(1, 5):
+        m = 2 * n + 5
         half = support_halfwidth(p.q)
-        grid = np.linspace(-0.85 * half, 0.85 * half, 2 * n + 5)
-        yg, zg = np.meshgrid(grid, grid)
-        cols = [(yg**i * zg**j).ravel() for i in range(n + 1) for j in range(n + 1 - i)]
-        design = np.array(cols).T
+        grid = np.linspace(-0.85 * half, 0.85 * half, m)
         target = np.array(
             [
-                cond_exp_hn_x_given_yz(n, yv, zv, p.rho12, p.rho13, p.q)
-                for yv, zv in zip(yg.ravel(), zg.ravel())
+                [cond_exp_hn_x_given_yz(n, yv, zv, p.rho12, p.rho13, p.q) for yv in grid]
+                for zv in grid
             ]
         )
-        coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-        pairs.append((float(np.linalg.norm(design @ coef - target)), 0.0))
+        basis = _gram_basis(n, m)
+        coef = basis @ target @ basis.T
+        for i in range(n + 1):
+            for j in range(n + 1):
+                if i + j > n:
+                    coef[i, j] = 0.0
+        pairs.append((float(np.linalg.norm(target - basis.T @ coef @ basis)), 0.0))
     return [*out, _worst("pcm-degree-fit", pairs, TOL_PCM)]
 
 
@@ -529,3 +539,57 @@ class TestVectorizedProbesPinned:
         p, seed = PINNED[-1]
         rows = {rep.name: rep for rep in check_poisson_mehler(p, seed)}
         assert not rows["pm-series-vs-product"].passed
+
+
+def _lstsq_residual(n, p):
+    """The monomial least-squares fit the Gram projection replaced, and the
+    size of its target: (residual, ||T||)."""
+    half = support_halfwidth(p.q)
+    grid = np.linspace(-0.85 * half, 0.85 * half, 2 * n + 5)
+    yg, zg = np.meshgrid(grid, grid)
+    design = np.array(
+        [(yg**i * zg**j).ravel() for i in range(n + 1) for j in range(n + 1 - i)]
+    ).T
+    target = cond_exp_hn_x_given_yz(n, yg.ravel(), zg.ravel(), p.rho12, p.rho13, p.q)
+    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
+    return float(np.linalg.norm(design @ coef - target)), float(np.linalg.norm(target))
+
+
+@pytest.mark.parametrize("q", [*SWEEP_Q, 0.99, 0.999])
+def test_pcm_projection_is_the_least_squares_fit(q):
+    """The Gram projection's residual is the least-squares residual, and on
+    the acceptance grid every pcm-degree-fit verdict is the one lstsq gave."""
+    for rho in SWEEP_RHO:
+        p = ModelParams(*rho, q)
+        for n in range(1, 5):
+            want, size = _lstsq_residual(n, p)
+            got = _pcm_residual(n, p)
+            assert abs(got - want) <= 1e-13 * size, (rho, n)
+            if q in SWEEP_Q:
+                assert (got <= TOL_PCM) == (want <= TOL_PCM), (rho, n)
+
+
+LAPACK_ROUTINES = (
+    "lstsq", "solve", "inv", "pinv", "svd", "qr", "eig", "eigh", "eigvals", "eigvalsh",
+    "cholesky", "det", "slogdet", "matrix_rank",
+)
+
+
+@pytest.mark.parametrize("p", [ModelParams(*SWEEP_RHO[0], 0.9), ModelParams(*SWEEP_RHO[-1], -0.5)])
+def test_identity_sweep_calls_no_lapack(p, monkeypatch):
+    """The sweep calls no LAPACK-backed numpy.linalg routine, whose first
+    call would page LAPACK code and workspace into the process."""
+    calls = []
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"numpy.linalg.{name} called")
+
+        return call
+
+    for name in LAPACK_ROUTINES:
+        monkeypatch.setattr(np.linalg, name, refuse(name))
+    reports = run_suite("all", p)
+    assert calls == []
+    assert all(rep.passed for rep in reports)

@@ -112,6 +112,13 @@ class TestMixedMoments:
         with pytest.raises(NonConvergence, match="overflow"):
             mixed_moment_h(200, 200, ModelParams(0.9, 0.9, 0.9, 0.99))
 
+    def test_cancellation_raises(self):
+        # a = -0.6 alternates the terms' signs; the largest is ~8e217 while
+        # a 400-digit sum of the same series is ~3.5e191, far below what
+        # double rounding of those terms resolves.
+        with pytest.raises(NonConvergence, match="cancels"):
+            mixed_moment_h(150, 150, ModelParams(0.3, -0.6, 0.5, 0.99))
+
     @pytest.mark.parametrize("rho", [(0.0, 0.6, 0.5), (0.3, 0.6, 0.0)], ids=["b=0", "a=0"])
     def test_zero_power_base_matches_oracle(self, rho):
         spec = MomentSpec(MomentKind.UNCONDITIONAL, (2, 4), ModelParams(*rho, 0.5))

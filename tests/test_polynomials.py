@@ -11,6 +11,7 @@ from qnormal3d.errors import DegenerateRecurrence, NonConvergence
 from qnormal3d.polynomials import (
     FAMILIES,
     PolySequence,
+    _gram_basis,
     asc_poly,
     hermite_prob,
     q_hermite,
@@ -151,6 +152,18 @@ class TestFamilyNorms:
             for name, (args, want) in closed.items():
                 got = FAMILIES[name].norms(n, *args, q)
                 np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0, err_msg=name)
+
+
+class TestGramBasis:
+    """The discrete Chebyshev (Gram) rows give an orthonormal basis on the
+    equispaced points the conditional-moment fit reads."""
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_orthonormal_on_its_points(self, n):
+        m = 2 * n + 5
+        basis = _gram_basis(n, m)
+        assert basis.shape == (n + 1, m)
+        np.testing.assert_allclose(basis @ basis.T, np.eye(n + 1), rtol=0.0, atol=1e-14)
 
 
 class TestTripleProduct:

@@ -127,6 +127,7 @@ def _exit_code_with_one_error_line(argv, capsys):
         "eval fZ --q 0.999 --r 0.06 --form even-series --grid -60:60:5".split(),
         "eval f3D --q 0.999 --form series --rho 0.9,0.9,0.9 --grid -60:60:3".split(),
         "moments --kind mixed --q 0.99 --rho 0.9,0.9,0.9 --m 200 --n 200".split(),
+        "moments --kind mixed --q 0.99 --rho 0.3,-0.6,0.5 --m 150 --n 150".split(),
     ],
     ids=[
         "hermite-moment-overflow",
@@ -135,12 +136,14 @@ def _exit_code_with_one_error_line(argv, capsys):
         "fz-even-series-overflow",
         "f3d-series-overflow",
         "mixed-moment-overflow",
+        "mixed-moment-cancellation",
     ],
 )
 # The integrands, series terms or closed forms overflow: the first level that
 # is not finite ends the refinement, the first non-finite envelope ends the
 # series, and a closed form past the double range raises, each with
-# NonConvergence; numpy prints no warning of its own.
+# NonConvergence; numpy prints no warning of its own.  A closed form whose
+# terms cancel past its rounding bound raises the same way.
 @pytest.mark.filterwarnings("error")
 def test_cli_quadrature_overflow_exits_3_with_one_error_line(argv, capsys):
     assert _exit_code_with_one_error_line(argv, capsys) == 3
