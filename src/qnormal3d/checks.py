@@ -57,7 +57,7 @@ from .polynomials import (
     hermite_prob,
     triple_product_integral,
 )
-from .qcore import _check_q, support_halfwidth
+from .qcore import _check_q, _check_seed, support_halfwidth
 from .quadrature import integrate1d, integrate2d, integrate3d
 
 __all__ = [
@@ -155,6 +155,7 @@ def _forms_agree(name: str, route_values: Sequence, tol: float) -> VerificationR
 
 
 def _rng(seed: int) -> np.random.Generator:
+    _check_seed(seed)
     return np.random.Generator(np.random.Philox(key=seed))
 
 

@@ -36,8 +36,6 @@ from .qcore import (
     _q_numbers,
     _q_pochhammer_row,
     _require_support,
-    q_binomial,
-    q_factorial,
     support_halfwidth,
 )
 from .quadrature import integrate1d, integrate2d
@@ -79,14 +77,21 @@ class CondMomentForm(enum.Enum):
     DOUBLE_SUM = "double-sum"
 
 
+# Each kind's allowed degree counts and number of conditioning points.
+_SHAPES = {
+    MomentKind.UNCONDITIONAL: ((1, 2), 0),
+    MomentKind.COND_X_GIVEN_YZ: ((1,), 2),
+    MomentKind.COND_Y_GIVEN_Z: ((1,), 1),
+    MomentKind.COND_XY_GIVEN_Z: ((2,), 1),
+}
+
+
 @dataclass(frozen=True)
 class MomentSpec:
     """A single moment request: what to average, under which law, where.
 
-    ``degrees`` holds the q-Hermite degrees involved: one entry for a
-    single-coordinate moment, two for a mixed or product moment.  ``points``
-    holds the conditioning values (empty for unconditional moments, (y, z)
-    for conditioning on both coordinates, (z,) for conditioning on one).
+    ``degrees`` holds the q-Hermite degrees involved and ``points`` the
+    conditioning values; ``_SHAPES`` gives how many of each a kind takes.
     """
 
     kind: MomentKind
@@ -95,13 +100,17 @@ class MomentSpec:
     points: Tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.degrees:
-            raise ValueError("degrees must be a nonempty tuple")
+        if not isinstance(self.kind, MomentKind):
+            raise ValueError(f"kind must be a MomentKind, got {self.kind!r}")
         if any((not isinstance(d, int)) or d < 0 for d in self.degrees):
             raise ValueError(f"degrees must be nonnegative integers, got {self.degrees}")
-        _require_support(self.points, support_halfwidth(self.params.q), "conditioning point")
         if self.kind is MomentKind.COND_XY_GIVEN_Z and tuple(self.degrees) != (1, 1):
             raise ValueError(f"E(XY | Z) takes degrees (1, 1), got {self.degrees}")
+        counts, n_points = _SHAPES[self.kind]
+        if len(self.degrees) not in counts or len(self.points) != n_points:
+            takes = f"{' or '.join(map(str, counts))} degrees and {n_points} points"
+            raise ValueError(f"{self.kind.value} takes {takes}, got {self.degrees}, {self.points}")
+        _require_support(self.points, support_halfwidth(self.params.q), "conditioning point")
 
 
 def e_h2n_z(n: int, r: float, q: float) -> float:
@@ -182,10 +191,14 @@ def mixed_moment_h(m: int, n: int, p: ModelParams) -> float:
     decay = max(abs(a), abs(b))
     tail = math.ceil(math.log(TAIL_TOL) / math.log(decay)) if decay > 0.0 else 0
     s_max = m + n + tail + 60
-    # log [i]_q! for i <= s_max + 1: the factorials themselves overflow
-    # past i ~ 300 at q = 0.9, and so may a ratio of them before the powers
-    # of a and b scale it down, so each term is one exp of its log.
-    log_fact = [0.0, *itertools.accumulate(map(math.log, _q_numbers(s_max + 1, q)[1:]))]
+    # log [i]_q! for i <= s_max + 1, and the log q-binomial rows of m and n:
+    # [i]_q! overflows past i ~ 300 at q = 0.9, and so may a ratio of them
+    # before the powers of a and b scale it down, so each term is one exp.
+    qn = _q_numbers(s_max + 1, q)
+    log_fact = [0.0, *itertools.accumulate(map(math.log, qn[1:]))]
+    log_bm, log_bn = (
+        [math.log(c) if c else -math.inf for c in _q_binomial_row(d, qn)] for d in (m, n)
+    )
     log_a, log_b = (math.log(abs(c)) if c else -math.inf for c in (a, b))
     total = 0.0
     magnitude = 0.0
@@ -193,14 +206,11 @@ def mixed_moment_h(m: int, n: int, p: ModelParams) -> float:
     mu = min(m, n)
     bands = range(max(m, n), s_max + 1, 2)
     for s in bands:
-        log_den = log_fact[(s - m) // 2] + log_fact[(s - n) // 2]
+        jm, jn = (s - m) // 2, (s - n) // 2
+        log_den = log_fact[jm] + log_fact[jn]
         band = 0.0
         for k in range((s - mu) // 2, (s + mu) // 2 + 1):
-            cm = q_binomial(m, k - (s - m) // 2, q)
-            cn = q_binomial(n, k - (s - n) // 2, q)
-            if cm == 0.0 or cn == 0.0:
-                continue
-            log_term = log_fact[k] + log_fact[s - k] - log_den + math.log(cm) + math.log(cn)
+            log_term = log_fact[k] + log_fact[s - k] - log_den + log_bm[k - jm] + log_bn[k - jn]
             log_term += (k * log_a if k else 0.0) + ((s - k) * log_b if s - k else 0.0)
             if log_term > _LOG_MAX:
                 raise NonConvergence(f"mixed moment series term overflows at band {s}")
@@ -248,8 +258,11 @@ def cond_exp_hn_x_given_yz(
     """E(H_n(X) | Y=y, Z=z), a polynomial of total degree n in (y, z).
 
     The conditional law of X given both other coordinates depends only on
-    rho12 and rho13, so rho23 does not appear.  The two forms agree to
-    near machine precision; they differ in how the answer is organized.
+    rho12 and rho13, so rho23 does not appear.  The forms agree to rounding
+    at q = 0.9 but part, without raising, as q -> 1: at (rho12, rho13) =
+    (0.3, 0.6), (y, z) = (0.37, -0.21) L with L the support half-width and
+    n = 15 they differ by 2.0e-8 at q = 0.99 and 3.0e-3 at q = 0.999, nearly
+    all of it ASC_EXPANSION's error against quadrature (ROADMAP item 8).
 
     Both take y and z as scalars or broadcastable arrays and return a float
     or an array; each point of an array result equals that point evaluated
@@ -266,11 +279,11 @@ def cond_exp_hn_x_given_yz(
     binom_n = _q_binomial_row(n, qn)
     poch12 = _q_pochhammer_row(rho12**2, q, n)
     poch_both = _q_pochhammer_row(rho12**2 * rho13**2, q, n)
+    hy = q_hermite(n, y, q).values
     if form is CondMomentForm.ASC_EXPANSION:
         # H_n(x) = sum_s [n s]_q rho12^(n-s) H_{n-s}(y) P_s(x | y, rho12), and
         # E(P_s(X) | y, z) = rho13^s (rho12^2)_s / (rho12^2 rho13^2)_s
         # P_s(z | y, rho12 rho13).
-        hy = q_hermite(n, y, q).values
         pz = asc_poly(n, z, y, rho12 * rho13, q).values
         total = 0.0
         for s in range(n + 1):
@@ -286,7 +299,6 @@ def cond_exp_hn_x_given_yz(
         return float(total) if scalar else total
     if form is CondMomentForm.DOUBLE_SUM:
         hz = q_hermite(n, z, q).values
-        hy = q_hermite(n, y, q).values
         poch13 = _q_pochhammer_row(rho13**2, q, n)
         total = 0.0
         for k in range(n // 2 + 1):
@@ -295,8 +307,8 @@ def cond_exp_hn_x_given_yz(
                 (-1) ** k
                 * q ** (k * (k - 1) // 2)
                 * binom_n[2 * k]
-                * q_binomial(2 * k, k, q)
-                * q_factorial(k, q)
+                * _q_binomial_row(2 * k, qn)[k]
+                * math.prod(qn[1 : k + 1], start=1.0)
                 * (rho12 * rho13) ** (2 * k)
                 * poch12[k]
                 * poch13[k]
@@ -382,67 +394,40 @@ def closed_form(spec: MomentSpec) -> float:
     """Evaluate a moment request by its closed form."""
     p = spec.params
     if spec.kind is MomentKind.UNCONDITIONAL:
-        if len(spec.degrees) == 1:
-            n = spec.degrees[0]
-            if n % 2:
-                return 0.0
-            return e_h2n_z(n // 2, p.r, p.q)
         if len(spec.degrees) == 2:
-            return mixed_moment_h(spec.degrees[0], spec.degrees[1], p)
-        raise ValueError("unconditional moments take one or two degrees")
+            return mixed_moment_h(*spec.degrees, p)
+        (n,) = spec.degrees
+        return 0.0 if n % 2 else e_h2n_z(n // 2, p.r, p.q)
     if spec.kind is MomentKind.COND_X_GIVEN_YZ:
-        (n,) = spec.degrees
-        y, z = spec.points
-        return cond_exp_hn_x_given_yz(n, y, z, p.rho12, p.rho13, p.q)
+        return cond_exp_hn_x_given_yz(*spec.degrees, *spec.points, p.rho12, p.rho13, p.q)
     if spec.kind is MomentKind.COND_Y_GIVEN_Z:
-        (n,) = spec.degrees
-        (z,) = spec.points
-        return cond_exp_hn_y_given_z(n, z, p)
-    if spec.kind is MomentKind.COND_XY_GIVEN_Z:
-        (z,) = spec.points
-        return cond_exp_xy_given_z(z, p)
-    raise ValueError(f"unknown moment kind {spec.kind!r}")
+        return cond_exp_hn_y_given_z(*spec.degrees, *spec.points, p)
+    return cond_exp_xy_given_z(*spec.points, p)
 
 
 def quadrature_oracle(spec: MomentSpec) -> float:
     """Evaluate the same moment request by direct numerical integration."""
     p = spec.params
     q = p.q
+
+    def h(d: int, t: np.ndarray) -> np.ndarray:
+        return q_hermite(d, t, q).values[d]
+
     if spec.kind is MomentKind.UNCONDITIONAL:
         if len(spec.degrees) == 1:
-            n = spec.degrees[0]
-            return _marginal_moment(lambda zz: q_hermite(n, zz, q).values[n], p.r, q)
-        if len(spec.degrees) == 2:
-            m, n = spec.degrees
-
-            def g_yz(yy: np.ndarray, zz: np.ndarray) -> np.ndarray:
-                return (
-                    q_hermite(m, yy, q).values[m]
-                    * q_hermite(n, zz, q).values[n]
-                    * f_yz(yy, zz, p)
-                )
-
-            return integrate2d(g_yz, q).value
-        raise ValueError("unconditional moments take one or two degrees")
+            return _marginal_moment(lambda zz: h(*spec.degrees, zz), p.r, q)
+        m, n = spec.degrees
+        return integrate2d(lambda yy, zz: h(m, yy) * h(n, zz) * f_yz(yy, zz, p), q).value
     if spec.kind is MomentKind.COND_X_GIVEN_YZ:
         (n,) = spec.degrees
-        y, z = spec.points
-
-        def g_x(xx: np.ndarray) -> np.ndarray:
-            return q_hermite(n, xx, q).values[n] * f_x_given_yz(xx, y, z, p)
-
-        return integrate1d(g_x, q).value
+        return integrate1d(lambda xx: h(n, xx) * f_x_given_yz(xx, *spec.points, p), q).value
     # The conditional densities below are ratios formed in logs before they
     # are integrated, so each integrates to 1 however small f_z(z) is.
+    (z,) = spec.points
     if spec.kind is MomentKind.COND_Y_GIVEN_Z:
-        (z,) = spec.points
         return quadrature_oracle(
             MomentSpec(MomentKind.COND_X_GIVEN_YZ, spec.degrees, _given_z(p), (z, z))
         )
-    if spec.kind is MomentKind.COND_XY_GIVEN_Z:
-        (z,) = spec.points
-        # f_3d(x, y, z) / f_z(z): the law of (Y, Z) given X, relabelled.
-        relabelled = p.permuted((2, 0, 1))
-        return integrate2d(lambda xx, yy: xx * yy * f_yz_given_x(xx, yy, z, relabelled), q).value
-    raise ValueError(f"unknown moment kind {spec.kind!r}")
-
+    # f_3d(x, y, z) / f_z(z): the law of (Y, Z) given X, relabelled.
+    relabelled = p.permuted((2, 0, 1))
+    return integrate2d(lambda xx, yy: xx * yy * f_yz_given_x(xx, yy, z, relabelled), q).value

@@ -18,10 +18,11 @@ fall below TAIL_TOL, under the same cap.
 
 The package's one validity rule is written here as well: every parameter
 (q, a correlation rho, the ratio r) has absolute value below 1, and every
-conditioning point lies in [-L, L] with L = support_halfwidth(q); a NaN
-parameter or point fails the rule.  The densities, moments, samplers and
-quadrature call _check_q, _check_rho and _require_support rather than
-test it themselves.
+conditioning point lies in [-L, L] with L = support_halfwidth(q), and
+every seed lies in [0, 2**64); a NaN parameter or point fails the rule.
+The densities, moments, samplers, checks and quadrature call _check_q,
+_check_rho, _check_seed and _require_support rather than test it
+themselves.
 """
 
 from __future__ import annotations
@@ -166,6 +167,12 @@ def _check_q(q: float) -> None:
     """The package's parameter rule for q: |q| < 1, NaN rejected."""
     if not abs(q) < 1.0:
         raise ValueError(f"|q| must be < 1, got q={q}")
+
+
+def _check_seed(seed: int) -> None:
+    """The rule for a seed, the key of a Philox stream: 0 <= seed < 2**64."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must fit in 64 bits, got {seed}")
 
 
 def _check_rho(rho: float, name: str = "rho") -> None:

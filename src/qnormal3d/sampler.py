@@ -32,7 +32,7 @@ import numpy as np
 
 from .densities import ModelParams, _given_z, _log_w, f_n, f_r
 from .errors import DegenerateConditioning, InsufficientSamples
-from .qcore import _check_q, support_halfwidth
+from .qcore import _check_q, _check_seed, support_halfwidth
 from .quadrature import _phi_of_theta, _theta_of_phi
 
 __all__ = [
@@ -77,8 +77,7 @@ class SamplerConfig:
     n_chains: int = 256
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+        _check_seed(self.seed)
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.grid_points < 64:

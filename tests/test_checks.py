@@ -159,6 +159,11 @@ class TestReports:
         assert [r.lhs for r in a] == [r.lhs for r in b]
         assert [r.lhs for r in a] != [r.lhs for r in c]
 
+    @pytest.mark.parametrize("seed", [-3, 2**64])
+    def test_seed_takes_the_sampler_rule(self, params, seed):
+        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+            run_suite("poisson-mehler", params, seed=seed)
+
 
 @pytest.mark.parametrize(
     "rho",

@@ -1,12 +1,14 @@
 """Closed-form moments against their quadrature oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qnormal3d import moments, qcore
 from qnormal3d.checks import TOL_COND_FORMS
 from qnormal3d.densities import ModelParams
 from qnormal3d.errors import DomainError, NonConvergence
@@ -119,6 +121,21 @@ class TestMixedMoments:
         with pytest.raises(NonConvergence, match="cancels"):
             mixed_moment_h(150, 150, ModelParams(0.3, -0.6, 0.5, 0.99))
 
+    def test_builds_its_q_rows_once(self, monkeypatch):
+        # One row of q-numbers serves the factorials and both q-binomial
+        # rows; a q-binomial formed anew for each term built 54,673 here.
+        rows = []
+        real = qcore._q_numbers
+
+        def counted(n, q):
+            rows.append(n)
+            return real(n, q)
+
+        for module in (qcore, moments):
+            monkeypatch.setattr(module, "_q_numbers", counted)
+        mixed_moment_h(200, 200, ModelParams(0.05, 0.05, 0.05, 0.99))
+        assert 1 <= len(rows) <= 3
+
     @pytest.mark.parametrize("rho", [(0.0, 0.6, 0.5), (0.3, 0.6, 0.0)], ids=["b=0", "a=0"])
     def test_zero_power_base_matches_oracle(self, rho):
         spec = MomentSpec(MomentKind.UNCONDITIONAL, (2, 4), ModelParams(*rho, 0.5))
@@ -161,6 +178,33 @@ class TestOracleRegistry:
         p = ModelParams(0.3, 0.6, -0.6, 0.5)
         with pytest.raises(ValueError, match=r"\(1, 1\)"):
             MomentSpec(MomentKind.COND_XY_GIVEN_Z, degrees, p, (0.4,))
+
+    @pytest.mark.parametrize(
+        "kind, degrees, points",
+        [
+            (MomentKind.UNCONDITIONAL, (2,), (0.3,)),
+            (MomentKind.COND_X_GIVEN_YZ, (2,), (0.3,)),
+            (MomentKind.COND_Y_GIVEN_Z, (2, 2), (0.3,)),
+            (MomentKind.COND_Y_GIVEN_Z, (2,), (0.3, 0.4)),
+            (MomentKind.UNCONDITIONAL, (2, 2, 2), ()),
+            ("mixed", (2, 2), ()),
+        ],
+        ids=[
+            "unconditional-with-a-point",
+            "cond-x-with-one-point",
+            "cond-y-with-two-degrees",
+            "cond-y-with-two-points",
+            "unconditional-with-three-degrees",
+            "not-a-moment-kind",
+        ],
+    )
+    def test_spec_rejects_a_shape_its_kind_does_not_take(self, kind, degrees, points):
+        # Once MomentSpec has checked the shape, the evaluators unpack it
+        # unchecked, so a dropped point or a short unpack cannot happen there.
+        p = ModelParams(0.3, 0.6, -0.6, 0.5)
+        name = kind.value if isinstance(kind, MomentKind) else kind
+        with pytest.raises(ValueError, match=re.escape(name)):
+            MomentSpec(kind, degrees, p, points)
 
 
 def _term_by_term(n, y, z, rho12, rho13, q, form):

@@ -87,6 +87,7 @@ def test_every_error_has_its_documented_exit_code():
         "eval pmKernel --q 0.5 --form closed".split(),
         "limits --q-seq 0.9,1".split(),
         "limits --q-seq 0.9,nan".split(),
+        "check poisson-mehler --rho 0.3,0.6,-0.6 --q 0.5 --seed -3".split(),
     ],
     ids=[
         "nan-point",
@@ -100,6 +101,7 @@ def test_every_error_has_its_documented_exit_code():
         "form-the-density-lacks",
         "limits-q-at-bound",
         "limits-q-nan",
+        "negative-seed",
     ],
 )
 # A warning is an error here: numpy's warnings would print lines of their own
@@ -154,8 +156,9 @@ def test_cli_quadrature_overflow_exits_3_with_one_error_line(argv, capsys):
     [
         ("gram --family rogers --q 0.5 --r 1", "|beta| must be < 1"),
         ("limits --q-seq 0.9,nan", "|q| must be < 1"),
+        ("check poisson-mehler --rho 0.3,0.6,-0.6 --q 0.5 --seed -3", "seed must fit in 64 bits"),
     ],
-    ids=["rogers-r-at-bound", "limits-q-nan"],
+    ids=["rogers-r-at-bound", "limits-q-nan", "negative-seed"],
 )
 def test_invalid_parameter_gets_the_validity_message(argv, message, capsys):
     assert main(argv.split()) == 2
