@@ -4,8 +4,10 @@
 Prints one line per identity name with the worst err/tol seen across the
 grid, where err is the error each row's verdict read (a NaN ranks worst),
 then a pass/fail total. Nonzero exit on any failure, so this can gate
-a CI job the same way `qnormal3d check all` does for a single point. The
-sweep's wall time goes to stderr, so stdout is the same bytes on every run.
+a CI job the same way `qnormal3d check all` does for a single point; an
+invalid parameter or seed, or an error a check raises, prints one `error:`
+line and exits with the CLI's code for it. The sweep's wall time goes to
+stderr, so stdout is the same bytes on every run.
 
 Usage:
     python scripts/run_identity_checks.py
@@ -18,6 +20,7 @@ import time
 from collections import defaultdict
 
 from qnormal3d.checks import SUITES, SWEEP_Q, SWEEP_RHO, _rank, run_suite
+from qnormal3d.cli import EXIT_CODES
 from qnormal3d.densities import ModelParams
 
 
@@ -34,18 +37,22 @@ def parse_args():
 def main():
     args = parse_args()
     qs = (args.q,) if args.q is not None else SWEEP_Q
-    grid = [ModelParams(*rho, q) for rho in SWEEP_RHO for q in qs]
+    start = time.perf_counter()
+    try:
+        grid = [ModelParams(*rho, q) for rho in SWEEP_RHO for q in qs]
+        reports = [rep for p in grid for rep in run_suite(args.suite, p, seed=args.seed)]
+    except tuple(EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
+    elapsed = time.perf_counter() - start
 
     worst = defaultdict(float)
     counts = defaultdict(int)
     failures = defaultdict(int)
-    start = time.perf_counter()
-    for p in grid:
-        for rep in run_suite(args.suite, p, seed=args.seed):
-            worst[rep.name] = max(worst[rep.name], rep.err / rep.tol, key=_rank)
-            counts[rep.name] += 1
-            failures[rep.name] += 0 if rep.passed else 1
-    elapsed = time.perf_counter() - start
+    for rep in reports:
+        worst[rep.name] = max(worst[rep.name], rep.err / rep.tol, key=_rank)
+        counts[rep.name] += 1
+        failures[rep.name] += 0 if rep.passed else 1
 
     width = max(len(name) for name in worst)
     print(f"{'identity':<{width}}  instances  worst err/tol  failures")

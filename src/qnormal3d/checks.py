@@ -319,13 +319,13 @@ def check_conditionals(p: ModelParams, seed: int = 7) -> List[VerificationReport
     rows = (
         ("condx-vs-quadrature", [(closed_form(s), s) for s in condx]),
         ("condy-vs-quadrature", [(closed_form(s), s) for s in condy]),
-        ("ex-vs-quadrature", [(cond_exp_x_given_yz(*ex.points, p.rho12, p.rho13, q), ex)]),
+        ("ex-vs-quadrature", [(cond_exp_x_given_yz(*ex.points, p), ex)]),
         ("cyz-vs-quadrature", [(cond_exp_y_given_z(*z1, p), cyz)]),
         ("cy2z-vs-quadrature", [(cond_exp_y2_given_z(*z1, p) - 1.0, cy2z)]),
         ("cconv-vs-quadrature", [(closed_form(cconv), cconv)]),
     )
     routes = [
-        [cond_exp_hn_x_given_yz(s.degrees[0], *s.points, p.rho12, p.rho13, q, form) for s in condx]
+        [cond_exp_hn_x_given_yz(s.degrees[0], *s.points, p, form) for s in condx]
         for form in CondMomentForm
     ]
     return [
@@ -352,7 +352,7 @@ def _pcm_residual(n: int, p: ModelParams) -> float:
     m = 2 * n + 5
     half = support_halfwidth(p.q)
     grid = np.linspace(-0.85 * half, 0.85 * half, m)
-    target = cond_exp_hn_x_given_yz(n, grid, grid[:, None], p.rho12, p.rho13, p.q)
+    target = cond_exp_hn_x_given_yz(n, grid, grid[:, None], p)
     basis = _gram_basis(n, m)
     coef = basis @ target @ basis.T
     coef[np.add.outer(np.arange(n + 1), np.arange(n + 1)) > n] = 0.0
@@ -483,6 +483,7 @@ SUITES: Dict[str, Callable[[ModelParams, int], List[VerificationReport]]] = {
 
 def run_suite(name: str, p: ModelParams, seed: int = 7) -> List[VerificationReport]:
     """Run one named suite (or ``all``) at a single parameter point."""
+    _check_seed(seed)  # in every suite, those that draw no random probe included
     if name == "all":
         out: List[VerificationReport] = []
         for suite in SUITES.values():

@@ -46,6 +46,8 @@ points of the same array still evaluate.  A NaN conditioning point (y of
 f_cn, y and z of f_x_given_yz and of aw_parameters, x of f_yz_given_x) or
 kernel argument raises DomainError with a message that names NaN.  These
 tests, and those of q and the correlations, are qcore's validity rule.
+Whatever reads the law of X given (Y, Z) = (y, z), here or in moments, takes
+ModelParams, reads rho12, rho13 and q from it and checks (y, z) by _require_yz.
 """
 
 from __future__ import annotations
@@ -155,6 +157,15 @@ def _given_z(p: ModelParams) -> ModelParams:
     return ModelParams(p.rho23, p.rho12 * p.rho13, 0.0, p.q)
 
 
+def _require_yz(y, z, q: float) -> float:
+    """The support check of the conditioning points of X given (Y, Z) =
+    (y, z), y first; returns the support half-width."""
+    half = support_halfwidth(q)
+    _require_support(y, half, "conditioning point y")
+    _require_support(z, half, "conditioning point z")
+    return half
+
+
 def _points(*xs) -> tuple[list[np.ndarray], bool]:
     arrs = [np.asarray(x, dtype=float) for x in xs]
     scalar = all(a.ndim == 0 for a in arrs)
@@ -167,6 +178,8 @@ def _ret(value: np.ndarray, scalar: bool):
 
 def omega(x, y, rho: float, q: float):
     """Coupling kernel w(x,y|rho) of the conditional density products."""
+    _check_q(q)
+    _check_rho(rho)  # a polynomial in (x, y): no support check
     (xb, yb), scalar = _points(x, y)
     val = (
         (1.0 - rho**2) ** 2
@@ -740,9 +753,7 @@ def f_x_given_yz(x, y, z, params: ModelParams):
     p = params
     _check_q(p.q)
     (xb, yb, zb), scalar = _points(x, y, z)
-    half = support_halfwidth(p.q)
-    _require_support(yb, half, "conditioning point y")
-    _require_support(zb, half, "conditioning point z")
+    half = _require_yz(yb, zb, p.q)
     _require_support(xb[~np.isnan(xb)], half, "point x")
     log_den = _log_f_cn(zb, yb, p.rho12 * p.rho13, p.q)
     if np.any(np.isneginf(log_den)):
@@ -777,23 +788,19 @@ def f_yz_given_x(y, z, x, params: ModelParams):
 
 
 def aw_parameters(
-    y: float, z: float, rho1: float, rho2: float, q: float
+    y: float, z: float, params: ModelParams
 ) -> tuple[complex, complex, complex, complex]:
     """Complex conjugate parameter quadruple (a, b, c, d) encoding the two
-    conditioning points: a = sqrt(1-q)/2 rho1 (y - i sqrt(4/(1-q) - y^2)),
-    b its conjugate, and (c, d) likewise from (rho2, z).
+    conditioning points: a = sqrt(1-q)/2 rho12 (y - i sqrt(4/(1-q) - y^2)),
+    b its conjugate, and (c, d) likewise from (rho13, z).
 
-    |a| = |rho1| and |c| = |rho2| for in-support points.
+    |a| = |rho12| and |c| = |rho13| for in-support points.
     """
-    _check_q(q)
-    _check_rho(rho1, "rho1")
-    _check_rho(rho2, "rho2")
-    half = support_halfwidth(q)
-    _require_support(y, half, "conditioning point y")
-    _require_support(z, half, "conditioning point z")
-    s = math.sqrt(1.0 - q) / 2.0
-    ty = math.sqrt(max(4.0 / (1.0 - q) - y * y, 0.0))
-    tz = math.sqrt(max(4.0 / (1.0 - q) - z * z, 0.0))
-    a = s * rho1 * complex(y, -ty)
-    c = s * rho2 * complex(z, -tz)
+    p = params
+    _require_yz(y, z, p.q)
+    s = math.sqrt(1.0 - p.q) / 2.0
+    ty = math.sqrt(max(4.0 / (1.0 - p.q) - y * y, 0.0))
+    tz = math.sqrt(max(4.0 / (1.0 - p.q) - z * z, 0.0))
+    a = s * p.rho12 * complex(y, -ty)
+    c = s * p.rho13 * complex(z, -tz)
     return (a, a.conjugate(), c, c.conjugate())

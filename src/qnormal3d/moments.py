@@ -24,7 +24,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .densities import ModelParams, _given_z, f_r, f_x_given_yz, f_yz, f_yz_given_x
+from .densities import ModelParams, _given_z, _require_yz, f_r, f_x_given_yz, f_yz, f_yz_given_x
 from .errors import NonConvergence
 from .polynomials import asc_poly, q_hermite
 from .qcore import (
@@ -235,24 +235,11 @@ def mixed_moment_h(m: int, n: int, p: ModelParams) -> float:
     return _finite((1.0 - p.r) * total, "mixed moment")
 
 
-def _check_conditional(y, z, rho12: float, rho13: float, q: float) -> None:
-    """qcore's validity rule for the moments of X given (Y, Z) = (y, z),
-    which take their parameters one by one rather than as ModelParams."""
-    _check_q(q)
-    _check_rho(rho12, "rho12")
-    _check_rho(rho13, "rho13")
-    half = support_halfwidth(q)
-    _require_support(y, half, "conditioning point y")
-    _require_support(z, half, "conditioning point z")
-
-
 def cond_exp_hn_x_given_yz(
     n: int,
     y,
     z,
-    rho12: float,
-    rho13: float,
-    q: float,
+    params: ModelParams,
     form: CondMomentForm = CondMomentForm.ASC_EXPANSION,
 ):
     """E(H_n(X) | Y=y, Z=z), a polynomial of total degree n in (y, z).
@@ -271,7 +258,8 @@ def cond_exp_hn_x_given_yz(
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    _check_conditional(y, z, rho12, rho13, q)
+    rho12, rho13, q = params.rho12, params.rho13, params.q
+    _require_yz(y, z, q)
     scalar = np.ndim(y) == 0 and np.ndim(z) == 0
     # The q-numbers, q-binomials and q-Pochhammer symbols of both series,
     # read from rows built once; each entry equals its qcore scalar bit for bit.
@@ -333,12 +321,13 @@ def cond_exp_hn_x_given_yz(
     raise ValueError(f"unknown form {form!r}")
 
 
-def cond_exp_x_given_yz(y: float, z: float, rho12: float, rho13: float, q: float) -> float:
+def cond_exp_x_given_yz(y: float, z: float, params: ModelParams) -> float:
     """E(X | Y=y, Z=z): linear in (y, z) with an explicit closed form."""
-    _check_conditional(y, z, rho12, rho13, q)
-    r1sq = rho12 * rho12
-    r2sq = rho13 * rho13
-    return (y * rho12 * (1.0 - r2sq) + z * rho13 * (1.0 - r1sq)) / (1.0 - r1sq * r2sq)
+    p = params
+    _require_yz(y, z, p.q)
+    r1sq = p.rho12 * p.rho12
+    r2sq = p.rho13 * p.rho13
+    return (y * p.rho12 * (1.0 - r2sq) + z * p.rho13 * (1.0 - r1sq)) / (1.0 - r1sq * r2sq)
 
 
 def cond_exp_hn_y_given_z(n: int, z: float, p: ModelParams) -> float:
@@ -350,8 +339,7 @@ def cond_exp_hn_y_given_z(n: int, z: float, p: ModelParams) -> float:
     :func:`cond_exp_hn_x_given_yz`.
     """
     _require_support(z, support_halfwidth(p.q), "conditioning point z")
-    g = _given_z(p)
-    return cond_exp_hn_x_given_yz(n, z, z, g.rho12, g.rho13, g.q)
+    return cond_exp_hn_x_given_yz(n, z, z, _given_z(p))
 
 
 def cond_exp_y_given_z(z: float, p: ModelParams) -> float:
@@ -399,7 +387,7 @@ def closed_form(spec: MomentSpec) -> float:
         (n,) = spec.degrees
         return 0.0 if n % 2 else e_h2n_z(n // 2, p.r, p.q)
     if spec.kind is MomentKind.COND_X_GIVEN_YZ:
-        return cond_exp_hn_x_given_yz(*spec.degrees, *spec.points, p.rho12, p.rho13, p.q)
+        return cond_exp_hn_x_given_yz(*spec.degrees, *spec.points, p)
     if spec.kind is MomentKind.COND_Y_GIVEN_Z:
         return cond_exp_hn_y_given_z(*spec.degrees, *spec.points, p)
     return cond_exp_xy_given_z(*spec.points, p)

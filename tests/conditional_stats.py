@@ -24,11 +24,10 @@ def conditional_moment_t(draws: np.ndarray, p) -> np.ndarray:
     """The 36 t-statistics of the conditional-moment residuals of (X, Y, Z) draws."""
     x, y, z = draws.T
     hx, hy, hz = (q_hermite(3, v, p.q).values for v in (x, y, z))
-    g = _given_z(p)
     tests = []
     for n in range(1, 4):
-        r = hx[n] - cond_exp_hn_x_given_yz(n, y, z, p.rho12, p.rho13, p.q)
-        s = hy[n] - cond_exp_hn_x_given_yz(n, z, z, g.rho12, g.rho13, g.q)
+        r = hx[n] - cond_exp_hn_x_given_yz(n, y, z, p)
+        s = hy[n] - cond_exp_hn_x_given_yz(n, z, z, _given_z(p))
         tests += [r * hy[k] * hz[l] for k in range(3) for l in range(3)]
         tests += [s * hz[l] for l in range(3)]
     estimates = [mc_moment(v, lambda col: col) for v in tests]

@@ -161,8 +161,10 @@ class TestReports:
 
     @pytest.mark.parametrize("seed", [-3, 2**64])
     def test_seed_takes_the_sampler_rule(self, params, seed):
-        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
-            run_suite("poisson-mehler", params, seed=seed)
+        # Every suite, those that draw no random probe included.
+        for name in [*SUITES, "all"]:
+            with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+                run_suite(name, params, seed=seed)
 
 
 @pytest.mark.parametrize(
@@ -225,16 +227,39 @@ class TestWorst:
         assert (rep.lhs, rep.rhs) == (1.0, 0.0)
 
 
-def test_sweep_summary_ranks_a_nan_row_worst(monkeypatch, capsys):
+def _sweep_script():
     path = Path(__file__).resolve().parents[1] / "scripts" / "run_identity_checks.py"
     spec = importlib.util.spec_from_file_location("run_identity_checks", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_sweep_summary_ranks_a_nan_row_worst(monkeypatch, capsys):
+    script = _sweep_script()
     rows = [_report("demo", math.nan, 1.0, 1e-8), _report("demo", 2.0, 1.0, 1e-8)]
     monkeypatch.setattr(script, "run_suite", lambda suite, p, seed: rows)
     monkeypatch.setattr(sys, "argv", ["run_identity_checks.py", "--q", "0.5"])
     assert script.main() == 1
     assert capsys.readouterr().out.splitlines()[1].split() == ["demo", "16", "nan", "16"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("--suite poisson-mehler --q 0.3 --seed -3", "seed must fit in 64 bits"),
+        ("--suite limits --q 1.5", "|q| must be < 1"),
+    ],
+    ids=["negative-seed", "q-outside"],
+)
+def test_sweep_exits_2_with_one_error_line(argv, message, monkeypatch, capsys):
+    script = _sweep_script()
+    monkeypatch.setattr(sys, "argv", ["run_identity_checks.py", *argv.split()])
+    assert script.main() == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and message in line
 
 
 class TestLimitRatios:
@@ -460,9 +485,7 @@ def _ref_conditionals(p, seed):
     quad_pairs = []
     for n in range(6):
         yv, zv = _interior(gen, q, 2)
-        vals = [
-            cond_exp_hn_x_given_yz(n, yv, zv, p.rho12, p.rho13, q, form) for form in CondMomentForm
-        ]
+        vals = [cond_exp_hn_x_given_yz(n, yv, zv, p, form) for form in CondMomentForm]
         form_pairs.append((max(vals), min(vals)))
         oracle = quadrature_oracle(MomentSpec(MomentKind.COND_X_GIVEN_YZ, (n,), p, (yv, zv)))
         quad_pairs.append((vals[0], oracle))
@@ -476,7 +499,7 @@ def _ref_conditionals(p, seed):
     out.append(_worst("condy-vs-quadrature", pairs, TOL_COND_QUAD))
     yv, zv = _interior(gen, q, 2)
     oracle = quadrature_oracle(MomentSpec(MomentKind.COND_X_GIVEN_YZ, (1,), p, (yv, zv)))
-    closed = cond_exp_x_given_yz(yv, zv, p.rho12, p.rho13, q)
+    closed = cond_exp_x_given_yz(yv, zv, p)
     out.append(_report("ex-vs-quadrature", closed, oracle, TOL_COND_QUAD))
     zv = float(_interior(gen, q, 1)[0])
     for name, closed, kind, degrees in [
@@ -492,12 +515,7 @@ def _ref_conditionals(p, seed):
         m = 2 * n + 5
         half = support_halfwidth(p.q)
         grid = np.linspace(-0.85 * half, 0.85 * half, m)
-        target = np.array(
-            [
-                [cond_exp_hn_x_given_yz(n, yv, zv, p.rho12, p.rho13, p.q) for yv in grid]
-                for zv in grid
-            ]
-        )
+        target = np.array([[cond_exp_hn_x_given_yz(n, yv, zv, p) for yv in grid] for zv in grid])
         basis = _gram_basis(n, m)
         coef = basis @ target @ basis.T
         for i in range(n + 1):
@@ -555,7 +573,7 @@ def _lstsq_residual(n, p):
     design = np.array(
         [(yg**i * zg**j).ravel() for i in range(n + 1) for j in range(n + 1 - i)]
     ).T
-    target = cond_exp_hn_x_given_yz(n, yg.ravel(), zg.ravel(), p.rho12, p.rho13, p.q)
+    target = cond_exp_hn_x_given_yz(n, yg.ravel(), zg.ravel(), p)
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     return float(np.linalg.norm(design @ coef - target)), float(np.linalg.norm(target))
 

@@ -614,7 +614,7 @@ class TestConditionals:
             f_yz_given_x(0.1, -0.2, x0, params)
 
     def test_aw_parameters_conjugate_pairs(self):
-        a, b, c, d = aw_parameters(1.0, -0.5, 0.5, 0.4, 0.5)
+        a, b, c, d = aw_parameters(1.0, -0.5, ModelParams(0.5, 0.4, 0.0, 0.5))
         assert b == a.conjugate()
         assert d == c.conjugate()
         assert abs(a) == pytest.approx(0.5, rel=1e-13)
@@ -622,7 +622,7 @@ class TestConditionals:
 
     def test_aw_parameters_domain(self):
         with pytest.raises(DomainError):
-            aw_parameters(99.0, 0.0, 0.5, 0.4, 0.5)
+            aw_parameters(99.0, 0.0, ModelParams(0.5, 0.4, 0.0, 0.5))
 
 
 GRID_PARAMS = ModelParams(0.3, 0.6, -0.6, 0.9)

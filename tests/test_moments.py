@@ -264,14 +264,14 @@ class TestConditionalForms:
     def test_three_routes_agree(self, r12, r13, r23, q, n):
         p = ModelParams(r12, r13, r23, q)
         y, z = 0.45, -0.25
-        ref = cond_exp_hn_x_given_yz(n, y, z, p.rho12, p.rho13, q, form=CondMomentForm.ASC_EXPANSION)
-        alt = cond_exp_hn_x_given_yz(n, y, z, p.rho12, p.rho13, q, form=CondMomentForm.DOUBLE_SUM)
+        ref = cond_exp_hn_x_given_yz(n, y, z, p, form=CondMomentForm.ASC_EXPANSION)
+        alt = cond_exp_hn_x_given_yz(n, y, z, p, form=CondMomentForm.DOUBLE_SUM)
         assert alt == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
     def test_high_degree_forms_finite_and_agree(self):
         # At n = 200, q = 0.99 the q-binomial weights exceed what [n]_q!
         # can hold; both expansions must still give the same finite value.
-        args = (200, 8.0, -14.0, 0.3, -0.6, 0.99)
+        args = (200, 8.0, -14.0, ModelParams(0.3, -0.6, 0.0, 0.99))
         ref = cond_exp_hn_x_given_yz(*args, form=CondMomentForm.ASC_EXPANSION)
         alt = cond_exp_hn_x_given_yz(*args, form=CondMomentForm.DOUBLE_SUM)
         assert np.isfinite(ref) and np.isfinite(alt)
@@ -285,7 +285,8 @@ class TestConditionalForms:
         zs = np.array([-0.21, 0.8, 0.5]) * half
         for rho12, rho13 in ((0.3, -0.6), (0.9, 0.5), (0.0, 0.4)):
             for n in range(31):
-                got = cond_exp_hn_x_given_yz(n, ys, zs, rho12, rho13, q, form=form)
+                p = ModelParams(rho12, rho13, 0.0, q)
+                got = cond_exp_hn_x_given_yz(n, ys, zs, p, form=form)
                 want = _term_by_term(n, ys, zs, rho12, rho13, q, form)
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
@@ -295,12 +296,8 @@ class TestConditionalForms:
         expected = (y * r12 * (1 - r13**2) + z * r13 * (1 - r12**2)) / (
             1 - r12**2 * r13**2
         )
-        assert cond_exp_x_given_yz(y, z, r12, r13, params.q) == pytest.approx(
-            expected, rel=1e-12
-        )
-        assert cond_exp_hn_x_given_yz(
-            1, y, z, params.rho12, params.rho13, params.q
-        ) == pytest.approx(expected, rel=1e-12)
+        assert cond_exp_x_given_yz(y, z, params) == pytest.approx(expected, rel=1e-12)
+        assert cond_exp_hn_x_given_yz(1, y, z, params) == pytest.approx(expected, rel=1e-12)
 
     def test_third_correlation_does_not_enter(self, params):
         # the forward conditional mean depends on rho12, rho13 only, so the
@@ -313,8 +310,8 @@ class TestConditionalForms:
 
     def test_decoupled_z_drops_out(self):
         p = ModelParams(0.5, 0.0, 0.3, 0.4)
-        v1 = cond_exp_hn_x_given_yz(3, 0.5, 1.2, p.rho12, p.rho13, p.q)
-        v2 = cond_exp_hn_x_given_yz(3, 0.5, -0.8, p.rho12, p.rho13, p.q)
+        v1 = cond_exp_hn_x_given_yz(3, 0.5, 1.2, p)
+        v2 = cond_exp_hn_x_given_yz(3, 0.5, -0.8, p)
         assert v1 == pytest.approx(v2, rel=1e-13)
 
 
@@ -328,19 +325,21 @@ class TestConditionalArrays:
         grid = np.linspace(-0.85 * half, 0.85 * half, 7)
         yg, zg = np.meshgrid(grid, grid)
         ys, zs = yg.ravel(), zg.ravel()
+        p = ModelParams(0.3, -0.6, 0.0, q)
         for n in range(5):
-            vals = cond_exp_hn_x_given_yz(n, ys, zs, 0.3, -0.6, q, form=form)
-            ref = [cond_exp_hn_x_given_yz(n, y, z, 0.3, -0.6, q, form=form) for y, z in zip(ys, zs)]
+            vals = cond_exp_hn_x_given_yz(n, ys, zs, p, form=form)
+            ref = [cond_exp_hn_x_given_yz(n, y, z, p, form=form) for y, z in zip(ys, zs)]
             assert isinstance(ref[0], float)
             np.testing.assert_array_equal(vals, ref)
 
     def test_any_point_outside_raises(self):
         half = support_halfwidth(0.5)
         ys = np.array([0.0, 1.01 * half])
+        p = ModelParams(0.3, 0.6, 0.0, 0.5)
         with pytest.raises(DomainError):
-            cond_exp_hn_x_given_yz(2, ys, 0.1, 0.3, 0.6, 0.5)
+            cond_exp_hn_x_given_yz(2, ys, 0.1, p)
         with pytest.raises(DomainError):
-            cond_exp_hn_x_given_yz(2, 0.1, -ys, 0.3, 0.6, 0.5, form=CondMomentForm.DOUBLE_SUM)
+            cond_exp_hn_x_given_yz(2, 0.1, -ys, p, form=CondMomentForm.DOUBLE_SUM)
 
 
 class TestSingleConditionedMoments:

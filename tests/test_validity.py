@@ -7,13 +7,23 @@ Python exception, and the CLI must map each error to its documented code.
 """
 
 import math
+from functools import partial
 
 import pytest
 
 from qnormal3d import errors
 from qnormal3d import moments as mm
 from qnormal3d.cli import EXIT_CODES, main
-from qnormal3d.densities import DensityForm, ModelParams, aw_parameters, pm_kernel
+from qnormal3d.densities import (
+    DensityForm,
+    MarginalForm,
+    ModelParams,
+    aw_parameters,
+    f_3d,
+    f_z,
+    omega,
+    pm_kernel,
+)
 from qnormal3d.errors import DomainError
 from qnormal3d.qcore import support_halfwidth
 
@@ -25,29 +35,43 @@ DOUBLE_SUM = mm.CondMomentForm.DOUBLE_SUM
 # ids are positional, so a row that loses its subject is replaced, not deleted.
 INVALID = [
     (mm.MomentSpec, (mm.MomentKind.COND_Y_GIVEN_Z, (1,), P, (NAN,)), DomainError),
-    (mm.cond_exp_hn_x_given_yz, (2, NAN, 0.1, 0.3, 0.6, 0.5, DOUBLE_SUM), DomainError),
-    (mm.cond_exp_hn_x_given_yz, (2, 0.1, NAN, 0.3, 0.6, 0.5), DomainError),
-    (mm.cond_exp_x_given_yz, (NAN, 0.1, 0.3, 0.6, 0.5), DomainError),
+    (mm.cond_exp_hn_x_given_yz, (2, NAN, 0.1, P, DOUBLE_SUM), DomainError),
+    (mm.cond_exp_hn_x_given_yz, (2, 0.1, NAN, P), DomainError),
+    (mm.cond_exp_x_given_yz, (NAN, 0.1, P), DomainError),
     (mm.cond_exp_hn_y_given_z, (2, NAN, P), DomainError),
     (mm.cond_exp_y_given_z, (NAN, P), DomainError),
     (mm.cond_exp_y2_given_z, (NAN, P), DomainError),
     (mm.cond_exp_xy_given_z, (NAN, P), DomainError),
-    (aw_parameters, (NAN, 0.1, 0.3, 0.6, 0.5), DomainError),
+    (aw_parameters, (NAN, 0.1, P), DomainError),
     (pm_kernel, (0.1, 0.2, 0.3, 0.5, DensityForm.CLOSED), ValueError),
     (support_halfwidth, (NAN,), ValueError),
 ]
-# var_z and e_h2n_z take (r, q); the moments of X given (Y, Z) take
-# (rho12, rho13, q) on their own, without a validated ModelParams.
+# var_z and e_h2n_z take (r, q); the moments of X given (Y, Z) read
+# (rho12, rho13, q) from ModelParams, which rejects each triple below.  A
+# partial among the arguments is built inside the raises block.
 for r, q in ((NAN, 0.5), (1.0, 0.5), (0.1, NAN), (0.1, 1.0)):
     INVALID += [(mm.var_z, (r, q), ValueError), (mm.e_h2n_z, (1, r, q), ValueError)]
 for rho12, rho13, q in (
     (NAN, 0.2, 0.5), (0.1, NAN, 0.5), (1.0, 1.0, 0.5), (0.1, -1.0, 0.5), (0.1, 0.2, 1.0)
 ):
+    params = partial(ModelParams, rho12, rho13, 0.0, q)
     INVALID += [
-        (mm.cond_exp_x_given_yz, (1.0, 1.0, rho12, rho13, q), ValueError),
-        (mm.cond_exp_hn_x_given_yz, (2, 1.0, 1.0, rho12, rho13, q), ValueError),
-        (mm.cond_exp_hn_x_given_yz, (2, 1.0, 1.0, rho12, rho13, q, DOUBLE_SUM), ValueError),
+        (mm.cond_exp_x_given_yz, (1.0, 1.0, params), ValueError),
+        (mm.cond_exp_hn_x_given_yz, (2, 1.0, 1.0, params), ValueError),
+        (mm.cond_exp_hn_x_given_yz, (2, 1.0, 1.0, params, DOUBLE_SUM), ValueError),
     ]
+# omega is a polynomial, so it checks q and rho but not the support.  Then
+# the unknown-form and negative-degree raises that no other test reaches.
+INVALID += [
+    (omega, (0.1, 0.2, 2.0, 5.0), ValueError),
+    (omega, (0.1, 0.2, 2.0, 0.5), ValueError),
+    (omega, (0.1, 0.2, 0.5, NAN), ValueError),
+    (f_3d, (0.1, 0.2, 0.3, P, MarginalForm.ROGERS), ValueError),
+    (f_z, (0.1, 0.3, 0.5, DensityForm.PRODUCT), ValueError),
+    (mm.e_h2n_z, (-1, 0.3, 0.5), ValueError),
+    (mm.cond_exp_hn_x_given_yz, (-1, 0.1, 0.2, P), ValueError),
+    (mm.mixed_moment_h, (-1, 0, P), ValueError),
+]
 
 
 @pytest.mark.parametrize(
@@ -57,7 +81,7 @@ for rho12, rho13, q in (
 )
 def test_invalid_input_raises_documented_error(entry, args, error):
     with pytest.raises(error):
-        entry(*args)
+        entry(*(a() if isinstance(a, partial) else a for a in args))
 
 
 def test_every_error_has_its_documented_exit_code():
