@@ -20,16 +20,20 @@ NaN fails both.
 Exit codes: 0 success, 1 failed identity check, 2 invalid parameters
 (ValueError, DomainError, DegenerateConditioning, DegenerateRecurrence),
 3 truncation or quadrature non-convergence (NonConvergence), 4 too few
-samples (InsufficientSamples).  Each error prints one ``error:`` line on
+samples (InsufficientSamples), 141 stdout closed by its reader (as after
+SIGPIPE; nothing is printed).  Each error prints one ``error:`` line on
 stderr and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
+import math
+import os
 import re
 import sys
 from typing import Any, Dict, List, Sequence, Tuple
@@ -149,6 +153,8 @@ def _parse_grid(text: str) -> List[Tuple[float, float, int]]:
         if len(fields) != 3:
             raise ValueError(f"grid spec must be lo:hi:count, got {part!r}")
         lo, hi, count = float(fields[0]), float(fields[1]), int(fields[2])
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"grid endpoints must be finite, got {part!r}")
         if count < 1:
             raise ValueError(f"grid count must be positive, got {count}")
         axes.append((lo, hi, count))
@@ -504,7 +510,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
-    _emit(args, table)
+    try:
+        _emit(args, table)
+    except BrokenPipeError:
+        # The reader closed stdout (say, `| head`).  Point its file at
+        # os.devnull, so that the flush at exit drops the rest instead of
+        # raising again (a stand-in stream has no file), and exit quietly
+        # with 128 + SIGPIPE, what a shell reports for such a command.
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return 141
     return code
 
 

@@ -607,6 +607,19 @@ def pm_kernel(
     return _ret(val, scalar)
 
 
+def _cycle(p: ModelParams):
+    """The PRODUCT form of f_3d as a cycle of three pairwise log factors,
+    log f_3d(x, y, z) = a(x, y) + b(y, z) + c(z, x) on the support cube,
+    with log(1 - r) carried in a: f_3d sums them on its grid, and
+    quadrature._integrate_cycle integrates them on n x n tables."""
+    log_c = math.log1p(-p.r)
+    return (
+        lambda x, y: log_c + _log_f_cn(x, y, p.rho12, p.q),
+        lambda y, z: _log_f_cn(y, z, p.rho23, p.q),
+        lambda z, x: _log_f_cn(z, x, p.rho13, p.q),
+    )
+
+
 def f_3d(
     x,
     y,
@@ -626,17 +639,13 @@ def f_3d(
     (xb, yb, zb), scalar = _points(x, y, z)
     half = support_halfwidth(p.q)
     xc, yc, zc = (_clip(a, half) for a in (xb, yb, zb))
-    log_c = math.log1p(-p.r)
     # Each term depends on at most two coordinates, so only the first sum
     # that involves all three is result-sized.  The other terms go into it
     # in place, in the formula's order, which keeps every rounding the same.
     if form in (DensityForm.PRODUCT, DensityForm.CLOSED):
-        val = np.asarray(
-            log_c
-            + _log_f_cn(xc, yc, p.rho12, p.q)
-            + _log_f_cn(yc, zc, p.rho23, p.q)
-        )
-        val += _log_f_cn(zc, xc, p.rho13, p.q)
+        a, b, c = _cycle(p)
+        val = np.asarray(a(xc, yc) + b(yc, zc))
+        val += c(zc, xc)
         np.exp(val, out=val)
     elif form == DensityForm.SERIES:
         # The kernels are summed before the result is allocated, so their
@@ -647,7 +656,7 @@ def f_3d(
             _pm_series(xc, zc, p.rho13, p.q),
         )
         val = np.asarray(
-            log_c + _log_f_n(xc, p.q) + _log_f_n(yc, p.q) + _log_f_n(zc, p.q)
+            math.log1p(-p.r) + _log_f_n(xc, p.q) + _log_f_n(yc, p.q) + _log_f_n(zc, p.q)
         )
         np.exp(val, out=val)
         for kernel in kernels:

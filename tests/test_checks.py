@@ -52,6 +52,7 @@ from qnormal3d.densities import (
     DensityForm,
     MarginalForm,
     ModelParams,
+    _cycle,
     f_3d,
     f_cn,
     f_n,
@@ -86,7 +87,7 @@ from qnormal3d.polynomials import (
     triple_product_integral,
 )
 from qnormal3d.qcore import support_halfwidth
-from qnormal3d.quadrature import integrate1d, integrate2d, integrate3d
+from qnormal3d.quadrature import _integrate_cycle, integrate1d, integrate2d
 
 EXPECTED_SUITES = {
     "orthogonality",
@@ -398,7 +399,7 @@ def _ref_marginals(p, seed):
             ("fR-normalization", integrate1d(lambda x: f_r(x, p.r, q), q), TOL_NORM_1D),
             ("fCN-normalization", integrate1d(lambda x: f_cn(x, y0, p.rho12, q), q), TOL_NORM_1D),
             ("fYZ-normalization", integrate2d(lambda y, z: f_yz(y, z, p), q), TOL_NORM_2D),
-            ("C3D-normalization", integrate3d(lambda x, y, z: f_3d(x, y, z, p), q), TOL_NORM_3D),
+            ("C3D-normalization", _integrate_cycle(*_cycle(p), q), TOL_NORM_3D),
         ]
     ]
     gen = _rng(seed)

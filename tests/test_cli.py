@@ -1,6 +1,7 @@
 """Command line behavior: schemas, plug-in values, exit codes, determinism."""
 
 import csv
+import io
 import json
 import math
 import os
@@ -30,6 +31,13 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _cli_env():
+    """The environment for `python -m qnormal3d.cli`, importing this package."""
+    src = str(Path(qnormal3d.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def parse_csv(text):
@@ -112,6 +120,22 @@ class TestEval:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "density, grid",
+        [
+            ("fN", "-1:inf:3"),
+            ("fN", "-inf:1:3"),
+            ("fN", "nan:1:3"),
+            ("fN", "0:nan:3"),
+            ("f3D", "0:1:2;nan:1:2;0:1:2"),
+        ],
+    )
+    def test_non_finite_grid_endpoint_exits_2(self, density, grid, capsys):
+        code, out, err = run_cli(["eval", density, "--q", "0.5", f"--grid={grid}"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite" in err
+
     def test_joint_density_grid(self, capsys):
         code, out, _ = run_cli(
             ["eval", "f3D", "--q", "0.5", "--rho", "0.3,0.4,0.5", "--grid", "-1:1:3"],
@@ -157,12 +181,10 @@ class TestCheck:
 
     def test_zero_correlation_exits_0_without_traceback(self):
         # r = 0 here, so every var-limit error is exactly 0.
-        src = str(Path(qnormal3d.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         argv = ["check", "all", "--rho", "0,0.6,0.3", "--q", "0.5", "--seed", "1"]
         out = subprocess.run(
             [sys.executable, "-m", "qnormal3d.cli", *argv],
-            env={**os.environ, "PYTHONPATH": path},
+            env=_cli_env(),
             capture_output=True, text=True, timeout=120,
         )
         assert (out.returncode, out.stderr) == (0, "")
@@ -281,7 +303,37 @@ def test_help_imports_no_numpy_and_name_tuples_match_tables():
     }
 
 
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
 class TestSample:
+    def test_closed_stdout_exits_141_quietly(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        code = main(["sample", "--target", "fn", "--q", "0.5", "--n", "100"])
+        assert (code, capsys.readouterr().err) == (141, "")
+
+    def test_closed_pipe_exits_141_without_traceback(self):
+        # As in `qnormal3d sample ... | head -1`: the output is far larger
+        # than a pipe buffer, so the writer meets the closed end.
+        argv = ["sample", "--target", "fn", "--q", "0.5", "--n", "200000"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qnormal3d.cli", *argv],
+            env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.readline() == b"# command=sample\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=120), err) == (141, b"")
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+
     def test_byte_identical_reruns(self, capsys):
         argv = ["sample", "--n", "1000", "--seed", "7", "--grid-points", "64"]
         code1, out1, _ = run_cli(argv, capsys)

@@ -15,6 +15,7 @@ from qnormal3d.densities import (
     MarginalForm,
     ModelParams,
     _cosine,
+    _cycle,
     _kernel_coefficients,
     _kernel_terms,
     _log_f_n,
@@ -42,7 +43,14 @@ from qnormal3d.qcore import (
     log_q_pochhammer_inf,
     support_halfwidth,
 )
-from qnormal3d.quadrature import QUAD_ORDER, _axis, _value_3d, integrate1d, integrate2d
+from qnormal3d.quadrature import (
+    QUAD_ORDER,
+    _axis,
+    _value_3d,
+    _value_cycle,
+    integrate1d,
+    integrate2d,
+)
 
 qs = st.floats(min_value=-0.9, max_value=0.9)
 rhos = st.floats(min_value=-0.85, max_value=0.85)
@@ -689,6 +697,12 @@ class TestTensorGrid:
             )
         )
         assert peak <= 1.25 * slab
+
+    def test_cycle_level_holds_no_slab(self):
+        # The cyclic route holds only n x n tables: one 128-node level stays
+        # within eight of them (1.0 MB), below the 4.2 MB slab.
+        _, peak = traced_peak(lambda: _value_cycle(*_cycle(GRID_PARAMS), GRID_PARAMS.q, 4))
+        assert peak <= 8 * 128 * 128 * 8
 
     def test_f_yz_2d_grid(self):
         # On a 2-D grid each kernel is itself grid-sized; the series holds

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from qnormal3d.checks import TOL_COND_QUAD, TOL_GRAM_DIAG, TOL_GRAM_OFFDIAG
-from qnormal3d.densities import ModelParams, f_3d, f_n, f_yz
+from qnormal3d.checks import SWEEP_Q, SWEEP_RHO, TOL_COND_QUAD, TOL_GRAM_DIAG, TOL_GRAM_OFFDIAG
+from qnormal3d.densities import ModelParams, _cycle, f_3d, f_n, f_yz
 from qnormal3d.errors import NonConvergence
 from qnormal3d.moments import MomentKind, MomentSpec, closed_form, quadrature_oracle
 from qnormal3d.polynomials import q_hermite
@@ -18,6 +18,7 @@ from qnormal3d.quadrature import (
     QUAD_TOL_3D,
     IntegralResult,
     _axis,
+    _integrate_cycle,
     _phi_of_theta,
     _theta_of_phi,
     _value_3d,
@@ -154,6 +155,27 @@ class TestIntegrate3d:
             "ijk,i,j,k->", f(x[:, None, None], x[None, :, None], x[None, None, :]), w, w, w
         )
         assert _value_3d(f, params.q, 4) == pytest.approx(whole, rel=1e-14)
+
+
+class TestIntegrateCycle:
+    @pytest.mark.parametrize("q", SWEEP_Q + (0.99, 0.999))
+    def test_matches_the_slab_route_on_the_acceptance_grid(self, q):
+        # The same nodes, weights and factor values as integrate3d(f_3d);
+        # only the order of the additions differs.  q = 0.99 and 0.999 run
+        # the angle map as well.
+        for rho in SWEEP_RHO:
+            p = ModelParams(*rho, q)
+            cycle = _integrate_cycle(*_cycle(p), q)
+            slab = integrate3d(lambda x, y, z: f_3d(x, y, z, p), q)
+            assert cycle.panels_used == slab.panels_used
+            assert cycle.value == pytest.approx(slab.value, rel=1e-13, abs=0)
+
+    def test_factors_are_f_3d_product_form(self, params):
+        # f_3d sums the same three log factors that the cycle integrates.
+        a, b, c = _cycle(params)
+        x, _ = _axis(params.q, 1)
+        xs, ys, zs = x[:, None, None], x[None, :, None], x[None, None, :]
+        assert np.array_equal(f_3d(xs, ys, zs, params), np.exp(a(xs, ys) + b(ys, zs) + c(zs, xs)))
 
 
 class TestGramMatrix:
