@@ -349,16 +349,19 @@ def _pcm_residual(n: int, p: ModelParams) -> float:
     an orthonormal basis of the tables, and those with i + j <= n span the
     polynomials of total degree n, so the fit keeps C = P T P^T where
     i + j <= n and the residual is ||T - P^T C P||_F: two small matrix
-    products on a basis of condition number 1, with no linear solve.
+    products on a basis of condition number 1, with no linear solve.  Each
+    product is two two-operand einsums, which run in numpy's own loops as
+    quadrature's sums do; one three-operand einsum rounds worse here.
     """
     m = 2 * n + 5
     half = support_halfwidth(p.q)
     grid = np.linspace(-0.85 * half, 0.85 * half, m)
     target = cond_exp_hn_x_given_yz(n, grid, grid[:, None], p)
     basis = _gram_basis(n, m)
-    coef = basis @ target @ basis.T
+    coef = np.einsum("ik,jk->ij", np.einsum("ij,jk->ik", basis, target), basis)
     coef[np.add.outer(np.arange(n + 1), np.arange(n + 1)) > n] = 0.0
-    return float(np.linalg.norm(target - basis.T @ coef @ basis))
+    resid = target - np.einsum("ji,jl->il", basis, np.einsum("jk,kl->jl", coef, basis))
+    return math.sqrt(np.sum(resid * resid))
 
 
 def kesten_mckay_density(x, r: float):

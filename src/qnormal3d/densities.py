@@ -589,7 +589,9 @@ def pm_kernel(
     form: DensityForm = DensityForm.PRODUCT,
 ):
     """Bilinear kernel f_CN(x|y) / f_N(x), by its SERIES or PRODUCT form;
-    any other form raises ValueError."""
+    any other form raises ValueError.  The PRODUCT form raises
+    NonConvergence where a value overflows the double range, as the series
+    does where a term does."""
     _check_q(q)
     _check_rho(rho)
     (xb, yb), scalar = _points(x, y)
@@ -601,7 +603,10 @@ def pm_kernel(
     elif form == DensityForm.PRODUCT:
         # Always the factor loop: the reference the series form is checked against.
         t, s = np.arccos(_cosine(xb, q)), np.arccos(_cosine(yb, q))
-        val = np.exp(log_q_pochhammer_inf(rho**2, q) - _log_factors(rho, q, t, s))
+        with np.errstate(over="ignore"):
+            val = np.exp(log_q_pochhammer_inf(rho**2, q) - _log_factors(rho, q, t, s))
+        if np.any(np.isinf(val)):
+            raise NonConvergence(f"kernel product overflows the double range at rho={rho}, q={q}")
     else:
         raise ValueError(f"unknown form {form}")
     return _ret(val, scalar)

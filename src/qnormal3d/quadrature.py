@@ -59,6 +59,12 @@ no slab: _integrate_cycle sums a level from three n x n tables and one
 matrix product (at most 0.27 MB at 64 nodes for q <= 0.9).  On a 2-D grid
 the factors are themselves grid-sized; a kernel holds its running sum and
 one term while it runs.
+
+Every weighted sum, matrix products included, is an np.einsum with its
+default optimize=False, which runs numpy's own C loops and never BLAS.  A
+BLAS GEMM picks its kernel by CPU, so its last digits (and the printed
+output) would change with the machine, and its first call pages the
+kernel's code into the process.
 """
 
 from __future__ import annotations
@@ -164,12 +170,13 @@ def _value_3d(f: Callable, q: float, panels: int) -> float:
 def _value_cycle(a: Callable, b: Callable, c: Callable, q: float, panels: int) -> float:
     """One level of exp(a(x, y) + b(y, z) + c(z, x)) over the cube from
     n x n tables: with the factor tables A, B, C and the weights w, the
-    triple sum is sum_ik w_i M_ik w_k C_ki with M = (A w) @ B."""
+    triple sum is sum_ik w_i M_ik w_k C_ki with M = (A w) @ B.  Both sums
+    are einsums, not `@`, so they run in numpy's loops (module docstring)."""
     x, w = _axis(q, panels)
     row, col = x[:, None], x[None, :]
-    m = (np.exp(a(row, col)) * w) @ np.exp(b(row, col))
+    m = np.einsum("ij,j,jk->ik", np.exp(a(row, col)), w, np.exp(b(row, col)))
     m *= np.exp(c(row, col)).T
-    return float(w @ m @ w)
+    return float(np.einsum("i,ik,k->", w, m, w))
 
 
 def _refine(value_at, tol: float, max_panels: int) -> IntegralResult:
@@ -249,7 +256,7 @@ def gram_matrix(
         if v.shape != (n_max + 1, len(x)):
             raise ValueError("poly_values must return shape (n_max+1, npoints)")
         c = np.asarray(weight(x)) * w
-        g = (v * c) @ v.T
+        g = np.einsum("ij,j,kj->ik", v, c, v)
         return 0.5 * (g + g.T)
 
     return _refine(level, QUAD_TOL_1D, MAX_PANELS_1D).value

@@ -2,7 +2,10 @@
 
 import dataclasses
 import importlib.util
+import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qnormal3d
 from qnormal3d.checks import (
     SUITES,
     SWEEP_Q,
@@ -518,12 +522,13 @@ def _ref_conditionals(p, seed):
         grid = np.linspace(-0.85 * half, 0.85 * half, m)
         target = np.array([[cond_exp_hn_x_given_yz(n, yv, zv, p) for yv in grid] for zv in grid])
         basis = _gram_basis(n, m)
-        coef = basis @ target @ basis.T
+        coef = np.einsum("ik,jk->ij", np.einsum("ij,jk->ik", basis, target), basis)
         for i in range(n + 1):
             for j in range(n + 1):
                 if i + j > n:
                     coef[i, j] = 0.0
-        pairs.append((float(np.linalg.norm(target - basis.T @ coef @ basis)), 0.0))
+        resid = target - np.einsum("ji,jl->il", basis, np.einsum("jk,kl->jl", coef, basis))
+        pairs.append((math.sqrt(np.sum(resid * resid)), 0.0))
     return [*out, _worst("pcm-degree-fit", pairs, TOL_PCM)]
 
 
@@ -617,3 +622,46 @@ def test_identity_sweep_calls_no_lapack(p, monkeypatch):
     reports = run_suite("all", p)
     assert calls == []
     assert all(rep.passed for rep in reports)
+
+
+# Run in a fresh process: the Rss of every mapping whose path names BLAS,
+# before and after the sweep at the points given as JSON in argv[1].
+_BLAS_RSS_SCRIPT = """
+import json, sys
+from qnormal3d import *
+
+def blas_rss():
+    maps, rss, blas = 0, 0, False
+    with open("/proc/self/smaps") as f:
+        for line in f:
+            fields = line.split()
+            if not fields[0].endswith(":"):
+                blas = "blas" in " ".join(fields[5:])
+                maps += blas
+            elif blas and fields[0] == "Rss:":
+                rss += int(fields[1])
+    return maps, rss
+
+maps, before = blas_rss()
+for rho, q in json.loads(sys.argv[1]):
+    run_suite("all", ModelParams(*rho, q))
+print(json.dumps([maps, before, blas_rss()[1]]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/smaps")
+def test_identity_sweep_pages_in_no_blas_code():
+    """The sweep's sums run in numpy's own loops, so no page of the BLAS
+    library (its GEMM and dot kernels) becomes resident while it runs."""
+    src = str(Path(qnormal3d.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    points = json.dumps([(SWEEP_RHO[0], 0.9), (SWEEP_RHO[-1], -0.5)])
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_RSS_SCRIPT, points],
+        env=env, capture_output=True, text=True, timeout=600, check=True,
+    )
+    maps, before, after = json.loads(proc.stdout)
+    if maps == 0:
+        pytest.skip("no BLAS library is mapped into the process")
+    assert after <= before, f"BLAS mappings grew from {before} kB to {after} kB"

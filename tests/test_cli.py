@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -191,6 +192,32 @@ class TestCheck:
         _, _, rows = parse_csv(out.stdout)
         assert len(rows) == 38
         assert all(r["passed"] == "true" for r in rows)
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="OPENBLAS_CORETYPE names x86_64 kernels",
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "gram --family qhermite --q 0.7 --nmax 8",
+        "check marginals --rho 0.3,0.6,0.3 --q 0.7 --seed 1",
+    ],
+    ids=["gram", "check-marginals"],
+)
+def test_stdout_does_not_depend_on_the_blas_kernel(argv):
+    """Data output is the same bytes whichever CPU kernel OpenBLAS picks:
+    the package's sums run in numpy's own loops."""
+    env = {k: v for k, v in _cli_env().items() if k != "OPENBLAS_CORETYPE"}
+    outs = [
+        subprocess.run(
+            [sys.executable, "-m", "qnormal3d.cli", *argv.split()],
+            env={**env, **extra}, capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"})
+    ]
+    assert outs[0] == outs[1]
 
 
 class TestMoments:

@@ -449,6 +449,19 @@ class TestSeriesOverflow:
                 pm_kernel(half, half, 0.9, 0.999, form=DensityForm.SERIES)
 
 
+class TestProductOverflow:
+    """The kernel product raises where a value leaves the double range,
+    instead of returning inf behind numpy's overflow warning."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rho", [0.6, -0.6])
+    def test_pm_kernel(self, rho):
+        half = support_halfwidth(0.999)
+        x = np.linspace(-0.95 * half, 0.95 * half, 64)
+        with pytest.raises(NonConvergence, match="overflows"):
+            pm_kernel(x[:, None], x[None, :], rho, 0.999, form=DensityForm.PRODUCT)
+
+
 class TestModelParams:
     def test_r_product(self):
         p = ModelParams(0.3, 0.4, 0.5, 0.5)

@@ -154,6 +154,7 @@ def _exit_code_with_one_error_line(argv, capsys):
         "eval f3D --q 0.999 --form series --rho 0.9,0.9,0.9 --grid -60:60:3".split(),
         "moments --kind mixed --q 0.99 --rho 0.9,0.9,0.9 --m 200 --n 200".split(),
         "moments --kind mixed --q 0.99 --rho 0.3,-0.6,0.5 --m 150 --n 150".split(),
+        "eval pmKernel --q 0.999 --rho1 -0.6 --y 60 --grid -60:60:5".split(),
     ],
     ids=[
         "hermite-moment-overflow",
@@ -163,12 +164,14 @@ def _exit_code_with_one_error_line(argv, capsys):
         "f3d-series-overflow",
         "mixed-moment-overflow",
         "mixed-moment-cancellation",
+        "pm-kernel-product-overflow",
     ],
 )
-# The integrands, series terms or closed forms overflow: the first level that
-# is not finite ends the refinement, the first non-finite envelope ends the
-# series, and a closed form past the double range raises, each with
-# NonConvergence; numpy prints no warning of its own.  A closed form whose
+# The integrands, series terms, kernel products or closed forms overflow: the
+# first level that is not finite ends the refinement, the first non-finite
+# envelope ends the series, and a kernel product or closed form past the
+# double range raises, each with NonConvergence; numpy prints no warning of
+# its own.  A closed form whose
 # terms cancel past its rounding bound raises the same way.
 @pytest.mark.filterwarnings("error")
 def test_cli_quadrature_overflow_exits_3_with_one_error_line(argv, capsys):
