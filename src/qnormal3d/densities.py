@@ -38,14 +38,15 @@ factors otherwise (|a| -> 1 at moderate q).  pm_kernel's product form and
 f_Z's edge-product form always take the factors, as the references the
 other forms are checked against.
 
-Point arguments accept scalars or broadcastable numpy arrays.  Unconditional
-densities, and f_cn in x, extend by zero outside the support; f_x_given_yz,
-f_yz_given_x, pm_kernel and the complex parameter map raise DomainError
-instead.  A NaN evaluation point gives NaN in every form, while the other
-points of the same array still evaluate.  A NaN conditioning point (y of
-f_cn, y and z of f_x_given_yz and of aw_parameters, x of f_yz_given_x) or
-kernel argument raises DomainError with a message that names NaN.  These
-tests, and those of q and the correlations, are qcore's validity rule.
+Point arguments accept scalars or broadcastable numpy arrays, except the
+scalar y and z of aw_parameters.  Unconditional densities, and f_cn in x,
+extend by zero outside the support; f_x_given_yz, f_yz_given_x, pm_kernel
+and the complex parameter map raise DomainError instead.  A NaN evaluation
+point gives NaN in every form, while the other points of the same array
+still evaluate.  A NaN conditioning point (y of f_cn, y and z of
+f_x_given_yz and of aw_parameters, x of f_yz_given_x) or kernel argument
+raises DomainError with a message that names NaN.  These tests, and those
+of q and the correlations, are qcore's validity rule.
 Whatever reads the law of X given (Y, Z) = (y, z), here or in moments, takes
 ModelParams, reads rho12, rho13 and q from it and checks (y, z) by _require_yz.
 """
@@ -805,12 +806,14 @@ def aw_parameters(
     y: float, z: float, params: ModelParams
 ) -> tuple[complex, complex, complex, complex]:
     """Complex conjugate parameter quadruple (a, b, c, d) encoding the two
-    conditioning points: a = sqrt(1-q)/2 rho12 (y - i sqrt(4/(1-q) - y^2)),
+    scalar conditioning points: a = sqrt(1-q)/2 rho12 (y - i sqrt(4/(1-q) - y^2)),
     b its conjugate, and (c, d) likewise from (rho13, z).
 
     |a| = |rho12| and |c| = |rho13| for in-support points.
     """
     p = params
+    if np.ndim(y) or np.ndim(z):
+        raise ValueError(f"y and z must be scalars, got shapes {np.shape(y)}, {np.shape(z)}")
     _require_yz(y, z, p.q)
     s = math.sqrt(1.0 - p.q) / 2.0
     ty = math.sqrt(max(4.0 / (1.0 - p.q) - y * y, 0.0))

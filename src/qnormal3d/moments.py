@@ -29,6 +29,7 @@ from .errors import NonConvergence
 from .polynomials import asc_poly, q_hermite
 from .qcore import (
     TAIL_TOL,
+    _check_count,
     _check_q,
     _check_rho,
     _finite,
@@ -102,8 +103,8 @@ class MomentSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, MomentKind):
             raise ValueError(f"kind must be a MomentKind, got {self.kind!r}")
-        if any((not isinstance(d, int)) or d < 0 for d in self.degrees):
-            raise ValueError(f"degrees must be nonnegative integers, got {self.degrees}")
+        for d in self.degrees:
+            _check_count(d, "degree")
         if self.kind is MomentKind.COND_XY_GIVEN_Z and tuple(self.degrees) != (1, 1):
             raise ValueError(f"E(XY | Z) takes degrees (1, 1), got {self.degrees}")
         counts, n_points = _SHAPES[self.kind]
@@ -120,8 +121,7 @@ def e_h2n_z(n: int, r: float, q: float) -> float:
     half the q-Hermite degree; odd-degree expectations vanish by symmetry
     and are handled by :func:`closed_form` rather than here.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _check_count(n, "n")
     _check_rho(r, "r")
     _check_q(q)
     # The running product of r [n+j]_q / (1 - r q^j), j = 1..n, stays finite
@@ -181,8 +181,8 @@ def mixed_moment_h(m: int, n: int, p: ModelParams) -> float:
     Accuracy and Stability of Numerical Algorithms, sec. 4.2); past
     TAIL_TOL * max(1, |total|) the value is not resolved.
     """
-    if m < 0 or n < 0:
-        raise ValueError(f"degrees must be nonnegative, got ({m}, {n})")
+    _check_count(m, "m")
+    _check_count(n, "n")
     if (m - n) % 2:
         return 0.0
     q = p.q
@@ -256,8 +256,7 @@ def cond_exp_hn_x_given_yz(
     alone, bit for bit.  DomainError is raised if any point lies outside
     the support.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _check_count(n, "n")
     rho12, rho13, q = params.rho12, params.rho13, params.q
     _require_yz(y, z, q)
     scalar = np.ndim(y) == 0 and np.ndim(z) == 0

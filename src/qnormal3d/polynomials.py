@@ -32,7 +32,9 @@ import numpy as np
 
 from .densities import f_cn, f_n, f_r
 from .errors import DegenerateRecurrence
-from .qcore import _check_rho, _finite, _q_binomial_row, _q_numbers, support_halfwidth
+from .qcore import (
+    _check_count, _check_rho, _finite, _q_binomial_row, _q_numbers, support_halfwidth
+)
 from .quadrature import gram_matrix
 
 __all__ = [
@@ -55,14 +57,15 @@ class PolySequence:
     values: np.ndarray
 
 
-def _recurrence(n: int, x, alpha, beta) -> np.ndarray:
+def _recurrence(n: int, x, rows: Callable[..., tuple], *args) -> np.ndarray:
     """p_0(x) .. p_n(x) from the coefficient rows of the monic recurrence.
 
-    Reads alpha[0..n-1] and beta[1..n-1].  ``alpha`` is None for a
-    symmetric family, or an array of shape (rows,) + point-shape.
+    The degree is checked before rows(n - 1, *args) builds (alpha, beta),
+    of which it reads alpha[0..n-1] and beta[1..n-1].  ``alpha`` is None
+    for a symmetric family, or an array of shape (n,) + point-shape.
     """
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
+    _check_count(n, "n")
+    alpha, beta = rows(n - 1, *args)
     x = np.asarray(x, dtype=float)
     shape = x.shape if alpha is None else np.broadcast_shapes(x.shape, alpha.shape[1:])
     values = np.empty((n + 1,) + shape)
@@ -114,13 +117,13 @@ def _gram_basis(n: int, m: int) -> np.ndarray:
     points, as an (n+1, m) array P with P P^T = I.  Under unit weights the
     monic p_k has squared norm m beta_1 ... beta_k."""
     beta = _gram_rows(n, m)[1]
-    values = _recurrence(n, np.arange(m) - (m - 1) / 2, None, beta)
+    values = _recurrence(n, np.arange(m) - (m - 1) / 2, _gram_rows, m)
     return values / np.sqrt(np.cumprod([float(m), *beta[1:]]))[:, None]
 
 
 def q_hermite(n: int, x, q: float) -> PolySequence:
     """Continuous q-Hermite values H_0(x|q) .. H_n(x|q)."""
-    return PolySequence(_recurrence(n, x, *_q_hermite_rows(n - 1, q)))
+    return PolySequence(_recurrence(n, x, _q_hermite_rows, q))
 
 
 def asc_poly(n: int, x, y, rho: float, q: float) -> PolySequence:
@@ -128,17 +131,17 @@ def asc_poly(n: int, x, y, rho: float, q: float) -> PolySequence:
 
     At rho = 0 the recurrence collapses to the continuous q-Hermite one.
     """
-    return PolySequence(_recurrence(n, x, *_asc_rows(n - 1, y, rho, q)))
+    return PolySequence(_recurrence(n, x, _asc_rows, y, rho, q))
 
 
 def rogers_monic(n: int, y, beta: float, q: float) -> PolySequence:
     """Monic Rogers values R_0(y|beta,q) .. R_n(y|beta,q)."""
-    return PolySequence(_recurrence(n, y, *_rogers_rows(n - 1, beta, q)))
+    return PolySequence(_recurrence(n, y, _rogers_rows, beta, q))
 
 
 def hermite_prob(n: int, x) -> PolySequence:
     """Probabilists' Hermite values He_0(x) .. He_n(x)."""
-    return PolySequence(_recurrence(n, x, None, [float(k) for k in range(n)]))
+    return PolySequence(_recurrence(n, x, lambda m: (None, [float(k) for k in range(m + 1)])))
 
 
 def triple_product_integral(k: int, m: int, n: int, q: float) -> float:
@@ -155,6 +158,8 @@ def triple_product_integral(k: int, m: int, n: int, q: float) -> float:
     with b = (m+k-n)/2 and c = (n+k-m)/2.  Its factors are >= 1 for q >= 0,
     so it overflows, raising NonConvergence, only where the value does.
     """
+    for name, index in zip("kmn", (k, m, n)):
+        _check_count(index, name, None)
     if min(k, m, n) < 0:
         return 0.0
     if (k + m + n) % 2 != 0:
@@ -190,10 +195,11 @@ class Family:
 
     def values(self, n: int, x, *args: float) -> np.ndarray:
         """p_0(x) .. p_n(x), stacked; args are the parameters, then q."""
-        return _recurrence(n, x, *self.coefficients(n - 1, *args))
+        return _recurrence(n, x, self.coefficients, *args)
 
     def norms(self, n: int, *args: float) -> List[float]:
         """E p_0^2 .. E p_n^2, the running products of beta_1 .. beta_n."""
+        _check_count(n, "n")
         beta = self.coefficients(n, *args)[1]
         return list(itertools.accumulate(beta[1 : n + 1], operator.mul, initial=1.0))
 

@@ -17,18 +17,21 @@ stop point by point, each point once two successive term envelopes there
 fall below TAIL_TOL, under the same cap.
 
 The package's one validity rule is written here as well: every parameter
-(q, a correlation rho, the ratio r) has absolute value below 1, and every
-conditioning point lies in [-L, L] with L = support_halfwidth(q), and
-every seed lies in [0, 2**64); a NaN parameter or point fails the rule.
-The densities, moments, samplers, checks and quadrature call _check_q,
-_check_rho, _check_seed and _require_support rather than test it
-themselves.
+(q, a correlation rho, the ratio r) is a real number below 1 in absolute
+value, every conditioning point lies in [-L, L] with L = support_halfwidth(q),
+every degree, size or count is an integer at least its lower bound, and
+every seed is an integer in [0, 2**64); NaN fails the rule.  An integer
+is Python's or numpy's but never a bool, and a real is a numbers.Real, so
+a complex number fails.  The densities, polynomials, moments, samplers,
+checks and quadrature call _check_q, _check_rho, _check_count, _check_seed
+and _require_support rather than test it themselves.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -82,20 +85,20 @@ def _q_pochhammer_row(a: float, q: float, j: int) -> list:
 
 def q_number(n: int, q: float) -> float:
     """[n]_q = 1 + q + ... + q^(n-1), the q-analogue of n."""
-    if n < 0:
-        raise ValueError("q_number requires n >= 0")
+    _check_count(n, "n")
     return _q_numbers(n, q)[n]
 
 
 def q_factorial(n: int, q: float) -> float:
     """[n]_q! = [1]_q [2]_q ... [n]_q with [0]_q! = 1."""
-    if n < 0:
-        raise ValueError("q_factorial requires n >= 0")
+    _check_count(n, "n")
     return math.prod(_q_numbers(n, q)[1:], start=1.0)
 
 
 def q_binomial(n: int, k: int, q: float) -> float:
     """Gaussian binomial coefficient [n choose k]_q; 0 outside 0 <= k <= n."""
+    _check_count(n, "n", None)
+    _check_count(k, "k", None)
     if k < 0 or k > n or n < 0:
         return 0.0
     return _q_binomial_row(n, _q_numbers(n, q))[k]
@@ -103,8 +106,7 @@ def q_binomial(n: int, k: int, q: float) -> float:
 
 def q_pochhammer(a: float, q: float, j: int) -> float:
     """Finite q-Pochhammer symbol (a; q)_j, with (a; q)_0 = 1."""
-    if j < 0:
-        raise ValueError("q_pochhammer requires j >= 0")
+    _check_count(j, "j")
     return _q_pochhammer_row(a, q, j)[j]
 
 
@@ -156,27 +158,38 @@ def log_q_pochhammer_inf(a: float, q: float) -> float:
 
 def support_halfwidth(q: float) -> float:
     """Half-width 2 / sqrt(1 - q) of the support interval; inf at q = 1."""
-    if not abs(q) <= 1.0:
-        raise ValueError("support requires |q| <= 1")
+    if not (isinstance(q, numbers.Real) and abs(q) <= 1.0):
+        raise ValueError(f"support requires a real q with |q| <= 1, got {q!r}")
     if q == 1.0:
         return math.inf
     return 2.0 / math.sqrt(1.0 - q)
 
 
 def _check_q(q: float) -> None:
-    """The package's parameter rule for q: |q| < 1, NaN rejected."""
-    if not abs(q) < 1.0:
-        raise ValueError(f"|q| must be < 1, got q={q}")
+    """The package's parameter rule for q: a real |q| < 1, NaN rejected."""
+    _check_rho(q, "q")
+
+
+def _check_count(n: int, name: str, least: int | None = 0) -> None:
+    """The rule for a degree, size or count named ``name``: a Python or
+    numpy integer, never a bool, and at least ``least`` unless it is None."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if least is not None and n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
 
 
 def _check_seed(seed: int) -> None:
-    """The rule for a seed, the key of a Philox stream: 0 <= seed < 2**64."""
+    """The rule for a seed, the key of a Philox stream: an integer in [0, 2**64)."""
+    _check_count(seed, "seed", None)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
 
 
 def _check_rho(rho: float, name: str = "rho") -> None:
     """The same rule for a correlation or ratio named ``name``."""
+    if not isinstance(rho, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {rho!r}")
     if not abs(rho) < 1.0:
         raise ValueError(f"|{name}| must be < 1, got {name}={rho}")
 

@@ -76,7 +76,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonConvergence
-from .qcore import _check_q, support_halfwidth
+from .qcore import _check_count, _check_q, support_halfwidth
 
 __all__ = [
     "IntegralResult",
@@ -249,6 +249,7 @@ def gram_matrix(
     for integrate1d, with the largest entry movement as the change between
     two levels.  The result is symmetrized, so G == G.T exactly.
     """
+    _check_count(n_max, "n_max")
 
     def level(panels: int) -> np.ndarray:
         x, w = _axis(q, panels)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .densities import ModelParams, _given_z, _log_w, f_n, f_r
 from .errors import DegenerateConditioning, InsufficientSamples
-from .qcore import _check_q, _check_seed, support_halfwidth
+from .qcore import _check_count, _check_q, _check_seed, support_halfwidth
 from .quadrature import _phi_of_theta, _theta_of_phi
 
 __all__ = [
@@ -64,7 +64,9 @@ _ROWS = 64
 class SamplerConfig:
     """Knobs for the samplers.
 
-    ``grid_points`` sets the inverse-CDF tabulation resolution.  ``burn_in``
+    ``seed``, ``n_samples`` and ``grid_points`` are integers, Python's or
+    numpy's but never bool: a seed in [0, 2**64), at least 1 draw and at
+    least 64 points of inverse-CDF tabulation resolution.  ``burn_in``
     and ``n_chains`` are ignored and unchecked.  They remain only because
     the benchmark's smoke list still passes them; its revision in ROADMAP
     item 3 deletes them.
@@ -78,10 +80,8 @@ class SamplerConfig:
 
     def __post_init__(self) -> None:
         _check_seed(self.seed)
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.grid_points < 64:
-            raise ValueError(f"grid_points must be >= 64, got {self.grid_points}")
+        _check_count(self.n_samples, "n_samples", 1)
+        _check_count(self.grid_points, "grid_points", 64)
 
 
 @dataclass(frozen=True)
@@ -276,6 +276,8 @@ def mc_moment(
     draws correlated within a batch.
     """
     arr = np.asarray(samples, dtype=float)
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"samples must be 1-D or 2-D, got shape {arr.shape}")
     n = arr.shape[0]
     if n < _N_BATCHES:
         raise InsufficientSamples(
@@ -347,7 +349,9 @@ def _blockwise(fn: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> np.nda
 def ks_statistic(
     samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]
 ) -> float:
-    """Two-sided Kolmogorov-Smirnov distance of samples from a CDF."""
+    """Two-sided Kolmogorov-Smirnov distance of 1-D samples from a CDF."""
+    if np.ndim(samples) != 1:
+        raise ValueError(f"samples must be 1-D, got shape {np.shape(samples)}")
     xs = np.sort(np.asarray(samples, dtype=float))
     n = xs.shape[0]
     if n == 0:
@@ -363,8 +367,7 @@ def ks_critical(n: int, alpha: float = 0.01) -> float:
     Newton's method on the Kolmogorov tail 2 sum_k (-1)^(k-1) e^(-2 k^2 x^2)
     = alpha from its one-term root; relative error below 1e-13 for alpha <= 0.999.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _check_count(n, "n", 1)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"need 0 < alpha < 1, got {alpha}")
     k = np.arange(1, _KS_TERMS + 1)

@@ -1,7 +1,9 @@
 """The package's one validity rule and the CLI exit code of each error.
 
-Every parameter (q, each rho, r) has absolute value below 1 and every
-conditioning point lies in the support; NaN fails both.  Each public entry
+Every parameter (q, each rho, r) is a real number of absolute value below
+1, every degree, size and seed is an integer (numpy's too, never a bool) at
+least its lower bound, and every conditioning point lies in the support;
+NaN fails both.  Each public entry
 below must raise the documented error rather than return NaN or leak a
 Python exception, and the CLI must map each error to its documented code.
 """
@@ -9,10 +11,14 @@ Python exception, and the CLI must map each error to its documented code.
 import math
 from functools import partial
 
+import numpy as np
 import pytest
 
 from qnormal3d import errors
 from qnormal3d import moments as mm
+from qnormal3d import polynomials as pl
+from qnormal3d import qcore
+from qnormal3d.checks import run_suite
 from qnormal3d.cli import EXIT_CODES, main
 from qnormal3d.densities import (
     DensityForm,
@@ -20,12 +26,17 @@ from qnormal3d.densities import (
     ModelParams,
     aw_parameters,
     f_3d,
+    f_cn,
+    f_n,
+    f_r,
     f_z,
     omega,
     pm_kernel,
 )
 from qnormal3d.errors import DomainError
 from qnormal3d.qcore import support_halfwidth
+from qnormal3d.quadrature import gram_matrix
+from qnormal3d.sampler import SamplerConfig, cdf_fn, ks_critical, ks_statistic, mc_moment, sample_fn
 
 NAN = math.nan
 P = ModelParams(0.3, 0.6, 0.3, 0.5)
@@ -74,6 +85,78 @@ INVALID += [
 ]
 
 
+def _f_n_half(x):
+    return f_n(x, 0.5)
+
+
+QHERMITE = pl.FAMILIES["qhermite"]
+UNCONDITIONAL = mm.MomentKind.UNCONDITIONAL
+# (entry, arguments with the count as a one-argument function, lower bound):
+# every degree, size and seed an entry takes.  A float, a bool and a string
+# are not integers, and one below the lower bound (-1 for a degree) is out
+# of range.  q_binomial and triple_product_integral read a negative index as
+# a zero coefficient, and a seed outside [0, 2**64) has its own message, so
+# they have no bound here.
+COUNTS = [
+    (qcore.q_number, lambda n: (n, 0.5), 0),
+    (qcore.q_factorial, lambda n: (n, 0.5), 0),
+    (qcore.q_pochhammer, lambda j: (0.3, 0.5, j), 0),
+    (qcore.q_binomial, lambda n: (n, 1, 0.5), None),
+    (qcore.q_binomial, lambda k: (3, k, 0.5), None),
+    (pl.q_hermite, lambda n: (n, 0.1, 0.5), 0),
+    (pl.asc_poly, lambda n: (n, 0.1, 0.2, 0.3, 0.5), 0),
+    (pl.rogers_monic, lambda n: (n, 0.1, 0.3, 0.5), 0),
+    (pl.hermite_prob, lambda n: (n, 0.1), 0),
+    (pl.triple_product_integral, lambda k: (k, 1, 1, 0.5), None),
+    (pl.triple_product_integral, lambda m: (2, m, 1, 0.5), None),
+    (pl.triple_product_integral, lambda n: (2, 1, n, 0.5), None),
+    (QHERMITE.values, lambda n: (n, 0.1, 0.5), 0),
+    (QHERMITE.norms, lambda n: (n, 0.5), 0),
+    (gram_matrix, lambda n: (lambda x: QHERMITE.values(n, x, 0.5), _f_n_half, n, 0.5), 0),
+    (mm.MomentSpec, lambda d: (UNCONDITIONAL, (d,), P), 0),
+    (mm.MomentSpec, lambda d: (UNCONDITIONAL, (1, d), P), 0),
+    (mm.e_h2n_z, lambda n: (n, 0.3, 0.5), 0),
+    (mm.mixed_moment_h, lambda m: (m, 1, P), 0),
+    (mm.mixed_moment_h, lambda n: (1, n, P), 0),
+    (mm.cond_exp_hn_x_given_yz, lambda n: (n, 0.1, 0.2, P), 0),
+    (SamplerConfig, lambda seed: (seed, 64), None),
+    (SamplerConfig, lambda n: (1, n), 1),
+    (SamplerConfig, lambda grid: (1, 64, grid), 64),
+    (ks_critical, lambda n: (n,), 1),
+    (run_suite, lambda seed: ("limits", P, seed), None),
+]
+for entry, make, least in COUNTS:
+    bad = [1.5, True, "2"] + ([] if least is None else [least - 1])
+    INVALID += [(entry, make(value), ValueError) for value in bad]
+# (entry, arguments with the real as a one-argument function): every q, rho
+# and r an entry takes.  A complex number and a string are not reals.
+REALS = [
+    (ModelParams, lambda rho: (rho, 0.4, 0.5, 0.5)),
+    (ModelParams, lambda rho: (0.3, 0.4, rho, 0.5)),
+    (ModelParams, lambda q: (0.3, 0.4, 0.5, q)),
+    (mm.var_z, lambda r: (r, 0.5)),
+    (mm.e_h2n_z, lambda q: (1, 0.3, q)),
+    (f_n, lambda q: (0.1, q)),
+    (f_cn, lambda rho: (0.1, 0.2, rho, 0.5)),
+    (f_r, lambda beta: (0.1, beta, 0.5)),
+    (f_z, lambda r: (0.1, r, 0.5)),
+    (omega, lambda rho: (0.1, 0.2, rho, 0.5)),
+    (pm_kernel, lambda q: (0.1, 0.2, 0.3, q)),
+    (support_halfwidth, lambda q: (q,)),
+]
+for entry, make in REALS:
+    INVALID += [(entry, make(value), ValueError) for value in (0.3 + 0j, "0.3")]
+# The sample shapes the statistics document: 1-D samples for the KS
+# distance, 1-D or 2-D for a Monte Carlo mean, scalar points for the
+# Askey-Wilson parameters.
+INVALID += [
+    (ks_statistic, (np.ones((3, 3)), cdf_fn(0.5)), ValueError),
+    (mc_moment, (np.float64(1.0), lambda x: x), ValueError),
+    (aw_parameters, (np.array([0.1, 0.2]), 0.1, P), ValueError),
+    (aw_parameters, (0.1, np.array([0.1, 0.2]), P), ValueError),
+]
+
+
 @pytest.mark.parametrize(
     "entry, args, error",
     INVALID,
@@ -82,6 +165,32 @@ INVALID += [
 def test_invalid_input_raises_documented_error(entry, args, error):
     with pytest.raises(error):
         entry(*(a() if isinstance(a, partial) else a for a in args))
+
+
+@pytest.mark.parametrize(
+    "entry, make, least", COUNTS, ids=[f"{fn.__name__}{i}" for i, (fn, _, _) in enumerate(COUNTS)]
+)
+def test_numpy_integer_counts_are_accepted(entry, make, least):
+    # Degrees and sizes as np.int64, seeds (the rows whose count is named
+    # seed) as np.uint64: the value the same Python integer gives, bit for bit.
+    n = 64 if least == 64 else 2
+    numpy_int = np.uint64 if make.__code__.co_varnames[0] == "seed" else np.int64
+    got, want = entry(*make(numpy_int(n))), entry(*make(n))
+    if entry is SamplerConfig:
+        got, want = sample_fn(0.5, got), sample_fn(0.5, want)
+    elif entry is mm.MomentSpec:
+        got, want = mm.closed_form(got), mm.closed_form(want)
+    elif entry is run_suite:
+        got, want = [r.lhs for r in got], [r.lhs for r in want]
+    elif isinstance(got, pl.PolySequence):
+        got, want = got.values, want.values
+    assert np.array_equal(got, want)
+
+
+def test_complex_rho_is_named_not_ranged():
+    # |0.3+0j| < 1, so the message names the kind of number, not the range.
+    with pytest.raises(ValueError, match="rho12 must be a real number"):
+        ModelParams(0.3 + 0j, 0.4, 0.5, 0.5)
 
 
 def test_every_error_has_its_documented_exit_code():
@@ -112,6 +221,12 @@ def test_every_error_has_its_documented_exit_code():
         "limits --q-seq 0.9,1".split(),
         "limits --q-seq 0.9,nan".split(),
         "check poisson-mehler --rho 0.3,0.6,-0.6 --q 0.5 --seed -3".split(),
+        "sample --n 0".split(),
+        "sample --grid-points 32".split(),
+        "moments --kind eh2n_z --q 0.5 --r 0.3 --n -1".split(),
+        "moments --kind mixed --q 0.5 --m -1 --n 1".split(),
+        "moments --kind cond_x --q 0.5 --n -2".split(),
+        "gram --family asc --q 0.5 --nmax -1".split(),
     ],
     ids=[
         "nan-point",
@@ -126,6 +241,12 @@ def test_every_error_has_its_documented_exit_code():
         "limits-q-at-bound",
         "limits-q-nan",
         "negative-seed",
+        "no-draws",
+        "too-few-grid-points",
+        "negative-half-degree",
+        "negative-mixed-degree",
+        "negative-conditional-degree",
+        "negative-gram-degree",
     ],
 )
 # A warning is an error here: numpy's warnings would print lines of their own
