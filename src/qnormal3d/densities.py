@@ -68,6 +68,7 @@ from .qcore import (
     _check_q,
     _check_rho,
     _factors_needed,
+    _real_points,
     _require_support,
     log_q_pochhammer_inf,
     support_halfwidth,
@@ -168,7 +169,7 @@ def _require_yz(y, z, q: float) -> float:
 
 
 def _points(*xs) -> tuple[list[np.ndarray], bool]:
-    arrs = [np.asarray(x, dtype=float) for x in xs]
+    arrs = [_real_points(x, "point") for x in xs]
     scalar = all(a.ndim == 0 for a in arrs)
     return arrs, scalar
 

@@ -6,7 +6,8 @@ numerical integration of the densities it summarizes, so each formula can
 be checked against the other route.
 
 Unconditional moments cover the single-coordinate q-Hermite expectations
-and the mixed two-coordinate expectation (a truncated double series).
+and the mixed two-coordinate expectation, an exact finite sum over the
+Rogers Gauss rule of E(H_m(Y) | Z).
 Conditional moments cover E(H_n(X) | Y, Z) in two equivalent forms,
 E(H_n(Y) | Z) and the product moment E(XY | Z).  The law of Y given Z = z
 is the law of X given (Y, Z) = (z, z) with correlations (rho23, rho12 rho13),
@@ -16,9 +17,7 @@ so E(H_n(Y) | Z = z) is E(H_n(X) | Y = Z = z) there, by either route.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from .densities import ModelParams, _given_z, _require_yz, f_r, f_x_given_yz, f_yz, f_yz_given_x
 from .errors import NonConvergence
-from .polynomials import asc_poly, q_hermite
+from .polynomials import _gauss, _rogers_rows, asc_poly, q_hermite
 from .qcore import (
     TAIL_TOL,
     _check_count,
@@ -56,10 +55,6 @@ __all__ = [
     "cond_exp_hn_y_given_z",
     "cond_exp_xy_given_z",
 ]
-
-# Largest argument of math.exp that stays in the double range.
-_LOG_MAX = math.log(sys.float_info.max)
-
 
 class MomentKind(enum.Enum):
     """Which conditioning structure a moment request refers to."""
@@ -166,73 +161,36 @@ def cov_yz(p: ModelParams) -> float:
 
 
 def mixed_moment_h(m: int, n: int, p: ModelParams) -> float:
-    """E H_m(Y) H_n(Z) as a truncated double series.
+    """E H_m(Y) H_n(Z) = E[H_n(Z) E(H_m(Y) | Z)], an exact finite sum.
 
-    The series runs over bands s >= max(m, n) of total linearization degree,
-    each band a short sum over k with q-binomial weights; band size decays
-    geometrically in max(|rho23|, |rho12 rho13|).  The prefactor (1 - r)
-    multiplies the whole series.  The last band is where that decay reaches
-    TAIL_TOL, plus m + n + 60 degrees for the polynomial growth of the
-    bands.  Raises NonConvergence when the final band still contributes
-    more than TAIL_TOL relative to the total, when a term or the moment
-    overflows, or when the terms cancel: the sum carries sum |term|, and
-    each term passes through at most (terms in a band) + (bands) roundings,
-    so eps * that depth * sum |term| bounds the rounding error (Higham,
-    Accuracy and Stability of Numerical Algorithms, sec. 4.2); past
-    TAIL_TOL * max(1, |total|) the value is not resolved.
+    Z has the law f_R(., r, q), under which the monic Rogers rows are
+    orthogonal, and E(H_m(Y) | Z = z) is a polynomial of degree m in z, so
+    the Rogers Gauss rule of k = (m + n)/2 + 1 nodes integrates the product
+    exactly: the moment is sum_i w_i H_n(z_i) E(H_m(Y) | z_i).  The rules of
+    k and k + 1 nodes differ only by rounding; NonConvergence is raised
+    where they differ by more than TAIL_TOL relative, as where the inner
+    sums cancel, or where the moment overflows.
     """
     _check_count(m, "m")
     _check_count(n, "n")
     if (m - n) % 2:
         return 0.0
-    q = p.q
-    a = p.rho23
-    b = p.rho12 * p.rho13
-    decay = max(abs(a), abs(b))
-    tail = math.ceil(math.log(TAIL_TOL) / math.log(decay)) if decay > 0.0 else 0
-    s_max = m + n + tail + 60
-    # log [i]_q! for i <= s_max + 1, and the log q-binomial rows of m and n:
-    # [i]_q! overflows past i ~ 300 at q = 0.9, and so may a ratio of them
-    # before the powers of a and b scale it down, so each term is one exp.
-    qn = _q_numbers(s_max + 1, q)
-    log_fact = [0.0, *itertools.accumulate(map(math.log, qn[1:]))]
-    log_bm, log_bn = (
-        [math.log(c) if c else -math.inf for c in _q_binomial_row(d, qn)] for d in (m, n)
-    )
-    log_a, log_b = (math.log(abs(c)) if c else -math.inf for c in (a, b))
-    total = 0.0
-    magnitude = 0.0
-    last_band = 0.0
-    mu = min(m, n)
-    bands = range(max(m, n), s_max + 1, 2)
-    for s in bands:
-        jm, jn = (s - m) // 2, (s - n) // 2
-        log_den = log_fact[jm] + log_fact[jn]
-        band = 0.0
-        for k in range((s - mu) // 2, (s + mu) // 2 + 1):
-            log_term = log_fact[k] + log_fact[s - k] - log_den + log_bm[k - jm] + log_bn[k - jn]
-            log_term += (k * log_a if k else 0.0) + ((s - k) * log_b if s - k else 0.0)
-            if log_term > _LOG_MAX:
-                raise NonConvergence(f"mixed moment series term overflows at band {s}")
-            negative = (a < 0.0 and k % 2 == 1) != (b < 0.0 and (s - k) % 2 == 1)
-            term = math.exp(log_term)
-            magnitude += term
-            band += -term if negative else term
-        total += band
-        last_band = abs(band)
-    scale = max(1.0, abs(total))
-    rounding = sys.float_info.epsilon * (mu + 1 + len(bands)) * magnitude
-    if rounding > TAIL_TOL * scale:
+    k = (m + n) // 2 + 1
+    values = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in (k, k + 1):
+            nodes, weights = _gauss(j, *_rogers_rows(j, p.r, p.q))
+            z = np.array(nodes)
+            terms = np.array(weights) * q_hermite(n, z, p.q).values[n]
+            values.append(float(np.sum(terms * cond_exp_hn_y_given_z(m, z, p))))
+    coarse, fine = values
+    _finite(fine, "mixed moment")
+    if not abs(fine - coarse) <= TAIL_TOL * max(1.0, abs(fine)):
         raise NonConvergence(
-            f"mixed moment series cancels: rounding bound {rounding:.3e} above "
-            f"{TAIL_TOL:.1e} x {scale:.3e}"
+            f"mixed moment cancels: the rules of {k} and {k + 1} nodes give "
+            f"{coarse:.6e} and {fine:.6e}"
         )
-    if last_band > TAIL_TOL * scale:
-        raise NonConvergence(
-            f"mixed moment series tail {last_band:.3e} above tolerance "
-            f"{TAIL_TOL:.1e} at band {s_max}"
-        )
-    return _finite((1.0 - p.r) * total, "mixed moment")
+    return fine
 
 
 def cond_exp_hn_x_given_yz(

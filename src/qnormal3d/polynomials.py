@@ -31,9 +31,9 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from .densities import f_cn, f_n, f_r
-from .errors import DegenerateRecurrence
+from .errors import DegenerateRecurrence, NonConvergence
 from .qcore import (
-    _check_count, _check_rho, _finite, _q_binomial_row, _q_numbers, support_halfwidth
+    _check_count, _check_rho, _finite, _q_binomial_row, _q_numbers, _real_points, support_halfwidth
 )
 from .quadrature import gram_matrix
 
@@ -66,7 +66,7 @@ def _recurrence(n: int, x, rows: Callable[..., tuple], *args) -> np.ndarray:
     """
     _check_count(n, "n")
     alpha, beta = rows(n - 1, *args)
-    x = np.asarray(x, dtype=float)
+    x = _real_points(x, "point x")
     shape = x.shape if alpha is None else np.broadcast_shapes(x.shape, alpha.shape[1:])
     values = np.empty((n + 1,) + shape)
     values[0] = 1.0
@@ -87,7 +87,7 @@ def _q_hermite_rows(n: int, q: float):
 
 
 def _asc_rows(n: int, y, rho: float, q: float):
-    y = np.asarray(y, dtype=float)
+    y = _real_points(y, "point y")
     alpha = np.array([rho * y * q**k for k in range(n + 1)]).reshape((n + 1,) + y.shape)
     qn = _q_numbers(n, q)
     return alpha, [0.0] + [(1.0 - rho**2 * q ** (k - 1)) * qn[k] for k in range(1, n + 1)]
@@ -119,6 +119,60 @@ def _gram_basis(n: int, m: int) -> np.ndarray:
     beta = _gram_rows(n, m)[1]
     values = _recurrence(n, np.arange(m) - (m - 1) / 2, _gram_rows, m)
     return values / np.sqrt(np.cumprod([float(m), *beta[1:]]))[:, None]
+
+
+def _gauss(k: int, alpha, beta) -> Tuple[List[float], List[float]]:
+    """Nodes and weights of the k-point Gauss rule of a probability weight
+    from its monic rows to degree k, alpha[0..k-1] (None: symmetric) and
+    beta[1..k] (Golub & Welsch, Math. Comp. 23, 1969).
+
+    The nodes are the Jacobi matrix's eigenvalues by the implicit QL
+    iteration of netlib gausq2, eigenvalues only, each then polished by two
+    Newton steps on the orthonormal p_k; the weights are the Christoffel
+    numbers 1 / (sqrt(beta_k) p_{k-1} p_k') after the first.  NonConvergence
+    is raised where a node takes more than 30 sweeps.
+    """
+    a = [0.0] * k if alpha is None else [float(v) for v in alpha[:k]]
+    root = [math.sqrt(b) for b in beta[1 : k + 1]]
+    d, e = a[:], root[: k - 1] + [0.0]
+    for lo in range(k):
+        for sweep in range(31):
+            m = lo
+            while m < k - 1 and abs(e[m]) > math.ulp(1.0) * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == lo:
+                break
+            if sweep == 30:
+                raise NonConvergence(f"Gauss rule QL iteration did not settle node {lo} of {k}")
+            g = (d[lo + 1] - d[lo]) / (2.0 * e[lo])
+            g = d[m] - d[lo] + e[lo] / (g + math.copysign(math.hypot(g, 1.0), g))
+            s, c, p = 1.0, 1.0, 0.0
+            for i in range(m - 1, lo - 1, -1):
+                f, b = s * e[i], c * e[i]
+                e[i + 1] = math.hypot(f, g)
+                c, s = g / e[i + 1], f / e[i + 1]
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            d[lo] -= p
+            e[lo], e[m] = g, 0.0
+    nodes, weights = [], []
+    for x in sorted(d):
+        for _ in range(2):
+            # p_{j-1}, p_j and their derivatives, up the orthonormal recurrence.
+            prev, cur, dprev, dcur = 0.0, 1.0, 0.0, 0.0
+            for j in range(k):
+                t, back = x - a[j], root[j - 1] if j else 0.0
+                prev, cur, dprev, dcur = (
+                    cur, (t * cur - back * prev) / root[j],
+                    dcur, (cur + t * dcur - back * dprev) / root[j],
+                )
+            x -= cur / dcur
+        nodes.append(x)
+        weights.append(1.0 / (root[k - 1] * prev * dcur))
+    return nodes, weights
 
 
 def q_hermite(n: int, x, q: float) -> PolySequence:

@@ -201,9 +201,20 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
+def _real_points(x, what: str) -> np.ndarray:
+    """The points x as a float array, or ValueError naming ``what`` where
+    they are not real numbers (a complex or a string point)."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{what} must be a real number, got {x!r}")
+    return arr.astype(float, copy=False)
+
+
 def _require_support(arr, half: float, what: str) -> None:
     """Raise DomainError unless every point of arr lies in [-half, half];
-    a NaN point lies nowhere."""
+    a NaN point lies nowhere, and a point that is not real fails
+    _real_points."""
+    arr = _real_points(arr, what)
     if np.any(np.isnan(arr)):
         raise DomainError(f"{what} is NaN")
     if not np.all(np.abs(arr) <= half):

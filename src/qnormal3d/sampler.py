@@ -25,6 +25,7 @@ working set does not grow with the number of points read.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -368,8 +369,8 @@ def ks_critical(n: int, alpha: float = 0.01) -> float:
     = alpha from its one-term root; relative error below 1e-13 for alpha <= 0.999.
     """
     _check_count(n, "n", 1)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"need 0 < alpha < 1, got {alpha}")
+    if not (isinstance(alpha, numbers.Real) and 0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must be a real number in (0, 1), got {alpha!r}")
     k = np.arange(1, _KS_TERMS + 1)
     x = math.sqrt(0.5 * (math.log(2.0) - math.log(alpha)))
     for _ in range(_NEWTON_STEPS):

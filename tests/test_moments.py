@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnormal3d import moments, qcore
 from qnormal3d.checks import TOL_COND_FORMS
 from qnormal3d.densities import ModelParams
 from qnormal3d.errors import DomainError, NonConvergence
@@ -30,6 +29,8 @@ from qnormal3d.moments import (
 )
 from qnormal3d.polynomials import asc_poly, q_hermite
 from qnormal3d.qcore import q_binomial, q_factorial, q_pochhammer, support_halfwidth
+
+import reference
 
 rhos = st.floats(min_value=-0.7, max_value=0.7)
 qs = st.floats(min_value=-0.8, max_value=0.8)
@@ -115,31 +116,35 @@ class TestMixedMoments:
             mixed_moment_h(200, 200, ModelParams(0.9, 0.9, 0.9, 0.99))
 
     def test_cancellation_raises(self):
-        # a = -0.6 alternates the terms' signs; the largest is ~8e217 while
-        # a 400-digit sum of the same series is ~3.5e191, far below what
-        # double rounding of those terms resolves.
+        # The inner sums of E(H_150(Y) | z) cancel by ~6e18 here, so the
+        # Gauss rules of 151 and 152 nodes part at 1.3e-6 relative, far
+        # above what rounding of two exact rules allows; the moment, ~3.5e191
+        # by a 400-digit sum of the band series, is not resolved.
         with pytest.raises(NonConvergence, match="cancels"):
             mixed_moment_h(150, 150, ModelParams(0.3, -0.6, 0.5, 0.99))
-
-    def test_builds_its_q_rows_once(self, monkeypatch):
-        # One row of q-numbers serves the factorials and both q-binomial
-        # rows; a q-binomial formed anew for each term built 54,673 here.
-        rows = []
-        real = qcore._q_numbers
-
-        def counted(n, q):
-            rows.append(n)
-            return real(n, q)
-
-        for module in (qcore, moments):
-            monkeypatch.setattr(module, "_q_numbers", counted)
-        mixed_moment_h(200, 200, ModelParams(0.05, 0.05, 0.05, 0.99))
-        assert 1 <= len(rows) <= 3
 
     @pytest.mark.parametrize("rho", [(0.0, 0.6, 0.5), (0.3, 0.6, 0.0)], ids=["b=0", "a=0"])
     def test_zero_power_base_matches_oracle(self, rho):
         spec = MomentSpec(MomentKind.UNCONDITIONAL, (2, 4), ModelParams(*rho, 0.5))
         assert closed_form(spec) == pytest.approx(quadrature_oracle(spec), rel=1e-9, abs=1e-12)
+
+
+    @pytest.mark.parametrize(
+        "rho, q, m, n",
+        [
+            ((-0.6, 0.7, 0.9), 0.7, 3, 3),
+            ((0.8, -0.5, 0.9), 0.9, 4, 4),
+            ((-0.9, 0.9, 0.9), 0.99, 6, 8),
+            ((0.9, -0.9, 0.9), 0.99, 5, 5),
+            ((0.9, -0.9, 0.9), 0.99, 30, 30),
+            ((0.3, -0.6, 0.5), 0.99, 20, 20),
+        ],
+    )
+    def test_matches_the_decimal_reference(self, rho, q, m, n):
+        # Points where a truncated band series in doubles raised: its terms
+        # reach 1e27 times the moment at m = n = 30.
+        want = reference.mixed_moment_h(m, n, *rho, q)
+        assert mixed_moment_h(m, n, ModelParams(*rho, q)) == pytest.approx(want, rel=1e-12)
 
 
 class TestOracleRegistry:

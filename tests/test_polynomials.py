@@ -11,6 +11,7 @@ from qnormal3d.errors import DegenerateRecurrence, NonConvergence
 from qnormal3d.polynomials import (
     FAMILIES,
     PolySequence,
+    _gauss,
     _gram_basis,
     asc_poly,
     hermite_prob,
@@ -18,7 +19,7 @@ from qnormal3d.polynomials import (
     rogers_monic,
     triple_product_integral,
 )
-from qnormal3d.qcore import q_factorial, q_number, q_pochhammer
+from qnormal3d.qcore import q_factorial, q_number, q_pochhammer, support_halfwidth
 
 qs = st.floats(min_value=-0.9, max_value=0.9)
 xs = st.floats(min_value=-1.8, max_value=1.8)
@@ -152,6 +153,26 @@ class TestFamilyNorms:
             for name, (args, want) in closed.items():
                 got = FAMILIES[name].norms(n, *args, q)
                 np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0, err_msg=name)
+
+
+class TestGaussRule:
+    """The k-point rule from each family's rows: a probability rule on the
+    support that integrates p_i p_j, i, j < k, exactly."""
+
+    @pytest.mark.parametrize("q", [-0.5, 0.0, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("name, args", [("qhermite", ()), ("asc", (0.4, 0.6)), ("rogers", (0.7,))])
+    def test_reproduces_the_norms(self, name, args, q):
+        family = FAMILIES[name]
+        for k in (1, 2, 5, 12, 20):
+            nodes, weights = _gauss(k, *family.coefficients(k, *args, q))
+            weights = np.array(weights)
+            assert np.all(weights > 0.0) and math.fsum(weights) == pytest.approx(1.0, abs=1e-14)
+            assert np.all(np.diff(nodes) > 0.0) and max(map(abs, nodes)) < support_halfwidth(q)
+            values = family.values(k - 1, np.array(nodes), *args, q)
+            # E p_i p_j / sqrt(h_i h_j) is the identity, h = Family.norms.
+            root = np.sqrt(family.norms(k - 1, *args, q))
+            gram = (values * weights) @ values.T / np.outer(root, root)
+            np.testing.assert_allclose(gram, np.eye(k), rtol=0.0, atol=1e-12)
 
 
 class TestGramBasis:

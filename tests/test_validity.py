@@ -29,6 +29,7 @@ from qnormal3d.densities import (
     f_cn,
     f_n,
     f_r,
+    f_x_given_yz,
     f_z,
     omega,
     pm_kernel,
@@ -154,6 +155,21 @@ INVALID += [
     (mc_moment, (np.float64(1.0), lambda x: x), ValueError),
     (aw_parameters, (np.array([0.1, 0.2]), 0.1, P), ValueError),
     (aw_parameters, (0.1, np.array([0.1, 0.2]), P), ValueError),
+]
+# Every evaluation and conditioning point is a real number: a complex point
+# lies inside [-L, L] by its modulus, so the support test alone passes it.
+# Then alpha, the one real that is a level rather than a parameter.
+INVALID += [
+    (mm.cond_exp_x_given_yz, (0.3 + 0j, 0.1, P), ValueError),
+    (mm.cond_exp_y_given_z, (0.3 + 0j, P), ValueError),
+    (mm.MomentSpec, (mm.MomentKind.COND_Y_GIVEN_Z, (1,), P, (0.3 + 0j,)), ValueError),
+    (f_n, (0.3 + 0j, 0.5), ValueError),
+    (pl.q_hermite, (2, 0.3 + 0j, 0.5), ValueError),
+    (pl.asc_poly, (2, 0.1, 0.3 + 0j, 0.3, 0.5), ValueError),
+    (f_x_given_yz, (0.1, 0.3 + 0j, 0.1, P), ValueError),
+    (mm.cond_exp_hn_x_given_yz, (2, 0.1, 0.3 + 0j, P), ValueError),
+    (aw_parameters, (0.3 + 0j, 0.1, P), ValueError),
+    (ks_critical, (10, "0.1"), ValueError),
 ]
 
 
