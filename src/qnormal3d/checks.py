@@ -52,7 +52,6 @@ from .moments import (
 )
 from .polynomials import (
     FAMILIES,
-    _gram_basis,
     asc_poly,
     default_y,
     hermite_prob,
@@ -341,27 +340,20 @@ def check_conditionals(p: ModelParams, seed: int = 7) -> List[VerificationReport
 
 
 def _pcm_residual(n: int, p: ModelParams) -> float:
-    """Least-squares residual of a total-degree-n fit to E(H_n(X) | y, z).
+    """Largest mixed difference of order n + 1 of E(H_n(X) | y, z).
 
     T is the (m, m) table of the moment on m = 2n + 5 equispaced points
-    over +-0.85 L in each of z (rows) and y (columns).  The products
-    P_i(z) P_j(y) of the orthonormal Gram polynomials on those points are
-    an orthonormal basis of the tables, and those with i + j <= n span the
-    polynomials of total degree n, so the fit keeps C = P T P^T where
-    i + j <= n and the residual is ||T - P^T C P||_F: two small matrix
-    products on a basis of condition number 1, with no linear solve.  Each
-    product is two two-operand einsums, which run in numpy's own loops as
-    quadrature's sums do; one three-operand einsum rounds worse here.
+    over +-0.85 L in each of z (rows) and y (columns).  A table is a
+    polynomial of total degree <= n exactly when every difference
+    D_y^a D_z^(n+1-a) T, a = 0..n+1, vanishes, so the residual is the
+    largest |entry| among them.
     """
     m = 2 * n + 5
     half = support_halfwidth(p.q)
     grid = np.linspace(-0.85 * half, 0.85 * half, m)
     target = cond_exp_hn_x_given_yz(n, grid, grid[:, None], p)
-    basis = _gram_basis(n, m)
-    coef = np.einsum("ik,jk->ij", np.einsum("ij,jk->ik", basis, target), basis)
-    coef[np.add.outer(np.arange(n + 1), np.arange(n + 1)) > n] = 0.0
-    resid = target - np.einsum("ji,jl->il", basis, np.einsum("jk,kl->jl", coef, basis))
-    return math.sqrt(np.sum(resid * resid))
+    diffs = (np.diff(np.diff(target, a, axis=1), n + 1 - a, axis=0) for a in range(n + 2))
+    return max(float(np.max(np.abs(d))) for d in diffs)
 
 
 def kesten_mckay_density(x, r: float):

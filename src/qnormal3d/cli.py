@@ -139,10 +139,13 @@ DENSITY_NAMES = tuple(EVAL_DENSITIES)
 
 
 def _parse_rho(text: str) -> Tuple[float, float, float]:
-    parts = [float(t) for t in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError(f"--rho needs three comma-separated values, got {text!r}")
-    return parts[0], parts[1], parts[2]
+    # argparse shows an ArgumentTypeError's message; a plain ValueError it
+    # replaces with one naming this function.
+    try:
+        rho12, rho13, rho23 = (float(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"needs three comma-separated numbers, got {text!r}") from None
+    return rho12, rho13, rho23
 
 
 def _parse_grid(text: str) -> List[Tuple[float, float, int]]:
@@ -162,10 +165,7 @@ def _parse_grid(text: str) -> List[Tuple[float, float, int]]:
 
 
 def _parse_q_seq(text: str) -> Tuple[float, ...]:
-    vals = tuple(float(t) for t in text.split(","))
-    if not vals:
-        raise ValueError("empty q sequence")
-    return vals
+    return tuple(float(t) for t in text.split(","))
 
 
 def _fmt(value: Any) -> str:

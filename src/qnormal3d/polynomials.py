@@ -10,8 +10,6 @@ unless given):
     Al-Salam-Chihara       alpha_k = rho y q^k, beta_k = (1 - rho^2 q^(k-1)) [k]_q
     monic Rogers           beta_k = [k]_q (1 - b^2 q^(k-1)) / ((1 - b q^(k-1))(1 - b q^k))
     probabilists' Hermite  beta_k = k
-    Gram                   beta_k = k^2 (m^2 - k^2) / (4 (4k^2 - 1)), discrete Chebyshev
-                           on the m unit-spaced points j - (m - 1)/2, j = 0..m-1
 
 ``FAMILIES`` is the one table of the families orthogonal under the model's
 densities (q-Hermite under f_N, Al-Salam-Chihara under f_CN, monic Rogers
@@ -105,20 +103,6 @@ def _rogers_rows(n: int, r: float, q: float):
             )
         beta.append(qn[k] * (1.0 - r**2 * q ** (k - 1)) / den)
     return None, beta
-
-
-def _gram_rows(n: int, m: int):
-    beta = [k * k * (m * m - k * k) / (4.0 * (4 * k * k - 1)) for k in range(1, n + 1)]
-    return None, [0.0] + beta
-
-
-def _gram_basis(n: int, m: int) -> np.ndarray:
-    """The orthonormal Gram polynomials of degrees 0..n on m equispaced
-    points, as an (n+1, m) array P with P P^T = I.  Under unit weights the
-    monic p_k has squared norm m beta_1 ... beta_k."""
-    beta = _gram_rows(n, m)[1]
-    values = _recurrence(n, np.arange(m) - (m - 1) / 2, _gram_rows, m)
-    return values / np.sqrt(np.cumprod([float(m), *beta[1:]]))[:, None]
 
 
 def _gauss(k: int, alpha, beta) -> Tuple[List[float], List[float]]:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .densities import ModelParams, _given_z, _log_w, f_n, f_r
 from .errors import DegenerateConditioning, InsufficientSamples
-from .qcore import _check_count, _check_q, _check_seed, support_halfwidth
+from .qcore import _check_count, _check_q, _check_seed, _real_points, support_halfwidth
 from .quadrature import _phi_of_theta, _theta_of_phi
 
 __all__ = [
@@ -276,7 +276,7 @@ def mc_moment(
     error; it needs no variance formula per statistic and stays valid for
     draws correlated within a batch.
     """
-    arr = np.asarray(samples, dtype=float)
+    arr = _real_points(samples, "samples")
     if arr.ndim not in (1, 2):
         raise ValueError(f"samples must be 1-D or 2-D, got shape {arr.shape}")
     n = arr.shape[0]
@@ -339,7 +339,7 @@ def _blockwise(fn: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> np.nda
     """An elementwise table read fn applied ``_BLOCK`` points at a time into
     one float array of the input's shape, so fn's temporaries (seven cell
     coefficients and the bisection state per point) stay block-sized."""
-    xs = np.asarray(xs, dtype=float)
+    xs = _real_points(xs, "points")
     out = np.empty(xs.shape)
     flat_in, flat_out = xs.reshape(-1), out.reshape(-1)
     for start in range(0, flat_in.shape[0], _BLOCK):
@@ -353,7 +353,7 @@ def ks_statistic(
     """Two-sided Kolmogorov-Smirnov distance of 1-D samples from a CDF."""
     if np.ndim(samples) != 1:
         raise ValueError(f"samples must be 1-D, got shape {np.shape(samples)}")
-    xs = np.sort(np.asarray(samples, dtype=float))
+    xs = np.sort(_real_points(samples, "samples"))
     n = xs.shape[0]
     if n == 0:
         raise InsufficientSamples("need at least one sample")

@@ -49,3 +49,38 @@ def mixed_moment_h(m: int, n: int, rho12: float, rho13: float, rho23: float, q: 
             quiet = quiet + 1 if abs(band) <= Decimal("1e-50") * abs(total) else 0
             s += 2
         return float((1 - a * b) * total)
+
+
+def cond_exp_hn_x_given_yz(
+    n: int, y: float, z: float, rho12: float, rho13: float, q: float
+) -> float:
+    """E(H_n(X) | Y = y, Z = z) as the Al-Salam-Chihara expansion
+
+        sum_s [n, s]_q rho12^(n-s) rho13^s (rho12^2; q)_s / (rho12^2 rho13^2; q)_s
+              H_{n-s}(y) P_s(z | y, rho12 rho13),
+
+    with H_k the continuous q-Hermite and P_k the monic Al-Salam-Chihara
+    polynomials, each from its three-term recurrence.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        q, y, z, a, b = (Decimal(v) for v in (q, y, z, rho12, rho13))
+        qpow, apow, bpow = [Decimal(1)], [Decimal(1)], [Decimal(1)]
+        for _ in range(n + 1):
+            qpow.append(qpow[-1] * q)
+            apow.append(apow[-1] * a)
+            bpow.append(bpow[-1] * b)
+        qn = [(1 - qk) / (1 - q) for qk in qpow]
+        h, p = [Decimal(1), y], [Decimal(1), z - a * b * y]
+        for k in range(1, n):
+            h.append(y * h[k] - qn[k] * h[k - 1])
+            p.append(
+                (z - a * b * y * qpow[k]) * p[k]
+                - (1 - a * a * b * b * qpow[k - 1]) * qn[k] * p[k - 1]
+            )
+        total, binom, ratio = Decimal(0), Decimal(1), Decimal(1)
+        for s in range(n + 1):
+            total += binom * apow[n - s] * bpow[s] * ratio * h[n - s] * p[s]
+            binom *= (1 - qpow[n - s]) / (1 - qpow[s + 1])
+            ratio *= (1 - a * a * qpow[s]) / (1 - a * a * b * b * qpow[s])
+        return float(total)

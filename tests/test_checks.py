@@ -85,7 +85,6 @@ from qnormal3d.moments import (
 )
 from qnormal3d.polynomials import (
     FAMILIES,
-    _gram_basis,
     default_y,
     q_hermite,
     triple_product_integral,
@@ -521,14 +520,15 @@ def _ref_conditionals(p, seed):
         half = support_halfwidth(p.q)
         grid = np.linspace(-0.85 * half, 0.85 * half, m)
         target = np.array([[cond_exp_hn_x_given_yz(n, yv, zv, p) for yv in grid] for zv in grid])
-        basis = _gram_basis(n, m)
-        coef = np.einsum("ik,jk->ij", np.einsum("ij,jk->ik", basis, target), basis)
-        for i in range(n + 1):
-            for j in range(n + 1):
-                if i + j > n:
-                    coef[i, j] = 0.0
-        resid = target - np.einsum("ji,jl->il", basis, np.einsum("jk,kl->jl", coef, basis))
-        pairs.append((math.sqrt(np.sum(resid * resid)), 0.0))
+        worst = 0.0
+        for a in range(n + 2):
+            diff = target
+            for _ in range(a):
+                diff = diff[:, 1:] - diff[:, :-1]
+            for _ in range(n + 1 - a):
+                diff = diff[1:] - diff[:-1]
+            worst = max(worst, float(np.max(np.abs(diff))))
+        pairs.append((worst, 0.0))
     return [*out, _worst("pcm-degree-fit", pairs, TOL_PCM)]
 
 
@@ -571,8 +571,7 @@ class TestVectorizedProbesPinned:
 
 
 def _lstsq_residual(n, p):
-    """The monomial least-squares fit the Gram projection replaced, and the
-    size of its target: (residual, ||T||)."""
+    """The residual of a monomial least-squares fit of total degree n."""
     half = support_halfwidth(p.q)
     grid = np.linspace(-0.85 * half, 0.85 * half, 2 * n + 5)
     yg, zg = np.meshgrid(grid, grid)
@@ -581,21 +580,27 @@ def _lstsq_residual(n, p):
     ).T
     target = cond_exp_hn_x_given_yz(n, yg.ravel(), zg.ravel(), p)
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    return float(np.linalg.norm(design @ coef - target)), float(np.linalg.norm(target))
+    return float(np.linalg.norm(design @ coef - target))
 
 
 @pytest.mark.parametrize("q", [*SWEEP_Q, 0.99, 0.999])
 def test_pcm_projection_is_the_least_squares_fit(q):
-    """The Gram projection's residual is the least-squares residual, and on
-    the acceptance grid every pcm-degree-fit verdict is the one lstsq gave."""
+    """Every pcm-degree-fit verdict by differences is the one a monomial
+    least-squares fit gives."""
     for rho in SWEEP_RHO:
         p = ModelParams(*rho, q)
         for n in range(1, 5):
-            want, size = _lstsq_residual(n, p)
-            got = _pcm_residual(n, p)
-            assert abs(got - want) <= 1e-13 * size, (rho, n)
-            if q in SWEEP_Q:
-                assert (got <= TOL_PCM) == (want <= TOL_PCM), (rho, n)
+            got, want = _pcm_residual(n, p), _lstsq_residual(n, p)
+            assert (got <= TOL_PCM) == (want <= TOL_PCM), (rho, n)
+
+
+def test_pcm_degree_fit_fails_on_a_table_of_higher_degree(monkeypatch):
+    # y^n z has total degree n + 1: its difference D_y^n D_z is n! h^(n+1).
+    monkeypatch.setattr(
+        qnormal3d.checks, "cond_exp_hn_x_given_yz", lambda n, y, z, *rest: y**n * z
+    )
+    rows = {rep.name: rep for rep in check_conditionals(ModelParams(*SWEEP_RHO[0], 0.5))}
+    assert not rows["pcm-degree-fit"].passed
 
 
 LAPACK_ROUTINES = (

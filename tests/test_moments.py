@@ -80,7 +80,7 @@ class TestMixedMoments:
 
     def test_strong_correlation_converges(self):
         # The bands decay like 0.95^s here, and [i]_q! overflows past
-        # i ~ 300 at q = 0.9, well inside the truncation this needs.
+        # i ~ 300 at q = 0.9.
         p = ModelParams(0.95, 0.95, 0.95, 0.9)
         assert mixed_moment_h(0, 0, p) == pytest.approx(1.0, rel=1e-12)
         assert mixed_moment_h(1, 1, p) == pytest.approx(cov_yz(p), rel=1e-12)
@@ -88,27 +88,9 @@ class TestMixedMoments:
     def test_past_the_ratio_overflow(self):
         # A band's factorial ratio overflows here before the powers of
         # a = rho23 and b = rho12 rho13 scale it down; the moment is ~9.9e77.
-        m = n = 200
-        p = ModelParams(0.05, 0.05, 0.05, 0.99)
-        a, b = p.rho23, p.rho12 * p.rho13
-        s_max = m + n + math.ceil(math.log(1e-12) / math.log(max(a, b))) + 60
-        log_fact = [0.0]
-        for i in range(1, s_max + 1):
-            log_fact.append(log_fact[-1] + math.log((1.0 - p.q**i) / (1.0 - p.q)))
-
-        def log_binom(top, k):
-            return log_fact[top] - log_fact[k] - log_fact[top - k]
-
-        logs = [
-            log_fact[k] + log_fact[s - k] - log_fact[(s - m) // 2] - log_fact[(s - n) // 2]
-            + log_binom(m, k - (s - m) // 2) + log_binom(n, k - (s - n) // 2)
-            + k * math.log(a) + (s - k) * math.log(b)
-            for s in range(m, s_max + 1, 2)
-            for k in range((s - m) // 2, (s + m) // 2 + 1)
-        ]
-        top = max(logs)
-        want = (1.0 - p.r) * math.exp(top) * math.fsum(math.exp(x - top) for x in logs)
-        assert mixed_moment_h(m, n, p) == pytest.approx(want, rel=1e-12, abs=0.0)
+        want = reference.mixed_moment_h(200, 200, 0.05, 0.05, 0.05, 0.99)
+        got = mixed_moment_h(200, 200, ModelParams(0.05, 0.05, 0.05, 0.99))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
         assert math.log10(want) == pytest.approx(77.995, abs=1e-3)
 
     def test_past_the_double_range_raises(self):
@@ -281,6 +263,33 @@ class TestConditionalForms:
         alt = cond_exp_hn_x_given_yz(*args, form=CondMomentForm.DOUBLE_SUM)
         assert np.isfinite(ref) and np.isfinite(alt)
         assert alt == pytest.approx(ref, rel=TOL_COND_FORMS)
+
+    @pytest.mark.parametrize(
+        "q, rho12, rho13, y, z, n, tol",
+        [
+            (0.5, 0.3, 0.6, 0.37, -0.21, 10, 1e-12),
+            (0.9, 0.3, 0.6, 0.37, -0.21, 10, 1e-12),
+            (-0.5, 0.6, -0.6, 0.9, 0.9, 8, 1e-12),
+            # The default route loses digits as q -> 1 without raising: it
+            # misses the reference by 1.1e3 and 3.0e-3 of max(1, |ref|).
+            pytest.param(
+                0.99, 0.3, 0.6, -0.95, 0.4, 20, 1e-9,
+                marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 8"),
+            ),
+            pytest.param(
+                0.999, 0.3, 0.6, 0.37, -0.21, 15, 1e-9,
+                marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 8"),
+            ),
+        ],
+    )
+    def test_closed_form_matches_the_decimal_reference(self, q, rho12, rho13, y, z, n, tol):
+        # y and z are given as fractions of the support half-width.
+        half = support_halfwidth(q)
+        y, z = y * half, z * half
+        want = reference.cond_exp_hn_x_given_yz(n, y, z, rho12, rho13, q)
+        p = ModelParams(rho12, rho13, 0.0, q)
+        spec = MomentSpec(MomentKind.COND_X_GIVEN_YZ, (n,), p, (y, z))
+        assert abs(closed_form(spec) - want) <= tol * max(1.0, abs(want))
 
     @pytest.mark.parametrize("form", [CondMomentForm.ASC_EXPANSION, CondMomentForm.DOUBLE_SUM])
     @pytest.mark.parametrize("q", [0.7, -0.5, 0.99, 0.0])

@@ -12,7 +12,6 @@ from qnormal3d.polynomials import (
     FAMILIES,
     PolySequence,
     _gauss,
-    _gram_basis,
     asc_poly,
     hermite_prob,
     q_hermite,
@@ -175,18 +174,6 @@ class TestGaussRule:
             np.testing.assert_allclose(gram, np.eye(k), rtol=0.0, atol=1e-12)
 
 
-class TestGramBasis:
-    """The discrete Chebyshev (Gram) rows give an orthonormal basis on the
-    equispaced points the conditional-moment fit reads."""
-
-    @pytest.mark.parametrize("n", range(9))
-    def test_orthonormal_on_its_points(self, n):
-        m = 2 * n + 5
-        basis = _gram_basis(n, m)
-        assert basis.shape == (n + 1, m)
-        np.testing.assert_allclose(basis @ basis.T, np.eye(n + 1), rtol=0.0, atol=1e-14)
-
-
 class TestTripleProduct:
     def test_parity_zero(self):
         assert triple_product_integral(1, 1, 1, 0.5) == 0.0
@@ -194,6 +181,9 @@ class TestTripleProduct:
 
     def test_triangle_violation_zero(self):
         assert triple_product_integral(5, 1, 1, 0.5) == 0.0
+
+    def test_negative_index_zero(self):
+        assert triple_product_integral(-1, 1, 1, 0.5) == 0.0
 
     def test_frozen_value(self):
         # E H1 H1 H2 = [2]! / ([0]! [1]! [1]!) ... = q-multinomial form

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qnormal3d.errors import NonConvergence
 from qnormal3d.qcore import (
     _factors_needed,
     log_q_pochhammer_inf,
@@ -72,6 +73,7 @@ class TestQBinomial:
         assert q_binomial(4, 0, 0.7) == 1.0
         assert q_binomial(4, 4, 0.7) == 1.0
         assert q_binomial(6, 3, 1.0) == 20.0
+        assert q_binomial(3, 5, 0.5) == 0.0
 
     def test_finite_where_factorials_overflow(self):
         # [200]_q! overflows at q = 0.99 while [200 choose 100]_q is about
@@ -177,6 +179,11 @@ class TestPochhammer:
     def test_log_rejects_large_argument(self):
         with pytest.raises(ValueError):
             log_q_pochhammer_inf(1.5, 0.5)
+
+    def test_log_names_the_factor_cap(self):
+        # At a = 1 - 1e-9 the tail bound needs about 3.15e10 factors.
+        with pytest.raises(NonConvergence, match=r"needs \d+ factors, cap is"):
+            log_q_pochhammer_inf(0.5, 1 - 1e-9)
 
 
 def _loop_q_number(n, q):

@@ -18,7 +18,7 @@ from qnormal3d import errors
 from qnormal3d import moments as mm
 from qnormal3d import polynomials as pl
 from qnormal3d import qcore
-from qnormal3d.checks import run_suite
+from qnormal3d.checks import _worst, run_suite
 from qnormal3d.cli import EXIT_CODES, main
 from qnormal3d.densities import (
     DensityForm,
@@ -37,7 +37,15 @@ from qnormal3d.densities import (
 from qnormal3d.errors import DomainError
 from qnormal3d.qcore import support_halfwidth
 from qnormal3d.quadrature import gram_matrix
-from qnormal3d.sampler import SamplerConfig, cdf_fn, ks_critical, ks_statistic, mc_moment, sample_fn
+from qnormal3d.sampler import (
+    McEstimate,
+    SamplerConfig,
+    cdf_fn,
+    ks_critical,
+    ks_statistic,
+    mc_moment,
+    sample_fn,
+)
 
 NAN = math.nan
 P = ModelParams(0.3, 0.6, 0.3, 0.5)
@@ -170,6 +178,26 @@ INVALID += [
     (mm.cond_exp_hn_x_given_yz, (2, 0.1, 0.3 + 0j, P), ValueError),
     (aw_parameters, (0.3 + 0j, 0.1, P), ValueError),
     (ks_critical, (10, "0.1"), ValueError),
+]
+
+
+def _cdf_fn_half(x):
+    return cdf_fn(0.5)(x)
+
+
+# Samples and table points are real too: numpy would drop an imaginary part
+# with a warning and read None as NaN.  Then the documented shape, sign and
+# emptiness raises of the statistics, the Gram matrix and the check rows.
+INVALID += [
+    (mc_moment, (np.full(30, 0.5 + 1j), lambda x: x), ValueError),
+    (mc_moment, ([None] * 30, lambda x: x), ValueError),
+    (ks_statistic, (np.full(30, 0.5 + 1j), cdf_fn(0.5)), ValueError),
+    (_cdf_fn_half, (np.array([0.5 + 1j]),), ValueError),
+    (mc_moment, (np.ones(30), lambda x: np.ones(3)), ValueError),
+    (McEstimate, (0.0, -1.0, 5), ValueError),
+    (ks_statistic, (np.array([]), cdf_fn(0.5)), errors.InsufficientSamples),
+    (gram_matrix, (lambda x: np.ones(3), _f_n_half, 2, 0.5), ValueError),
+    (_worst, ("x", [], 1.0), ValueError),
 ]
 
 
@@ -327,3 +355,13 @@ def test_cli_quadrature_overflow_exits_3_with_one_error_line(argv, capsys):
 def test_invalid_parameter_gets_the_validity_message(argv, message, capsys):
     assert main(argv.split()) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rho", ["0.3,0.4", "0.3,x,0.5"], ids=["two-values", "not-a-number"])
+def test_rho_error_says_what_rho_needs(rho, capsys):
+    # argparse's own exit: usage, then one error line that names the option.
+    with pytest.raises(SystemExit) as exit_:
+        main(["eval", "f3D", "--q", "0.5", "--rho", rho])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "--rho" in err and "three" in err and "_parse_rho" not in err
