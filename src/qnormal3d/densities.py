@@ -34,9 +34,7 @@ Chebyshev coefficients c_n = 4 a^n / (n (1-q^n)).  Each is evaluated by one
 factor loop in the angles (F factors, F growing like 1/(1-q), multiplied
 in blocks with one log per block) or by one Chebyshev series (N terms,
 N depending on |a| alone), under one rule: the series when N <= F, the
-factors otherwise (|a| -> 1 at moderate q).  pm_kernel's product form and
-f_Z's edge-product form always take the factors, as the references the
-other forms are checked against.
+factors otherwise (|a| -> 1 at moderate q).
 
 Point arguments accept scalars or broadcastable numpy arrays, except the
 scalar y and z of aw_parameters.  Unconditional densities, and f_cn in x,
@@ -603,10 +601,8 @@ def pm_kernel(
     if form == DensityForm.SERIES:
         val = _pm_series(xb, yb, rho, q)
     elif form == DensityForm.PRODUCT:
-        # Always the factor loop: the reference the series form is checked against.
-        t, s = np.arccos(_cosine(xb, q)), np.arccos(_cosine(yb, q))
         with np.errstate(over="ignore"):
-            val = np.exp(log_q_pochhammer_inf(rho**2, q) - _log_factors(rho, q, t, s))
+            val = np.exp(log_q_pochhammer_inf(rho**2, q) - _log_w(xb, yb, rho, q))
         if np.any(np.isinf(val)):
             raise NonConvergence(f"kernel product overflows the double range at rho={rho}, q={q}")
     else:
@@ -698,7 +694,8 @@ def f_z(
 
     Four evaluation routes are kept: a bilinear q-Hermite series on the
     diagonal, the Rogers density f_r(z, r, q) itself, an even-degree
-    q-Hermite series, and a fully factored edge product.
+    q-Hermite series, and an edge product, which takes f_N by its product
+    formula rather than the theta route.
     """
     _check_q(q)
     _check_rho(r, "r")
@@ -712,7 +709,6 @@ def f_z(
     elif form == MarginalForm.EVEN_SERIES:
         val = (1.0 - r) * np.exp(_log_f_n(zc, q)) * _even_series(zc, r, q)
     elif form == MarginalForm.EDGE_PRODUCT:
-        t = np.arccos(_cosine(zc, q))  # the factor loop, as the other forms' reference
         log_val = (
             math.log1p(r)
             + 0.5 * math.log(1.0 - q)
@@ -722,8 +718,8 @@ def f_z(
             - _LOG_PI
             - np.log((1.0 + r) ** 2 - (1.0 - q) * r * zc**2)
             - 2.0 * log_q_pochhammer_inf(r * q, q)
-            + _log_factors(q, q, t)
-            - _log_factors(r * q, q, t)
+            + _log_l(zc, q, q)
+            - _log_l(zc, r * q, q)
         )
         val = np.exp(log_val)
     else:

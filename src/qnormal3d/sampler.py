@@ -2,9 +2,11 @@
 
 Two generators are provided.  ``sample_fn`` draws i.i.d. variates from the
 one-dimensional base density through a tabulated inverse CDF.  ``sample_3d``
-draws i.i.d. triples exactly, in sequence: Z from its marginal, then Y given
-Z, then X given (Y, Z).  Each conditional is the base density reweighted by
-two Poisson-Mehler kernels, tabulated on a fixed grid and inverted per draw.
+draws i.i.d. triples in sequence: Z from its marginal, then Y given Z, then
+X given (Y, Z).  Draws are exact up to the interpolation error of the
+inverse-CDF tables (ROADMAP item 19).  Each conditional is the base density
+reweighted by two Poisson-Mehler kernels, tabulated on a fixed grid and
+inverted per draw.
 The kernels' logs are the densities' own ``_log_w``, evaluated for a block
 of rows at once on the open axes (rows, grid), so each conditional takes the
 densities' route rule: the Chebyshev series, or the factor loop as |rho| -> 1.
@@ -70,7 +72,7 @@ class SamplerConfig:
     least 64 points of inverse-CDF tabulation resolution.  ``burn_in``
     and ``n_chains`` are ignored and unchecked.  They remain only because
     the benchmark's smoke list still passes them; its revision in ROADMAP
-    item 3 deletes them.
+    item 14 deletes them.
     """
 
     seed: int
@@ -285,7 +287,7 @@ def mc_moment(
             f"need at least {_N_BATCHES} draws for {_N_BATCHES} batches, got {n}"
         )
     vals = g(arr) if arr.ndim == 1 else g(*(arr[:, i] for i in range(arr.shape[1])))
-    vals = np.asarray(vals, dtype=float)
+    vals = _real_points(vals, "values of g")
     if vals.shape != (n,):
         raise ValueError(f"g must map {n} samples to {n} values, got {vals.shape}")
     total = float(np.sum(vals))

@@ -79,8 +79,8 @@ class TestMixedMoments:
         assert mixed_moment_h(0, 0, params) == pytest.approx(1.0, rel=1e-12)
 
     def test_strong_correlation_converges(self):
-        # The bands decay like 0.95^s here, and [i]_q! overflows past
-        # i ~ 300 at q = 0.9.
+        # At r = 0.95^3 = 0.857 the Rogers rules of k and k + 1 nodes must
+        # still agree and give the normalization and the covariance.
         p = ModelParams(0.95, 0.95, 0.95, 0.9)
         assert mixed_moment_h(0, 0, p) == pytest.approx(1.0, rel=1e-12)
         assert mixed_moment_h(1, 1, p) == pytest.approx(cov_yz(p), rel=1e-12)

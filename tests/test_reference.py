@@ -1,0 +1,132 @@
+"""Every route of pm_kernel and f_Z against the decimal references of
+tests/reference.py, on a fixed table of (q, rho) rows whose points include
+the corners (+-L, +-L) of the support.
+
+Each route falls within its stated tolerance of the reference at every
+point of its row, or raises a QNormalError subclass.  Rows that fail today
+are strict xfails that name their ROADMAP item, so a mend flips them; no
+row's tolerance is widened to make it pass.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+import reference
+from qnormal3d.densities import DensityForm, MarginalForm, f_z, pm_kernel
+from qnormal3d.errors import QNormalError
+from qnormal3d.qcore import support_halfwidth
+
+QS = (-0.9, -0.5, 0.0, 0.5, 0.9, 0.99)
+RHOS = (0.3, -0.6, 0.9, 0.99, -0.99)
+# Points as fractions of L: two corners, one point inside, and the two
+# diagonal points whose kernels f_Z reads.
+KERNEL_POINTS = ((1.0, 1.0), (1.0, -1.0), (0.37, -0.81), (0.37, 0.37), (-0.9, -0.9))
+Z_POINTS = (-1.0, -0.9, 0.37, 1.0)
+
+# (measure, tolerance) of each form.  "log" is |log got - log want| /
+# max(1, |log want|), the relative error of a product route; "value" is
+# |got - want| / max(1, |want|), the scale at which the q-Hermite series
+# forms are checked against the products (TOL_PM, TOL_FORMS).
+TOLERANCE = {
+    DensityForm.PRODUCT: ("log", 1e-12),
+    DensityForm.SERIES: ("value", 1e-9),
+    MarginalForm.ROGERS: ("log", 1e-12),
+    MarginalForm.EDGE_PRODUCT: ("log", 1e-12),
+    MarginalForm.HERMITE_SERIES: ("value", 1e-8),
+    MarginalForm.EVEN_SERIES: ("value", 1e-8),
+}
+
+# pm_kernel's series fails at the corner where rho x y < 0 in every row
+# below, and f_Z's Hermite series on the diagonal, where the terms keep one
+# sign for r > 0 and alternate for r < 0.
+_UNDERFLOW = "ROADMAP item 2.1: the series coefficient underflows before its tail is summed"
+_CANCELS = "ROADMAP item 2.2: the alternating series cancels past the double's digits"
+XFAIL = {
+    **{
+        ("pm_kernel", DensityForm.SERIES, q, rho): _CANCELS
+        for q, rho in [(0.5, 0.99), (0.5, -0.99), (0.9, 0.9), (0.9, 0.99), (0.9, -0.99)]
+        + [(0.99, rho) for rho in RHOS]
+    },
+    **{("f_z", MarginalForm.HERMITE_SERIES, q, 0.99): _UNDERFLOW for q in (0.5, 0.9, 0.99)},
+    **{("f_z", MarginalForm.HERMITE_SERIES, q, -0.99): _CANCELS for q in (0.5, 0.9, 0.99)},
+}
+# The two bilinear q-Hermite series take 3,000 to 4,000 double-double terms
+# at |rho| = 0.99 and q <= 0, 0.1 to 0.45 s a row, and there they agree or
+# raise NonConvergence; those rows are left out to keep the table cheap.
+_BILINEAR = (DensityForm.SERIES, MarginalForm.HERMITE_SERIES)
+
+
+@functools.lru_cache(maxsize=None)
+def log_kernel(x: float, y: float, rho: float, q: float) -> float:
+    return reference.log_pm_kernel(x, y, rho, q)
+
+
+@functools.lru_cache(maxsize=None)
+def f_n(z: float, q: float) -> float:
+    return reference.f_n(z, q)
+
+
+def errors(measure: str, got: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """The per-point error of got against want under measure; where want is
+    0 (the edge of the support) got must be 0 too."""
+    got = np.asarray(got, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if measure == "log":
+            log_want = np.log(want)
+            err = np.abs(np.log(got) - log_want) / np.maximum(1.0, np.abs(log_want))
+        else:
+            err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+    err = np.where(want == 0.0, np.where(got == 0.0, 0.0, np.inf), err)
+    return np.where(np.isnan(err), np.inf, err)
+
+
+def kernel_case(form, q, rho):
+    half = support_halfwidth(q)
+    x, y = (np.array(c) * half for c in zip(*KERNEL_POINTS))
+    want = np.exp([log_kernel(a, b, rho, q) for a, b in zip(x.tolist(), y.tolist())])
+    return lambda: pm_kernel(x, y, rho, q, form=form), want
+
+
+def f_z_case(form, q, r):
+    # f_Z(z) = (1 - r) f_N(z) K(z, z | r)
+    half = support_halfwidth(q)
+    z = np.array(Z_POINTS) * half
+    # f_N is 0 at the edges, where the kernel need not be summed.
+    want = np.array([(1.0 - r) * f_n(v, q) for v in z.tolist()])
+    for i, v in enumerate(z.tolist()):
+        if want[i]:
+            want[i] *= np.exp(log_kernel(v, v, r, q))
+    return lambda: f_z(z, r, q, form=form), want
+
+
+CASES = {
+    "pm_kernel": (kernel_case, (DensityForm.PRODUCT, DensityForm.SERIES)),
+    "f_z": (f_z_case, tuple(MarginalForm)),
+}
+
+
+def rows():
+    for name, (case, forms) in CASES.items():
+        for form in forms:
+            for q in QS:
+                for rho in RHOS:
+                    if form in _BILINEAR and q <= 0.0 and abs(rho) == 0.99:
+                        continue
+                    reason = XFAIL.get((name, form, q, rho))
+                    marks = pytest.mark.xfail(strict=True, reason=reason) if reason else ()
+                    row_id = f"{name}-{form.value}-q{q}-rho{rho}"
+                    yield pytest.param(name, form, q, rho, marks=marks, id=row_id)
+
+
+@pytest.mark.parametrize("name, form, q, rho", rows())
+def test_route_matches_the_decimal_reference(name, form, q, rho):
+    evaluate, want = CASES[name][0](form, q, rho)
+    try:
+        got = evaluate()
+    except QNormalError:
+        return
+    measure, tol = TOLERANCE[form]
+    err = errors(measure, got, want)
+    assert np.all(err <= tol), f"{measure} errors {err} against {tol:.0e}"

@@ -199,6 +199,12 @@ INVALID += [
     (gram_matrix, (lambda x: np.ones(3), _f_n_half, 2, 0.5), ValueError),
     (_worst, ("x", [], 1.0), ValueError),
 ]
+# What g returns is read like the samples: numpy would drop an imaginary
+# part with a warning and read None as NaN.
+INVALID += [
+    (mc_moment, (np.full(30, 0.5), lambda x: x + 1j), ValueError),
+    (mc_moment, (np.full(30, 0.5), lambda x: [None] * 30), ValueError),
+]
 
 
 @pytest.mark.parametrize(
