@@ -30,11 +30,10 @@ is exactly 0 at the edge.
 Both kernels are |1 - a e^{i theta}|^2 forms, at theta = 2t for l(x|a) and
 at theta = t +- s for w(x, y|a) with y = L cos(s), so both products,
 sum_i log l(x | a q^i) and sum_i log w(x, y | a q^i), have the same
-Chebyshev coefficients c_n = 4 a^n / (n (1-q^n)).  Each is evaluated by one
-factor loop in the angles (F factors, F growing like 1/(1-q), multiplied
-in blocks with one log per block) or by one Chebyshev series (N terms,
-N depending on |a| alone), under one rule: the series when N <= F, the
-factors otherwise (|a| -> 1 at moderate q).
+Chebyshev coefficients c_n = 4 a^n / (n (1-q^n)).  Each takes one route
+(_split): M factors in the angles, then N terms of the Chebyshev series of
+the rest, the same product at a q^M; M = 0 where |a| is small, and as
+|a| -> 1 both counts grow like 1/sqrt(1-|q|).
 
 Point arguments accept scalars or broadcastable numpy arrays, except the
 scalar y and z of aw_parameters.  Unconditional densities, and f_cn in x,
@@ -51,6 +50,7 @@ ModelParams, reads rho12, rho13 and q from it and checks (y, z) by _require_yz.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 import math
@@ -65,7 +65,6 @@ from .qcore import (
     TAIL_TOL,
     _check_q,
     _check_rho,
-    _factors_needed,
     _real_points,
     _require_support,
     log_q_pochhammer_inf,
@@ -189,25 +188,42 @@ def omega(x, y, rho: float, q: float):
     return _ret(val, scalar)
 
 
-def _kernel_terms(rho: float, q: float, cap: int) -> int | None:
-    """Smallest N <= cap at which the tail bound of the Chebyshev kernel
-    series, 4|rho|^(N+1) / ((N+1)(1-|q|^(N+1))(1-|rho|)), is below
-    PRODUCT_TOL; None when the bound at N = cap is not below it yet."""
-    a, b = abs(rho), abs(q)
+# _split's costs in series terms, from the slopes of _log_factors and
+# _log_series on the sampler's 64 x 256 block and on 4,097 points at q = 0.5,
+# -0.5, 0.9 (2-vCPU VM): a form costs 0.3-0.7 terms, entering the loop 3-8 a
+# form.  Its exponent: the fastest, sqrt(ln(1/PRODUCT_TOL) term cost / form
+# cost), was near 3.5 sqrt(2); 2.1 keeps the loop, which holds more arrays
+# than the series, off the rho = -0.6 kernel at q = 0.9 of the grid tests.
+_SPLIT_EXPONENT = 2.1
+_FORM_COST = 0.5
+_LOOP_SETUP = 5
 
-    def spent(n: int) -> bool:
-        return 4.0 * a ** (n + 1) < PRODUCT_TOL * (n + 1) * (1.0 - b ** (n + 1)) * (1.0 - a)
 
-    if not spent(cap):
-        return None
-    lo, hi = 0, cap  # the bound decreases in n, so bisect for the first spent n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if spent(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+def _split(a: float, q: float, forms: int) -> tuple[int, int]:
+    """(M, N) for sum_i log of the kernel factors at a q^i, of `forms` forms
+    each (2 for w, 1 for l): M factors by _log_factors, until |a q^M| <=
+    exp(-_SPLIT_EXPONENT sqrt(-ln|q| / forms)) or 0 where the series alone
+    costs less, then N terms of the series of the rest, the same product at
+    b = a q^M: the first N whose tail bound 4|b|^(N+1) / ((N+1)(1-|q|^(N+1))
+    (1-|b|)) is below PRODUCT_TOL, at most MAX_TERMS."""
+    g = abs(q)
+    bound = math.exp(-_SPLIT_EXPONENT * math.sqrt(-math.log(g) / forms)) if g else 0.0
+
+    def terms(b: float, cap: int) -> int:
+        def spent(n: int) -> bool:
+            return 4.0 * b ** (n + 1) < PRODUCT_TOL * (n + 1) * (1.0 - g ** (n + 1)) * (1.0 - b)
+
+        return bisect.bisect_left(range(cap + 1), True, key=spent)  # cap + 1: none spent
+
+    m, b = 0, abs(a)
+    while b > bound:
+        m, b = m + 1, b * g
+    n = terms(b, MAX_TERMS) if b else 0
+    if n > MAX_TERMS:
+        raise NonConvergence(f"kernel series at a={a}, q={q} needs over {MAX_TERMS} terms")
+    cost = n + math.ceil(forms * (m * _FORM_COST + _LOOP_SETUP))
+    alone = terms(abs(a), cost) if m else cost + 1
+    return (m, n) if alone > cost else (0, alone)
 
 
 def _kernel_coefficients(rho: float, q: float, terms: int) -> np.ndarray:
@@ -225,67 +241,63 @@ def _cosine(x: np.ndarray, q: float) -> np.ndarray:
     return np.clip(x / support_halfwidth(q), -1.0, 1.0)
 
 
-def _log_factors(a0: float, q: float, t: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
-    """sum_{i>=0} log of the kernel factors at a = a0 q^i, one at a time:
-    l(x | a) for x = L cos(t), or w(x, y | a) with y = L cos(s) as well.
-
-    Each kernel is a product of forms |1 - a e^{2ih}|^2 = (1-a)^2 +
-    4a sin^2(h) for a >= 0, with half-angle h = t for l and h = (t+s)/2,
-    (t-s)/2 for w; for a < 0 they are (1-|a|)^2 + 4|a| cos^2(h), the
-    half-angles in reverse order (x -> -x).  Both are sums of non-negative
-    terms: the quadratic forms in x and y cancel as |a| -> 1 at the edges of
-    the support, these do not.  The forms are multiplied in blocks of
-    _BLOCK and the log is taken once per block, which keeps the log
-    overhead negligible.
+def _log_factors(
+    a0: float, q: float, n: int, u: np.ndarray, v: np.ndarray | None = None
+) -> np.ndarray:
+    """sum_{i<n} log of the kernel factors at a = a0 q^i: l(x | a) at
+    u = cos(t), or w(x, y | a) with v = cos(s) as well.  Each kernel is a
+    product of forms |1 - a e^{2ih}|^2 = (1-a)^2 + 4a sin^2(h) for a >= 0,
+    with half-angle h = t for l and h = (t+s)/2, (t-s)/2 for w; for a < 0
+    they are (1-|a|)^2 + 4|a| cos^2(h), the half-angles in reverse order
+    (x -> -x).  Both are sums of non-negative terms: the quadratic forms in
+    x and y cancel as |a| -> 1 at the edges of the support, these do not.
+    The forms are multiplied in blocks of _BLOCK, with one log per block.
     """
-    n = _factors_needed(16.0 * a0, q)
+    shape = u.shape if v is None else np.broadcast(u, v).shape
+    if not n:
+        return np.zeros(shape)
+    t, s = np.arccos(u), None if v is None else np.arccos(v)
     halves = (t,) if s is None else (0.5 * (t + s), 0.5 * (t - s))
-    shape = np.broadcast_shapes(*(h.shape for h in halves))
     # The signs of a0 q^i repeat with period two, so the first two factors
     # tell which of the two form sets the loop reads; build only those.
-    first = (a0, a0 * q)[:n]
-    same = flipped = None
-    if any(a >= 0.0 for a in first):
-        same = [np.sin(h) ** 2 for h in halves]
-    if any(a < 0.0 for a in first):
-        flipped = [np.cos(h) ** 2 for h in halves[::-1]]
+    first, per_block = (a0, a0 * q)[:n], _BLOCK // len(halves)
+    same = [np.sin(h) ** 2 for h in halves] if max(first) >= 0.0 else None
+    flipped = [np.cos(h) ** 2 for h in halves[::-1]] if min(first) < 0.0 else None
     del halves
-    total = np.zeros(shape)
-    block = np.ones(shape)
-    scaled = np.empty(shape)
-    count = 0
+    total, block, scaled = np.zeros(shape), np.ones(shape), np.empty(shape)
     a = a0
-    for _ in range(n):
+    for i in range(1, n + 1):
         b = abs(a)
         c, d = (1.0 - b) ** 2, 4.0 * b
         for form in same if a >= 0.0 else flipped:
             np.multiply(form, d, out=scaled)
             scaled += c
             block *= scaled
-            count += 1
-            if count == _BLOCK:
-                total += np.log(block, out=block)
-                block.fill(1.0)
-                count = 0
+        if i % per_block == 0 or i == n:
+            total += np.log(block, out=block)
+            block.fill(1.0)
         a *= q
-    if count:
-        total += np.log(block, out=block)
     return total
 
 
-def _log_series(u: np.ndarray, v: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """-sum_n coef[n-1] T_n(u) T_n(v).
-
-    With u = cos(t), v = cos(s) and coef = _kernel_coefficients(a, q, N),
-    this is the log kernel product: w(x, y|r) = |1 - r e^{i(t+s)}|^2
-    |1 - r e^{i(t-s)}|^2, whose log is -4 sum_n r^n cos(nt) cos(ns) / n;
-    summing over r = a q^i gives the series.  For l, half of it at u = 1
-    (T_n(1) = 1 exactly) and v = cos(2t) = 2 cos(t)^2 - 1.  The recurrences
-    run on u and v in their own shapes and only the running sum is
-    broadcast: a matrix product would round differently on an open grid
+def _log_series(
+    total: np.ndarray, b: float, q: float, n: int, u: np.ndarray, v: np.ndarray | None = None
+) -> np.ndarray:
+    """total plus the n-term Chebyshev series of sum_{i>=0} log of the kernel
+    factors at b q^i, summed in place: l(x | b q^i) at u = cos(t), or
+    w(x, y | b q^i) with v = cos(s) as well.  w(x, y|r) = |1 - r e^{i(t+s)}|^2
+    |1 - r e^{i(t-s)}|^2 has log -4 sum_n r^n cos(nt) cos(ns) / n, so the sum
+    over r = b q^i is -sum_n c_n T_n(u) T_n(v), c_n = _kernel_coefficients(b,
+    q, n); for l, half of it at u = 1 and v = cos(2t) = 2u^2 - 1.  The
+    recurrences run on u and v in their own shapes and only the running sum
+    is broadcast: a matrix product would round differently on an open grid
     than on the same points given flat.
     """
-    total = np.zeros(np.broadcast_shapes(u.shape, v.shape))
+    if not n:
+        return total
+    coef = _kernel_coefficients(b, q, n)
+    if v is None:
+        u, v, coef = np.ones(()), 2.0 * u * u - 1.0, 0.5 * coef
     tu_prev, tu = np.ones(u.shape), u
     tv_prev, tv = np.ones(v.shape), v
     for c in coef:
@@ -295,28 +307,18 @@ def _log_series(u: np.ndarray, v: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return total
 
 
-def _series_terms(a: float, q: float) -> int | None:
-    """The route rule for both kernels: the N terms of the Chebyshev series,
-    or None where it needs more terms than the factor loop has factors."""
-    return _kernel_terms(a, q, _factors_needed(16.0 * a, q))
-
-
 def _log_w(x: np.ndarray, y: np.ndarray, rho: float, q: float) -> np.ndarray:
     """sum_{i>=0} log w(x, y | rho q^i) for x, y inside the support."""
     u, v = _cosine(x, q), _cosine(y, q)
-    terms = _series_terms(rho, q)
-    if terms is None:
-        return _log_factors(rho, q, np.arccos(u), np.arccos(v))
-    return _log_series(u, v, _kernel_coefficients(rho, q, terms))
+    m, n = _split(rho, q, 2)
+    return _log_series(_log_factors(rho, q, m, u, v), rho * q**m, q, n, u, v)
 
 
 def _log_l(x: np.ndarray, a: float, q: float) -> np.ndarray:
     """sum_{i>=0} log l(x | a q^i) for x inside the support."""
     u = _cosine(x, q)
-    terms = _series_terms(a, q)
-    if terms is None:
-        return _log_factors(a, q, np.arccos(u))
-    return 0.5 * _log_series(np.ones(()), 2.0 * u * u - 1.0, _kernel_coefficients(a, q, terms))
+    m, n = _split(a, q, 1)
+    return _log_series(_log_factors(a, q, m, u), a * q**m, q, n, u)
 
 
 def _log_sin(u: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ reweighted by two Poisson-Mehler kernels, tabulated on a fixed grid and
 inverted per draw.
 The kernels' logs are the densities' own ``_log_w``, evaluated for a block
 of rows at once on the open axes (rows, grid), so each conditional takes the
-densities' route rule: the Chebyshev series, or the factor loop as |rho| -> 1.
+densities' one route: a few factors, then the Chebyshev series of the rest.
 
 All randomness flows through one counter-based Philox generator keyed by the
 configured seed, so a given configuration reproduces its output exactly.
@@ -220,8 +220,8 @@ def _conditional_draw(
 
     Each row is the base row over prod_i w(x, a | rho12 q^i) w(x, b | rho13 q^i):
     exp of minus the two ``_log_w`` sums on the open axes (rows, grid), shifted
-    by each row's max so nothing overflows.  Either route of ``_log_w`` holds
-    a few (rows, grid_points) arrays.
+    by each row's max so nothing overflows.  The factors and the series of
+    ``_log_w`` each hold a few (rows, grid_points) arrays.
     """
     grid = grid_x[None, :]
     dens = -_log_w(grid, a[:, None], params.rho12, params.q)

@@ -17,13 +17,12 @@ from qnormal3d.densities import (
     _cosine,
     _cycle,
     _kernel_coefficients,
-    _kernel_terms,
     _log_f_n,
     _log_factors,
     _log_l,
     _log_series,
     _log_w,
-    _series_terms,
+    _split,
     aw_parameters,
     f_3d,
     f_cn,
@@ -38,7 +37,7 @@ from qnormal3d.densities import (
 )
 from qnormal3d.errors import DegenerateConditioning, DomainError, NonConvergence
 from qnormal3d.qcore import (
-    MAX_TERMS,
+    PRODUCT_TOL,
     _factors_needed,
     log_q_pochhammer_inf,
     support_halfwidth,
@@ -127,6 +126,30 @@ def angle(x, q):
     return np.arccos(_cosine(x, q))
 
 
+def series_terms(a, q):
+    """N of the Chebyshev series alone: the first n at which its tail bound
+    4|a|^(n+1) / ((n+1)(1-|q|^(n+1))(1-|a|)) is below PRODUCT_TOL."""
+    n, b, g = 0, abs(a), abs(q)
+    while 4.0 * b ** (n + 1) >= PRODUCT_TOL * (n + 1) * (1.0 - g ** (n + 1)) * (1.0 - b):
+        n += 1
+    return n
+
+
+def loop_alone(a, q, x, y=None):
+    """The kernel product by the factor loop alone (M = F), F the factors
+    after which |16 a q^F| is below PRODUCT_TOL."""
+    v = None if y is None else _cosine(y, q)
+    return _log_factors(a, q, _factors_needed(16.0 * a, q), _cosine(x, q), v)
+
+
+def series_alone(a, q, x, y=None):
+    """The kernel product by the Chebyshev series alone (M = 0)."""
+    v = None if y is None else _cosine(y, q)
+    u = _cosine(x, q)
+    shape = u.shape if v is None else np.broadcast(u, v).shape
+    return _log_series(np.zeros(shape), a, q, series_terms(a, q), u, v)
+
+
 def log_f_n_by_product(x, q):
     """log f_N by the product formula of the densities module docstring."""
     return (
@@ -134,7 +157,7 @@ def log_f_n_by_product(x, q):
         + 0.5 * math.log(1.0 - q)
         + 0.5 * np.log(4.0 - (1.0 - q) * x**2)
         - math.log(2.0 * math.pi)
-        + _log_factors(q, q, angle(x, q))
+        + loop_alone(q, q, x)
     )
 
 
@@ -232,14 +255,12 @@ KERNEL_RHOS = (0.3, -0.3, 0.6, -0.6, 0.9, 0.95)
 
 class TestKernelSeries:
     """The Chebyshev series of sum_i log w(x, y | rho q^i) against the
-    factor loop."""
+    factor loop, each taking the whole product."""
 
     @pytest.mark.parametrize("q", KERNEL_QS)
     @pytest.mark.parametrize("rho", KERNEL_RHOS)
     def test_series_matches_factor_loop(self, rho, q):
-        # The series is evaluated here even where the factor loop is the
-        # shorter route and _log_w would not take it.
-        terms = _kernel_terms(rho, q, MAX_TERMS)
+        # Each route alone, where _log_w takes both or neither.
         nodes, _ = _axis(q, 2)
         half = support_halfwidth(q)
         gen = np.random.default_rng(17)
@@ -247,10 +268,7 @@ class TestKernelSeries:
         flat[:, :4] = [[half, -half, half, 0.0], [half, half, -half, half]]
         for x, y in ((nodes[:, None], nodes[None, :]), (flat[0], flat[1])):
             np.testing.assert_allclose(
-                _log_series(_cosine(x, q), _cosine(y, q), _kernel_coefficients(rho, q, terms)),
-                _log_factors(rho, q, angle(x, q), angle(y, q)),
-                rtol=0,
-                atol=1e-9,
+                series_alone(rho, q, x, y), loop_alone(rho, q, x, y), rtol=0, atol=1e-9
             )
 
     @pytest.mark.parametrize("q", KERNEL_QS)
@@ -258,7 +276,7 @@ class TestKernelSeries:
     def test_coefficients_equal_running_products(self, rho, q):
         # The densities and the sampler read one vector; it must keep the
         # scalar loop's rounding, so every density stays bit for bit.
-        terms = _kernel_terms(rho, q, MAX_TERMS)
+        terms = series_terms(rho, q)
         want, rho_n, q_n = [], 1.0, 1.0
         for n in range(1, terms + 1):
             rho_n *= rho
@@ -279,20 +297,16 @@ class TestKernelSeries:
         half = support_halfwidth(q)
         x = np.array([half, half, -half, -half])
         y = np.array([half, -half, half, -half])
-        terms = _kernel_terms(rho, q, MAX_TERMS)
         np.testing.assert_allclose(
-            _log_factors(rho, q, angle(x, q), angle(y, q)),
-            _log_series(_cosine(x, q), _cosine(y, q), _kernel_coefficients(rho, q, terms)),
-            rtol=0,
-            atol=1e-10,
+            loop_alone(rho, q, x, y), series_alone(rho, q, x, y), rtol=0, atol=1e-10
         )
 
     def test_route_keeps_factors_where_shorter(self):
-        # rho -> 1 at q = 0.5: the series would need more than MAX_TERMS
-        # terms, the product about 50 factors.
+        # rho -> 1 at q = 0.5: the series alone would need about 300,000
+        # terms; the split takes two factors and 22 terms.
         rho, q = 0.9999, 0.5
-        assert _series_terms(rho, q) is None
-        assert _kernel_terms(rho, q, MAX_TERMS) is None
+        assert _split(rho, q, 2) == (2, 22)
+        assert series_terms(rho, q) > 100 * 22
         xs = np.linspace(-0.99, 0.99, 41) * support_halfwidth(q)
         vals = f_cn(xs, 0.5, rho, q)
         assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)
@@ -333,6 +347,8 @@ def log_w_by_blocks(x, y, rho, q):
 
 PRODUCT_QS = (-0.5, 0.0, 0.5, 0.9, 0.99, 0.999)
 PRODUCT_AS = (0.3, -0.6, 0.9, 0.99)
+SPLIT_QS = (-0.999, -0.9, -0.5, 0.0, 0.5, 0.9, 0.99, 0.999)
+SPLIT_AS = (0.3, -0.6, 0.9, 0.99, -0.999)
 
 
 class TestProductRoutes:
@@ -345,14 +361,27 @@ class TestProductRoutes:
         # Series evaluated even where the route rule takes the factors.
         half = support_halfwidth(q)
         x = np.linspace(-half, half, 2049)
-        u = _cosine(x, q)
-        coef = _kernel_coefficients(a, q, _kernel_terms(a, q, MAX_TERMS))
         np.testing.assert_allclose(
-            0.5 * _log_series(np.ones(()), 2.0 * u * u - 1.0, coef),
-            _log_factors(a, q, angle(x, q)),
+            series_alone(a, q, x),
+            loop_alone(a, q, x),
             rtol=0,
             atol=1e-12 if q <= 0.9 else 1e-10,
         )
+
+    @pytest.mark.parametrize("q", SPLIT_QS)
+    @pytest.mark.parametrize("a", SPLIT_AS)
+    def test_split_matches_each_route_alone(self, a, q):
+        # _log_w and _log_l take M factors, then N terms at a q^M (_split);
+        # each must meet the loop alone (M = F) and the series alone (M = 0),
+        # on points that include the corners (+-L, +-L).
+        half = support_halfwidth(q)
+        x = np.array([1.0, 1.0, -1.0, -1.0, 0.37, -0.81, 0.0, 0.93]) * half
+        y = np.array([1.0, -1.0, 1.0, -1.0, -0.81, 0.37, 0.5, 0.93]) * half
+        for split, alone in ((_log_w(x, y, a, q), (a, q, x, y)), (_log_l(x, a, q), (a, q, x))):
+            for route in (loop_alone, series_alone):
+                want = route(*alone)
+                err = np.abs(split - want) / np.maximum(1.0, np.abs(want))
+                assert np.all(err <= 1e-12), (route.__name__, err)
 
     @pytest.mark.parametrize("q", PRODUCT_QS)
     @pytest.mark.parametrize("a", PRODUCT_AS)
@@ -378,17 +407,16 @@ class TestProductRoutes:
         half = support_halfwidth(q)
         nodes = np.linspace(-half, half, 33)
         x, y = nodes[:, None], nodes[None, :]
-        np.testing.assert_array_equal(
-            _log_factors(rho, q, angle(x, q), angle(y, q)), log_w_by_blocks(x, y, rho, q)
-        )
+        np.testing.assert_array_equal(loop_alone(rho, q, x, y), log_w_by_blocks(x, y, rho, q))
         want = np.exp(log_q_pochhammer_inf(rho**2, q) - _log_w(x, y, rho, q))
         np.testing.assert_array_equal(pm_kernel(x, y, rho, q, form=DensityForm.PRODUCT), want)
 
     def test_l_route_keeps_factors_where_shorter(self):
         a, q = 0.9999, 0.5
-        assert _series_terms(a, q) is None
+        m, n = _split(a, q, 1)
+        assert m == 3 and 100 * n < series_terms(a, q)
         x = np.linspace(-1.0, 1.0, 41) * support_halfwidth(q)
-        np.testing.assert_array_equal(_log_l(x, a, q), _log_factors(a, q, angle(x, q)))
+        np.testing.assert_allclose(_log_l(x, a, q), loop_alone(a, q, x), rtol=0, atol=1e-13)
 
 
 class TestBatchIndependence:
@@ -733,7 +761,7 @@ class TestTensorGrid:
     )
     def test_f_yz_2d_grid_factor_route(self, params, bound):
         rho, q = params.rho23, params.q
-        assert _series_terms(rho, q) is None
+        assert _split(rho, q, 2)[0] > 0
         nodes, _ = _axis(params.q, 4)
         val, peak = traced_peak(lambda: f_yz(*open_grid(nodes, nodes), params))
         assert np.all(np.isfinite(val))

@@ -130,17 +130,17 @@ class TestGibbsSampler:
         "point", [(0.3, 0.6, -0.6, 0.999), (0.95, 0.3, 0.3, 0.5), (0.99999, 0.3, 0.3, 0.5)]
     )
     def test_shape_and_support_near_domain_edges(self, point):
-        # q -> 1 and |rho| -> 1: each kernel takes the densities' route rule.
-        # At q = 0.999 all take the Chebyshev series (at most N = 64 terms);
-        # at q = 0.5 the rho12 kernel of |rho12| >= 0.95 takes the factor
-        # loop (51 factors), where the series would need 589 terms at 0.95
-        # and about 3.0 million at 0.99999.
+        # q -> 1 and |rho| -> 1: each kernel takes the densities' one route.
+        # At q = 0.999 all take the Chebyshev series alone (at most N = 64
+        # terms); at q = 0.5 the rho12 kernel of |rho12| >= 0.95 takes two
+        # factors and 21 or 22 terms, where the series alone would need 589
+        # terms at 0.95 and about 3.0 million at 0.99999.
         self._check_shape_and_support(ModelParams(*point))
 
     def test_rho_near_one_samples_in_bounded_memory(self, traced_peak):
-        # |rho12| = 0.9998 needs 151,056 series terms, so the rho12 kernel
-        # takes the factor loop, whose working set is a few (rows, grid)
-        # arrays at every |rho|.
+        # |rho12| = 0.9998 would need 151,056 terms of the series alone, so
+        # the rho12 kernel takes two factors first; factors and series each
+        # hold a few (rows, grid) arrays at every |rho|.
         p = ModelParams(0.9998, 0.3, 0.3, 0.5)
         draws = sample_3d(p, SamplerConfig(seed=2024, n_samples=20_000))
         cov = _covariance(p)
@@ -161,7 +161,7 @@ class TestGibbsSampler:
         # dtheta/dphi, and its Y | Z row, both kernels conditioned on z with
         # rho23 and rho12 rho13, is f_yz(., z) times it; all rows are
         # normalized to sum 1.  At q = 0.5 and |rho| = 0.9, and at
-        # rho12 = 0.9998 at every q, the kernel takes the factor loop.
+        # rho12 = 0.9998 at every q, the kernel takes factors, then the series.
         p = ModelParams(*rhos, q)
         half = support_halfwidth(q)
         phi = _phi_grid(128)
