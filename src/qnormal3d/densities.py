@@ -229,11 +229,14 @@ def _split(a: float, q: float, forms: int) -> tuple[int, int]:
 def _kernel_coefficients(rho: float, q: float, terms: int) -> np.ndarray:
     """c_n = 4 rho^n / (n (1-q^n)) for n = 1..terms, the Chebyshev
     coefficients of the log Poisson-Mehler kernel, -sum_i log w(x, y | rho q^i)
-    = sum_n c_n T_n(x/L) T_n(y/L); rho^n and q^n are running products."""
+    = sum_n c_n T_n(x/L) T_n(y/L).  rho^n is a running product; 1 - q^n is
+    -expm1(n ln|q|), or 1 + |q|^n where q^n < 0, so it keeps its digits."""
     n = np.arange(1, terms + 1)
-    rho_n = np.cumprod(np.full(terms, rho))
-    q_n = np.cumprod(np.full(terms, q))
-    return 4.0 * rho_n / (n * (1.0 - q_n))
+    with np.errstate(divide="ignore"):  # at q = 0, n ln 0 = -inf: 1 - q^n = 1
+        n_ln_q = n * np.log(abs(q))
+    odd = (q < 0.0) & (n % 2 == 1)
+    one_minus = np.where(odd, 1.0 + np.exp(n_ln_q), -np.expm1(n_ln_q))
+    return 4.0 * np.cumprod(np.full(terms, rho)) / (n * one_minus)
 
 
 def _cosine(x: np.ndarray, q: float) -> np.ndarray:

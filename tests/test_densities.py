@@ -1,5 +1,6 @@
 """Density evaluation: kernels, forms, normalization, conditioning, domains."""
 
+import decimal
 import itertools
 import math
 import tracemalloc
@@ -271,18 +272,21 @@ class TestKernelSeries:
                 series_alone(rho, q, x, y), loop_alone(rho, q, x, y), rtol=0, atol=1e-9
             )
 
-    @pytest.mark.parametrize("q", KERNEL_QS)
+    @pytest.mark.parametrize("q", KERNEL_QS + (-0.999, 0.999))
     @pytest.mark.parametrize("rho", KERNEL_RHOS)
     def test_coefficients_equal_running_products(self, rho, q):
-        # The densities and the sampler read one vector; it must keep the
-        # scalar loop's rounding, so every density stays bit for bit.
+        # The name is kept so that its ids stay.  c_n against its 40-digit
+        # value, within the (n + 3) u of rho^n's running product and the
+        # roundings of 1 - q^n, n and the quotient; a running q^n as well
+        # misses by 2e-15 at q = 0.99 and by 1.4e-14 at q = +-0.999.
         terms = series_terms(rho, q)
-        want, rho_n, q_n = [], 1.0, 1.0
-        for n in range(1, terms + 1):
-            rho_n *= rho
-            q_n *= q
-            want.append(4.0 * rho_n / (n * (1.0 - q_n)))
-        np.testing.assert_array_equal(_kernel_coefficients(rho, q, terms), want)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            r, g = decimal.Decimal(rho), decimal.Decimal(q)
+            want = [float(4 * r**n / (n * (1 - g**n))) for n in range(1, terms + 1)]
+        n = np.arange(1, terms + 1)
+        err = np.abs(_kernel_coefficients(rho, q, terms) / want - 1.0)
+        assert np.all(err <= (n + 3) * 2.0**-53), np.max(err / (n + 3))
 
     @pytest.mark.parametrize("q", KERNEL_QS)
     def test_zero_coupling_is_exactly_zero(self, q):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import reference
-from qnormal3d.densities import DensityForm, MarginalForm, f_z, pm_kernel
+from qnormal3d.densities import DensityForm, MarginalForm, f_n, f_z, pm_kernel
 from qnormal3d.errors import QNormalError
 from qnormal3d.qcore import support_halfwidth
 
@@ -64,7 +64,7 @@ def log_kernel(x: float, y: float, rho: float, q: float) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def f_n(z: float, q: float) -> float:
+def f_n_reference(z: float, q: float) -> float:
     return reference.f_n(z, q)
 
 
@@ -94,7 +94,7 @@ def f_z_case(form, q, r):
     half = support_halfwidth(q)
     z = np.array(Z_POINTS) * half
     # f_N is 0 at the edges, where the kernel need not be summed.
-    want = np.array([(1.0 - r) * f_n(v, q) for v in z.tolist()])
+    want = np.array([(1.0 - r) * f_n_reference(v, q) for v in z.tolist()])
     for i, v in enumerate(z.tolist()):
         if want[i]:
             want[i] *= np.exp(log_kernel(v, v, r, q))
@@ -130,3 +130,14 @@ def test_route_matches_the_decimal_reference(name, form, q, rho):
     measure, tol = TOLERANCE[form]
     err = errors(measure, got, want)
     assert np.all(err <= tol), f"{measure} errors {err} against {tol:.0e}"
+
+
+@pytest.mark.parametrize("x", (1.0, -0.98, 0.9))
+def test_f_n_near_minus_one_matches_the_decimal_reference(x):
+    # At q = -0.999 f_N takes the product route, whose l-product at a = q
+    # is a few factors and then the series at a q^M; the mass sits near
+    # |x| = 1, where log f_N is about 2.5, 1.7 and -15.8 at these points.
+    q = -0.999
+    want = f_n_reference(x, q)
+    assert want > 0.0
+    assert errors("log", f_n(x, q), want) <= 1e-12
