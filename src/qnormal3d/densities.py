@@ -200,12 +200,11 @@ _LOOP_SETUP = 5
 
 
 def _split(a: float, q: float, forms: int) -> tuple[int, int]:
-    """(M, N) for sum_i log of the kernel factors at a q^i, of `forms` forms
-    each (2 for w, 1 for l): M factors by _log_factors, until |a q^M| <=
-    exp(-_SPLIT_EXPONENT sqrt(-ln|q| / forms)) or 0 where the series alone
-    costs less, then N terms of the series of the rest, the same product at
-    b = a q^M: the first N whose tail bound 4|b|^(N+1) / ((N+1)(1-|q|^(N+1))
-    (1-|b|)) is below PRODUCT_TOL, at most MAX_TERMS."""
+    """(M, N) for sum_i log of the kernel factors at a q^i, `forms` forms each
+    (2 for w, 1 for l): M factors, until |a q^M| <= exp(-_SPLIT_EXPONENT
+    sqrt(-ln|q| / forms)) or none where the series alone costs less, then the
+    N terms of the series of the rest, the same product at b = a q^M, whose
+    tail bound 4|b|^(N+1) / ((N+1)(1-|q|^(N+1))(1-|b|)) is below PRODUCT_TOL."""
     g = abs(q)
     bound = math.exp(-_SPLIT_EXPONENT * math.sqrt(-math.log(g) / forms)) if g else 0.0
 
@@ -234,8 +233,7 @@ def _kernel_coefficients(rho: float, q: float, terms: int) -> np.ndarray:
     n = np.arange(1, terms + 1)
     with np.errstate(divide="ignore"):  # at q = 0, n ln 0 = -inf: 1 - q^n = 1
         n_ln_q = n * np.log(abs(q))
-    odd = (q < 0.0) & (n % 2 == 1)
-    one_minus = np.where(odd, 1.0 + np.exp(n_ln_q), -np.expm1(n_ln_q))
+    one_minus = np.where((q < 0.0) & (n % 2 == 1), 1.0 + np.exp(n_ln_q), -np.expm1(n_ln_q))
     return 4.0 * np.cumprod(np.full(terms, rho)) / (n * one_minus)
 
 
@@ -254,8 +252,7 @@ def _log_factors(
     they are (1-|a|)^2 + 4|a| cos^2(h), the half-angles in reverse order
     (x -> -x).  Both are sums of non-negative terms: the quadratic forms in
     x and y cancel as |a| -> 1 at the edges of the support, these do not.
-    The forms are multiplied in blocks of _BLOCK, with one log per block.
-    """
+    The forms are multiplied in blocks of _BLOCK, with one log per block."""
     shape = u.shape if v is None else np.broadcast(u, v).shape
     if not n:
         return np.zeros(shape)
@@ -290,12 +287,11 @@ def _log_series(
     factors at b q^i, summed in place: l(x | b q^i) at u = cos(t), or
     w(x, y | b q^i) with v = cos(s) as well.  w(x, y|r) = |1 - r e^{i(t+s)}|^2
     |1 - r e^{i(t-s)}|^2 has log -4 sum_n r^n cos(nt) cos(ns) / n, so the sum
-    over r = b q^i is -sum_n c_n T_n(u) T_n(v), c_n = _kernel_coefficients(b,
-    q, n); for l, half of it at u = 1 and v = cos(2t) = 2u^2 - 1.  The
-    recurrences run on u and v in their own shapes and only the running sum
-    is broadcast: a matrix product would round differently on an open grid
-    than on the same points given flat.
-    """
+    over r = b q^i is -sum_n c_n T_n(u) T_n(v) (_kernel_coefficients); for l,
+    half of it at u = 1 and v = cos(2t) = 2u^2 - 1.  The recurrences run on u
+    and v in their own shapes and only the running sum is broadcast: a matrix
+    product would round differently on an open grid than on the same points
+    given flat."""
     if not n:
         return total
     coef = _kernel_coefficients(b, q, n)

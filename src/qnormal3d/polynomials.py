@@ -31,7 +31,8 @@ import numpy as np
 from .densities import f_cn, f_n, f_r
 from .errors import DegenerateRecurrence, NonConvergence
 from .qcore import (
-    _check_count, _check_rho, _finite, _q_binomial_row, _q_numbers, _real_points, support_halfwidth
+    _check_count, _check_q, _check_rho, _finite, _q_binomial_row, _q_numbers, _real_points,
+    support_halfwidth,
 )
 from .quadrature import gram_matrix
 
@@ -198,6 +199,7 @@ def triple_product_integral(k: int, m: int, n: int, q: float) -> float:
     """
     for name, index in zip("kmn", (k, m, n)):
         _check_count(index, name, None)
+    _check_q(q)
     if min(k, m, n) < 0:
         return 0.0
     if (k + m + n) % 2 != 0:

@@ -111,26 +111,20 @@ def q_pochhammer(a: float, q: float, j: int) -> float:
 
 
 def _factors_needed(a: float, q: float) -> int:
-    """Smallest K with |a| |q|^K < PRODUCT_TOL, i.e. the count of factors
-    to keep so the first omitted factor 1 - a q^K is within tolerance of 1.
-    """
-    a = abs(a)
-    q = abs(q)
+    """Smallest K with |a| |q|^K < PRODUCT_TOL for |q| < 1: the factors to
+    keep so that the first omitted factor 1 - a q^K is within it of 1."""
+    a, q = abs(a), abs(q)
     if a < PRODUCT_TOL:
         return 0
     if q == 0.0:
         return 1
-    if q >= 1.0:
-        raise NonConvergence(f"infinite product requires |q| < 1, got |q|={q}")
     k = math.log(PRODUCT_TOL / a) / math.log(q)
     n = max(1, math.ceil(k))
     # Guard against log round-off putting us one factor short.
     while a * q**n >= PRODUCT_TOL:
         n += 1
     if n > MAX_TERMS:
-        raise NonConvergence(
-            f"q-Pochhammer product needs {n} factors, cap is {MAX_TERMS}"
-        )
+        raise NonConvergence(f"q-Pochhammer product needs {n} factors, cap is {MAX_TERMS}")
     return n
 
 
@@ -142,8 +136,8 @@ def log_q_pochhammer_inf(a: float, q: float) -> float:
     math.fsum and the omitted ones in closed form, so no error grows with
     the factor count, which is about 1/(1-q).
     """
-    if not abs(a) < 1.0:
-        raise ValueError("log_q_pochhammer_inf requires |a| < 1")
+    _check_rho(a, "a")
+    _check_q(q)
     n = _factors_needed(a, q)
     # Each factor from its own power a q^k, not from a running product that
     # drifts; the omitted factors add sum_{k>=n} log(1 - a q^k) = -a q^n /

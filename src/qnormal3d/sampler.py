@@ -35,7 +35,7 @@ import numpy as np
 
 from .densities import ModelParams, _given_z, _log_w, f_n, f_r
 from .errors import DegenerateConditioning, InsufficientSamples
-from .qcore import _check_count, _check_q, _check_seed, _real_points, support_halfwidth
+from .qcore import _check_count, _check_q, _check_rho, _check_seed, _real_points, support_halfwidth
 from .quadrature import _phi_of_theta, _theta_of_phi
 
 __all__ = [
@@ -303,11 +303,14 @@ def mc_moment(
 
 def cdf_fn(q: float) -> Callable[[np.ndarray], np.ndarray]:
     """CDF of the one-dimensional base density, tabulated at ``_CDF_POINTS`` angles."""
+    _check_q(q)
     return _density_tables(lambda xs: f_n(xs, q), q, _CDF_POINTS)[0]
 
 
 def cdf_r(r: float, q: float) -> Callable[[np.ndarray], np.ndarray]:
     """CDF of the one-coordinate marginal with ratio r, tabulated at ``_CDF_POINTS`` angles."""
+    _check_rho(r, "r")
+    _check_q(q)
     return _density_tables(lambda xs: f_r(xs, r, q), q, _CDF_POINTS)[0]
 
 

@@ -41,6 +41,7 @@ from qnormal3d.sampler import (
     McEstimate,
     SamplerConfig,
     cdf_fn,
+    cdf_r,
     ks_critical,
     ks_statistic,
     mc_moment,
@@ -205,6 +206,24 @@ INVALID += [
     (mc_moment, (np.full(30, 0.5), lambda x: x + 1j), ValueError),
     (mc_moment, (np.full(30, 0.5), lambda x: [None] * 30), ValueError),
 ]
+# The tables check q (and r) before they read the support half-width, which
+# is inf at q = 1; the q-Pochhammer logarithm and the triple product take
+# the rule too, and the rule's complex and string reals.
+INVALID += [
+    (cdf_fn, (1.0,), ValueError),
+    (cdf_r, (0.3, 1.0), ValueError),
+    (qcore.log_q_pochhammer_inf, (0.5, NAN), ValueError),
+    (qcore.log_q_pochhammer_inf, (0.5j, 0.5), ValueError),
+    (qcore.log_q_pochhammer_inf, (0.5, 1.5), ValueError),
+    (pl.triple_product_integral, (1, 1, 2, NAN), ValueError),
+    (pl.triple_product_integral, (1, 1, 2, 2.0), ValueError),
+]
+for entry, make in (
+    (qcore.log_q_pochhammer_inf, lambda a: (a, 0.5)),
+    (qcore.log_q_pochhammer_inf, lambda q: (0.5, q)),
+    (pl.triple_product_integral, lambda q: (1, 1, 2, q)),
+):
+    INVALID += [(entry, make(value), ValueError) for value in (0.3 + 0j, "0.3")]
 
 
 @pytest.mark.parametrize(
