@@ -228,12 +228,12 @@ def _split(a: float, q: float, forms: int) -> tuple[int, int]:
 def _kernel_coefficients(rho: float, q: float, terms: int) -> np.ndarray:
     """c_n = 4 rho^n / (n (1-q^n)) for n = 1..terms, the Chebyshev
     coefficients of the log Poisson-Mehler kernel, -sum_i log w(x, y | rho q^i)
-    = sum_n c_n T_n(x/L) T_n(y/L).  rho^n is a running product; 1 - q^n is
-    -expm1(n ln|q|), or 1 + |q|^n where q^n < 0, so it keeps its digits."""
+    = sum_n c_n T_n(x/L) T_n(y/L).  rho^n is a running product; 1 - |q|^n
+    is -expm1(n ln|q|), and 1 + |q|^n = 2 - (1 - |q|^n) for odd n at q < 0."""
     n = np.arange(1, terms + 1)
-    with np.errstate(divide="ignore"):  # at q = 0, n ln 0 = -inf: 1 - q^n = 1
-        n_ln_q = n * np.log(abs(q))
-    one_minus = np.where((q < 0.0) & (n % 2 == 1), 1.0 + np.exp(n_ln_q), -np.expm1(n_ln_q))
+    one_minus = -np.expm1(n * math.log(abs(q))) if q else np.ones(terms)
+    if q < 0.0:
+        one_minus[::2] = 2.0 - one_minus[::2]
     return 4.0 * np.cumprod(np.full(terms, rho)) / (n * one_minus)
 
 
@@ -368,8 +368,8 @@ def _log_f_n(x: np.ndarray, q: float) -> np.ndarray:
     By the Jacobi triple product f_N = sqrt(1-q) theta_1(t, sqrt(q)) /
     (2 pi q^(1/8)) with x = L cos(t), so for q > 0.2 the imaginary
     transformation needs no infinite product.  At and below 0.2 the product
-    formula of the module docstring needs few terms (287 series terms at
-    q = -0.9) and is kept.
+    formula of the module docstring needs few terms (6 factors and 41
+    series terms at q = -0.9) and is kept.
     """
     u = _cosine(x, q)
     if q > _THETA_MIN_Q:
