@@ -357,12 +357,13 @@ SPLIT_AS = (0.3, -0.6, 0.9, 0.99, -0.999)
 
 class TestProductRoutes:
     """Both kernel products, sum_i log l(x | a q^i) and sum_i log w(x, y |
-    a q^i), share one factor loop, one Chebyshev series and one route rule."""
+    a q^i), share one factor loop, one Chebyshev series and one split
+    between them (_split)."""
 
     @pytest.mark.parametrize("q", PRODUCT_QS)
     @pytest.mark.parametrize("a", PRODUCT_AS)
     def test_l_series_matches_factor_loop(self, a, q):
-        # Series evaluated even where the route rule takes the factors.
+        # Each route alone, over the whole product.
         half = support_halfwidth(q)
         x = np.linspace(-half, half, 2049)
         np.testing.assert_allclose(
@@ -391,7 +392,7 @@ class TestProductRoutes:
     @pytest.mark.parametrize("a", PRODUCT_AS)
     def test_diagonal_kernel_is_l_product(self, a, q):
         # w(x, x|r) = (1-r)^2 l(x|r), so the kernel on the diagonal is the
-        # l-product plus 2 log (a; q)_inf, each through the route rule.
+        # l-product plus 2 log (a; q)_inf, each through its own split.
         half = support_halfwidth(q)
         x = np.linspace(-half, half, 2049)
         np.testing.assert_allclose(
