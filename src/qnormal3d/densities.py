@@ -24,8 +24,9 @@ With x = L cos(t) (L the support half-width), f_N is a Jacobi theta
 function, f_N = sqrt(1-q) theta_1(t, sqrt(q)) / (2 pi q^(1/8)).  For
 q > 0.2 it is evaluated by Jacobi's imaginary transformation, which needs
 no product while the product above needs ~1/(1-q) factors; at and below
-0.2 the product is kept.  Both write the edge factor as log sin(t), so f_N
-is exactly 0 at the edge.
+0.2 the product is kept.  The product is written once (_log_f_n_product),
+which f_N and f_z's edge form both read.  Both routes write the edge factor
+as log sin(t), so f_N is exactly 0 at the edge.
 
 Both kernels are |1 - a e^{i theta}|^2 forms, at theta = 2t for l(x|a) and
 at theta = t +- s for w(x, y|a) with y = L cos(s), so both products,
@@ -296,8 +297,8 @@ def _log_series(
         return total
     coef = _kernel_coefficients(b, q, n)
     if v is None:
-        u, v, coef = np.ones(()), 2.0 * u * u - 1.0, 0.5 * coef
-    tu_prev, tu = np.ones(u.shape), u
+        u, v, coef = 1.0, 2.0 * u * u - 1.0, 0.5 * coef
+    tu_prev, tu = 0.0 * u + 1.0, u
     tv_prev, tv = np.ones(v.shape), v
     for c in coef:
         total -= (c * tu) * tv
@@ -363,22 +364,22 @@ def _log_theta_imaginary(u: np.ndarray, q: float) -> np.ndarray:
 
 
 def _log_f_n(x: np.ndarray, q: float) -> np.ndarray:
-    """log f_N on points already inside the support (-inf at the edge).
-
-    By the Jacobi triple product f_N = sqrt(1-q) theta_1(t, sqrt(q)) /
-    (2 pi q^(1/8)) with x = L cos(t), so for q > 0.2 the imaginary
-    transformation needs no infinite product.  At and below 0.2 the product
-    formula of the module docstring needs few terms (6 factors and 41
-    series terms at q = -0.9) and is kept.
-    """
-    u = _cosine(x, q)
+    """log f_N on points already inside the support (-inf at the edge): by
+    the imaginary transformation above _THETA_MIN_Q, and at and below it by
+    the product formula, which needs few terms (6 factors and 41 series
+    terms at q = -0.9)."""
     if q > _THETA_MIN_Q:
-        return _log_theta_imaginary(u, q)
+        return _log_theta_imaginary(_cosine(x, q), q)
+    return _log_f_n_product(x, q)
+
+
+def _log_f_n_product(x: np.ndarray, q: float) -> np.ndarray:
+    """log f_N by the module docstring's product formula, as _log_f_n."""
     # sqrt(4 - (1-q) x^2) / (2 pi) = sin(t) / pi
     return (
         log_q_pochhammer_inf(q, q)
         + 0.5 * math.log(1.0 - q)
-        + _log_sin(u)
+        + _log_sin(_cosine(x, q))
         - _LOG_PI
         + _log_l(x, q, q)
     )
@@ -454,14 +455,19 @@ def f_r(x, beta: float, q: float):
     (xb,), scalar = _points(x)
     half = support_halfwidth(q)
     xc = _clip(xb, half)
-    log_val = (
-        _log_f_n(xc, q)
+    return _ret(_extend(np.exp(_log_f_r(xc, _log_f_n(xc, q), beta, q)), half, xb), scalar)
+
+
+def _log_f_r(x: np.ndarray, log_f_n: np.ndarray, beta: float, q: float) -> np.ndarray:
+    """log f_R = log [f_N (beta^2; q)_inf / ((beta, beta q; q)_inf prod_{i>=0}
+    l(x | beta q^i))] on in-support points, f_N's log given."""
+    return (
+        log_f_n
         + log_q_pochhammer_inf(beta**2, q)
         - log_q_pochhammer_inf(beta, q)
         - log_q_pochhammer_inf(beta * q, q)
-        - _log_l(xc, beta, q)
+        - _log_l(x, beta, q)
     )
-    return _ret(_extend(np.exp(log_val), half, xb), scalar)
 
 
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter
@@ -695,8 +701,8 @@ def f_z(
 
     Four evaluation routes are kept: a bilinear q-Hermite series on the
     diagonal, the Rogers density f_r(z, r, q) itself, an even-degree
-    q-Hermite series, and an edge product, which takes f_N by its product
-    formula rather than the theta route.
+    q-Hermite series, and an edge product: f_R with f_N by its product
+    formula, not the theta route, so it equals ROGERS bit for bit at q <= 0.2.
     """
     _check_q(q)
     _check_rho(r, "r")
@@ -710,19 +716,7 @@ def f_z(
     elif form == MarginalForm.EVEN_SERIES:
         val = (1.0 - r) * np.exp(_log_f_n(zc, q)) * _even_series(zc, r, q)
     elif form == MarginalForm.EDGE_PRODUCT:
-        log_val = (
-            math.log1p(r)
-            + 0.5 * math.log(1.0 - q)
-            + _log_sin(zc / half)  # sqrt(4 - (1-q) z^2) / 2
-            + log_q_pochhammer_inf(q, q)
-            + log_q_pochhammer_inf(r**2 * q, q)
-            - _LOG_PI
-            - np.log((1.0 + r) ** 2 - (1.0 - q) * r * zc**2)
-            - 2.0 * log_q_pochhammer_inf(r * q, q)
-            + _log_l(zc, q, q)
-            - _log_l(zc, r * q, q)
-        )
-        val = np.exp(log_val)
+        val = np.exp(_log_f_r(zc, _log_f_n_product(zc, q), r, q))
     else:
         raise ValueError(f"unknown form {form}")
     return _ret(_extend(val, half, zb), scalar)
@@ -780,7 +774,8 @@ def f_x_given_yz(x, y, z, params: ModelParams):
 
 
 def f_yz_given_x(y, z, x, params: ModelParams):
-    """Conditional density of the last two coordinates given the first."""
+    """Conditional density of the last two coordinates given the first,
+    f_3d over f_X = f_R(x; r, q)."""
     p = params
     _check_q(p.q)
     (yb, zb, xb), scalar = _points(y, z, x)
@@ -788,7 +783,7 @@ def f_yz_given_x(y, z, x, params: ModelParams):
     _require_support(xb, half, "conditioning point x")
     _require_support(yb[~np.isnan(yb)], half, "point y")
     _require_support(zb[~np.isnan(zb)], half, "point z")
-    log_den = _log_f_cn(xb, xb, p.r, p.q)
+    log_den = _log_f_r(xb, _log_f_n(xb, p.q), p.r, p.q) - math.log1p(-p.r)
     if np.any(np.isneginf(log_den)):
         raise DegenerateConditioning("conditioning point has zero density")
     val = np.asarray(

@@ -18,7 +18,9 @@ from qnormal3d.densities import (
     _cosine,
     _cycle,
     _kernel_coefficients,
+    _log_f_cn,
     _log_f_n,
+    _log_f_r,
     _log_factors,
     _log_l,
     _log_series,
@@ -619,6 +621,35 @@ class TestZMarginal:
             np.testing.assert_array_equal(f_z(zs, r, q), f_r(zs, r, q))
             assert f_z(0.9, r, q) == f_r(0.9, r, q)
 
+    @pytest.mark.parametrize(
+        "form, q",
+        [
+            pytest.param(
+                form,
+                q,
+                marks=pytest.mark.xfail(
+                    strict=True, reason="ROADMAP item 2.1: the series coefficient underflows"
+                )
+                if (form, q) == (MarginalForm.HERMITE_SERIES, 0.99)
+                else (),
+            )
+            for form in MarginalForm
+            for q in (-0.9, -0.5, 0.0, 0.3, 0.7, 0.9, 0.99)
+        ],
+    )
+    def test_semicircle_at_r_equals_q(self, form, q):
+        # The abstract's claim: at r = rho12 rho13 rho23 = q every margin is
+        # the semicircle sqrt(1-q) sin(t) / pi on z = L cos(t).
+        t = np.linspace(0.0, math.pi, 401)
+        z = support_halfwidth(q) * np.cos(t)
+        if form == MarginalForm.EVEN_SERIES and q >= 0.9:
+            with pytest.raises(NonConvergence):  # ROADMAP item 2.1
+                f_z(z, q, q, form=form)
+            return
+        peak = math.sqrt(1.0 - q) / math.pi
+        err = np.max(np.abs(f_z(z, q, q, form=form) - peak * np.sin(t))) / peak
+        assert err <= (1e-11 if form == MarginalForm.EVEN_SERIES else 1e-12)
+
 
 class TestConditionals:
     def test_forward_conditional_normalizes(self, params):
@@ -653,6 +684,17 @@ class TestConditionals:
         )
         fx = integrate2d(lambda yy, zz: f_3d(x, yy, zz, params), params.q).value
         assert f_yz_given_x(y, z, x, params) * fx == pytest.approx(joint, rel=1e-7)
+
+    @pytest.mark.parametrize("r", (0.3, -0.6, 0.9, 0.99, -0.99))
+    @pytest.mark.parametrize("q", (-0.9, -0.5, 0.0, 0.5, 0.9, 0.99))
+    def test_diagonal_conditional_is_the_rogers_law(self, r, q):
+        # (1 - r) f_cn(x | x; r) = f_r(x; r): f_yz_given_x divides by the
+        # right-hand side as the marginal of X.  Compared in logs, since
+        # f_r underflows near the edge at q = 0.99, r = -0.99.
+        x = np.linspace(-0.999, 0.999, 201) * support_halfwidth(q)
+        want = _log_f_r(x, _log_f_n(x, q), r, q)
+        got = math.log1p(-r) + _log_f_cn(x, x, r, q)
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
 
     @pytest.mark.parametrize("edge", [1.0, -1.0])
     def test_conditioning_on_x_at_the_support_edge_is_degenerate(self, params, edge):

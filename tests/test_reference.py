@@ -89,10 +89,10 @@ def kernel_case(form, q, rho):
     return lambda: pm_kernel(x, y, rho, q, form=form), want
 
 
-def f_z_case(form, q, r):
+def f_z_case(form, q, r, points=Z_POINTS):
     # f_Z(z) = (1 - r) f_N(z) K(z, z | r)
     half = support_halfwidth(q)
-    z = np.array(Z_POINTS) * half
+    z = np.array(points) * half
     # f_N is 0 at the edges, where the kernel need not be summed.
     want = np.array([(1.0 - r) * f_n_reference(v, q) for v in z.tolist()])
     for i, v in enumerate(z.tolist()):
@@ -130,6 +130,18 @@ def test_route_matches_the_decimal_reference(name, form, q, rho):
     measure, tol = TOLERANCE[form]
     err = errors(measure, got, want)
     assert np.all(err <= tol), f"{measure} errors {err} against {tol:.0e}"
+
+
+@pytest.mark.parametrize("form", (MarginalForm.ROGERS, MarginalForm.EDGE_PRODUCT))
+@pytest.mark.parametrize("r", (0.99, 0.999))
+@pytest.mark.parametrize("q", (0.0, 0.5, 0.9))
+def test_f_z_product_forms_near_the_edge(q, r, form):
+    # Within 1e-3 L of the edge as r -> 1, where f_R's first l factor
+    # (1 + r)^2 - (1 - q) r z^2 cancels when written as a quadratic form.
+    evaluate, want = f_z_case(form, q, r, points=(0.999, 0.9999, 0.99995))
+    assert np.all(want > 0.0)
+    err = errors("log", evaluate(), want)
+    assert np.all(err <= 1e-12), f"log errors {err} against 1e-12"
 
 
 @pytest.mark.parametrize("x", (1.0, -0.98, 0.9))
