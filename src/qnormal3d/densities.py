@@ -374,7 +374,7 @@ def _log_f_n(x: np.ndarray, q: float) -> np.ndarray:
 
 
 def _log_f_n_product(x: np.ndarray, q: float) -> np.ndarray:
-    """log f_N by the module docstring's product formula, as _log_f_n."""
+    """log f_N by the module docstring's product formula, on in-support points."""
     # sqrt(4 - (1-q) x^2) / (2 pi) = sin(t) / pi
     return (
         log_q_pochhammer_inf(q, q)

@@ -140,8 +140,9 @@ def test_f_z_product_forms_near_the_edge(q, r, form):
     # (1 + r)^2 - (1 - q) r z^2 cancels when written as a quadratic form.
     evaluate, want = f_z_case(form, q, r, points=(0.999, 0.9999, 0.99995))
     assert np.all(want > 0.0)
-    err = errors("log", evaluate(), want)
-    assert np.all(err <= 1e-12), f"log errors {err} against 1e-12"
+    measure, tol = TOLERANCE[form]
+    err = errors(measure, evaluate(), want)
+    assert np.all(err <= tol), f"{measure} errors {err} against {tol:.0e}"
 
 
 @pytest.mark.parametrize("x", (1.0, -0.98, 0.9))
