@@ -22,7 +22,9 @@ Exit codes: 0 success, 1 failed identity check, 2 invalid parameters
 3 truncation or quadrature non-convergence (NonConvergence), 4 too few
 samples (InsufficientSamples), 141 stdout closed by its reader (as after
 SIGPIPE; nothing is printed).  Each error prints one ``error:`` line on
-stderr and no traceback.
+stderr and no traceback; under ``eval --form all`` a route that raises prints
+``error: <route>: <message>`` and loses its column, the other routes' columns
+are still written, and the exit code is the first failing route's.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ SUITE_NAMES = (
 )
 MOMENT_KINDS = ("var_z", "eh2n_z", "mixed", "cond_x", "cond_y", "cond_xy")
 GRAM_FAMILIES = ("qhermite", "asc", "rogers")
-DENSITY_FORMS = ("product", "series", "closed")
+DENSITY_FORMS = ("product", "series")
 MARGINAL_FORMS = ("hermite-series", "rogers", "even-series", "edge-product")
 FORM_NAMES = (*DENSITY_FORMS, *MARGINAL_FORMS, "all")
 # Literals, so that --help imports no numpy; tests pin SUITE_NAMES to
@@ -131,11 +133,15 @@ EVAL_DENSITIES: Dict[str, Tuple[Any, ...]] = {
         ("x",),
         ("y", "rho1"),
         lambda dn, a, x, form: dn.pm_kernel(x, a.y, a.rho1, a.q, form=dn.DensityForm(form)),
-        ("product", "series"),
+        DENSITY_FORMS,
         "product",
     ),
 }
 DENSITY_NAMES = tuple(EVAL_DENSITIES)
+
+
+def _exit_code(exc: Exception) -> int:
+    return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def _parse_rho(text: str) -> Tuple[float, float, float]:
@@ -162,10 +168,6 @@ def _parse_grid(text: str) -> List[Tuple[float, float, int]]:
             raise ValueError(f"grid count must be positive, got {count}")
         axes.append((lo, hi, count))
     return axes
-
-
-def _parse_q_seq(text: str) -> Tuple[float, ...]:
-    return tuple(float(t) for t in text.split(","))
 
 
 def _fmt(value: Any) -> str:
@@ -250,15 +252,22 @@ def cmd_eval(args: argparse.Namespace) -> Tuple[Table, int]:
         raise ValueError(f"{args.density} needs {dim} grid axes, got {len(axes)}")
     mesh = np.meshgrid(*(np.linspace(*axis) for axis in axes), indexing="ij")
     flat = [m.ravel() for m in mesh]
+    code = EXIT_OK
     if form is None:
         values = {"value": call(dn, args, *flat)}
     elif form == "all":
-        values = {f"value_{route}": call(dn, args, *flat, form=route) for route in routes}
+        values = {}
+        for route in routes:
+            try:
+                values[f"value_{route}"] = call(dn, args, *flat, form=route)
+            except tuple(EXIT_CODES) as exc:
+                print(f"error: {route}: {exc}", file=sys.stderr)
+                code = code or _exit_code(exc)
     else:
         values = {"value": call(dn, args, *flat, form=form)}
     columns = [*coords, *values]
     rows = list(zip(*(np.ravel(c).tolist() for c in [*flat, *values.values()])))
-    return (meta, columns, rows), EXIT_OK
+    return (meta, columns, rows), code
 
 
 def _check_points(args: argparse.Namespace) -> List[Tuple[float, float, float, float]]:
@@ -399,7 +408,7 @@ def cmd_sample(args: argparse.Namespace) -> Tuple[Table, int]:
 def cmd_limits(args: argparse.Namespace) -> Tuple[Table, int]:
     from .checks import _limit_ratios, limit_series
 
-    qs = _parse_q_seq(args.q_seq)
+    qs = tuple(float(t) for t in args.q_seq.split(","))
     meta: Dict[str, Any] = {"command": "limits", "q_seq": args.q_seq, "r": args.r}
     meta.update(_shared_metadata())
     columns = ["check", "q", "error", "ratio"]
@@ -509,7 +518,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         table, code = args.fn(args)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
+        return _exit_code(exc)
     try:
         _emit(args, table)
     except BrokenPipeError:

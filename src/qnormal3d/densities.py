@@ -107,8 +107,8 @@ _PM_TAIL_TOL = 1e-14
 class DensityForm(enum.Enum):
     PRODUCT = "product"
     SERIES = "series"
-    # The product route under a second name, which callers still pass.
-    CLOSED = "closed"
+    # An alias of PRODUCT, not a route, that only the benchmark still names.
+    CLOSED = "product"
 
 
 class MarginalForm(enum.Enum):
@@ -334,33 +334,23 @@ def _log_theta_imaginary(u: np.ndarray, q: float) -> np.ndarray:
     log f_N = log(1-q)/2 - log(2 pi) - log(q)/8 - log(s)/2 - a^2/(pi s)
               + log1p(-e^(-2z/s)) + log(1 + sum_n (-1)^n e^(-pi n(n+1)/s)
                                          sinh((2n+1)z/s) / sinh(z/s)).
-    The -a^2/(pi s) term is the Gaussian limit.  Each correction term is
-    below its bound (2n+1) e^(-pi n^2/s), and the sum stops once that bound
-    is below half an ulp: it keeps one term at q = 0.3 and none from 0.7 on.
+    The -a^2/(pi s) term is the Gaussian limit.  Term n of the sum is below
+    (2n+1) e^(-pi n^2/s): above _THETA_MIN_Q only the first can pass half an
+    ulp (the second is below 2.4e-21), and it does for q below about 0.594.
     """
     s = -math.log(q) / (2.0 * math.pi)
     a = np.arcsin(u)
     zs = np.arccos(np.abs(u)) / s
     with np.errstate(divide="ignore"):
         edge = np.log1p(-np.exp(-2.0 * zs))  # -inf at the edge, z = 0
-    den = np.expm1(-2.0 * zs)
-    corr = np.zeros(u.shape)
-    n = 1
-    while (2 * n + 1) * math.exp(-math.pi * n * n / s) > _HALF_EPS:
-        # sinh((2n+1)w) / sinh(w) = e^(2nw) expm1(-2(2n+1)w) / expm1(-2w),
-        # whose limit at w = 0 is 2n + 1.
-        ratio = np.divide(
-            np.expm1(-2.0 * (2 * n + 1) * zs),
-            den,
-            out=np.full(u.shape, 2.0 * n + 1.0),
-            where=den != 0.0,
-        )
-        corr += (-1) ** n * np.exp(-math.pi * n * (n + 1) / s + 2.0 * n * zs) * ratio
-        n += 1
-    const = (
-        0.5 * math.log(1.0 - q) - _LOG_2PI - 0.125 * math.log(q) - 0.5 * math.log(s)
-    )
-    return const - a * a / (math.pi * s) + edge + np.log1p(corr)
+    const = 0.5 * math.log(1.0 - q) - _LOG_2PI - 0.125 * math.log(q) - 0.5 * math.log(s)
+    val = const - a * a / (math.pi * s) + edge
+    if 3.0 * math.exp(-math.pi / s) > _HALF_EPS:
+        # sinh(3w) / sinh(w) = e^(2w) expm1(-6w) / expm1(-2w), 3 at w = 0.
+        den = np.expm1(-2.0 * zs)
+        ratio = np.divide(np.expm1(-6.0 * zs), den, out=np.full(u.shape, 3.0), where=den != 0.0)
+        val += np.log1p(-np.exp(-2.0 * math.pi / s + 2.0 * zs) * ratio)
+    return val
 
 
 def _log_f_n(x: np.ndarray, q: float) -> np.ndarray:
@@ -641,8 +631,7 @@ def f_3d(
 
     Product form chains the three pairwise conditionals, and series form
     replaces each coupling by its bilinear q-Hermite series; the two are
-    independent routes that agree pointwise to FORM_RTOL.  Closed form, the
-    same ten log terms in another order, is the product route.
+    independent routes that agree pointwise to FORM_RTOL.
     """
     p = params
     _check_q(p.q)
@@ -652,7 +641,7 @@ def f_3d(
     # Each term depends on at most two coordinates, so only the first sum
     # that involves all three is result-sized.  The other terms go into it
     # in place, in the formula's order, which keeps every rounding the same.
-    if form in (DensityForm.PRODUCT, DensityForm.CLOSED):
+    if form is DensityForm.PRODUCT:
         a, b, c = _cycle(p)
         val = np.asarray(a(xc, yc) + b(yc, zc))
         val += c(zc, xc)

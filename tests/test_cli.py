@@ -116,6 +116,27 @@ class TestEval:
         assert code == 0
         assert implicit == run_cli(["eval", density, *argv, "--form", default], capsys)[1]
 
+    def test_form_all_writes_the_routes_that_do_not_raise(self, capsys):
+        # The even series overflows at term 1021 here; the other three routes
+        # still tabulate, and the exit code is the overflow's.
+        argv = "eval fZ --q 0.5 --r 0.999 --form all --grid -2.8:2.8:41".split()
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3
+        _, header, rows = parse_csv(out)
+        assert header == ["z", "value_hermite-series", "value_rogers", "value_edge-product"]
+        assert len(rows) == 41
+        assert err.splitlines() == ["error: even-series: even-degree series overflowed at term 1021"]
+        for route in ("rogers", "edge-product"):
+            _, single, _ = run_cli([*argv[:-3], route, *argv[-2:]], capsys)
+            assert [r["value"] for r in parse_csv(single)[2]] == [r[f"value_{route}"] for r in rows]
+
+    def test_closed_is_not_a_form(self, capsys):
+        # The product route has one name; argparse rejects the old second one.
+        with pytest.raises(SystemExit) as exit_:
+            main(["eval", "f3D", "--q", "0.5", "--form", "closed"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'closed'" in capsys.readouterr().err
+
     def test_invalid_q_exits_2(self, capsys):
         code, _, err = run_cli(["eval", "fN", "--q", "1.5", "--grid", "-1:1:5"], capsys)
         assert code == 2

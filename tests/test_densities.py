@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from qnormal3d.checks import TOL_NORM_1D, TOL_NORM_2D
 from qnormal3d.densities import (
+    _HALF_EPS,
+    _THETA_MIN_Q,
     DensityForm,
     MarginalForm,
     ModelParams,
@@ -24,6 +26,7 @@ from qnormal3d.densities import (
     _log_factors,
     _log_l,
     _log_series,
+    _log_theta_imaginary,
     _log_w,
     _split,
     aw_parameters,
@@ -38,7 +41,7 @@ from qnormal3d.densities import (
     omega,
     pm_kernel,
 )
-from qnormal3d.errors import DegenerateConditioning, DomainError, NonConvergence
+from qnormal3d.errors import DegenerateConditioning, DomainError, NonConvergence, QNormalError
 from qnormal3d.qcore import (
     PRODUCT_TOL,
     _factors_needed,
@@ -180,6 +183,44 @@ class TestThetaRoutes:
         half = support_halfwidth(q)
         xs = np.concatenate([np.linspace(-0.99, 0.99, 45), [-0.999, 0.999]]) * half
         np.testing.assert_allclose(_log_f_n(xs, q), log_f_n_by_product(xs, q), rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("q", [0.2000001, 0.25, 0.3, 0.5, 0.59, 0.6, 0.7, 0.9, 0.99, 0.999])
+    def test_one_correction_term_is_the_whole_sum(self, q):
+        # The transformation keeps the first correction term, below about
+        # q = 0.594, and no other: bit for bit the sum that adds every term
+        # over half an ulp, on points that include the edges, 0 and NaN.
+        u = np.concatenate([np.linspace(-1.0, 1.0, 4097), [0.0, math.nan]])
+        np.testing.assert_array_equal(_log_theta_imaginary(u, q), log_theta_by_loop(u, q))
+
+    def test_second_correction_term_is_below_half_an_ulp(self):
+        s = -math.log(_THETA_MIN_Q) / (2.0 * math.pi)
+        assert 5.0 * math.exp(-4.0 * math.pi / s) < _HALF_EPS
+
+
+def log_theta_by_loop(u, q):
+    """_log_theta_imaginary with the correction sum as a loop that adds each
+    term whose bound (2n+1) e^(-pi n^2/s) is over half an ulp."""
+    s = -math.log(q) / (2.0 * math.pi)
+    a = np.arcsin(u)
+    zs = np.arccos(np.abs(u)) / s
+    with np.errstate(divide="ignore"):
+        edge = np.log1p(-np.exp(-2.0 * zs))
+    den = np.expm1(-2.0 * zs)
+    corr = np.zeros(u.shape)
+    n = 1
+    while (2 * n + 1) * math.exp(-math.pi * n * n / s) > _HALF_EPS:
+        ratio = np.divide(
+            np.expm1(-2.0 * (2 * n + 1) * zs),
+            den,
+            out=np.full(u.shape, 2.0 * n + 1.0),
+            where=den != 0.0,
+        )
+        corr += (-1) ** n * np.exp(-math.pi * n * (n + 1) / s + 2.0 * n * zs) * ratio
+        n += 1
+    const = (
+        0.5 * math.log(1.0 - q) - math.log(2.0 * math.pi) - 0.125 * math.log(q) - 0.5 * math.log(s)
+    )
+    return const - a * a / (math.pi * s) + edge + np.log1p(corr)
 
 
 class TestMarginalDensity:
@@ -565,21 +606,21 @@ class TestRelabelling:
 
 
 class TestJointDensity:
-    def test_three_forms_agree(self, params):
+    def test_series_agrees_with_product(self, params):
         gen = np.random.default_rng(11)
         half = support_halfwidth(params.q)
         pts = gen.uniform(-0.9 * half, 0.9 * half, size=(6, 3))
         ref = f_3d(pts[:, 0], pts[:, 1], pts[:, 2], params, form=DensityForm.PRODUCT)
-        for form in (DensityForm.SERIES, DensityForm.CLOSED):
-            alt = f_3d(pts[:, 0], pts[:, 1], pts[:, 2], params, form=form)
-            np.testing.assert_allclose(alt, ref, rtol=1e-9)
+        alt = f_3d(pts[:, 0], pts[:, 1], pts[:, 2], params, form=DensityForm.SERIES)
+        np.testing.assert_allclose(alt, ref, rtol=1e-9)
 
-    def test_closed_is_the_product_route(self, params):
-        pts = np.linspace(-0.9, 0.9, 7) * support_halfwidth(params.q)
-        x, y, z = np.meshgrid(pts, pts, pts, indexing="ij")
-        np.testing.assert_array_equal(
-            f_3d(x, y, z, params, form=DensityForm.CLOSED), f_3d(x, y, z, params)
-        )
+    def test_closed_is_the_product_route(self):
+        # CLOSED is an alias, not a route: the paper's two routes are the
+        # enum's members, and "closed" names none of them.
+        assert DensityForm.CLOSED is DensityForm.PRODUCT
+        assert list(DensityForm) == [DensityForm.PRODUCT, DensityForm.SERIES]
+        with pytest.raises(ValueError):
+            DensityForm("closed")
 
     def test_pair_marginal_consistency(self, params):
         # integrating the joint density over x recovers the (y, z) margin
@@ -825,7 +866,7 @@ class TestTensorGrid:
         assert grid.shape == tuple(len(a) for a in axes)
         np.testing.assert_array_equal(grid.ravel(), flat)
 
-    @pytest.mark.parametrize("name", ["f_3d.product", "f_3d.closed", "f_3d.series", "f_yz"])
+    @pytest.mark.parametrize("name", ["f_3d.product", "f_3d.series", "f_yz"])
     def test_outside_support_is_exactly_zero(self, name):
         dim, density = GRID_CASES[name]
         half = support_halfwidth(GRID_PARAMS.q)
@@ -884,3 +925,61 @@ class TestNaN:
     def test_nan_conditioning_point_raises(self, call):
         with pytest.raises(DomainError, match="NaN"):
             call()
+
+
+# The domain's edges: q up to 0.999 and down to -0.99, |rho| up to 0.99, and
+# points anywhere in [-L, L], the support's ends drawn on purpose.
+edge_fracs = st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(min_value=-1.0, max_value=1.0))
+edge_axis = st.lists(edge_fracs, min_size=1, max_size=3)
+edge_rhos = st.floats(min_value=-0.99, max_value=0.99)
+
+
+class TestEdgeSweep:
+    """Finite values or a documented raise across the whole domain (ROADMAP
+    item 2.5, the densities and kernels)."""
+
+    @given(
+        q=st.floats(min_value=-0.99, max_value=0.999),
+        rho=st.tuples(edge_rhos, edge_rhos, edge_rhos),
+        axes=st.tuples(edge_axis, edge_axis, edge_axis),
+    )
+    @example(q=0.999, rho=(0.99, -0.99, 0.99), axes=([-1.0, 0.3, 1.0],) * 3)
+    @example(q=-0.99, rho=(-0.99, 0.99, 0.5), axes=([-1.0, 0.3, 1.0],) * 3)
+    @settings(max_examples=40, deadline=None)
+    def test_densities_are_finite_or_raise_the_documented_error(self, q, rho, axes):
+        # Every density and kernel returns finite values or raises a
+        # QNormalError subclass; a NaN, an inf or any other exception (a
+        # RuntimeWarning is one here) fails.  For run time, the bilinear
+        # q-Hermite series are left out at q <= 0 once some |rho| > 0.9,
+        # where they take thousands of double-double terms, as in
+        # tests/test_reference.py.
+        p = ModelParams(*rho, q)
+        half = support_halfwidth(q)
+        x, y, z = (np.array(a) * half for a in axes)
+        grid = open_grid(x, y, z)
+        calls = {
+            "f_n": lambda: f_n(x, q),
+            "f_r": lambda: f_r(x, p.rho12, q),
+            "f_cn": lambda: f_cn(*open_grid(x, y), p.rho12, q),
+            "f_yz": lambda: f_yz(*open_grid(y, z), p),
+            "f_3d.product": lambda: f_3d(*grid, p),
+            **{
+                f"f_z.{f.value}": lambda f=f: f_z(z, p.r, q, form=f)
+                for f in MarginalForm
+                if f is not MarginalForm.HERMITE_SERIES
+            },
+            "pm_kernel.product": lambda: pm_kernel(*open_grid(x, y), p.rho12, q),
+            "f_x_given_yz": lambda: f_x_given_yz(*grid, p),
+            "f_yz_given_x": lambda: f_yz_given_x(grid[1], grid[2], grid[0], p),
+        }
+        if q > 0.0 or max(abs(v) for v in rho) <= 0.9:
+            series = DensityForm.SERIES
+            calls["f_3d.series"] = lambda: f_3d(*grid, p, form=series)
+            calls["pm_kernel.series"] = lambda: pm_kernel(*open_grid(x, y), p.rho12, q, form=series)
+            calls["f_z.hermite-series"] = lambda: f_z(z, p.r, q, form=MarginalForm.HERMITE_SERIES)
+        for name, call in calls.items():
+            try:
+                val = call()
+            except QNormalError:
+                continue
+            assert np.all(np.isfinite(val)), name

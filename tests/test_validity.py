@@ -64,7 +64,7 @@ INVALID = [
     (mm.cond_exp_y2_given_z, (NAN, P), DomainError),
     (mm.cond_exp_xy_given_z, (NAN, P), DomainError),
     (aw_parameters, (NAN, 0.1, P), DomainError),
-    (pm_kernel, (0.1, 0.2, 0.3, 0.5, DensityForm.CLOSED), ValueError),
+    (pm_kernel, (0.1, 0.2, 0.3, 0.5, MarginalForm.ROGERS), ValueError),
     (support_halfwidth, (NAN,), ValueError),
 ]
 # var_z and e_h2n_z take (r, q); the moments of X given (Y, Z) read
@@ -224,6 +224,8 @@ for entry, make in (
     (pl.triple_product_integral, lambda q: (1, 1, 2, q)),
 ):
     INVALID += [(entry, make(value), ValueError) for value in (0.3 + 0j, "0.3")]
+# A form given by its value, not its enum member, is unknown.
+INVALID += [(mm.cond_exp_hn_x_given_yz, (2, 0.1, 0.2, P, "double-sum"), ValueError)]
 
 
 @pytest.mark.parametrize(
@@ -286,7 +288,7 @@ def test_every_error_has_its_documented_exit_code():
         "moments --kind cond_y --q 0.5 --rho 0.3,0.6,0.3 --n 2 --z 2.82842712474619".split(),
         "moments --kind cond_xy --q 0.5 --m 2 --n 3".split(),
         "eval fN --q 0.5 --form rogers".split(),
-        "eval pmKernel --q 0.5 --form closed".split(),
+        "eval pmKernel --q 0.5 --form rogers".split(),
         "limits --q-seq 0.9,1".split(),
         "limits --q-seq 0.9,nan".split(),
         "check poisson-mehler --rho 0.3,0.6,-0.6 --q 0.5 --seed -3".split(),
